@@ -174,17 +174,14 @@ fn list_schedule(
     let spill_limit = 4 * graph.len().max(8);
 
     loop {
-        let alive = graph.alive();
-        if covered.count() >= alive.len() {
+        if covered.count() >= graph.live_len() {
             break;
         }
         // Ready nodes by descending level-from-top (critical path first).
-        let mut ready: Vec<CnId> = alive
-            .iter()
-            .copied()
+        let mut ready: Vec<CnId> = graph
+            .alive()
             .filter(|&n| {
-                !covered.contains(n.index())
-                    && graph.preds(n).iter().all(|p| covered.contains(p.index()))
+                !covered.contains(n.index()) && graph.preds(n).all(|p| covered.contains(p.index()))
             })
             .collect();
         ready.sort_by_key(|&n| (std::cmp::Reverse(graph.level_top(n)), n));
@@ -204,7 +201,7 @@ fn list_schedule(
                 .count()
         };
         let mut pressure = vec![0usize; target.machine.banks().len()];
-        for &n in &alive {
+        for n in graph.alive() {
             if covered.contains(n.index()) {
                 if let Some(b) = graph.node(n).dest_bank(target) {
                     if remaining(n, &covered) > 0 || pinned.contains(n.index()) {
@@ -223,7 +220,7 @@ fn list_schedule(
             }
             // Pressure check for the probe group.
             let mut p = pressure.clone();
-            for &n in &alive {
+            for n in graph.alive() {
                 if !covered.contains(n.index()) || pinned.contains(n.index()) {
                     continue;
                 }
@@ -273,9 +270,8 @@ fn list_schedule(
                 .expect("machine has banks");
             // Belady eviction: the value needed farthest in the future
             // (see the covering engine for rationale).
-            let victim = alive
-                .iter()
-                .copied()
+            let victim = graph
+                .alive()
                 .filter(|&id| {
                     covered.contains(id.index())
                         && !pinned.contains(id.index())

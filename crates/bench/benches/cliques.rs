@@ -29,7 +29,7 @@ fn bench_clique_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("gen_max_cliques");
     for n_ops in [8usize, 12, 16, 20] {
         let (graph, target) = graph_for(n_ops, 11);
-        let nodes = graph.alive();
+        let nodes: Vec<_> = graph.alive().collect();
         for (tag, window) in [("window2", Some(2u32)), ("no_window", None)] {
             let matrix = ParallelismMatrix::build(&graph, &target, &nodes, window);
             group.bench_with_input(BenchmarkId::new(tag, n_ops), &matrix, |b, matrix| {
@@ -42,7 +42,7 @@ fn bench_clique_generation(c: &mut Criterion) {
 
 fn bench_legalize(c: &mut Criterion) {
     let (graph, target) = graph_for(16, 11);
-    let nodes = graph.alive();
+    let nodes: Vec<_> = graph.alive().collect();
     let matrix = ParallelismMatrix::build(&graph, &target, &nodes, Some(2));
     let cliques = gen_max_cliques(&matrix);
     c.bench_function("legalize_16ops", |b| {

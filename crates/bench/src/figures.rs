@@ -100,7 +100,7 @@ pub fn fig7_fig8() -> String {
     let dag = &f.blocks[0].dag;
     let res = aviv::assign::explore(dag, &sndag, &target, &CodegenOptions::heuristics_on());
     let graph = CoverGraph::build(dag, &sndag, &target, &res.assignments[0]);
-    let nodes = graph.alive();
+    let nodes: Vec<_> = graph.alive().collect();
     let matrix = ParallelismMatrix::build(&graph, &target, &nodes, None);
     let mut out =
         String::from("Figure 7: pairwise parallelism matrix (1 = cannot execute in parallel)\n");

@@ -128,11 +128,6 @@ impl ParallelismMatrix {
         self.compat.contains(i, j)
     }
 
-    /// The nodes compatible with `i`, as a freestanding set.
-    fn compat_row(&self, i: usize) -> BitSet {
-        self.compat.row_to_bitset(i)
-    }
-
     /// Render as the paper's Fig. 7 0/1 matrix (0 = parallel).
     pub fn render(&self) -> String {
         let n = self.len();
@@ -171,86 +166,126 @@ pub fn gen_max_cliques(m: &ParallelismMatrix) -> Vec<BitSet> {
 /// loop only require that cliques be legal, not exhaustive — and the
 /// caller's next hard charge surfaces the exhaustion.
 pub fn gen_max_cliques_budgeted(m: &ParallelismMatrix, budget: &Budget) -> Vec<BitSet> {
-    let n = m.len();
-    let mut out: Vec<BitSet> = Vec::new();
-    let mut seen: std::collections::HashSet<BitSet> = std::collections::HashSet::new();
-    for start in 0..n {
-        let mut clique = BitSet::new(n);
-        clique.insert(start);
-        gen_rec(
-            m,
-            clique,
-            m.compat_row(start),
-            start,
-            &mut out,
-            &mut seen,
-            budget,
-        );
+    let mut gen = CliqueGen {
+        m,
+        budget,
+        frames: Vec::new(),
+        out: Vec::new(),
+        seen: std::collections::HashSet::new(),
+    };
+    for start in 0..m.len() {
+        let root = gen.frame(0);
+        root.clique.clear();
+        root.clique.insert(start);
+        root.compat.clear();
+        m.compat.union_row_into(start, &mut root.compat);
+        gen.rec(0, start);
     }
-    out
+    gen.out
 }
 
-/// One recursive step of Fig. 8's `gen_max_clique(clique, index)`.
-///
-/// `compat` is the running intersection of the compatibility rows of
-/// every clique member — exactly the nodes that could still join — so
-/// membership tests, preclusion tests, and candidate enumeration are all
-/// whole-row bitset operations rather than per-pair probes.
-fn gen_rec(
-    m: &ParallelismMatrix,
-    mut clique: BitSet,
-    mut compat: BitSet,
-    index: usize,
-    out: &mut Vec<BitSet>,
-    seen: &mut std::collections::HashSet<BitSet>,
-    budget: &Budget,
-) {
-    budget.note(1);
-    if budget.exhaustion().is_some() {
-        return;
+/// One level of the clique recursion: the clique so far, the running
+/// intersection of its members' compatibility rows, and a snapshot of
+/// that intersection for the first loop to walk.
+struct Frame {
+    clique: BitSet,
+    compat: BitSet,
+    candidates: BitSet,
+}
+
+/// The state of one [`gen_max_cliques_budgeted`] call. Each recursion
+/// depth works in its own [`Frame`], reused by every call at that depth,
+/// so a recursive step allocates nothing; only a newly found clique is
+/// copied out.
+struct CliqueGen<'a> {
+    m: &'a ParallelismMatrix,
+    budget: &'a Budget,
+    frames: Vec<Frame>,
+    out: Vec<BitSet>,
+    seen: std::collections::HashSet<BitSet>,
+}
+
+impl CliqueGen<'_> {
+    /// The frame for recursion depth `depth`, created on first use.
+    fn frame(&mut self, depth: usize) -> &mut Frame {
+        let n = self.m.len();
+        while self.frames.len() <= depth {
+            self.frames.push(Frame {
+                clique: BitSet::new(n),
+                compat: BitSet::new(n),
+                candidates: BitSet::new(n),
+            });
+        }
+        &mut self.frames[depth]
     }
 
-    // First loop: add every node that can join and does not preclude any
-    // other candidate. The pruning condition: if such a node has a smaller
-    // id than `index`, this whole branch was already generated from that
-    // node's seed — terminate.
-    loop {
-        let candidates = compat.clone();
-        let mut grew = false;
-        for i in candidates.iter() {
-            if !compat.contains(i) {
-                continue; // an earlier addition this round absorbed it
-            }
-            // Adding `i` precludes another live candidate iff its
-            // conflict row overlaps the remaining candidate set (the
-            // diagonal is never set, so `i` itself cannot match).
-            let precludes = m.conflict.row_intersects(i, &compat);
-            if !precludes {
-                if i < index {
-                    return; // pruning condition of Fig. 8
+    /// One recursive step of Fig. 8's `gen_max_clique(clique, index)` on
+    /// the clique in frame `depth`.
+    ///
+    /// `compat` is the running intersection of the compatibility rows of
+    /// every clique member — exactly the nodes that could still join — so
+    /// membership tests, preclusion tests, and candidate enumeration are
+    /// all whole-row bitset operations rather than per-pair probes.
+    fn rec(&mut self, depth: usize, index: usize) {
+        self.budget.note(1);
+        if self.budget.exhaustion().is_some() {
+            return;
+        }
+        let m = self.m;
+
+        // First loop: add every node that can join and does not preclude
+        // any other candidate. The pruning condition: if such a node has
+        // a smaller id than `index`, this whole branch was already
+        // generated from that node's seed — terminate.
+        let f = &mut self.frames[depth];
+        loop {
+            f.candidates.clone_from(&f.compat);
+            let mut grew = false;
+            for i in f.candidates.iter() {
+                if !f.compat.contains(i) {
+                    continue; // an earlier addition this round absorbed it
                 }
-                clique.insert(i);
-                m.compat.intersect_row_into(i, &mut compat);
-                grew = true;
+                // Adding `i` precludes another live candidate iff its
+                // conflict row overlaps the remaining candidate set (the
+                // diagonal is never set, so `i` itself cannot match).
+                let precludes = m.conflict.row_intersects(i, &f.compat);
+                if !precludes {
+                    if i < index {
+                        return; // pruning condition of Fig. 8
+                    }
+                    f.clique.insert(i);
+                    m.compat.intersect_row_into(i, &mut f.compat);
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
             }
         }
-        if !grew {
-            break;
-        }
-    }
 
-    // Second loop: spawn a recursive call per remaining compatible node.
-    let mut spawned = false;
-    for i in compat.iter() {
-        let mut next = clique.clone();
-        next.insert(i);
-        let mut next_compat = compat.clone();
-        m.compat.intersect_row_into(i, &mut next_compat);
-        gen_rec(m, next, next_compat, index.max(i), out, seen, budget);
-        spawned = true;
-    }
-    if !spawned && seen.insert(clique.clone()) {
-        out.push(clique);
+        // Second loop: spawn a recursive call per remaining compatible
+        // node. Deeper calls touch only deeper frames, so this frame's
+        // `compat` is stable while it is walked.
+        let mut spawned = false;
+        for i in 0..m.len() {
+            if !self.frames[depth].compat.contains(i) {
+                continue;
+            }
+            self.frame(depth + 1);
+            let (outer, inner) = self.frames.split_at_mut(depth + 1);
+            let (cur, next) = (&outer[depth], &mut inner[0]);
+            next.clique.clone_from(&cur.clique);
+            next.clique.insert(i);
+            next.compat.clone_from(&cur.compat);
+            m.compat.intersect_row_into(i, &mut next.compat);
+            self.rec(depth + 1, index.max(i));
+            spawned = true;
+        }
+        let clique = &self.frames[depth].clique;
+        if !spawned && !self.seen.contains(clique) {
+            self.seen.insert(clique.clone());
+            self.out.push(clique.clone());
+        }
     }
 }
 
@@ -279,11 +314,9 @@ pub fn legalize(
         let mut kept = BitSet::new(m.len());
         let mut rest = BitSet::new(m.len());
         for i in c.iter() {
-            let mut probe = kept.clone();
-            probe.insert(i);
-            if is_legal(&probe, m, graph, target) {
-                kept = probe;
-            } else {
+            kept.insert(i);
+            if !is_legal(&kept, m, graph, target) {
+                kept.remove(i);
                 rest.insert(i);
             }
         }
@@ -308,12 +341,16 @@ pub fn is_legal(
     graph: &CoverGraph,
     target: &Target,
 ) -> bool {
-    // Bus capacity.
-    let mut bus_use = vec![0u32; target.machine.buses().len()];
+    // Bus capacity: count each bus's users (cliques are a handful of
+    // nodes, so the quadratic count is cheaper than a per-call table).
+    let resource = |i: usize| graph.node(m.ids[i]).resource();
     for i in clique.iter() {
-        if let Resource::Bus(b) = graph.node(m.ids[i]).resource() {
-            bus_use[b.index()] += 1;
-            if bus_use[b.index()] > target.machine.bus(b).capacity {
+        if let Resource::Bus(b) = resource(i) {
+            let users = clique
+                .iter()
+                .filter(|&j| resource(j) == Resource::Bus(b))
+                .count();
+            if users > target.machine.bus(b).capacity as usize {
                 return false;
             }
         }

@@ -1408,7 +1408,7 @@ impl CodeGenerator {
 /// covering engine reports it as a C004 wedge, or the invariant verifier
 /// flags the uncovered operation.
 fn corrupt_cover_graph(graph: &mut CoverGraph) {
-    if let Some(&victim) = graph.alive().last() {
+    if let Some(victim) = graph.alive().last() {
         graph.kill(victim);
         graph.rebuild_indexes();
     }

@@ -10,6 +10,19 @@
 //! spilled (Fig. 9) and the cliques are regenerated.
 //!
 //! The order in which cliques are selected **is** the schedule (§IV-E).
+//!
+//! Scratch reuse: every selection step and every lookahead-rollout step
+//! recomputes the covering state, and there can be hundreds of thousands
+//! of them per block, so none of them allocates. A `State` recomputes
+//! into its own buffers, and one `Scratch` per [`cover_budgeted`] call —
+//! the rollout's state plus the group, best-group and bank-pressure
+//! buffers — is lent to the selection loop and to every rollout in turn.
+//! Buffers grow only when a spill grows the graph. Nothing read from a
+//! scratch survives a step: each user clears or re-seeds a buffer before
+//! reading it, so reuse cannot change a decision, a budget charge, or an
+//! emitted byte. What still allocates is the clique pool (built at the
+//! start and again after each spill) and the one `Vec` per selected
+//! group that the returned schedule keeps.
 
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
@@ -106,12 +119,13 @@ impl fmt::Display for CoverError {
 
 impl Error for CoverError {}
 
-/// Dynamic covering state recomputed after every selection.
+/// Dynamic covering state, recomputed in place after every selection.
+#[derive(Default)]
 struct State {
     /// Scheduled nodes.
     covered: BitSet,
     /// Uncovered alive nodes whose predecessors are all covered.
-    ready: Vec<CnId>,
+    ready: BitSet,
     /// Remaining uncovered consumers per node (values only).
     remaining: Vec<usize>,
     /// Live register values per bank.
@@ -121,46 +135,58 @@ struct State {
 }
 
 impl State {
-    fn compute(graph: &CoverGraph, target: &Target, covered: &BitSet) -> State {
+    /// A state over `graph` with nothing covered yet.
+    fn new(graph: &CoverGraph) -> State {
+        State {
+            covered: BitSet::new(graph.len()),
+            ..State::default()
+        }
+    }
+
+    /// Recompute every field but `covered` from `covered`, reusing the
+    /// buffers (they grow only when a spill has grown the graph).
+    fn recompute(&mut self, graph: &CoverGraph, target: &Target) {
         let n = graph.len();
-        let mut pinned = BitSet::new(n);
+        let covered = &self.covered;
+        self.pinned.grow(n);
+        self.pinned.clear();
         for &(_, operand) in graph.live_out() {
             if let Operand::Cn(c) = operand {
-                pinned.insert(c.index());
+                self.pinned.insert(c.index());
             }
         }
-        let mut remaining = vec![0usize; n];
-        let mut ready = Vec::new();
+        self.remaining.clear();
+        self.remaining.resize(n, 0);
+        self.ready.grow(n);
+        self.ready.clear();
         for id in graph.alive() {
-            remaining[id.index()] = graph
+            self.remaining[id.index()] = graph
                 .uses(id)
                 .iter()
                 .filter(|u| !covered.contains(u.index()))
                 .count();
-            if !covered.contains(id.index())
-                && graph.preds(id).iter().all(|p| covered.contains(p.index()))
+            if !covered.contains(id.index()) && graph.preds(id).all(|p| covered.contains(p.index()))
             {
-                ready.push(id);
+                self.ready.insert(id.index());
             }
         }
-        let mut pressure = vec![0usize; target.machine.banks().len()];
+        self.pressure.clear();
+        self.pressure.resize(target.machine.banks().len(), 0);
         for id in graph.alive() {
             if !covered.contains(id.index()) {
                 continue;
             }
             if let Some(bank) = graph.node(id).dest_bank(target) {
-                if remaining[id.index()] > 0 || pinned.contains(id.index()) {
-                    pressure[bank.index()] += 1;
+                if self.remaining[id.index()] > 0 || self.pinned.contains(id.index()) {
+                    self.pressure[bank.index()] += 1;
                 }
             }
         }
-        State {
-            covered: covered.clone(),
-            ready,
-            remaining,
-            pressure,
-            pinned,
-        }
+    }
+
+    /// The ready nodes in ascending id order.
+    fn ready_ids(&self) -> impl Iterator<Item = CnId> + '_ {
+        self.ready.iter().map(|i| CnId(i as u32))
     }
 
     /// Anti-wedge selection policy: scheduling `group` must not leave any
@@ -169,10 +195,16 @@ impl State {
     /// other predecessor already covered). Greedy max-cover otherwise
     /// parks far-future values in the last registers of scarce banks,
     /// which wedges the covering loop into spill thrashing.
-    fn policy_ok(&self, graph: &CoverGraph, target: &Target, group: &[CnId]) -> bool {
-        let Some(p_after) = self.pressure_after(graph, target, group) else {
-            return false;
-        };
+    ///
+    /// `p_after` is the bank load [`State::pressure_after`] computed for
+    /// `group`, which must have fit.
+    fn policy_ok(
+        &self,
+        graph: &CoverGraph,
+        target: &Target,
+        group: &[CnId],
+        p_after: &[usize],
+    ) -> bool {
         let done = |id: CnId| self.covered.contains(id.index()) || group.contains(&id);
         for (bi, &load) in p_after.iter().enumerate() {
             if load < target.machine.banks()[bi].size as usize {
@@ -198,7 +230,7 @@ impl State {
                     if done(u) {
                         continue;
                     }
-                    if graph.preds(u).iter().all(|p| done(*p)) {
+                    if graph.preds(u).all(done) {
                         consumable = true;
                         break 'values;
                     }
@@ -211,15 +243,16 @@ impl State {
         true
     }
 
-    /// Bank loads after scheduling `group`: returns `None` when any bank
-    /// would exceed its size.
+    /// Bank loads after scheduling `group`, written into `p`: returns
+    /// false when any bank would exceed its size.
     fn pressure_after(
         &self,
         graph: &CoverGraph,
         target: &Target,
         group: &[CnId],
-    ) -> Option<Vec<usize>> {
-        let mut p = self.pressure.clone();
+        p: &mut Vec<usize>,
+    ) -> bool {
+        p.clone_from(&self.pressure);
         // Values dying: all remaining uses are inside `group`.
         for id in graph.alive() {
             if !self.covered.contains(id.index()) || self.pinned.contains(id.index()) {
@@ -242,12 +275,9 @@ impl State {
                 p[bank.index()] += 1;
             }
         }
-        for (bi, &load) in p.iter().enumerate() {
-            if load > target.machine.banks()[bi].size as usize {
-                return None;
-            }
-        }
-        Some(p)
+        p.iter()
+            .zip(target.machine.banks())
+            .all(|(&load, bank)| load <= bank.size as usize)
     }
 }
 
@@ -267,7 +297,6 @@ impl Pool {
     ) -> Pool {
         let nodes: Vec<CnId> = graph
             .alive()
-            .into_iter()
             .filter(|n| !covered.contains(n.index()))
             .collect();
         let matrix = ParallelismMatrix::build(graph, target, &nodes, options.clique_level_window);
@@ -276,14 +305,71 @@ impl Pool {
         Pool { matrix, cliques }
     }
 
-    /// The ready, uncovered members of clique `ci` (its shrunk form).
-    fn ready_members(&self, ci: usize, state: &State) -> Vec<CnId> {
-        self.cliques[ci]
-            .iter()
-            .map(|i| self.matrix.ids[i])
-            .filter(|id| !state.covered.contains(id.index()) && state.ready.contains(id))
-            .collect()
+    /// Append the ready members of clique `ci` (its shrunk form) to `out`.
+    fn ready_members(&self, ci: usize, state: &State, out: &mut Vec<CnId>) {
+        out.extend(
+            self.cliques[ci]
+                .iter()
+                .map(|i| self.matrix.ids[i])
+                .filter(|id| state.ready.contains(id.index())),
+        );
     }
+}
+
+/// One selection step's candidate groups, stored flat: group `i` is
+/// `members[spans[i].0..spans[i].1]`.
+#[derive(Default)]
+struct Groups {
+    members: Vec<CnId>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl Groups {
+    /// Collect the shrunk-to-ready form of every clique in `pool`, each
+    /// sorted, dropping empty and repeated groups (the first occurrence
+    /// keeps its place).
+    fn collect(&mut self, pool: &Pool, state: &State) {
+        self.members.clear();
+        self.spans.clear();
+        for ci in 0..pool.cliques.len() {
+            let start = self.members.len();
+            pool.ready_members(ci, state, &mut self.members);
+            self.members[start..].sort_unstable();
+            let g = &self.members[start..];
+            if g.is_empty() || self.spans.iter().any(|&(a, b)| self.members[a..b] == *g) {
+                self.members.truncate(start);
+            } else {
+                self.spans.push((start, self.members.len()));
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    fn get(&self, i: usize) -> &[CnId] {
+        let (a, b) = self.spans[i];
+        &self.members[a..b]
+    }
+}
+
+/// The buffers one covering call lends to its selection loop and to
+/// every lookahead rollout (see the module doc).
+#[derive(Default)]
+struct Scratch {
+    /// The rollout's state; its `covered` is re-seeded per rollout.
+    rollout: State,
+    /// A candidate group under construction.
+    group: Vec<CnId>,
+    /// The best group found so far.
+    best: Vec<CnId>,
+    /// [`State::pressure_after`]'s output.
+    pressure: Vec<usize>,
 }
 
 /// Cover `graph` with a minimal set of legal cliques, producing the
@@ -317,10 +403,10 @@ pub fn cover_budgeted(
     options: &CodegenOptions,
     budget: &Budget,
 ) -> Result<Schedule, CoverError> {
-    let mut covered = BitSet::new(graph.len());
+    let mut state = State::new(graph);
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
-    let mut pool = Pool::generate(graph, target, &covered, options, budget);
+    let mut pool = Pool::generate(graph, target, &state.covered, options, budget);
     let spill_limit = 4 * graph.len().max(8);
     // Deadlock breaker: once spilling starts, commit to one nearly-ready
     // node and schedule only toward it (its uncovered predecessor
@@ -331,34 +417,32 @@ pub fn cover_budgeted(
     // plain-feasible group instead (the anti-wedge policy is a
     // preference, not a straitjacket).
     let mut last_spill_progress: Option<usize> = None;
+    let mut scratch = Scratch::default();
+    let mut groups = Groups::default();
+    // Indices into `groups`: the candidates, those feasible under the
+    // register bound, and those that also pass the anti-wedge policy.
+    let mut candidates: Vec<usize> = Vec::new();
+    let mut plain: Vec<usize> = Vec::new();
+    let mut feasible: Vec<usize> = Vec::new();
+    let mut closure = BitSet::new(0);
+    let mut stack: Vec<CnId> = Vec::new();
 
     loop {
-        let total_alive = graph.alive().len();
-        if covered.count() >= total_alive {
+        let total_alive = graph.live_len();
+        if state.covered.count() >= total_alive {
             break;
         }
         budget.charge(1).map_err(CoverError::Budget)?;
-        let state = State::compute(graph, target, &covered);
+        state.recompute(graph, target);
         if state.ready.is_empty() {
             // A dependence cycle or a dead operand: without the guard
             // this loop would spin forever (it used to be a debug
             // assertion, invisible in release builds).
-            return Err(wedged(covered.count(), total_alive));
+            return Err(wedged(state.covered.count(), total_alive));
         }
 
         // Candidate groups: the shrunk-to-ready form of every clique.
-        let mut groups: Vec<Vec<CnId>> = Vec::new();
-        let mut seen: std::collections::HashSet<Vec<CnId>> = std::collections::HashSet::new();
-        for ci in 0..pool.cliques.len() {
-            let mut g = pool.ready_members(ci, &state);
-            if g.is_empty() {
-                continue;
-            }
-            g.sort_unstable();
-            if seen.insert(g.clone()) {
-                groups.push(g);
-            }
-        }
+        groups.collect(&pool, &state);
         if groups.is_empty() {
             return Err(CoverError::Internal(Diagnostic::new(
                 Code::C004,
@@ -369,113 +453,126 @@ pub fn cover_budgeted(
 
         // Focused mode: restrict selection to groups that advance the
         // focus node's uncovered predecessor closure.
-        let focus_closure: Option<BitSet> = focus.and_then(|c| {
-            if covered.contains(c.index()) || graph.is_dead(c) {
-                None
-            } else {
-                let mut closure = BitSet::new(graph.len());
-                let mut stack = vec![c];
+        let focused = match focus {
+            Some(c) if !state.covered.contains(c.index()) && !graph.is_dead(c) => {
+                closure.grow(graph.len());
+                closure.clear();
+                stack.clear();
+                stack.push(c);
                 while let Some(n) = stack.pop() {
-                    if covered.contains(n.index()) || closure.contains(n.index()) {
+                    if state.covered.contains(n.index()) || closure.contains(n.index()) {
                         continue;
                     }
                     closure.insert(n.index());
-                    for p in graph.preds(n) {
-                        stack.push(p);
-                    }
+                    stack.extend(graph.preds(n));
                 }
-                Some(closure)
+                true
             }
-        });
-        if focus_closure.is_none() {
-            focus = None;
-        }
-        if let Some(closure) = &focus_closure {
-            let filtered: Vec<Vec<CnId>> = groups
-                .iter()
-                .filter(|g| g.iter().any(|n| closure.contains(n.index())))
-                .cloned()
-                .collect();
+            _ => {
+                focus = None;
+                false
+            }
+        };
+        candidates.clear();
+        if focused {
+            candidates.extend(
+                (0..groups.len())
+                    .filter(|&gi| groups.get(gi).iter().any(|n| closure.contains(n.index()))),
+            );
             // Use the focused subset only when it contains a feasible
             // group — otherwise fall back to the full set (e.g. a pending
             // spill store outside the closure may be the only way to
             // relieve pressure).
-            let any_feasible = filtered
-                .iter()
-                .any(|g| state.pressure_after(graph, target, g).is_some());
-            if any_feasible {
-                groups = filtered;
+            let any_feasible = candidates.iter().any(|&gi| {
+                state.pressure_after(graph, target, groups.get(gi), &mut scratch.pressure)
+            });
+            if !any_feasible {
+                candidates.clear();
             }
+        }
+        if candidates.is_empty() {
+            candidates.extend(0..groups.len());
         }
 
         // Feasible groups under the register bound; prefer those that
         // also satisfy the anti-wedge policy.
-        let plain: Vec<usize> = (0..groups.len())
-            .filter(|&gi| state.pressure_after(graph, target, &groups[gi]).is_some())
-            .collect();
-        let feasible: Vec<usize> = plain
-            .iter()
-            .copied()
-            .filter(|&gi| state.policy_ok(graph, target, &groups[gi]))
-            .collect();
+        plain.clear();
+        feasible.clear();
+        for &gi in &candidates {
+            let g = groups.get(gi);
+            if state.pressure_after(graph, target, g, &mut scratch.pressure) {
+                plain.push(gi);
+                if state.policy_ok(graph, target, g, &scratch.pressure) {
+                    feasible.push(gi);
+                }
+            }
+        }
 
         let chosen: Option<Vec<CnId>> = if !feasible.is_empty() {
             let best_size = feasible
                 .iter()
-                .map(|&gi| groups[gi].len())
+                .map(|&gi| groups.get(gi).len())
                 .max()
                 .expect("feasible set is non-empty here");
-            let tied: Vec<usize> = feasible
+            let mut tied = feasible
                 .iter()
                 .copied()
-                .filter(|&gi| groups[gi].len() == best_size)
-                .collect();
-            let winner = if tied.len() > 1 && options.lookahead {
+                .filter(|&gi| groups.get(gi).len() == best_size)
+                .peekable();
+            let mut best_gi = tied.next().expect("the largest group ties with itself");
+            if options.lookahead && tied.peek().is_some() {
                 // Evaluate candidates in order, keeping the incumbent.
                 // With `analysis_bounds`, later rollouts abort as soon
                 // as an admissible lower bound proves they cannot
                 // strictly beat the incumbent — ties keep the earlier
                 // group, exactly as the plain (estimate, index) minimum
                 // would, so the winner is identical either way.
-                let mut best_gi = tied[0];
                 let mut best_est = lookahead_estimate(
                     graph,
                     target,
-                    &covered,
+                    &state.covered,
                     &pool,
-                    &groups[best_gi],
+                    groups.get(best_gi),
                     budget,
                     None,
+                    &mut scratch,
                 );
-                for &gi in &tied[1..] {
+                for gi in tied {
                     let cutoff = options.analysis_bounds.then_some(best_est);
                     let est = lookahead_estimate(
                         graph,
                         target,
-                        &covered,
+                        &state.covered,
                         &pool,
-                        &groups[gi],
+                        groups.get(gi),
                         budget,
                         cutoff,
+                        &mut scratch,
                     );
                     if est < best_est {
                         best_est = est;
                         best_gi = gi;
                     }
                 }
-                best_gi
-            } else {
-                tied[0]
-            };
-            Some(groups[winner].clone())
+            }
+            Some(groups.get(best_gi).to_vec())
         } else {
             // Shrink the biggest groups: drop value-defining members until
             // the remainder fits.
-            let mut best: Option<Vec<CnId>> = None;
-            for g in &groups {
-                let mut g = g.clone();
+            let Scratch {
+                group: g,
+                best,
+                pressure,
+                ..
+            } = &mut scratch;
+            best.clear();
+            for &gi in &candidates {
+                g.clear();
+                g.extend_from_slice(groups.get(gi));
+                let mut fits = false;
                 while !g.is_empty() {
-                    if state.pressure_after(graph, target, &g).is_some() {
+                    if state.pressure_after(graph, target, g, pressure) {
+                        fits = true;
                         break;
                     }
                     // Drop a member defining into the most-loaded bank.
@@ -497,20 +594,17 @@ pub fn cover_budgeted(
                         None => break, // only stores left; must be feasible
                     }
                 }
-                if !g.is_empty()
-                    && state.policy_ok(graph, target, &g)
-                    && best.as_ref().is_none_or(|b| g.len() > b.len())
-                {
-                    best = Some(g);
+                if fits && g.len() > best.len() && state.policy_ok(graph, target, g, pressure) {
+                    std::mem::swap(best, g);
                 }
             }
-            best
+            (!best.is_empty()).then(|| best.clone())
         };
 
         match chosen {
             Some(group) => {
                 for &id in &group {
-                    covered.insert(id.index());
+                    state.covered.insert(id.index());
                 }
                 steps.push(group);
             }
@@ -521,20 +615,20 @@ pub fn cover_budgeted(
                 if spills.len() >= spill_limit {
                     return Err(CoverError::SpillLimit);
                 }
-                if last_spill_progress == Some(covered.count()) {
-                    if let Some(&gi) = plain.iter().max_by_key(|&&gi| groups[gi].len()) {
-                        let group = groups[gi].clone();
+                if last_spill_progress == Some(state.covered.count()) {
+                    if let Some(&gi) = plain.iter().max_by_key(|&&gi| groups.get(gi).len()) {
+                        let group = groups.get(gi).to_vec();
                         for &id in &group {
-                            covered.insert(id.index());
+                            state.covered.insert(id.index());
                         }
                         steps.push(group);
                         last_spill_progress = None;
                         continue;
                     }
                 }
-                last_spill_progress = Some(covered.count());
+                last_spill_progress = Some(state.covered.count());
                 let mut blocked: Vec<usize> = vec![0; target.machine.banks().len()];
-                for &r in &state.ready {
+                for r in state.ready_ids() {
                     if let Some(b) = graph.node(r).dest_bank(target) {
                         if state.pressure[b.index()]
                             >= target.machine.banks()[b.index()].size as usize
@@ -566,58 +660,47 @@ pub fn cover_budgeted(
                 // register for the longest stretch; the freshly staged
                 // operand of the very next op always loses this
                 // comparison).
+                let covered = &state.covered;
                 let use_depths = |id: CnId| {
-                    let mut min_d = u32::MAX;
-                    let mut max_d = u32::MAX;
-                    let depths: Vec<u32> = graph
-                        .uses(id)
-                        .iter()
-                        .filter(|u| !covered.contains(u.index()))
-                        .map(|&u| graph.level_bottom(u))
-                        .collect();
-                    if !depths.is_empty() {
-                        min_d = *depths.iter().min().expect("nonempty");
-                        max_d = *depths.iter().max().expect("nonempty");
-                    }
-                    (min_d, max_d)
+                    let depths = || {
+                        graph
+                            .uses(id)
+                            .iter()
+                            .filter(|u| !covered.contains(u.index()))
+                            .map(|&u| graph.level_bottom(u))
+                    };
+                    (
+                        depths().min().unwrap_or(u32::MAX),
+                        depths().max().unwrap_or(u32::MAX),
+                    )
                 };
                 // Values consumed inside the focus closure are protected:
                 // evicting the operands of the very node we are trying to
                 // unblock would spin forever.
                 let is_protected = |id: CnId| {
-                    focus_closure.as_ref().is_some_and(|closure| {
-                        graph.uses(id).iter().any(|u| closure.contains(u.index()))
-                    })
+                    focused && graph.uses(id).iter().any(|u| closure.contains(u.index()))
                 };
-                let candidates: Vec<CnId> = graph
-                    .alive()
-                    .into_iter()
-                    .filter(|&id| {
+                let evictable = || {
+                    graph.alive().filter(|&id| {
                         covered.contains(id.index())
                             && !state.pinned.contains(id.index())
                             && state.remaining[id.index()] > 0
                             && graph.node(id).dest_bank(target) == Some(bank)
                     })
-                    .collect();
-                let pick = |pool: &[CnId]| {
-                    pool.iter()
-                        .copied()
-                        .max_by_key(|&id| (use_depths(id), std::cmp::Reverse(id)))
                 };
-                let unprotected: Vec<CnId> = candidates
-                    .iter()
-                    .copied()
+                let key = |id: CnId| (use_depths(id), std::cmp::Reverse(id));
+                let victim = evictable()
                     .filter(|&id| !is_protected(id))
-                    .collect();
-                let victim = pick(&unprotected).or_else(|| pick(&candidates));
+                    .max_by_key(|&id| key(id))
+                    .or_else(|| evictable().max_by_key(|&id| key(id)));
                 let Some(victim) = victim else {
                     // Nothing evictable. If some group was feasible under
                     // the raw pressure bound (the anti-wedge policy vetoed
                     // it), scheduling it is the only way forward.
-                    if let Some(&gi) = plain.iter().max_by_key(|&&gi| groups[gi].len()) {
-                        let group = groups[gi].clone();
+                    if let Some(&gi) = plain.iter().max_by_key(|&&gi| groups.get(gi).len()) {
+                        let group = groups.get(gi).to_vec();
                         for &id in &group {
-                            covered.insert(id.index());
+                            state.covered.insert(id.index());
                         }
                         steps.push(group);
                         continue;
@@ -631,10 +714,9 @@ pub fn cover_budgeted(
                     // possible.
                     focus = graph
                         .alive()
-                        .into_iter()
                         .filter(|&n| {
                             !covered.contains(n.index())
-                                && graph.preds(n).iter().any(|&p| {
+                                && graph.preds(n).any(|p| {
                                     covered.contains(p.index())
                                         && state.remaining[p.index()] > 0
                                         && graph.node(p).dest_bank(target) == Some(bank)
@@ -643,16 +725,15 @@ pub fn cover_budgeted(
                         .min_by_key(|&n| {
                             let missing = graph
                                 .preds(n)
-                                .iter()
                                 .filter(|p| !covered.contains(p.index()))
                                 .count();
                             (missing, graph.level_bottom(n), n)
                         });
                 }
                 let (slot, outcome) = graph
-                    .relieve_pressure(target, syms, victim, &covered)
+                    .relieve_pressure(target, syms, victim, &state.covered)
                     .map_err(CoverError::Internal)?;
-                covered.grow(graph.len());
+                state.covered.grow(graph.len());
                 spills.push(SpillRecord {
                     slot,
                     victim,
@@ -681,7 +762,7 @@ pub fn cover_budgeted(
                 }
                 // "New maximal cliques are then generated for all the
                 // remaining uncovered nodes."
-                pool = Pool::generate(graph, target, &covered, options, budget);
+                pool = Pool::generate(graph, target, &state.covered, options, budget);
             }
         }
     }
@@ -706,7 +787,7 @@ fn wedged(covered: usize, total: usize) -> CoverError {
 /// schedule `first`, then finish with plain max-cover selection under the
 /// register bound and count the steps. Futures that wedge on pressure get
 /// a heavy penalty — this is what steers the engine away from parking
-/// far-future values in scarce registers.
+/// far-future values in scarce registers. The rollout runs in `scratch`.
 ///
 /// When `cutoff` is set (the incumbent tie-break estimate, under
 /// `CodegenOptions::analysis_bounds`), the rollout aborts — returning
@@ -717,6 +798,7 @@ fn wedged(covered: usize, total: usize) -> CoverError {
 /// penalty only inflates it further). The abort therefore never changes
 /// which group wins, it only skips budget charges the comparison no
 /// longer needs.
+#[allow(clippy::too_many_arguments)]
 fn lookahead_estimate(
     graph: &CoverGraph,
     target: &Target,
@@ -725,11 +807,18 @@ fn lookahead_estimate(
     first: &[CnId],
     budget: &Budget,
     cutoff: Option<usize>,
+    scratch: &mut Scratch,
 ) -> usize {
     const STUCK_PENALTY: usize = 1000;
-    let mut covered = covered.clone();
+    let Scratch {
+        rollout,
+        group,
+        best,
+        pressure,
+    } = scratch;
+    rollout.covered.clone_from(covered);
     for &id in first {
-        covered.insert(id.index());
+        rollout.covered.insert(id.index());
     }
     let max_per_step = match cutoff {
         Some(_) => pool
@@ -742,10 +831,10 @@ fn lookahead_estimate(
         None => 1,
     };
     let mut steps = 1usize;
-    let total = graph.alive().len();
-    while covered.count() < total {
+    let total = graph.live_len();
+    while rollout.covered.count() < total {
         if let Some(best) = cutoff {
-            let lb = (total - covered.count()).div_ceil(max_per_step);
+            let lb = (total - rollout.covered.count()).div_ceil(max_per_step);
             if steps + lb >= best {
                 return best;
             }
@@ -756,34 +845,32 @@ fn lookahead_estimate(
         if budget.exhaustion().is_some() {
             break;
         }
-        let state = State::compute(graph, target, &covered);
-        if state.ready.is_empty() {
+        rollout.recompute(graph, target);
+        if rollout.ready.is_empty() {
             break;
         }
-        let mut best: Vec<CnId> = Vec::new();
+        best.clear();
         for ci in 0..pool.cliques.len() {
-            let g = pool.ready_members(ci, &state);
-            if g.len() > best.len() && state.pressure_after(graph, target, &g).is_some() {
-                best = g;
+            group.clear();
+            pool.ready_members(ci, rollout, group);
+            if group.len() > best.len() && rollout.pressure_after(graph, target, group, pressure) {
+                std::mem::swap(best, group);
             }
         }
         if best.is_empty() {
             // Try any single feasible ready node before declaring the
             // future stuck.
-            best = state
-                .ready
-                .iter()
-                .copied()
-                .find(|&r| state.pressure_after(graph, target, &[r]).is_some())
-                .map(|r| vec![r])
-                .unwrap_or_default();
+            let single = rollout
+                .ready_ids()
+                .find(|&r| rollout.pressure_after(graph, target, &[r], pressure));
+            best.extend(single);
         }
         if best.is_empty() {
             // Wedged: this branch would need another spill.
-            return steps + STUCK_PENALTY + (total - covered.count());
+            return steps + STUCK_PENALTY + (total - rollout.covered.count());
         }
-        for &id in &best {
-            covered.insert(id.index());
+        for &id in best.iter() {
+            rollout.covered.insert(id.index());
         }
         steps += 1;
     }
@@ -1009,7 +1096,8 @@ pub fn cover_sequential_budgeted(
     syms: &mut SymbolTable,
     budget: &Budget,
 ) -> Result<Schedule, CoverError> {
-    let mut covered = BitSet::new(graph.len());
+    let mut state = State::new(graph);
+    let mut pressure: Vec<usize> = Vec::new();
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
     let spill_limit = 40 * graph.len().max(8);
@@ -1019,25 +1107,26 @@ pub fn cover_sequential_budgeted(
     let mut no_eager = BitSet::new(graph.len());
 
     loop {
-        let alive = graph.alive();
-        if covered.count() >= alive.len() {
+        let total_alive = graph.live_len();
+        if state.covered.count() >= total_alive {
             break;
         }
         budget.charge(1).map_err(CoverError::Budget)?;
-        let state = State::compute(graph, target, &covered);
+        state.recompute(graph, target);
         if state.ready.is_empty() {
-            return Err(wedged(covered.count(), alive.len()));
+            return Err(wedged(state.covered.count(), total_alive));
         }
         // Stores (and other non-defining nodes) first — they only relieve
         // pressure; then lowest id (dependence order).
-        let mut ready = state.ready.clone();
-        ready.sort_by_key(|&r| (graph.node(r).dest_bank(target).is_some(), r));
-        let pick = ready
-            .iter()
-            .copied()
-            .find(|&r| state.pressure_after(graph, target, &[r]).is_some());
+        let defines = |r: CnId| graph.node(r).dest_bank(target).is_some();
+        let pick = state
+            .ready_ids()
+            .filter(|&r| !defines(r))
+            .chain(state.ready_ids().filter(|&r| defines(r)))
+            .find(|&r| state.pressure_after(graph, target, &[r], &mut pressure));
         match pick {
             Some(r) => {
+                let covered = &mut state.covered;
                 covered.insert(r.index());
                 steps.push(vec![r]);
                 // Eager eviction of the fresh value.
@@ -1051,7 +1140,7 @@ pub fn cover_sequential_budgeted(
                         return Err(CoverError::SpillLimit);
                     }
                     let (slot, outcome) = graph
-                        .relieve_pressure(target, syms, r, &covered)
+                        .relieve_pressure(target, syms, r, covered)
                         .map_err(CoverError::Internal)?;
                     covered.grow(graph.len());
                     no_eager.grow(graph.len());
@@ -1074,7 +1163,7 @@ pub fn cover_sequential_budgeted(
                     return Err(CoverError::SpillLimit);
                 }
                 let mut blocked = vec![0usize; target.machine.banks().len()];
-                for &r in &state.ready {
+                for r in state.ready_ids() {
                     if let Some(b) = graph.node(r).dest_bank(target) {
                         if state.pressure[b.index()]
                             >= target.machine.banks()[b.index()].size as usize
@@ -1088,9 +1177,9 @@ pub fn cover_sequential_budgeted(
                         .max_by_key(|&b| (blocked[b], state.pressure[b]))
                         .expect("machine has banks") as u32,
                 );
+                let covered = &state.covered;
                 let victim = graph
                     .alive()
-                    .into_iter()
                     .filter(|&id| {
                         covered.contains(id.index())
                             && !state.pinned.contains(id.index())
@@ -1098,23 +1187,24 @@ pub fn cover_sequential_budgeted(
                             && graph.node(id).dest_bank(target) == Some(bank)
                     })
                     .max_by_key(|&id| {
-                        let depths: Vec<u32> = graph
-                            .uses(id)
-                            .iter()
-                            .filter(|u| !covered.contains(u.index()))
-                            .map(|&u| graph.level_bottom(u))
-                            .collect();
-                        let min_d = depths.iter().min().copied().unwrap_or(u32::MAX);
-                        let max_d = depths.iter().max().copied().unwrap_or(u32::MAX);
+                        let depths = || {
+                            graph
+                                .uses(id)
+                                .iter()
+                                .filter(|u| !covered.contains(u.index()))
+                                .map(|&u| graph.level_bottom(u))
+                        };
+                        let min_d = depths().min().unwrap_or(u32::MAX);
+                        let max_d = depths().max().unwrap_or(u32::MAX);
                         (min_d, max_d, std::cmp::Reverse(id))
                     });
                 let Some(victim) = victim else {
                     return Err(CoverError::RegisterPressure { bank });
                 };
                 let (slot, outcome) = graph
-                    .relieve_pressure(target, syms, victim, &covered)
+                    .relieve_pressure(target, syms, victim, &state.covered)
                     .map_err(CoverError::Internal)?;
-                covered.grow(graph.len());
+                state.covered.grow(graph.len());
                 no_eager.grow(graph.len());
                 for &nn in &outcome.new_nodes {
                     no_eager.insert(nn.index());

@@ -134,6 +134,17 @@ pub struct CoverNode {
 }
 
 impl CoverNode {
+    /// Operand and ordering predecessors; see [`CoverGraph::preds`].
+    fn preds(&self) -> impl Iterator<Item = CnId> + '_ {
+        self.args
+            .iter()
+            .filter_map(|a| match a {
+                Operand::Cn(c) => Some(*c),
+                Operand::Imm(_) => None,
+            })
+            .chain(self.deps.iter().copied())
+    }
+
     /// The resource the node occupies.
     pub fn resource(&self) -> Resource {
         match self.kind {
@@ -380,19 +391,10 @@ impl CoverGraph {
         self.desc.contains(a.index(), b.index()) || self.desc.contains(b.index(), a.index())
     }
 
-    /// All predecessors (operands + ordering deps) of `id`.
-    pub fn preds(&self, id: CnId) -> Vec<CnId> {
-        let n = &self.nodes[id.index()];
-        let mut p: Vec<CnId> = n
-            .args
-            .iter()
-            .filter_map(|a| match a {
-                Operand::Cn(c) => Some(*c),
-                Operand::Imm(_) => None,
-            })
-            .collect();
-        p.extend(n.deps.iter().copied());
-        p
+    /// All predecessors of `id`: its register operands in argument
+    /// order, then its ordering deps.
+    pub fn preds(&self, id: CnId) -> impl Iterator<Item = CnId> + '_ {
+        self.nodes[id.index()].preds()
     }
 
     /// Level from the top (roots = consumers-of-nothing have 0).
@@ -468,7 +470,7 @@ impl CoverGraph {
         for &i in &order {
             // Predecessors come earlier in `order`, so their rows are
             // final; accumulate them into row `i` in place.
-            for p in self.preds(CnId(i as u32)) {
+            for p in self.nodes[i].preds() {
                 self.desc.set(i, p.index());
                 self.desc.or_row_from(i, p.index());
             }
@@ -477,7 +479,6 @@ impl CoverGraph {
         for &i in &order {
             let l = self
                 .preds(CnId(i as u32))
-                .iter()
                 .map(|p| self.levels_bottom[p.index()] + 1)
                 .max()
                 .unwrap_or(0);
@@ -486,7 +487,7 @@ impl CoverGraph {
         self.levels_top = vec![0; n];
         for &i in order.iter().rev() {
             let l = self.levels_top[i];
-            for p in self.preds(CnId(i as u32)) {
+            for p in self.nodes[i].preds() {
                 let pl = &mut self.levels_top[p.index()];
                 *pl = (*pl).max(l + 1);
             }
@@ -785,7 +786,8 @@ impl CoverGraph {
             if self.dead.contains(head.index()) || self.dead.contains(consumer.index()) {
                 continue;
             }
-            for p in self.preds(consumer) {
+            let preds: Vec<CnId> = self.preds(consumer).collect();
+            for p in preds {
                 if p == head
                     || self.dead.contains(p.index())
                     || covered.contains(p.index())
@@ -947,11 +949,10 @@ impl CoverGraph {
     }
 
     /// Alive node ids in topological (ascending) order.
-    pub fn alive(&self) -> Vec<CnId> {
+    pub fn alive(&self) -> impl Iterator<Item = CnId> + '_ {
         (0..self.nodes.len())
             .filter(|&i| !self.dead.contains(i))
             .map(|i| CnId(i as u32))
-            .collect()
     }
 
     /// Rewrite every variable reference according to `map` (symbols not

@@ -123,7 +123,7 @@ struct Bb<'a> {
 
 impl<'a> Bb<'a> {
     fn new(graph: &'a CoverGraph, target: &'a Target, budget: usize) -> Self {
-        let alive = graph.alive();
+        let alive: Vec<CnId> = graph.alive().collect();
         let n = graph.len();
         let mut height = vec![0usize; n];
         // Heights: process in reverse topological order (uses have larger
@@ -226,11 +226,7 @@ impl<'a> Bb<'a> {
             .copied()
             .filter(|&n| {
                 !covered.contains(n.index())
-                    && self
-                        .graph
-                        .preds(n)
-                        .iter()
-                        .all(|p| covered.contains(p.index()))
+                    && self.graph.preds(n).all(|p| covered.contains(p.index()))
             })
             .collect();
         if ready.is_empty() {

@@ -77,7 +77,7 @@ fn try_undo_spill(
     // Any *other* alive node touching the spill slot (a remat of one of
     // this spill's reloads creates additional readers) pins the spill
     // store: undoing it would leave those readers loading garbage.
-    let outside_slot_user = graph.alive().into_iter().any(|id| {
+    let outside_slot_user = graph.alive().any(|id| {
         !rec.nodes.contains(&id)
             && matches!(
                 graph.node(id).kind,
@@ -133,8 +133,7 @@ fn compact(
         for &id in step {
             let min_step = graph
                 .preds(id)
-                .iter()
-                .map(|p| placed_step[p] + 1)
+                .map(|p| placed_step[&p] + 1)
                 .max()
                 .unwrap_or(0);
             let mut t = min_step;

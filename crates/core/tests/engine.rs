@@ -35,7 +35,7 @@ fn matrix_conflicts_reflect_units_buses_and_paths() {
         "func f(a, b, d, e) { out = (d * e) - (a + b); }",
         archs::example_arch(4),
     );
-    let nodes = graph.alive();
+    let nodes: Vec<_> = graph.alive().collect();
     let m = ParallelismMatrix::build(&graph, &target, &nodes, None);
     for i in 0..m.len() {
         for j in 0..m.len() {
@@ -62,7 +62,7 @@ fn level_window_only_removes_pairs() {
         "func f(a, b, c, d) { x = (a + b) * (c - d); y = x + a; }",
         archs::example_arch(4),
     );
-    let nodes = graph.alive();
+    let nodes: Vec<_> = graph.alive().collect();
     let free = ParallelismMatrix::build(&graph, &target, &nodes, None);
     let windowed = ParallelismMatrix::build(&graph, &target, &nodes, Some(1));
     let mut free_pairs = 0;
@@ -108,7 +108,7 @@ fn legalize_enforces_isdl_constraints() {
         "func f(a, b, c, d) { x = a * b; y = c * d; out = x + y; }",
         machine,
     );
-    let nodes = graph.alive();
+    let nodes: Vec<_> = graph.alive().collect();
     let m = ParallelismMatrix::build(&graph, &target, &nodes, None);
     let raw = gen_max_cliques(&m);
     let legal = legalize(raw, &m, &graph, &target);

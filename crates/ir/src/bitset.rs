@@ -7,11 +7,27 @@
 use std::fmt;
 
 /// Fixed-capacity bitset over `usize` indices.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+#[derive(PartialEq, Eq, Hash, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     /// Number of valid indices (bits above this are always zero).
     len: usize,
+}
+
+/// `clone_from` reuses the destination's words, so a scratch set that is
+/// re-seeded from another set every step allocates only when it grows.
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            len: self.len,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.len = source.len;
+    }
 }
 
 impl BitSet {
@@ -480,6 +496,17 @@ mod tests {
         c.grow(500);
         assert_ne!(a, c);
         assert_ne!(a.cmp(&c), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn clone_from_copies_contents_and_capacity() {
+        let src: BitSet = [3usize, 70].into_iter().collect();
+        let mut dst = BitSet::new(300);
+        dst.insert(200);
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.capacity(), 71);
+        assert_eq!(dst.iter().collect::<Vec<_>>(), vec![3, 70]);
     }
 
     #[test]

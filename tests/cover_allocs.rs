@@ -1,0 +1,90 @@
+//! Allocation ceiling for the covering hot path.
+//!
+//! Compiles the `sweep-exhaustive` benchmark input — `dot4` on the
+//! Example machine with every heuristic off, so the covering engine runs
+//! a lookahead rollout for every enumerated assignment (273,970 node
+//! expansions) — from source bytes to assembly bytes, and counts every
+//! call into the allocator. The selection loop and the rollouts reuse
+//! one scratch state per covering call, so the count stays far below
+//! one allocation per expansion; the ceiling is a tenth of what the
+//! engine made when every step rebuilt its state on the heap
+//! (8,326,978).
+//!
+//! This file holds exactly one test: the counter is process-wide, and a
+//! second test running on another thread would allocate into it.
+
+use aviv::{CodeGenerator, CodegenOptions};
+use aviv_bench::kernels::DOT4;
+use aviv_ir::parse_function;
+use aviv_isdl::{archs, parse_machine, to_isdl};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The system allocator plus a count of allocation calls.
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// the `GlobalAlloc` contract holds exactly as it does for `System`; the
+// counter is a lock-free atomic and never allocates.
+#[allow(unsafe_code)]
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// A tenth of the allocations one `sweep-exhaustive` compile made before
+/// the covering engine reused its scratch state.
+const CEILING: u64 = 832_698;
+
+#[test]
+fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
+    let machine_src = to_isdl(&archs::example_arch(4));
+    let options = CodegenOptions::heuristics_off()
+        .with_jobs(1)
+        .with_verify(false);
+
+    let before = CALLS.load(Ordering::Relaxed);
+    let machine = parse_machine(&machine_src).expect("Example machine parses");
+    let function = parse_function(DOT4.source).expect("dot4 parses");
+    let generator = CodeGenerator::new(machine).options(options);
+    let (program, report) = generator
+        .compile_function(&function)
+        .expect("dot4 compiles on Example");
+    let asm = program.render(generator.target());
+    let allocs = CALLS.load(Ordering::Relaxed) - before;
+
+    let expansions: u64 = report.blocks.iter().map(|b| b.node_expansions).sum();
+    assert_eq!(expansions, 273_970, "the search itself changed");
+    assert_eq!(report.total_instructions, 12);
+    assert!(!asm.is_empty());
+    eprintln!("{allocs} allocations for {expansions} node expansions");
+    assert!(
+        allocs < CEILING,
+        "{allocs} allocations, ceiling {CEILING} (a tenth of 8,326,978)"
+    );
+}
