@@ -594,18 +594,22 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     if options.report {
         let _ = writeln!(
             outcome.report,
-            "block  instrs  bound  gap  pressure  bound  gap"
+            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut"
         );
         for (bi, b) in report.blocks.iter().enumerate() {
             let _ = writeln!(
                 outcome.report,
-                "bb{bi}: {} {} {} {} {} {}",
+                "bb{bi}: {} {} {} {} {} {} {} {} {} {}",
                 b.instructions,
                 b.min_instructions_bound,
                 b.instructions.saturating_sub(b.min_instructions_bound),
                 b.peak_pressure,
                 b.min_pressure_bound,
                 b.peak_pressure.saturating_sub(b.min_pressure_bound),
+                b.search.rollouts,
+                b.search.rollout_steps,
+                b.search.memo_hits,
+                b.search.rollouts_cut,
             );
         }
     }
@@ -1463,6 +1467,11 @@ mod tests {
         let out = drive(&opts(&["--report"]), MACHINE, PROGRAM).unwrap();
         assert!(
             out.report.contains("block  instrs  bound  gap"),
+            "{}",
+            out.report
+        );
+        assert!(
+            out.report.contains("rollouts  steps  hits  cut"),
             "{}",
             out.report
         );

@@ -36,7 +36,9 @@
 use crate::assign::{explore, ExploreResult};
 use crate::budget::{self, Budget, Exhaustion};
 use crate::cache::{CacheKey, PlanCache};
-use crate::cover::{cover_budgeted, cover_sequential_budgeted, CoverError, Schedule};
+use crate::cover::{
+    cover_sequential_budgeted, cover_with_stats, CoverError, Schedule, SearchStats,
+};
 use crate::covergraph::{CoverGraph, Operand};
 use crate::emit::{
     emit_block, live_out_operands, AsmOperand, ControlOp, VliwInstruction, VliwProgram,
@@ -260,6 +262,10 @@ pub struct BlockReport {
     /// Node expansions charged to the winning rung's budget (the fuel
     /// unit of [`CodegenOptions::fuel`]).
     pub node_expansions: u64,
+    /// The winning rung's lookahead counters, summed over every
+    /// assignment it covered: rollouts run, rollout steps charged, memo
+    /// hits, and rollouts settled by the incumbent bound.
+    pub search: SearchStats,
     /// Peak simultaneous register occupancy of any one bank over the
     /// final schedule (see [`crate::cover::peak_pressure`]).
     pub peak_pressure: usize,
@@ -718,6 +724,7 @@ impl CodeGenerator {
         let mut best: Option<(CoverGraph, Schedule, SymbolTable)> = None;
         let mut last_err: Option<CoverError> = None;
         let mut exhausted: Option<Exhaustion> = None;
+        let mut search = SearchStats::default();
         for assignment in &assignments {
             if let (Err(why), Some(_)) = (rung_budget.check(), &best) {
                 if why == Exhaustion::Cancelled {
@@ -736,12 +743,13 @@ impl CodeGenerator {
                 corrupt_cover_graph(&mut graph);
             }
             let result = match mode {
-                CoverMode::Concurrent => cover_budgeted(
+                CoverMode::Concurrent => cover_with_stats(
                     &mut graph,
                     &self.target,
                     &mut scratch_syms,
                     &options,
                     rung_budget,
+                    &mut search,
                 )
                 .map(|s| (graph, s))
                 .or_else(|e| {
@@ -907,6 +915,7 @@ impl CodeGenerator {
             time: start.elapsed(),
             stages,
             node_expansions: rung_budget.spent(),
+            search,
             peak_pressure: crate::cover::peak_pressure(&graph, &self.target, &schedule),
             min_instructions_bound: bounds.0,
             min_pressure_bound: bounds.1,

@@ -23,6 +23,35 @@
 //! emitted byte. What still allocates is the clique pool (built at the
 //! start and again after each spill) and the one `Vec` per selected
 //! group that the returned schedule keeps.
+//!
+//! Rollout memo: for a fixed clique pool and cover graph, a greedy
+//! rollout step depends only on the covered set it starts from, and
+//! rollouts keep passing through the same sets: the tied candidates of
+//! one selection step converge, and the next step rolls out again from
+//! where the winner went. The scratch keeps a memo keyed by the covered
+//! set's words. Per set it holds the successor set (after the set's
+//! greedy step) and, once a rollout has run through the set to the end,
+//! the estimate from the set to the end. A rollout that meets a known
+//! estimate returns it; one that meets a known successor moves on
+//! without charging; otherwise it charges one budget unit and runs the
+//! step, then links the successor. Every computed step is still charged
+//! exactly once, so `node_expansions` keeps counting work done; a set is
+//! just never computed twice under one pool. Rollouts stopped by the
+//! incumbent cutoff or by budget exhaustion write no estimates, but
+//! their successor links stay. With a cutoff, every estimate is capped
+//! at it, so a known estimate gives the same answer as walking on until
+//! the cutoff fires: each estimate equals the one a fresh rollout would
+//! give. The memo is reset whenever the pool is regenerated (at the
+//! start and after each spill, since the graph grows).
+//!
+//! Why the cutoff can only lower the charge: it never changes a
+//! decision, so the selection steps, and therefore the rollouts started,
+//! are the same with the cutoff on and off, and a cut rollout follows a
+//! prefix of the path the uncut one takes. So the sets charged with the
+//! cutoff on are a subset of those charged with it off, and with each
+//! set charged at most once per pool, charges on ≤ charges off. A memo
+//! that kept only finished estimates would break this: a cut rollout
+//! would leave nothing behind and pay again for the same steps later.
 
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
@@ -285,6 +314,10 @@ impl State {
 struct Pool {
     matrix: ParallelismMatrix,
     cliques: Vec<BitSet>,
+    /// The size of the largest clique (at least 1): no greedy step
+    /// covers more nodes, which is what the rollout cutoff's lower bound
+    /// divides by.
+    max_per_step: usize,
 }
 
 impl Pool {
@@ -302,7 +335,12 @@ impl Pool {
         let matrix = ParallelismMatrix::build(graph, target, &nodes, options.clique_level_window);
         let raw = gen_max_cliques_budgeted(&matrix, budget);
         let cliques = legalize(raw, &matrix, graph, target);
-        Pool { matrix, cliques }
+        let max_per_step = cliques.iter().map(BitSet::count).max().unwrap_or(1).max(1);
+        Pool {
+            matrix,
+            cliques,
+            max_per_step,
+        }
     }
 
     /// Append the ready members of clique `ci` (its shrunk form) to `out`.
@@ -358,6 +396,134 @@ impl Groups {
     }
 }
 
+/// Marks a [`MemoEntry`] successor or value not known yet, and a free
+/// slot in [`Memo::slots`].
+const UNKNOWN: u32 = u32::MAX;
+
+/// What the rollouts have learned about one covered set under the
+/// current pool.
+#[derive(Clone, Copy)]
+struct MemoEntry {
+    /// Number of covered nodes.
+    count: u32,
+    /// The entry the greedy step from this set leads to, once computed.
+    succ: u32,
+    /// Steps from this set to the end of its rollout, once a rollout
+    /// that ran to the end has passed through it.
+    value: u32,
+}
+
+/// The rollout memo (see the module doc): covered sets to what the
+/// rollouts learned about them, valid for one clique pool. Keys are
+/// stored flat and indexed by open addressing, so recording a state
+/// allocates nothing until the reserved capacity runs out.
+#[derive(Default)]
+struct Memo {
+    /// Words per key.
+    width: usize,
+    /// Entry `i`'s key is `keys[i * width..(i + 1) * width]`.
+    keys: Vec<u64>,
+    entries: Vec<MemoEntry>,
+    /// Open-addressing index into `entries` (`UNKNOWN` marks a free
+    /// slot); its length is a power of two at least twice the entry
+    /// count.
+    slots: Vec<u32>,
+    /// The entries the current rollout has stepped out of, in order.
+    path: Vec<u32>,
+}
+
+impl Memo {
+    /// Entries reserved at every reset.
+    const RESERVE: usize = 512;
+
+    /// Forget every entry: the pool was regenerated, and possibly the
+    /// graph grew to `graph_len` nodes.
+    fn reset(&mut self, graph_len: usize) {
+        self.width = graph_len.div_ceil(64);
+        self.keys.clear();
+        self.keys.reserve(Memo::RESERVE * self.width);
+        self.entries.clear();
+        self.entries.reserve(Memo::RESERVE);
+        self.slots.clear();
+        self.slots.resize(2 * Memo::RESERVE, UNKNOWN);
+        self.path.clear();
+        self.path.reserve(graph_len);
+    }
+
+    fn key(&self, e: u32) -> &[u64] {
+        let at = e as usize * self.width;
+        &self.keys[at..at + self.width]
+    }
+
+    /// The home slot of `key` in a table of `slots` slots.
+    fn home(key: &[u64], slots: usize) -> usize {
+        let h = key.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        // The high bits of the product depend on every bit of the key.
+        (h >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    /// The entry for `covered`, added (with nothing known) if new.
+    fn entry(&mut self, covered: &BitSet) -> u32 {
+        let key = covered.words();
+        debug_assert_eq!(key.len(), self.width, "memo used across a graph change");
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Memo::home(key, self.slots.len());
+        loop {
+            match self.slots[i] {
+                UNKNOWN => break,
+                e if self.key(e) == key => return e,
+                _ => i = (i + 1) & mask,
+            }
+        }
+        let e = self.entries.len() as u32;
+        self.slots[i] = e;
+        self.keys.extend_from_slice(key);
+        self.entries.push(MemoEntry {
+            count: covered.count() as u32,
+            succ: UNKNOWN,
+            value: UNKNOWN,
+        });
+        e
+    }
+
+    /// Double the index and re-seat every entry.
+    fn grow(&mut self) {
+        let n = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(n, UNKNOWN);
+        for e in 0..self.entries.len() as u32 {
+            let mut i = Memo::home(self.key(e), n);
+            while self.slots[i] != UNKNOWN {
+                i = (i + 1) & (n - 1);
+            }
+            self.slots[i] = e;
+        }
+    }
+}
+
+/// Lookahead search counters, summed over one or more covering calls.
+/// They describe the work only: the emitted code does not depend on
+/// them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Lookahead rollouts run (one per tied candidate evaluated).
+    pub rollouts: u64,
+    /// Greedy rollout steps computed, each charged one budget unit.
+    pub rollout_steps: u64,
+    /// Rollout steps answered by the memo instead: a known successor
+    /// followed, or a known estimate to the end taken.
+    pub memo_hits: u64,
+    /// Rollouts whose estimate the incumbent bound settled
+    /// ([`CodegenOptions::analysis_bounds`]): stopped early, or capped at
+    /// the bound.
+    pub rollouts_cut: u64,
+}
+
 /// The buffers one covering call lends to its selection loop and to
 /// every lookahead rollout (see the module doc).
 #[derive(Default)]
@@ -370,6 +536,8 @@ struct Scratch {
     best: Vec<CnId>,
     /// [`State::pressure_after`]'s output.
     pressure: Vec<usize>,
+    /// The rollout memo for the current pool.
+    memo: Memo,
 }
 
 /// Cover `graph` with a minimal set of legal cliques, producing the
@@ -403,10 +571,36 @@ pub fn cover_budgeted(
     options: &CodegenOptions,
     budget: &Budget,
 ) -> Result<Schedule, CoverError> {
+    cover_with_stats(
+        graph,
+        target,
+        syms,
+        options,
+        budget,
+        &mut SearchStats::default(),
+    )
+}
+
+/// [`cover_budgeted`], adding the call's lookahead counters to `stats`
+/// (also when it fails).
+///
+/// # Errors
+///
+/// See [`CoverError`].
+pub fn cover_with_stats(
+    graph: &mut CoverGraph,
+    target: &Target,
+    syms: &mut SymbolTable,
+    options: &CodegenOptions,
+    budget: &Budget,
+    stats: &mut SearchStats,
+) -> Result<Schedule, CoverError> {
     let mut state = State::new(graph);
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
+    let mut scratch = Scratch::default();
     let mut pool = Pool::generate(graph, target, &state.covered, options, budget);
+    scratch.memo.reset(graph.len());
     let spill_limit = 4 * graph.len().max(8);
     // Deadlock breaker: once spilling starts, commit to one nearly-ready
     // node and schedule only toward it (its uncovered predecessor
@@ -417,7 +611,6 @@ pub fn cover_budgeted(
     // plain-feasible group instead (the anti-wedge policy is a
     // preference, not a straitjacket).
     let mut last_spill_progress: Option<usize> = None;
-    let mut scratch = Scratch::default();
     let mut groups = Groups::default();
     // Indices into `groups`: the candidates, those feasible under the
     // register bound, and those that also pass the anti-wedge policy.
@@ -527,18 +720,7 @@ pub fn cover_budgeted(
                 // strictly beat the incumbent — ties keep the earlier
                 // group, exactly as the plain (estimate, index) minimum
                 // would, so the winner is identical either way.
-                let mut best_est = lookahead_estimate(
-                    graph,
-                    target,
-                    &state.covered,
-                    &pool,
-                    groups.get(best_gi),
-                    budget,
-                    None,
-                    &mut scratch,
-                );
-                for gi in tied {
-                    let cutoff = options.analysis_bounds.then_some(best_est);
+                let mut estimate = |gi: usize, cutoff: Option<usize>| {
                     let est = lookahead_estimate(
                         graph,
                         target,
@@ -548,7 +730,24 @@ pub fn cover_budgeted(
                         budget,
                         cutoff,
                         &mut scratch,
+                        stats,
                     );
+                    #[cfg(test)]
+                    oracle::check(
+                        graph,
+                        target,
+                        &state.covered,
+                        &pool,
+                        groups.get(gi),
+                        cutoff,
+                        est,
+                        !spills.is_empty(),
+                    );
+                    est
+                };
+                let mut best_est = estimate(best_gi, None);
+                for gi in tied {
+                    let est = estimate(gi, options.analysis_bounds.then_some(best_est));
                     if est < best_est {
                         best_est = est;
                         best_gi = gi;
@@ -763,6 +962,7 @@ pub fn cover_budgeted(
                 // "New maximal cliques are then generated for all the
                 // remaining uncovered nodes."
                 pool = Pool::generate(graph, target, &state.covered, options, budget);
+                scratch.memo.reset(graph.len());
             }
         }
     }
@@ -787,17 +987,22 @@ fn wedged(covered: usize, total: usize) -> CoverError {
 /// schedule `first`, then finish with plain max-cover selection under the
 /// register bound and count the steps. Futures that wedge on pressure get
 /// a heavy penalty — this is what steers the engine away from parking
-/// far-future values in scarce registers. The rollout runs in `scratch`.
+/// far-future values in scarce registers. The rollout runs in `scratch`
+/// and computes only the steps its memo does not already know (see the
+/// module doc); the estimate is the one an empty memo would give.
 ///
 /// When `cutoff` is set (the incumbent tie-break estimate, under
-/// `CodegenOptions::analysis_bounds`), the rollout aborts — returning
-/// the incumbent value — as soon as `steps` plus an admissible lower
-/// bound on the remaining steps reaches it: every later iteration adds
-/// one step and covers at most the largest clique in `pool`, so the
-/// eventual estimate could not have been strictly smaller (the wedge
-/// penalty only inflates it further). The abort therefore never changes
-/// which group wins, it only skips budget charges the comparison no
-/// longer needs.
+/// `CodegenOptions::analysis_bounds`), the estimate is capped at it.
+/// The rollout aborts — returning the incumbent value — as soon as
+/// `steps` plus an admissible lower bound on the remaining steps
+/// reaches it: every later iteration adds one step and covers at most
+/// the largest clique in `pool`, so the eventual estimate could not have
+/// been strictly smaller (the wedge penalty only inflates it further).
+/// An estimate that reaches the cutoff without that abort — a wedged
+/// future, or one whose rest the memo supplied — is capped too. The
+/// caller only asks whether a candidate strictly beats the incumbent,
+/// so the cap never changes which group wins; the abort only skips
+/// budget charges the comparison no longer needs.
 #[allow(clippy::too_many_arguments)]
 fn lookahead_estimate(
     graph: &CoverGraph,
@@ -808,73 +1013,109 @@ fn lookahead_estimate(
     budget: &Budget,
     cutoff: Option<usize>,
     scratch: &mut Scratch,
+    stats: &mut SearchStats,
 ) -> usize {
-    const STUCK_PENALTY: usize = 1000;
+    const STUCK_PENALTY: u32 = 1000;
     let Scratch {
         rollout,
         group,
         best,
         pressure,
+        memo,
     } = scratch;
+    stats.rollouts += 1;
     rollout.covered.clone_from(covered);
     for &id in first {
         rollout.covered.insert(id.index());
     }
-    let max_per_step = match cutoff {
-        Some(_) => pool
-            .cliques
-            .iter()
-            .map(BitSet::count)
-            .max()
-            .unwrap_or(1)
-            .max(1),
-        None => 1,
-    };
-    let mut steps = 1usize;
     let total = graph.live_len();
-    while rollout.covered.count() < total {
+    let mut at = memo.entry(&rollout.covered);
+    let mut steps = 1usize;
+    memo.path.clear();
+    // The estimate from the rollout's last state to the end.
+    let value = loop {
+        let e = memo.entries[at as usize];
+        if e.count as usize >= total {
+            break 0;
+        }
+        if e.value != UNKNOWN {
+            stats.memo_hits += 1;
+            break e.value;
+        }
         if let Some(best) = cutoff {
-            let lb = (total - rollout.covered.count()).div_ceil(max_per_step);
+            let lb = (total - e.count as usize).div_ceil(pool.max_per_step);
             if steps + lb >= best {
+                stats.rollouts_cut += 1;
                 return best;
             }
         }
-        // Soft charge: an estimator cannot propagate exhaustion, but the
-        // enclosing selection loop's next charge observes it.
-        budget.note(1);
-        if budget.exhaustion().is_some() {
-            break;
-        }
-        rollout.recompute(graph, target);
-        if rollout.ready.is_empty() {
-            break;
-        }
-        best.clear();
-        for ci in 0..pool.cliques.len() {
-            group.clear();
-            pool.ready_members(ci, rollout, group);
-            if group.len() > best.len() && rollout.pressure_after(graph, target, group, pressure) {
-                std::mem::swap(best, group);
+        if e.succ == UNKNOWN {
+            // Soft charge: an estimator cannot propagate exhaustion, but
+            // the enclosing selection loop's next charge observes it.
+            budget.note(1);
+            stats.rollout_steps += 1;
+            if budget.exhaustion().is_some() {
+                return steps;
             }
+            rollout.covered.set_words(memo.key(at));
+            rollout.recompute(graph, target);
+            if rollout.ready.is_empty() {
+                // Only a malformed graph gets here (the selection loop
+                // reports it as wedged); like an exhausted rollout, this
+                // one records no estimates.
+                return steps;
+            }
+            best.clear();
+            for ci in 0..pool.cliques.len() {
+                group.clear();
+                pool.ready_members(ci, rollout, group);
+                if group.len() > best.len()
+                    && rollout.pressure_after(graph, target, group, pressure)
+                {
+                    std::mem::swap(best, group);
+                }
+            }
+            if best.is_empty() {
+                // Try any single feasible ready node before declaring the
+                // future stuck.
+                let single = rollout
+                    .ready_ids()
+                    .find(|&r| rollout.pressure_after(graph, target, &[r], pressure));
+                best.extend(single);
+            }
+            if best.is_empty() {
+                // Wedged: this branch would need another spill.
+                let value = STUCK_PENALTY + (total - e.count as usize) as u32;
+                memo.entries[at as usize].value = value;
+                break value;
+            }
+            for &id in best.iter() {
+                rollout.covered.insert(id.index());
+            }
+            let succ = memo.entry(&rollout.covered);
+            memo.entries[at as usize].succ = succ;
+        } else {
+            stats.memo_hits += 1;
         }
-        if best.is_empty() {
-            // Try any single feasible ready node before declaring the
-            // future stuck.
-            let single = rollout
-                .ready_ids()
-                .find(|&r| rollout.pressure_after(graph, target, &[r], pressure));
-            best.extend(single);
-        }
-        if best.is_empty() {
-            // Wedged: this branch would need another spill.
-            return steps + STUCK_PENALTY + (total - rollout.covered.count());
-        }
-        for &id in best.iter() {
-            rollout.covered.insert(id.index());
-        }
+        memo.path.push(at);
+        at = memo.entries[at as usize].succ;
         steps += 1;
+    };
+    // The rollout ran to the end: every state it passed now knows its
+    // estimate.
+    let mut v = value;
+    for &p in memo.path.iter().rev() {
+        v += 1;
+        memo.entries[p as usize].value = v;
     }
-    steps
+    let est = steps + value as usize;
+    match cutoff {
+        Some(best) if est >= best => {
+            stats.rollouts_cut += 1;
+            best
+        }
+        _ => est,
+    }
 }
 
 /// The peak register pressure `schedule` exerts: the maximum number of
@@ -1222,4 +1463,151 @@ pub fn cover_sequential_budgeted(
     let schedule = Schedule { steps, spills };
     debug_assert!(verify_schedule(graph, target, &schedule).is_ok());
     Ok(schedule)
+}
+
+/// Test-only cross-check of the rollout memo: while armed on a thread,
+/// every estimate the selection loop takes there is recomputed by a
+/// fresh rollout (empty memo, unlimited budget) and compared. Mismatches
+/// are counted, not raised: the degradation ladder would catch a panic
+/// and quietly cover the block another way.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::cell::Cell;
+
+    /// What the armed checks saw.
+    #[derive(Clone, Copy, Default)]
+    pub struct Tally {
+        /// Estimates checked.
+        pub checked: u64,
+        /// Of those, estimates taken after a spill.
+        pub after_spill: u64,
+        /// Estimates that differed from the fresh rollout's.
+        pub mismatches: u64,
+    }
+
+    thread_local! {
+        /// Whether estimates on this thread are checked.
+        pub static ARMED: Cell<bool> = const { Cell::new(false) };
+        pub static TALLY: Cell<Tally> = const {
+            Cell::new(Tally { checked: 0, after_spill: 0, mismatches: 0 })
+        };
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn check(
+        graph: &CoverGraph,
+        target: &Target,
+        covered: &BitSet,
+        pool: &Pool,
+        first: &[CnId],
+        cutoff: Option<usize>,
+        est: usize,
+        after_spill: bool,
+    ) {
+        if !ARMED.get() {
+            return;
+        }
+        let mut fresh = Scratch::default();
+        fresh.memo.reset(graph.len());
+        let want = lookahead_estimate(
+            graph,
+            target,
+            covered,
+            pool,
+            first,
+            &Budget::unlimited(),
+            cutoff,
+            &mut fresh,
+            &mut SearchStats::default(),
+        );
+        let mut tally = TALLY.get();
+        tally.checked += 1;
+        tally.after_spill += u64::from(after_spill);
+        tally.mismatches += u64::from(est != want);
+        TALLY.set(tally);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codegen::CodeGenerator;
+    use aviv_ir::randdag::{random_function, RandDagConfig};
+    use aviv_ir::Op;
+    use aviv_isdl::archs;
+
+    /// Every memoized estimate equals a fresh rollout's, on seeded random
+    /// blocks over the bundled machines — with and without the cutoff,
+    /// and after spills, which regenerate the pool and reset the memo.
+    #[test]
+    fn memoized_estimates_equal_fresh_rollouts() {
+        oracle::ARMED.set(true);
+        // Four registers per bank on 12-operation blocks, and two per bank
+        // on 10-operation blocks, where covering spills and rolls out
+        // again from covered sets it had memoized before the spill.
+        let roomy = [
+            archs::example_arch(4),
+            archs::arch_two(4),
+            archs::dsp_arch(4),
+            archs::wide_arch(4),
+            archs::quad_vliw(4),
+        ];
+        let tight = [
+            archs::example_arch(2),
+            archs::arch_two(2),
+            archs::chained_arch(2),
+            archs::wide_arch(2),
+            archs::quad_vliw(2),
+        ];
+        let cases = roomy
+            .into_iter()
+            .map(|m| (m, 12, 0..6))
+            .chain(tight.into_iter().map(|m| (m, 10, 1..4)));
+        let mut search = SearchStats::default();
+        for (machine, n_ops, seeds) in cases {
+            let cfg = RandDagConfig {
+                n_ops,
+                ops: vec![Op::Add, Op::Sub, Op::Mul],
+                ..RandDagConfig::default()
+            };
+            for bounds in [true, false] {
+                let generator = CodeGenerator::new(machine.clone()).options(
+                    CodegenOptions::heuristics_on()
+                        .with_analysis_bounds(bounds)
+                        .with_jobs(1),
+                );
+                for seed in seeds.clone() {
+                    let f = random_function(&cfg, 1, seed);
+                    let (_, report) = generator
+                        .compile_function(&f)
+                        .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", machine.name));
+                    // A panic inside covering would be caught by the
+                    // ladder and hidden behind a lower rung.
+                    assert!(
+                        report.downgrades.is_empty(),
+                        "{} seed {seed}: {:?}",
+                        machine.name,
+                        report.downgrades
+                    );
+                    for b in &report.blocks {
+                        search.memo_hits += b.search.memo_hits;
+                        search.rollouts_cut += b.search.rollouts_cut;
+                    }
+                }
+            }
+        }
+        let tally = oracle::TALLY.get();
+        assert_eq!(
+            tally.mismatches, 0,
+            "{} of {} memoized estimates differ from a fresh rollout",
+            tally.mismatches, tally.checked
+        );
+        assert!(
+            tally.after_spill > 0,
+            "no estimate was checked after a spill"
+        );
+        assert!(search.memo_hits > 0, "the memo never answered a step");
+        assert!(search.rollouts_cut > 0, "the cutoff never fired");
+    }
 }

@@ -40,8 +40,8 @@ pub use codegen::{
     CompileReport, CoverMode, Downgrade, DowngradeReason, FunctionReport, StageTimes,
 };
 pub use cover::{
-    cover, cover_budgeted, cover_sequential, cover_sequential_budgeted, peak_pressure,
-    verify_schedule, CoverError, Schedule, SpillRecord,
+    cover, cover_budgeted, cover_sequential, cover_sequential_budgeted, cover_with_stats,
+    peak_pressure, verify_schedule, CoverError, Schedule, SearchStats, SpillRecord,
 };
 pub use covergraph::{CnId, CnKind, CoverGraph, CoverNode, Operand, Resource};
 pub use emit::{

@@ -211,13 +211,13 @@ impl<'a> Bb<'a> {
             return;
         }
         // Memo: dominated if we reached this covered set in fewer steps.
-        let key = covered_key(covered);
-        if let Some(&prev) = self.memo.get(&key) {
-            if prev <= steps {
-                return;
+        match self.memo.get_mut(covered.words()) {
+            Some(prev) if *prev <= steps => return,
+            Some(prev) => *prev = steps,
+            None => {
+                self.memo.insert(covered.words().to_vec(), steps);
             }
         }
-        self.memo.insert(key, steps);
 
         // Ready nodes.
         let ready: Vec<CnId> = self
@@ -289,15 +289,6 @@ impl<'a> Bb<'a> {
             .enumerate()
             .all(|(bi, &p)| p <= self.target.machine.banks()[bi].size as i64)
     }
-}
-
-fn covered_key(covered: &BitSet) -> Vec<u64> {
-    // Compact, hashable key: the word representation via indices.
-    let mut words = vec![0u64; covered.capacity().div_ceil(64).max(1)];
-    for i in covered.iter() {
-        words[i / 64] |= 1 << (i % 64);
-    }
-    words
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@
 
 use crate::cache::{CacheKey, PlanCache};
 use crate::codegen::{BlockPlan, BlockReport, CoverMode, StageTimes};
-use crate::cover::{Schedule, SpillRecord};
+use crate::cover::{Schedule, SearchStats, SpillRecord};
 use crate::covergraph::{CnId, CnKind, CoverGraph, CoverNode, Operand};
 use crate::regalloc::{Allocation, Reg};
 use crate::wire::{fnv64, Dec, Enc, WireError};
@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 8] = *b"AVIVPLNC";
 
 /// Snapshot format version; bump on any codec change so stale files are
 /// quarantined instead of misread.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
@@ -266,6 +266,10 @@ fn put_plan(e: &mut Enc, plan: &BlockPlan) {
     e.put_usize(report.peak_pressure);
     e.put_usize(report.min_instructions_bound);
     e.put_usize(report.min_pressure_bound);
+    e.put_u64(report.search.rollouts);
+    e.put_u64(report.search.rollout_steps);
+    e.put_u64(report.search.memo_hits);
+    e.put_u64(report.search.rollouts_cut);
 }
 
 /// Encode `(key, plan)` entries into a complete snapshot file image
@@ -516,6 +520,12 @@ fn get_plan(d: &mut Dec<'_>) -> Result<BlockPlan, WireError> {
         peak_pressure: d.get_usize("peak_pressure")?,
         min_instructions_bound: d.get_usize("min_instructions_bound")?,
         min_pressure_bound: d.get_usize("min_pressure_bound")?,
+        search: SearchStats {
+            rollouts: d.get_u64("rollouts")?,
+            rollout_steps: d.get_u64("rollout_steps")?,
+            memo_hits: d.get_u64("memo_hits")?,
+            rollouts_cut: d.get_u64("rollouts_cut")?,
+        },
         cached: false,
         restored: false,
         mode: CoverMode::Concurrent,

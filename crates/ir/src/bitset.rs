@@ -144,6 +144,23 @@ impl BitSet {
         }
     }
 
+    /// The backing words (low bit of word 0 is index 0). Two sets of the
+    /// same capacity hold the same indices exactly when their words are
+    /// equal, so the slice serves as a hash key for the set.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Overwrite the contents with `words`, taken from
+    /// [`words`](BitSet::words) of a set of the same capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word counts differ.
+    pub fn set_words(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+    }
+
     /// Grow capacity to at least `len` indices, preserving contents.
     pub fn grow(&mut self, len: usize) {
         if len > self.len {

@@ -2,13 +2,14 @@
 //!
 //! Compiles the `sweep-exhaustive` benchmark input — `dot4` on the
 //! Example machine with every heuristic off, so the covering engine runs
-//! a lookahead rollout for every enumerated assignment (273,970 node
-//! expansions) — from source bytes to assembly bytes, and counts every
-//! call into the allocator. The selection loop and the rollouts reuse
-//! one scratch state per covering call, so the count stays far below
-//! one allocation per expansion; the ceiling is a tenth of what the
-//! engine made when every step rebuilt its state on the heap
-//! (8,326,978).
+//! a lookahead rollout for every enumerated assignment (118,252 node
+//! expansions with the rollout memo; 273,970 before it) — from source
+//! bytes to assembly bytes, and counts every call into the allocator.
+//! The selection loop and the rollouts reuse one scratch state per
+//! covering call, and the memo reserves its capacity once per clique
+//! pool, so the count stays far below one allocation per expansion; the
+//! ceiling is a tenth of what the engine made when every step rebuilt
+//! its state on the heap (8,326,978).
 //!
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
@@ -79,7 +80,7 @@ fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
     let allocs = CALLS.load(Ordering::Relaxed) - before;
 
     let expansions: u64 = report.blocks.iter().map(|b| b.node_expansions).sum();
-    assert_eq!(expansions, 273_970, "the search itself changed");
+    assert_eq!(expansions, 118_252, "the search itself changed");
     assert_eq!(report.total_instructions, 12);
     assert!(!asm.is_empty());
     eprintln!("{allocs} allocations for {expansions} node expansions");

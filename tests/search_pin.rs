@@ -122,7 +122,7 @@ fn covering_search_matches_the_golden_table() {
     // golden file cannot move it.
     let exact = actual.last().expect("table is non-empty");
     assert!(
-        exact.starts_with("dot4@Example+exact 273970 12 "),
+        exact.starts_with("dot4@Example+exact 118252 12 "),
         "{exact}"
     );
 }
