@@ -1,108 +1,27 @@
 //! Compile the DSP kernel suite for several machines and report code
 //! sizes — the workload family the paper's introduction motivates.
 //!
-//! Flags: `--json [dir]` additionally writes a machine-readable
-//! `BENCH_kernels.json` snapshot (schema in `docs/benchmarking.md`)
-//! into `dir` (default: the current directory).
-//!
-//! Besides the default configuration, each kernel is also compiled
-//! with the analysis-bounds lookahead cutoff disabled
-//! (`{kernel}+nobounds` rows), and a cheap subset additionally runs in
-//! exhaustive mode (`{kernel}+exact` / `{kernel}+exact-nobounds`), so
-//! the snapshot records the node-expansion savings the admissible
-//! lower bounds buy without any code-quality movement. Every kernel
-//! also gets a `{kernel}+validate` row timing a full compile plus
-//! translation validation, so the validator's overhead lands in
-//! `BENCH_kernels.json` and the baseline gate.
+//! The search effort behind each cell (with and without the
+//! analysis-bounds cutoff, and under the heuristics-off preset) is
+//! pinned exactly by `tests/search_pin.rs` at the repository root.
 
-use aviv::verify::validate_asm;
 use aviv::{CodeGenerator, CodegenOptions};
-use aviv_bench::{all_kernels, BenchRow, BenchSnapshot, Kernel};
+use aviv_bench::all_kernels;
 use aviv_ir::{Function, MemLayout};
 use aviv_isdl::{archs, Machine};
-use std::time::Instant;
 
-/// Kernels cheap enough to run through the exhaustive covering mode.
-const EXACT_KERNELS: [&str; 2] = ["dot4", "cmul"];
-
-fn run_row(
-    row_name: &str,
-    machine: &Machine,
-    f: &Function,
-    options: CodegenOptions,
-) -> Option<BenchRow> {
-    let gen = CodeGenerator::new(machine.clone()).options(options);
+/// Instruction count of the kernel body on `machine`, or `None` when the
+/// machine does not implement one of its operations.
+fn body_size(machine: &Machine, f: &Function) -> Option<usize> {
+    let gen = CodeGenerator::new(machine.clone()).options(CodegenOptions::heuristics_on());
     let mut syms = f.syms.clone();
     let mut layout = MemLayout::for_function(f);
-    let t0 = Instant::now();
-    let r = gen
-        .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
-        .ok()?;
-    let wall = t0.elapsed();
-    Some(BenchRow {
-        name: row_name.to_string(),
-        machine: machine.name.clone(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        instructions: r.report.instructions,
-        spills: r.report.spills,
-        node_expansions: r.report.node_expansions,
-        peak_pressure: r.report.peak_pressure,
-        stages_ms: Some(r.report.stages.into()),
-    })
-}
-
-/// Time a whole-function compile *plus* render and translation
-/// validation, so the `+validate` rows capture the validator's
-/// end-to-end overhead. A divergence here is a compiler bug: fail the
-/// bench run loudly rather than recording a bogus row.
-fn run_validate_row(
-    row_name: &str,
-    machine: &Machine,
-    f: &Function,
-    options: CodegenOptions,
-) -> Option<BenchRow> {
-    let gen = CodeGenerator::new(machine.clone()).options(options);
-    let t0 = Instant::now();
-    let (program, report) = gen.compile_function(f).ok()?;
-    let asm = program.render(gen.target());
-    let tv = validate_asm(f, &asm, machine);
-    let wall = t0.elapsed();
-    if !tv.ok() {
-        eprintln!(
-            "{row_name} on {}: translation validation FAILED:",
-            machine.name
-        );
-        for d in &tv.diagnostics {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-    Some(BenchRow {
-        name: row_name.to_string(),
-        machine: machine.name.clone(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        instructions: report.total_instructions,
-        spills: report.blocks.iter().map(|b| b.spills).sum(),
-        node_expansions: report.blocks.iter().map(|b| b.node_expansions).sum(),
-        peak_pressure: report
-            .blocks
-            .iter()
-            .map(|b| b.peak_pressure)
-            .max()
-            .unwrap_or(0),
-        stages_ms: None,
-    })
+    gen.compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
+        .ok()
+        .map(|r| r.report.instructions)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let json_dir = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with('-'))
-            .cloned()
-            .unwrap_or_else(|| ".".to_string())
-    });
-
     let machines = [
         archs::example_arch(4),
         archs::arch_two(4),
@@ -110,24 +29,6 @@ fn main() {
         archs::wide_arch(4),
         archs::single_alu(6),
     ];
-    let variants = [
-        ("", CodegenOptions::heuristics_on()),
-        (
-            "+nobounds",
-            CodegenOptions::heuristics_on().with_analysis_bounds(false),
-        ),
-    ];
-    let exact_variants = [
-        ("+exact", CodegenOptions::heuristics_off()),
-        (
-            "+exact-nobounds",
-            CodegenOptions::heuristics_off().with_analysis_bounds(false),
-        ),
-    ];
-
-    let mut snapshot = BenchSnapshot::new("kernels");
-    let mut pruned = 0usize;
-    let mut compared = 0usize;
     print!("{:12}", "kernel");
     for m in &machines {
         print!(" | {:>10}", m.name);
@@ -138,62 +39,13 @@ fn main() {
         let f = k.function();
         print!("{:12}", k.name);
         for machine in &machines {
-            let mut expansions = Vec::new();
-            for (suffix, options) in variants.iter().chain(
-                exact_rows(&k)
-                    .then_some(exact_variants.iter())
-                    .into_iter()
-                    .flatten(),
-            ) {
-                let row_name = format!("{}{suffix}", k.name);
-                match run_row(&row_name, machine, &f, options.clone()) {
-                    Some(row) => {
-                        if suffix.is_empty() {
-                            print!(" | {:>10}", row.instructions);
-                        }
-                        expansions.push(row.node_expansions);
-                        snapshot.rows.push(row);
-                    }
-                    None if suffix.is_empty() => print!(" | {:>10}", "n/a"),
-                    None => {}
-                }
-            }
-            let validate_name = format!("{}+validate", k.name);
-            if let Some(row) =
-                run_validate_row(&validate_name, machine, &f, CodegenOptions::heuristics_on())
-            {
-                snapshot.rows.push(row);
-            }
-            // Pairs are (bounds on, bounds off); count strict wins.
-            for pair in expansions.chunks(2) {
-                if let [on, off] = pair {
-                    compared += 1;
-                    if on < off {
-                        pruned += 1;
-                    }
-                }
+            match body_size(machine, &f) {
+                Some(n) => print!(" | {n:>10}"),
+                None => print!(" | {:>10}", "n/a"),
             }
         }
         println!();
     }
     println!("\ncells: VLIW instructions for the kernel body (n/a = kernel uses");
     println!("an operation the machine does not implement).");
-    println!(
-        "analysis-bounds pruning strictly reduced node expansions on \
-         {pruned}/{compared} on/off row pairs."
-    );
-
-    if let Some(dir) = json_dir {
-        match snapshot.write_to(std::path::Path::new(&dir)) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write snapshot to {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-fn exact_rows(k: &Kernel) -> bool {
-    EXACT_KERNELS.contains(&k.name)
 }

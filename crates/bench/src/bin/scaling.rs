@@ -2,47 +2,15 @@
 //! reproducing the growth pattern behind the paper's CPU-time columns.
 //!
 //! Flags: `--full` raises the heuristics-off size limit from 10 to 14
-//! operations (minutes of CPU). `--json [dir]` additionally writes a
-//! machine-readable `BENCH_scaling.json` snapshot (schema in
-//! `docs/benchmarking.md`) into `dir` (default: the current directory).
+//! operations (minutes of CPU).
 
-use aviv_bench::{render_scaling, scaling_sweep, BenchRow, BenchSnapshot};
+use aviv_bench::{render_scaling, scaling_sweep};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let json_dir = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with('-'))
-            .cloned()
-            .unwrap_or_else(|| ".".to_string())
-    });
+    let full = std::env::args().skip(1).any(|a| a == "--full");
     let off_limit = if full { 14 } else { 10 };
     let sizes = [4usize, 6, 8, 10, 12, 14, 18, 24, 32];
     let points = scaling_sweep(&sizes, off_limit, 42);
     print!("{}", render_scaling(&points));
     println!("\nHeuristics-off runs capped at {off_limit} operations.");
-
-    if let Some(dir) = json_dir {
-        let mut snapshot = BenchSnapshot::new("scaling");
-        for p in &points {
-            snapshot.rows.push(BenchRow {
-                name: format!("rand{}", p.n_ops),
-                machine: "exampleArch".to_string(),
-                wall_ms: p.time_on.as_secs_f64() * 1e3,
-                instructions: p.size_on,
-                spills: p.spills_on,
-                node_expansions: p.expansions_on,
-                peak_pressure: p.pressure_on,
-                stages_ms: Some(p.stages_on.into()),
-            });
-        }
-        match snapshot.write_to(std::path::Path::new(&dir)) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write snapshot to {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }

@@ -12,10 +12,7 @@
 //! measured compile pays a fresh cache + [`aviv::load_snapshot`] +
 //! compile — the cost of an `avivd --persist` restart's first request.
 //!
-//! Flags: `--json [dir]` additionally writes a `BENCH_serving.json`
-//! snapshot (three rows per pair — `<program>:cold`, `<program>:warm`,
-//! `<program>:restart` — with `cache_hits`/`cache_misses` recorded per
-//! row); `--check` enforces the serving acceptance gates — warm and
+//! Flags: `--check` enforces the serving acceptance gates — warm and
 //! restart passes are 100% cache hits, warm is at least
 //! [`REQUIRED_SPEEDUP`]× faster than cold, restart at least
 //! [`REQUIRED_RESTART_SPEEDUP`]× — and exits nonzero otherwise.
@@ -23,7 +20,6 @@
 use aviv::{load_snapshot, save_snapshot, CodeGenerator, CodegenOptions, LoadOutcome, PlanCache};
 use aviv_ir::parse_function;
 use aviv_isdl::parse_machine;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,10 +40,6 @@ struct PairResult {
     program: String,
     machine: String,
     blocks: usize,
-    instructions: usize,
-    spills: usize,
-    node_expansions: u64,
-    peak_pressure: usize,
     cold_ms: f64,
     warm_ms: f64,
     warm_hits: usize,
@@ -146,15 +138,6 @@ fn measure_pair(prog_name: &str, machine_name: &str) -> PairResult {
         program: prog_name.to_string(),
         machine: machine_name.to_string(),
         blocks: report.blocks.len(),
-        instructions: report.total_instructions,
-        spills: report.blocks.iter().map(|b| b.spills).sum(),
-        node_expansions: report.blocks.iter().map(|b| b.node_expansions).sum(),
-        peak_pressure: report
-            .blocks
-            .iter()
-            .map(|b| b.peak_pressure)
-            .max()
-            .unwrap_or(0),
         cold_ms,
         warm_ms,
         warm_hits: warm_report.cache_hits,
@@ -166,56 +149,8 @@ fn measure_pair(prog_name: &str, machine_name: &str) -> PairResult {
     }
 }
 
-/// Serialize the results as a `BENCH_serving.json` document: the
-/// standard snapshot schema (version 1) with two rows per pair plus
-/// the serving-specific `cache_hits`/`cache_misses` keys (additions
-/// are allowed within a schema version).
-fn to_json(results: &[PairResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"schema_version\": {},",
-        aviv_bench::json::SCHEMA_VERSION
-    );
-    out.push_str("  \"suite\": \"serving\",\n  \"rows\": [");
-    let mut first = true;
-    for r in results {
-        for (temp, wall_ms, hits, misses) in [
-            ("cold", r.cold_ms, 0usize, r.blocks),
-            ("warm", r.warm_ms, r.warm_hits, r.warm_misses),
-            ("restart", r.restart_ms, r.restart_hits, r.restart_misses),
-        ] {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    {\n");
-            let _ = writeln!(out, "      \"name\": \"{}:{temp}\",", r.program);
-            let _ = writeln!(out, "      \"machine\": \"{}\",", r.machine);
-            let _ = writeln!(out, "      \"wall_ms\": {wall_ms:.3},");
-            let _ = writeln!(out, "      \"instructions\": {},", r.instructions);
-            let _ = writeln!(out, "      \"spills\": {},", r.spills);
-            let _ = writeln!(out, "      \"node_expansions\": {},", r.node_expansions);
-            let _ = writeln!(out, "      \"peak_pressure\": {},", r.peak_pressure);
-            let _ = writeln!(out, "      \"cache_hits\": {hits},");
-            let _ = writeln!(out, "      \"cache_misses\": {misses}");
-            out.push_str("    }");
-        }
-    }
-    out.push_str("\n  ]\n}\n");
-    out
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let json_dir = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|a| !a.starts_with('-'))
-            .cloned()
-            .unwrap_or_else(|| ".".to_string())
-    });
+    let check = std::env::args().skip(1).any(|a| a == "--check");
 
     let machines = ["fig3", "archII", "dsp_mac"];
     let programs = ["sum_loop", "dot4"];
@@ -246,17 +181,6 @@ fn main() {
          compile, warm = shared primed cache, restart = snapshot load + \
          all-hits compile."
     );
-
-    if let Some(dir) = &json_dir {
-        let path = Path::new(dir).join("BENCH_serving.json");
-        let json = to_json(&results);
-        aviv_bench::check_schema(&json).expect("serving snapshot matches the schema");
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!("wrote {}", path.display());
-    }
 
     if check {
         let mut failures = Vec::new();

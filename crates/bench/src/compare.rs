@@ -127,14 +127,6 @@ pub struct ScalePoint {
     pub size_on: usize,
     /// Heuristics-off instruction count when measured.
     pub size_off: Option<usize>,
-    /// Covering-search node expansions with heuristics on.
-    pub expansions_on: u64,
-    /// Peak register-bank pressure with heuristics on.
-    pub pressure_on: usize,
-    /// Spills with heuristics on.
-    pub spills_on: usize,
-    /// Per-stage breakdown with heuristics on.
-    pub stages_on: aviv::StageTimes,
 }
 
 /// Sweep block sizes, reproducing the CPU-time growth the paper reports
@@ -184,10 +176,6 @@ pub fn scaling_sweep(sizes: &[usize], off_limit: usize, seed: u64) -> Vec<ScaleP
                 time_off,
                 size_on: on.report.instructions,
                 size_off,
-                expansions_on: on.report.node_expansions,
-                pressure_on: on.report.peak_pressure,
-                spills_on: on.report.spills,
-                stages_on: on.report.stages,
             }
         })
         .collect()

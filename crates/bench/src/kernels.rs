@@ -2,7 +2,7 @@
 //! introduction motivates ("generic basic blocks that occur in DSP
 //! application code"). Each kernel is a straight-line block (or a loop
 //! prepared with the front end's unroller) used by the kernel-table
-//! binary, the differential tests, and the benches.
+//! binary, the differential tests, the search pin, and `perfbench`.
 
 use aviv_ir::{parse_function, Function};
 

@@ -9,7 +9,6 @@
 pub mod compare;
 pub mod examples;
 pub mod figures;
-pub mod json;
 pub mod kernels;
 pub mod tables;
 
@@ -17,9 +16,5 @@ pub use compare::{
     compare_examples, compare_random, render_compare, render_scaling, scaling_sweep,
 };
 pub use examples::{table2_examples, table_examples, Example};
-pub use json::{
-    check_schema, deterministic_skeleton, diff_against_baseline, parse_snapshot, BenchRow,
-    BenchSnapshot, ParsedRow, ParsedSnapshot, StageBreakdown,
-};
 pub use kernels::{all_kernels, Kernel};
 pub use tables::{render, run_row, table1, table2, TableConfig, TableRow};

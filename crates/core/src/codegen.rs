@@ -216,7 +216,7 @@ impl fmt::Display for Downgrade {
 }
 
 /// Wall-clock time spent in each stage of one block's winning rung.
-/// Feeds the per-stage breakdown of the `BENCH_*.json` snapshots.
+/// Feeds perfbench's per-layer rows and the persisted plan reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Split-node DAG construction.

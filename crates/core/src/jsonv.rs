@@ -1,17 +1,15 @@
 //! A minimal JSON value model, parser, and string escaper.
 //!
-//! The workspace is dependency-free by policy (no `serde`), but two
-//! consumers need to *read* JSON: the `avivd` serving protocol
-//! (newline-delimited request objects) and the bench baseline gate
-//! (diffing committed `BENCH_*.json` snapshots). Both live downstream of
-//! this crate, so the shared implementation sits here.
+//! The workspace is dependency-free by policy (no `serde`), but the
+//! `avivd` serving protocol (newline-delimited request objects) has to
+//! *read* JSON, and its server and clients live downstream of this
+//! crate, so the shared implementation sits here.
 //!
 //! Scope: strict RFC 8259 subset, sufficient for machine-written JSON —
 //! objects, arrays, strings with `\uXXXX` escapes, numbers, booleans,
 //! `null`. Not supported (by design — nothing in the repo emits them):
 //! surrogate-pair escapes, numbers outside `f64`, duplicate-key
-//! detection. Object members preserve insertion order so round-trips are
-//! deterministic.
+//! detection. Object members are stored key-sorted.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -23,15 +21,15 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always carried as `f64`; snapshot values are
-    /// counts and milliseconds, well inside exact range).
+    /// Any JSON number (always carried as `f64`; protocol values are
+    /// ids, counts and milliseconds, well inside exact range).
     Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Key-sorted storage: snapshot diffing wants canonical
-    /// member order, and the protocol never relies on member order.
+    /// An object. Key-sorted storage: the protocol never relies on
+    /// member order.
     Obj(BTreeMap<String, Json>),
 }
 

@@ -3,8 +3,8 @@
 //! `avivd` restarts lose the warm [`PlanCache`](crate::PlanCache) this
 //! module exists to keep: the cache is spilled to a single snapshot file
 //! and restored on startup, so a restarted server serves warm hits
-//! instead of recompiling its whole working set (the
-//! `BENCH_serving.json` `:restart` rows measure the win).
+//! instead of recompiling its whole working set (the restart pass of
+//! the `serving` bench binary measures the win).
 //!
 //! # File format
 //!

@@ -123,7 +123,7 @@ fn corpus_output_is_byte_identical_and_bounds_admissible() {
 
 /// The exhaustive preset explores the most tied covering decisions, so
 /// the cutoff must show a strict node-expansion win there too (this is
-/// the configuration the `+exact` bench rows snapshot).
+/// the configuration of the search pin's `+off` rows).
 #[test]
 fn exhaustive_mode_prunes_strictly_on_dot4() {
     let f = parse_function(include_str!("../../../assets/dot4.av")).unwrap();
