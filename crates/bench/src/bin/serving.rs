@@ -1,32 +1,42 @@
 //! Warm-vs-cold serving benchmark: the wall-time case for the `avivd`
 //! plan cache, measured over every bundled program×machine pair.
 //!
-//! Each pair is compiled `ITERATIONS` times cold (a fresh
-//! [`PlanCache`] per compile — every block planned from scratch) and
-//! `ITERATIONS` times warm (one shared cache, primed once — every
-//! block answered from cache), asserting along the way that the warm
-//! bytes are identical to the cold bytes.
-//!
-//! A third temperature, *restart*, measures the crash-safe persistence
-//! path: the primed cache is snapshotted to disk once, and each
-//! measured compile pays a fresh cache + [`aviv::load_snapshot`] +
-//! compile — the cost of an `avivd --persist` restart's first request.
+//! Each pair is compiled in [`ROUNDS`] rounds. A round times three
+//! bursts of [`BURST`] compiles back to back, one per temperature:
+//! *cold* (a fresh [`PlanCache`] per compile — every block planned from
+//! scratch), *warm* (one shared cache, primed once — every block
+//! answered from cache) and *restart*. The restart temperature measures
+//! the crash-safe persistence path: the primed cache is snapshotted to
+//! disk once, and each restart compile pays a fresh cache +
+//! [`aviv::load_snapshot`] + compile — the cost of an `avivd --persist`
+//! restart's first request. Every compile's bytes are checked against
+//! the cold bytes. A round's time per temperature is the mean over its
+//! burst; the table and the gates use the median over the rounds.
 //!
 //! Flags: `--check` enforces the serving acceptance gates — warm and
 //! restart passes are 100% cache hits, warm is at least
 //! [`REQUIRED_SPEEDUP`]× faster than cold, restart at least
 //! [`REQUIRED_RESTART_SPEEDUP`]× — and exits nonzero otherwise.
 
-use aviv::{load_snapshot, save_snapshot, CodeGenerator, CodegenOptions, LoadOutcome, PlanCache};
+use aviv::{
+    load_snapshot, save_snapshot, CodeGenerator, CodegenOptions, CompileReport, LoadOutcome,
+    PlanCache,
+};
 use aviv_ir::parse_function;
 use aviv_isdl::parse_machine;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Measured compiles per temperature per pair: enough to average out
-/// scheduler noise on sub-millisecond warm compiles.
-const ITERATIONS: u32 = 20;
+/// Measured rounds per pair: enough for a median that sub-millisecond
+/// scheduler noise does not move.
+const ROUNDS: usize = 41;
+
+/// Compiles per temperature per round, timed as one burst. All three
+/// temperatures are measured the same way: a burst's mean is what
+/// back-to-back requests pay, and a round's three bursts run close
+/// together, so a stretch of host noise lands on all of them alike.
+const BURST: usize = 10;
 
 /// `--check` fails when warm wall time is not at least this many times
 /// lower than cold.
@@ -54,6 +64,11 @@ fn assets_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets")
 }
 
+fn median(times: &mut [f64]) -> f64 {
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 fn measure_pair(prog_name: &str, machine_name: &str) -> PairResult {
     let dir = assets_dir();
     let machine_src = std::fs::read_to_string(dir.join(format!("{machine_name}.isdl")))
@@ -63,89 +78,81 @@ fn measure_pair(prog_name: &str, machine_name: &str) -> PairResult {
     let machine = parse_machine(&machine_src).expect("bundled machine parses");
     let function = parse_function(&program_src).expect("bundled program parses");
     let target = Arc::new(aviv_isdl::Target::new(machine));
-    let options = CodegenOptions::heuristics_on;
-
-    // Cold: a fresh cache per compile, so every block is planned from
-    // scratch (and inserted — the same work a server's first request
-    // for a program does).
-    let mut cold_asm = Vec::new();
-    let mut report = None;
-    let t0 = Instant::now();
-    for _ in 0..ITERATIONS {
+    // One compile against `cache`: its assembly bytes and its report.
+    let compile = |cache: Arc<PlanCache>| -> (Vec<u8>, CompileReport) {
         let generator = CodeGenerator::with_shared_target(Arc::clone(&target))
-            .options(options())
-            .with_cache(Arc::new(PlanCache::default()));
-        let (program, r) = generator.compile_function(&function).expect("cold compile");
-        cold_asm = program.render(generator.target()).into_bytes();
-        report = Some(r);
-    }
-    let cold_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(ITERATIONS);
-    let report = report.expect("at least one iteration");
+            .options(CodegenOptions::heuristics_on())
+            .with_cache(cache);
+        let (program, report) = generator.compile_function(&function).expect("compile");
+        (program.render(generator.target()).into_bytes(), report)
+    };
+    let ms =
+        |started: Instant, compiles: usize| started.elapsed().as_secs_f64() * 1e3 / compiles as f64;
 
-    // Warm: one shared cache, primed once; the measured compiles are
-    // what a steady-state server pays per request.
-    let cache = Arc::new(PlanCache::default());
-    let prime = CodeGenerator::with_shared_target(Arc::clone(&target))
-        .options(options())
-        .with_cache(Arc::clone(&cache));
-    prime.compile_function(&function).expect("priming compile");
-    let mut warm_asm = Vec::new();
-    let mut warm_report = None;
-    let t0 = Instant::now();
-    for _ in 0..ITERATIONS {
-        let generator = CodeGenerator::with_shared_target(Arc::clone(&target))
-            .options(options())
-            .with_cache(Arc::clone(&cache));
-        let (program, r) = generator.compile_function(&function).expect("warm compile");
-        warm_asm = program.render(generator.target()).into_bytes();
-        warm_report = Some(r);
-    }
-    let warm_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(ITERATIONS);
-    let warm_report = warm_report.expect("at least one iteration");
-
-    // Restart: snapshot the primed cache once, then pay snapshot load +
-    // all-hits compile per iteration — a persisted server's first
+    // Warm: one shared cache, primed once; a warm compile is what a
+    // steady-state server pays per request. Restart: the primed cache
+    // snapshotted once; a restart compile is a persisted server's first
     // request after a restart.
+    let cache = Arc::new(PlanCache::default());
+    let (cold_asm, report) = compile(Arc::clone(&cache));
     let snap = std::env::temp_dir().join(format!(
         "aviv_bench_serving_{}_{prog_name}_{machine_name}.avivcache",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&snap);
     save_snapshot(&snap, &cache).expect("snapshot saves");
-    let mut restart_asm = Vec::new();
-    let mut restart_report = None;
-    let t0 = Instant::now();
-    for _ in 0..ITERATIONS {
-        let restored = Arc::new(PlanCache::default());
-        match load_snapshot(&snap, &restored).expect("snapshot reads") {
-            LoadOutcome::Loaded { .. } => {}
-            other => panic!("snapshot failed to restore: {other:?}"),
+
+    let (mut cold, mut warm, mut restart) = (Vec::new(), Vec::new(), Vec::new());
+    let mut bytes_match = true;
+    let mut reports = None;
+    for _ in 0..ROUNDS {
+        // Cold: a fresh cache per compile, so every block is planned
+        // from scratch (and inserted — the same work a server's first
+        // request for a program does).
+        let started = Instant::now();
+        for _ in 0..BURST {
+            let (asm, _) = compile(Arc::new(PlanCache::default()));
+            bytes_match &= asm == cold_asm;
         }
-        let generator = CodeGenerator::with_shared_target(Arc::clone(&target))
-            .options(options())
-            .with_cache(restored);
-        let (program, r) = generator
-            .compile_function(&function)
-            .expect("restart compile");
-        restart_asm = program.render(generator.target()).into_bytes();
-        restart_report = Some(r);
+        cold.push(ms(started, BURST));
+        let started = Instant::now();
+        let mut warm_report = None;
+        for _ in 0..BURST {
+            let (asm, r) = compile(Arc::clone(&cache));
+            bytes_match &= asm == cold_asm;
+            warm_report = Some(r);
+        }
+        warm.push(ms(started, BURST));
+        let started = Instant::now();
+        let mut restart_report = None;
+        for _ in 0..BURST {
+            let restored = Arc::new(PlanCache::default());
+            match load_snapshot(&snap, &restored).expect("snapshot reads") {
+                LoadOutcome::Loaded { .. } => {}
+                other => panic!("snapshot failed to restore: {other:?}"),
+            }
+            let (asm, r) = compile(restored);
+            bytes_match &= asm == cold_asm;
+            restart_report = Some(r);
+        }
+        restart.push(ms(started, BURST));
+        reports = warm_report.zip(restart_report);
     }
-    let restart_ms = t0.elapsed().as_secs_f64() * 1e3 / f64::from(ITERATIONS);
-    let restart_report = restart_report.expect("at least one iteration");
     let _ = std::fs::remove_file(&snap);
+    let (warm_report, restart_report) = reports.expect("at least one round");
 
     PairResult {
         program: prog_name.to_string(),
         machine: machine_name.to_string(),
         blocks: report.blocks.len(),
-        cold_ms,
-        warm_ms,
+        cold_ms: median(&mut cold),
+        warm_ms: median(&mut warm),
         warm_hits: warm_report.cache_hits,
         warm_misses: warm_report.cache_misses,
-        restart_ms,
+        restart_ms: median(&mut restart),
         restart_hits: restart_report.cache_hits,
         restart_misses: restart_report.cache_misses,
-        bytes_match: cold_asm == warm_asm && cold_asm == restart_asm,
+        bytes_match,
     }
 }
 
@@ -177,9 +184,9 @@ fn main() {
         }
     }
     println!(
-        "\nmeans over {ITERATIONS} compiles; cold = fresh plan cache per \
-         compile, warm = shared primed cache, restart = snapshot load + \
-         all-hits compile."
+        "\nmedians over {ROUNDS} rounds of the mean of {BURST} compiles per \
+         temperature; cold = fresh plan cache per compile, warm = shared \
+         primed cache, restart = snapshot load + all-hits compile."
     );
 
     if check {

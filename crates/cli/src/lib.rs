@@ -594,12 +594,12 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     if options.report {
         let _ = writeln!(
             outcome.report,
-            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut"
+            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut  cliq"
         );
         for (bi, b) in report.blocks.iter().enumerate() {
             let _ = writeln!(
                 outcome.report,
-                "bb{bi}: {} {} {} {} {} {} {} {} {} {}",
+                "bb{bi}: {} {} {} {} {} {} {} {} {} {} {}",
                 b.instructions,
                 b.min_instructions_bound,
                 b.instructions.saturating_sub(b.min_instructions_bound),
@@ -610,6 +610,7 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
                 b.search.rollout_steps,
                 b.search.memo_hits,
                 b.search.rollouts_cut,
+                b.search.clique_steps,
             );
         }
     }
@@ -1471,7 +1472,7 @@ mod tests {
             out.report
         );
         assert!(
-            out.report.contains("rollouts  steps  hits  cut"),
+            out.report.contains("rollouts  steps  hits  cut  cliq"),
             "{}",
             out.report
         );

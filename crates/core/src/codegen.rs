@@ -264,7 +264,8 @@ pub struct BlockReport {
     pub node_expansions: u64,
     /// The winning rung's lookahead counters, summed over every
     /// assignment it covered: rollouts run, rollout steps charged, memo
-    /// hits, and rollouts settled by the incumbent bound.
+    /// hits, rollouts settled by the incumbent bound, and the units
+    /// clique generation charged.
     pub search: SearchStats,
     /// Peak simultaneous register occupancy of any one bank over the
     /// final schedule (see [`crate::cover::peak_pressure`]).

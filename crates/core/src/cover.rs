@@ -11,18 +11,46 @@
 //!
 //! The order in which cliques are selected **is** the schedule (§IV-E).
 //!
-//! Scratch reuse: every selection step and every lookahead-rollout step
-//! recomputes the covering state, and there can be hundreds of thousands
-//! of them per block, so none of them allocates. A `State` recomputes
-//! into its own buffers, and one `Scratch` per [`cover_budgeted`] call —
-//! the rollout's state plus the group, best-group and bank-pressure
-//! buffers — is lent to the selection loop and to every rollout in turn.
-//! Buffers grow only when a spill grows the graph. Nothing read from a
-//! scratch survives a step: each user clears or re-seeds a buffer before
-//! reading it, so reuse cannot change a decision, a budget charge, or an
-//! emitted byte. What still allocates is the clique pool (built at the
-//! start and again after each spill) and the one `Vec` per selected
-//! group that the returned schedule keeps.
+//! Masks and scratch reuse: every selection step and every
+//! lookahead-rollout step recomputes the covering state, and there can
+//! be hundreds of thousands of them per block, so each works on bit
+//! masks a word at a time, and none allocates. Whenever the pool
+//! is generated (at the start and after each spill, the only times the
+//! graph changes), `Rows` rebuilds per-graph masks over node ids into
+//! one reused buffer: alive, pinned, per-bank destinations, and per node
+//! its predecessors (operands and ordering deps) and operand consumers.
+//! The pool stores each clique as a mask too, word-major in one reused
+//! buffer. From these a step reads:
+//!
+//! - `ready` = alive ∧ ¬covered ∧ (predecessor row ⊆ covered), and a
+//!   value is live when it is covered, has a bank, and is pinned or has
+//!   a consumer outside covered; pressure per bank is the popcount of
+//!   live ∧ that bank's row. One pass over the per-node rows gives both:
+//!   2n·⌈n/64⌉ words for n nodes. That grows faster than a graph walk's
+//!   O(n + e), so a very large block may pay more per step than a graph
+//!   walk would (EXPERIMENTS.md times the change by block size).
+//! - A rollout step's greedy rule is a scan of the pool in order that
+//!   replaces its pick only with a strictly larger fitting group, so it
+//!   takes the first fitting clique in pool order among those with the
+//!   most ready members. The ready count of a clique is the popcount of
+//!   its mask ∧ ready, so the step tests cliques count by count from the
+//!   largest down, in pool order within a count, and stops at the first
+//!   that fits: the same clique, without testing the rest of the pool.
+//!   Only the cliques tested build a mask.
+//! - `State::pressure_after` visits only operands of the group: a value
+//!   dies in a step when it has consumers left and all of them are in
+//!   the group, so it is an operand of a member. The union of the
+//!   members' predecessor rows visits each such value once, and "all
+//!   remaining uses are in the group" is "uncovered consumers ⊆ group".
+//!
+//! One `Scratch` per [`cover_budgeted`] call — the rollout's state plus
+//! the group, mask, ready-count and bank-pressure buffers — is lent to
+//! the selection loop and to every rollout in turn. Buffers grow only
+//! when a spill grows the graph. Nothing read from a scratch survives a
+//! step: each user clears or re-seeds a buffer before reading it, so
+//! reuse cannot change a decision, a budget charge, or an emitted byte.
+//! What still allocates is clique generation itself and the one `Vec`
+//! per selected group that the returned schedule keeps.
 //!
 //! Rollout memo: for a fixed clique pool and cover graph, a greedy
 //! rollout step depends only on the covered set it starts from, and
@@ -57,7 +85,7 @@ use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
 use crate::covergraph::{CnId, CoverGraph, Operand};
 use crate::options::CodegenOptions;
-use aviv_ir::{BitSet, Sym, SymbolTable};
+use aviv_ir::{bitset, BitMatrix, BitSet, Sym, SymbolTable};
 use aviv_isdl::{BankId, Target};
 use aviv_verify::{Code, Diagnostic};
 use std::error::Error;
@@ -148,19 +176,141 @@ impl fmt::Display for CoverError {
 
 impl Error for CoverError {}
 
+/// The node ids in a mask, ascending.
+fn mask_ids(mask: &[u64]) -> impl Iterator<Item = CnId> + '_ {
+    bitset::Iter::new(mask).map(|i| CnId(i as u32))
+}
+
+/// Overwrite `mask` with the `width`-word mask of `ids`.
+fn set_mask(mask: &mut Vec<u64>, width: usize, ids: &[CnId]) {
+    mask.clear();
+    mask.resize(width, 0);
+    for id in ids {
+        mask[id.index() / 64] |= 1 << (id.index() % 64);
+    }
+}
+
+/// Per-graph masks over cover-node ids, one matrix row each (see the
+/// module doc). Rebuilt in place whenever the graph may have changed:
+/// at the start of covering and after every spill.
+#[derive(Default)]
+struct Rows {
+    /// Register banks.
+    banks: usize,
+    /// In order: alive nodes; pinned values; nodes that define into
+    /// any bank; per bank, the nodes defining into it; then per node
+    /// its predecessors (operands and ordering deps) followed by its
+    /// operand consumers. One column per node slot, dead ones included.
+    matrix: BitMatrix,
+}
+
+impl Rows {
+    const ALIVE: usize = 0;
+    const PINNED: usize = 1;
+    const VALUES: usize = 2;
+    /// Masks before the per-bank rows.
+    const FIXED: usize = 3;
+
+    fn rebuild(&mut self, graph: &CoverGraph, target: &Target) {
+        let len = graph.len();
+        self.banks = target.machine.banks().len();
+        self.matrix.reset(Rows::FIXED + self.banks + 2 * len, len);
+        for &(_, operand) in graph.live_out() {
+            if let Operand::Cn(c) = operand {
+                self.matrix.set(Rows::PINNED, c.index());
+            }
+        }
+        for id in graph.alive() {
+            self.matrix.set(Rows::ALIVE, id.index());
+            if let Some(bank) = graph.node(id).dest_bank(target) {
+                self.matrix.set(Rows::VALUES, id.index());
+                self.matrix.set(Rows::FIXED + bank.index(), id.index());
+            }
+            let preds = self.node_row(id);
+            for p in graph.preds(id) {
+                self.matrix.set(preds, p.index());
+            }
+            for &u in graph.uses(id) {
+                self.matrix.set(preds + 1, u.index());
+            }
+        }
+        #[cfg(test)]
+        oracle::snapshot(graph, target);
+    }
+
+    /// Node slots in the graph, dead ones included.
+    fn len(&self) -> usize {
+        self.matrix.cols()
+    }
+
+    /// Words per mask.
+    fn width(&self) -> usize {
+        self.len().div_ceil(64)
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        self.matrix.row_words(row)
+    }
+
+    fn alive(&self) -> &[u64] {
+        self.row(Rows::ALIVE)
+    }
+
+    fn pinned(&self) -> &[u64] {
+        self.row(Rows::PINNED)
+    }
+
+    fn values(&self) -> &[u64] {
+        self.row(Rows::VALUES)
+    }
+
+    fn bank(&self, bank: usize) -> &[u64] {
+        self.row(Rows::FIXED + bank)
+    }
+
+    /// The row of `id`'s predecessors; its consumers are the next row.
+    fn node_row(&self, id: CnId) -> usize {
+        Rows::FIXED + self.banks + 2 * id.index()
+    }
+
+    /// Every node's predecessor row and consumer row, `2 * width` words
+    /// per node in id order.
+    fn node_rows(&self) -> &[u64] {
+        let first = self.node_row(CnId(0));
+        self.matrix.rows_words(first..self.matrix.rows())
+    }
+
+    fn preds(&self, id: CnId) -> &[u64] {
+        self.row(self.node_row(id))
+    }
+
+    fn consumers(&self, id: CnId) -> &[u64] {
+        self.row(self.node_row(id) + 1)
+    }
+
+    fn is_pinned(&self, id: CnId) -> bool {
+        self.matrix.contains(Rows::PINNED, id.index())
+    }
+
+    /// Whether `id` has a consumer outside `covered`.
+    fn has_uses_left(&self, id: CnId, covered: &BitSet) -> bool {
+        self.consumers(id)
+            .iter()
+            .zip(covered.words())
+            .any(|(&c, &done)| c & !done != 0)
+    }
+}
+
 /// Dynamic covering state, recomputed in place after every selection.
 #[derive(Default)]
 struct State {
     /// Scheduled nodes.
     covered: BitSet,
-    /// Uncovered alive nodes whose predecessors are all covered.
-    ready: BitSet,
-    /// Remaining uncovered consumers per node (values only).
-    remaining: Vec<usize>,
+    /// Uncovered alive nodes whose predecessors are all covered, as a
+    /// mask.
+    ready: Vec<u64>,
     /// Live register values per bank.
     pressure: Vec<usize>,
-    /// Nodes pinned live to the end of the block.
-    pinned: BitSet,
 }
 
 impl State {
@@ -172,148 +322,146 @@ impl State {
         }
     }
 
-    /// Recompute every field but `covered` from `covered`, reusing the
-    /// buffers (they grow only when a spill has grown the graph).
-    fn recompute(&mut self, graph: &CoverGraph, target: &Target) {
-        let n = graph.len();
-        let covered = &self.covered;
-        self.pinned.grow(n);
-        self.pinned.clear();
-        for &(_, operand) in graph.live_out() {
-            if let Operand::Cn(c) = operand {
-                self.pinned.insert(c.index());
-            }
-        }
-        self.remaining.clear();
-        self.remaining.resize(n, 0);
-        self.ready.grow(n);
+    /// Recompute every field but `covered` from `covered` and the masks
+    /// of `rows`, reusing the buffers: one pass over the per-node rows
+    /// notes which nodes have an uncovered predecessor and which have an
+    /// uncovered consumer. A value is live when it is covered, defines
+    /// into a bank, and is pinned or has a consumer left.
+    fn recompute(&mut self, rows: &Rows) {
+        let w = rows.width();
         self.ready.clear();
-        for id in graph.alive() {
-            self.remaining[id.index()] = graph
-                .uses(id)
-                .iter()
-                .filter(|u| !covered.contains(u.index()))
-                .count();
-            if !covered.contains(id.index()) && graph.preds(id).all(|p| covered.contains(p.index()))
-            {
-                self.ready.insert(id.index());
-            }
-        }
+        self.ready.resize(w, 0);
         self.pressure.clear();
-        self.pressure.resize(target.machine.banks().len(), 0);
-        for id in graph.alive() {
-            if !covered.contains(id.index()) {
-                continue;
-            }
-            if let Some(bank) = graph.node(id).dest_bank(target) {
-                if self.remaining[id.index()] > 0 || self.pinned.contains(id.index()) {
-                    self.pressure[bank.index()] += 1;
+        self.pressure.resize(rows.banks, 0);
+        let covered = self.covered.words();
+        // An empty graph has no rows.
+        let mut nodes = rows.node_rows().chunks_exact(2 * w.max(1));
+        for j in 0..w {
+            let (mut blocked, mut pending) = (0u64, 0u64);
+            for (bit, node) in nodes.by_ref().take(64).enumerate() {
+                let (preds, uses) = node.split_at(w);
+                let (mut open_pred, mut open_use) = (0, 0);
+                for ((&p, &u), &done) in preds.iter().zip(uses).zip(covered) {
+                    open_pred |= p & !done;
+                    open_use |= u & !done;
                 }
+                blocked |= u64::from(open_pred != 0) << bit;
+                pending |= u64::from(open_use != 0) << bit;
+            }
+            let (alive, done) = (rows.alive()[j], covered[j]);
+            self.ready[j] = alive & !done & !blocked;
+            let live = alive & done & rows.values()[j] & (rows.pinned()[j] | pending);
+            for (b, load) in self.pressure.iter_mut().enumerate() {
+                *load += (live & rows.bank(b)[j]).count_ones() as usize;
             }
         }
+        #[cfg(test)]
+        oracle::check_state(self);
+    }
+
+    fn has_ready(&self) -> bool {
+        self.ready.iter().any(|&w| w != 0)
     }
 
     /// The ready nodes in ascending id order.
     fn ready_ids(&self) -> impl Iterator<Item = CnId> + '_ {
-        self.ready.iter().map(|i| CnId(i as u32))
+        mask_ids(&self.ready)
     }
 
-    /// Anti-wedge selection policy: scheduling `group` must not leave any
-    /// bank completely full unless at least one value live in that bank
-    /// will be consumable in the very next step (a consumer with every
-    /// other predecessor already covered). Greedy max-cover otherwise
-    /// parks far-future values in the last registers of scarce banks,
-    /// which wedges the covering loop into spill thrashing.
+    /// Anti-wedge selection policy: scheduling `group` (a mask) must not
+    /// leave any bank completely full unless at least one value live in
+    /// that bank will be consumable in the very next step (a consumer
+    /// with every other predecessor already covered). Greedy max-cover
+    /// otherwise parks far-future values in the last registers of
+    /// scarce banks, which wedges the covering loop into spill
+    /// thrashing.
     ///
     /// `p_after` is the bank load [`State::pressure_after`] computed for
     /// `group`, which must have fit.
-    fn policy_ok(
-        &self,
-        graph: &CoverGraph,
-        target: &Target,
-        group: &[CnId],
-        p_after: &[usize],
-    ) -> bool {
-        let done = |id: CnId| self.covered.contains(id.index()) || group.contains(&id);
-        for (bi, &load) in p_after.iter().enumerate() {
-            if load < target.machine.banks()[bi].size as usize {
-                continue;
-            }
-            // The bank is full after this step: some live value there must
-            // have a consumer that is ready right afterwards.
-            let mut consumable = false;
-            'values: for id in graph.alive() {
-                if !done(id) {
-                    continue;
-                }
-                if graph.node(id).dest_bank(target) != Some(aviv_isdl::BankId(bi as u32)) {
-                    continue;
-                }
-                // Live after the group?
-                let live =
-                    self.pinned.contains(id.index()) || graph.uses(id).iter().any(|u| !done(*u));
-                if !live {
-                    continue;
-                }
-                for &u in graph.uses(id) {
-                    if done(u) {
-                        continue;
-                    }
-                    if graph.preds(u).all(done) {
-                        consumable = true;
-                        break 'values;
-                    }
-                }
-            }
-            if !consumable {
-                return false;
-            }
-        }
-        true
+    fn policy_ok(&self, target: &Target, rows: &Rows, group: &[u64], p_after: &[usize]) -> bool {
+        let covered = self.covered.words();
+        let done = |id: CnId| {
+            let k = id.index() / 64;
+            (covered[k] | group[k]) & (1 << (id.index() % 64)) != 0
+        };
+        let all_done = |row: &[u64]| {
+            row.iter()
+                .zip(covered.iter().zip(group))
+                .all(|(&r, (&c, &g))| r & !(c | g) == 0)
+        };
+        let ok = p_after.iter().enumerate().all(|(bi, &load)| {
+            // A full bank needs a value there with a consumer that is
+            // ready right afterwards.
+            load < target.machine.banks()[bi].size as usize
+                || mask_ids(rows.bank(bi)).filter(|&v| done(v)).any(|v| {
+                    mask_ids(rows.consumers(v)).any(|u| !done(u) && all_done(rows.preds(u)))
+                })
+        });
+        #[cfg(test)]
+        oracle::check_policy(self, group, p_after, ok);
+        ok
     }
 
-    /// Bank loads after scheduling `group`, written into `p`: returns
-    /// false when any bank would exceed its size.
+    /// Bank loads after scheduling `group` (a mask of ready nodes),
+    /// written into `p`: returns false when any bank would exceed its
+    /// size. A value dies when it has consumers left and all of them
+    /// are in `group`, so only an operand of a member can die: the scan
+    /// visits the union of the members' predecessor rows, each value
+    /// once, instead of every alive node.
     fn pressure_after(
         &self,
-        graph: &CoverGraph,
         target: &Target,
-        group: &[CnId],
+        rows: &Rows,
+        group: &[u64],
         p: &mut Vec<usize>,
     ) -> bool {
         p.clone_from(&self.pressure);
-        // Values dying: all remaining uses are inside `group`.
-        for id in graph.alive() {
-            if !self.covered.contains(id.index()) || self.pinned.contains(id.index()) {
-                continue;
+        let covered = self.covered.words();
+        for (k, &members) in group.iter().enumerate() {
+            let mut operands = 0;
+            for g in mask_ids(group) {
+                operands |= rows.preds(g)[k];
             }
-            let rem = self.remaining[id.index()];
-            if rem == 0 {
-                continue;
-            }
-            let uses_in_group = graph.uses(id).iter().filter(|u| group.contains(u)).count();
-            if uses_in_group >= rem {
-                if let Some(bank) = graph.node(id).dest_bank(target) {
-                    p[bank.index()] -= 1;
+            operands &= !rows.pinned()[k];
+            let mut dying = 0u64;
+            for v in mask_ids(&[operands]) {
+                let uses = rows.consumers(CnId(v.0 + 64 * k as u32));
+                let (mut left, mut outside) = (0, 0);
+                for ((&u, &done), &g) in uses.iter().zip(covered).zip(group) {
+                    left |= u & !done;
+                    outside |= u & !done & !g;
+                }
+                if left != 0 && outside == 0 {
+                    dying |= 1 << v.0;
                 }
             }
-        }
-        // New definitions.
-        for &g in group {
-            if let Some(bank) = graph.node(g).dest_bank(target) {
-                p[bank.index()] += 1;
+            for (b, load) in p.iter_mut().enumerate() {
+                let bank = rows.bank(b)[k];
+                *load += (members & bank).count_ones() as usize;
+                *load -= (dying & bank).count_ones() as usize;
             }
         }
-        p.iter()
+        let fits = p
+            .iter()
             .zip(target.machine.banks())
-            .all(|(&load, bank)| load <= bank.size as usize)
+            .all(|(&load, bank)| load <= bank.size as usize);
+        #[cfg(test)]
+        oracle::check_pressure(self, group, fits, p);
+        fits
     }
 }
 
-/// Clique pool over the *current* uncovered node set.
+/// Clique pool over the *current* uncovered node set, plus the graph's
+/// [`Rows`]: both are rebuilt together, in place.
+#[derive(Default)]
 struct Pool {
-    matrix: ParallelismMatrix,
-    cliques: Vec<BitSet>,
+    rows: Rows,
+    /// Number of cliques.
+    len: usize,
+    /// Each clique as a mask over node ids, stored word-major: word `k`
+    /// of clique `ci` is `cliques[k * len + ci]`, so the ready counts of
+    /// the whole pool are one pass per word.
+    cliques: Vec<u64>,
     /// The size of the largest clique (at least 1): no greedy step
     /// covers more nodes, which is what the rollout cutoff's lower bound
     /// divides by.
@@ -321,63 +469,91 @@ struct Pool {
 }
 
 impl Pool {
+    /// Regenerate the pool for the nodes outside `covered`, adding the
+    /// budget units clique generation spends to `stats.clique_steps`.
     fn generate(
+        &mut self,
         graph: &CoverGraph,
         target: &Target,
         covered: &BitSet,
         options: &CodegenOptions,
         budget: &Budget,
-    ) -> Pool {
+        stats: &mut SearchStats,
+    ) {
+        self.rows.rebuild(graph, target);
         let nodes: Vec<CnId> = graph
             .alive()
             .filter(|n| !covered.contains(n.index()))
             .collect();
         let matrix = ParallelismMatrix::build(graph, target, &nodes, options.clique_level_window);
+        let spent = budget.spent();
         let raw = gen_max_cliques_budgeted(&matrix, budget);
+        stats.clique_steps += budget.spent() - spent;
         let cliques = legalize(raw, &matrix, graph, target);
-        let max_per_step = cliques.iter().map(BitSet::count).max().unwrap_or(1).max(1);
-        Pool {
-            matrix,
-            cliques,
-            max_per_step,
+        self.len = cliques.len();
+        self.cliques.clear();
+        self.cliques.resize(self.len * self.rows.width(), 0);
+        for (ci, clique) in cliques.iter().enumerate() {
+            for i in clique.iter() {
+                let id = matrix.ids[i].index();
+                self.cliques[id / 64 * self.len + ci] |= 1 << (id % 64);
+            }
+        }
+        self.max_per_step = cliques.iter().map(BitSet::count).max().unwrap_or(1).max(1);
+    }
+
+    /// Write into `counts` the number of ready members of every clique.
+    fn ready_counts(&self, ready: &[u64], counts: &mut Vec<u32>) {
+        counts.clear();
+        counts.resize(self.len, 0);
+        for (column, &r) in self.cliques.chunks_exact(self.len.max(1)).zip(ready) {
+            for (count, &c) in counts.iter_mut().zip(column) {
+                *count += (c & r).count_ones();
+            }
         }
     }
 
-    /// Append the ready members of clique `ci` (its shrunk form) to `out`.
-    fn ready_members(&self, ci: usize, state: &State, out: &mut Vec<CnId>) {
-        out.extend(
-            self.cliques[ci]
-                .iter()
-                .map(|i| self.matrix.ids[i])
-                .filter(|id| state.ready.contains(id.index())),
-        );
+    /// The mask words of clique `ci`'s shrunk form: its members in
+    /// `ready`.
+    fn shrunk<'a>(&'a self, ci: usize, ready: &'a [u64]) -> impl Iterator<Item = u64> + 'a {
+        let words = ready.iter().enumerate();
+        words.map(move |(k, &r)| self.cliques[k * self.len + ci] & r)
     }
 }
 
 /// One selection step's candidate groups, stored flat: group `i` is
-/// `members[spans[i].0..spans[i].1]`.
+/// `members[spans[i].0..spans[i].1]`, and its mask is the `i`-th run of
+/// `width` words in `masks`.
 #[derive(Default)]
 struct Groups {
     members: Vec<CnId>,
     spans: Vec<(usize, usize)>,
+    masks: Vec<u64>,
+    width: usize,
 }
 
 impl Groups {
-    /// Collect the shrunk-to-ready form of every clique in `pool`, each
-    /// sorted, dropping empty and repeated groups (the first occurrence
-    /// keeps its place).
-    fn collect(&mut self, pool: &Pool, state: &State) {
+    /// Collect the shrunk-to-ready form of every clique in `pool`,
+    /// dropping empty and repeated groups (the first occurrence keeps
+    /// its place).
+    fn collect(&mut self, pool: &Pool, ready: &[u64], counts: &mut Vec<u32>) {
         self.members.clear();
         self.spans.clear();
-        for ci in 0..pool.cliques.len() {
-            let start = self.members.len();
-            pool.ready_members(ci, state, &mut self.members);
-            self.members[start..].sort_unstable();
-            let g = &self.members[start..];
-            if g.is_empty() || self.spans.iter().any(|&(a, b)| self.members[a..b] == *g) {
-                self.members.truncate(start);
+        self.masks.clear();
+        self.width = pool.rows.width();
+        self.masks.reserve((pool.len + 1) * self.width);
+        pool.ready_counts(ready, counts);
+        for ci in (0..pool.len).filter(|&ci| counts[ci] > 0) {
+            let start = self.masks.len();
+            self.masks.extend(pool.shrunk(ci, ready));
+            let (kept, g) = self.masks.split_at(start);
+            let same = |m: &[u64]| m.iter().zip(g).all(|(a, b)| a == b);
+            if kept.chunks_exact(self.width.max(1)).any(same) {
+                self.masks.truncate(start);
             } else {
-                self.spans.push((start, self.members.len()));
+                let at = self.members.len();
+                self.members.extend(mask_ids(g));
+                self.spans.push((at, self.members.len()));
             }
         }
     }
@@ -393,6 +569,10 @@ impl Groups {
     fn get(&self, i: usize) -> &[CnId] {
         let (a, b) = self.spans[i];
         &self.members[a..b]
+    }
+
+    fn mask(&self, i: usize) -> &[u64] {
+        &self.masks[i * self.width..(i + 1) * self.width]
     }
 }
 
@@ -522,6 +702,9 @@ pub struct SearchStats {
     /// ([`CodegenOptions::analysis_bounds`]): stopped early, or capped at
     /// the bound.
     pub rollouts_cut: u64,
+    /// Budget units clique generation spent: the recursion steps of
+    /// every pool generated (at the start and after each spill).
+    pub clique_steps: u64,
 }
 
 /// The buffers one covering call lends to its selection loop and to
@@ -534,10 +717,24 @@ struct Scratch {
     group: Vec<CnId>,
     /// The best group found so far.
     best: Vec<CnId>,
+    /// A candidate group's mask over node ids.
+    mask: Vec<u64>,
+    /// A rollout step's ready count per pool clique.
+    counts: Vec<u32>,
     /// [`State::pressure_after`]'s output.
     pressure: Vec<usize>,
     /// The rollout memo for the current pool.
     memo: Memo,
+}
+
+impl Scratch {
+    /// Start over for a newly generated `pool`: forget the memo and
+    /// reserve room for a step's ready counts once.
+    fn reset(&mut self, pool: &Pool) {
+        self.memo.reset(pool.rows.len());
+        self.counts.clear();
+        self.counts.reserve(pool.len);
+    }
 }
 
 /// Cover `graph` with a minimal set of legal cliques, producing the
@@ -599,8 +796,9 @@ pub fn cover_with_stats(
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
     let mut scratch = Scratch::default();
-    let mut pool = Pool::generate(graph, target, &state.covered, options, budget);
-    scratch.memo.reset(graph.len());
+    let mut pool = Pool::default();
+    pool.generate(graph, target, &state.covered, options, budget, stats);
+    scratch.reset(&pool);
     let spill_limit = 4 * graph.len().max(8);
     // Deadlock breaker: once spilling starts, commit to one nearly-ready
     // node and schedule only toward it (its uncovered predecessor
@@ -626,8 +824,8 @@ pub fn cover_with_stats(
             break;
         }
         budget.charge(1).map_err(CoverError::Budget)?;
-        state.recompute(graph, target);
-        if state.ready.is_empty() {
+        state.recompute(&pool.rows);
+        if !state.has_ready() {
             // A dependence cycle or a dead operand: without the guard
             // this loop would spin forever (it used to be a debug
             // assertion, invisible in release builds).
@@ -635,7 +833,7 @@ pub fn cover_with_stats(
         }
 
         // Candidate groups: the shrunk-to-ready form of every clique.
-        groups.collect(&pool, &state);
+        groups.collect(&pool, &state.ready, &mut scratch.counts);
         if groups.is_empty() {
             return Err(CoverError::Internal(Diagnostic::new(
                 Code::C004,
@@ -677,7 +875,7 @@ pub fn cover_with_stats(
             // spill store outside the closure may be the only way to
             // relieve pressure).
             let any_feasible = candidates.iter().any(|&gi| {
-                state.pressure_after(graph, target, groups.get(gi), &mut scratch.pressure)
+                state.pressure_after(target, &pool.rows, groups.mask(gi), &mut scratch.pressure)
             });
             if !any_feasible {
                 candidates.clear();
@@ -692,10 +890,10 @@ pub fn cover_with_stats(
         plain.clear();
         feasible.clear();
         for &gi in &candidates {
-            let g = groups.get(gi);
-            if state.pressure_after(graph, target, g, &mut scratch.pressure) {
+            let g = groups.mask(gi);
+            if state.pressure_after(target, &pool.rows, g, &mut scratch.pressure) {
                 plain.push(gi);
-                if state.policy_ok(graph, target, g, &scratch.pressure) {
+                if state.policy_ok(target, &pool.rows, g, &scratch.pressure) {
                     feasible.push(gi);
                 }
             }
@@ -761,16 +959,19 @@ pub fn cover_with_stats(
             let Scratch {
                 group: g,
                 best,
+                mask,
                 pressure,
                 ..
             } = &mut scratch;
+            let width = pool.rows.width();
             best.clear();
             for &gi in &candidates {
                 g.clear();
                 g.extend_from_slice(groups.get(gi));
                 let mut fits = false;
                 while !g.is_empty() {
-                    if state.pressure_after(graph, target, g, pressure) {
+                    set_mask(mask, width, g);
+                    if state.pressure_after(target, &pool.rows, mask, pressure) {
                         fits = true;
                         break;
                     }
@@ -793,7 +994,10 @@ pub fn cover_with_stats(
                         None => break, // only stores left; must be feasible
                     }
                 }
-                if fits && g.len() > best.len() && state.policy_ok(graph, target, g, pressure) {
+                if fits
+                    && g.len() > best.len()
+                    && state.policy_ok(target, &pool.rows, mask, pressure)
+                {
                     std::mem::swap(best, g);
                 }
             }
@@ -860,6 +1064,7 @@ pub fn cover_with_stats(
                 // operand of the very next op always loses this
                 // comparison).
                 let covered = &state.covered;
+                let rows = &pool.rows;
                 let use_depths = |id: CnId| {
                     let depths = || {
                         graph
@@ -882,8 +1087,8 @@ pub fn cover_with_stats(
                 let evictable = || {
                     graph.alive().filter(|&id| {
                         covered.contains(id.index())
-                            && !state.pinned.contains(id.index())
-                            && state.remaining[id.index()] > 0
+                            && !rows.is_pinned(id)
+                            && rows.has_uses_left(id, covered)
                             && graph.node(id).dest_bank(target) == Some(bank)
                     })
                 };
@@ -917,7 +1122,7 @@ pub fn cover_with_stats(
                             !covered.contains(n.index())
                                 && graph.preds(n).any(|p| {
                                     covered.contains(p.index())
-                                        && state.remaining[p.index()] > 0
+                                        && rows.has_uses_left(p, covered)
                                         && graph.node(p).dest_bank(target) == Some(bank)
                                 })
                         })
@@ -961,8 +1166,8 @@ pub fn cover_with_stats(
                 }
                 // "New maximal cliques are then generated for all the
                 // remaining uncovered nodes."
-                pool = Pool::generate(graph, target, &state.covered, options, budget);
-                scratch.memo.reset(graph.len());
+                pool.generate(graph, target, &state.covered, options, budget, stats);
+                scratch.reset(&pool);
             }
         }
     }
@@ -1018,11 +1223,13 @@ fn lookahead_estimate(
     const STUCK_PENALTY: u32 = 1000;
     let Scratch {
         rollout,
-        group,
-        best,
+        mask,
+        counts,
         pressure,
         memo,
+        ..
     } = scratch;
+    let rows = &pool.rows;
     stats.rollouts += 1;
     rollout.covered.clone_from(covered);
     for &id in first {
@@ -1058,38 +1265,42 @@ fn lookahead_estimate(
                 return steps;
             }
             rollout.covered.set_words(memo.key(at));
-            rollout.recompute(graph, target);
-            if rollout.ready.is_empty() {
+            rollout.recompute(rows);
+            if !rollout.has_ready() {
                 // Only a malformed graph gets here (the selection loop
                 // reports it as wedged); like an exhausted rollout, this
                 // one records no estimates.
                 return steps;
             }
-            best.clear();
-            for ci in 0..pool.cliques.len() {
-                group.clear();
-                pool.ready_members(ci, rollout, group);
-                if group.len() > best.len()
-                    && rollout.pressure_after(graph, target, group, pressure)
-                {
-                    std::mem::swap(best, group);
-                }
-            }
-            if best.is_empty() {
+            // The first fitting clique among those with the most ready
+            // members, in pool order (see the module doc): test the
+            // cliques count by count, from the largest down.
+            pool.ready_counts(&rollout.ready, counts);
+            let top = counts.iter().copied().max().unwrap_or(0);
+            let mut found = (1..=top).rev().any(|count| {
+                (0..pool.len).filter(|&ci| counts[ci] == count).any(|ci| {
+                    mask.clear();
+                    mask.extend(pool.shrunk(ci, &rollout.ready));
+                    rollout.pressure_after(target, rows, mask, pressure)
+                })
+            });
+            if !found {
                 // Try any single feasible ready node before declaring the
                 // future stuck.
-                let single = rollout
-                    .ready_ids()
-                    .find(|&r| rollout.pressure_after(graph, target, &[r], pressure));
-                best.extend(single);
+                found = rollout.ready_ids().any(|r| {
+                    set_mask(mask, rows.width(), &[r]);
+                    rollout.pressure_after(target, rows, mask, pressure)
+                });
             }
-            if best.is_empty() {
+            #[cfg(test)]
+            oracle::check_choice(rollout, pool, found.then_some(&mask[..]));
+            if !found {
                 // Wedged: this branch would need another spill.
                 let value = STUCK_PENALTY + (total - e.count as usize) as u32;
                 memo.entries[at as usize].value = value;
                 break value;
             }
-            for &id in best.iter() {
+            for id in mask_ids(mask) {
                 rollout.covered.insert(id.index());
             }
             let succ = memo.entry(&rollout.covered);
@@ -1338,6 +1549,9 @@ pub fn cover_sequential_budgeted(
     budget: &Budget,
 ) -> Result<Schedule, CoverError> {
     let mut state = State::new(graph);
+    let mut rows = Rows::default();
+    rows.rebuild(graph, target);
+    let mut mask: Vec<u64> = Vec::new();
     let mut pressure: Vec<usize> = Vec::new();
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
@@ -1353,8 +1567,8 @@ pub fn cover_sequential_budgeted(
             break;
         }
         budget.charge(1).map_err(CoverError::Budget)?;
-        state.recompute(graph, target);
-        if state.ready.is_empty() {
+        state.recompute(&rows);
+        if !state.has_ready() {
             return Err(wedged(state.covered.count(), total_alive));
         }
         // Stores (and other non-defining nodes) first — they only relieve
@@ -1364,7 +1578,10 @@ pub fn cover_sequential_budgeted(
             .ready_ids()
             .filter(|&r| !defines(r))
             .chain(state.ready_ids().filter(|&r| defines(r)))
-            .find(|&r| state.pressure_after(graph, target, &[r], &mut pressure));
+            .find(|&r| {
+                set_mask(&mut mask, rows.width(), &[r]);
+                state.pressure_after(target, &rows, &mask, &mut pressure)
+            });
         match pick {
             Some(r) => {
                 let covered = &mut state.covered;
@@ -1384,6 +1601,7 @@ pub fn cover_sequential_budgeted(
                         .relieve_pressure(target, syms, r, covered)
                         .map_err(CoverError::Internal)?;
                     covered.grow(graph.len());
+                    rows.rebuild(graph, target);
                     no_eager.grow(graph.len());
                     for &nn in &outcome.new_nodes {
                         no_eager.insert(nn.index());
@@ -1423,8 +1641,8 @@ pub fn cover_sequential_budgeted(
                     .alive()
                     .filter(|&id| {
                         covered.contains(id.index())
-                            && !state.pinned.contains(id.index())
-                            && state.remaining[id.index()] > 0
+                            && !rows.is_pinned(id)
+                            && rows.has_uses_left(id, covered)
                             && graph.node(id).dest_bank(target) == Some(bank)
                     })
                     .max_by_key(|&id| {
@@ -1446,6 +1664,7 @@ pub fn cover_sequential_budgeted(
                     .relieve_pressure(target, syms, victim, &state.covered)
                     .map_err(CoverError::Internal)?;
                 state.covered.grow(graph.len());
+                rows.rebuild(graph, target);
                 no_eager.grow(graph.len());
                 for &nn in &outcome.new_nodes {
                     no_eager.insert(nn.index());
@@ -1465,15 +1684,23 @@ pub fn cover_sequential_budgeted(
     Ok(schedule)
 }
 
-/// Test-only cross-check of the rollout memo: while armed on a thread,
-/// every estimate the selection loop takes there is recomputed by a
-/// fresh rollout (empty memo, unlimited budget) and compared. Mismatches
+/// Test-only cross-checks, counted while armed on a thread. Mismatches
 /// are counted, not raised: the degradation ladder would catch a panic
 /// and quietly cover the block another way.
+///
+/// - The rollout memo: every estimate the selection loop takes is
+///   recomputed by a fresh rollout (empty memo, unlimited budget).
+/// - The masks: every recomputed state (its ready set and bank
+///   pressure), every [`State::pressure_after`] verdict and bank load,
+///   every anti-wedge policy verdict, and every rollout step's choice is
+///   compared with `Reference`, the graph-walking code the masks
+///   replaced. It walks the graph [`Rows::rebuild`] last built the masks
+///   from, which the rebuild snapshots while armed; a state whose
+///   covered set does not span that graph counts as a mismatch.
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
     /// What the armed checks saw.
     #[derive(Clone, Copy, Default)]
@@ -1484,16 +1711,241 @@ mod oracle {
         pub after_spill: u64,
         /// Estimates that differed from the fresh rollout's.
         pub mismatches: u64,
+        /// States, `pressure_after` and policy verdicts, and rollout
+        /// choices compared with the reference.
+        pub reference_checks: u64,
+        /// Of those, the ones that differed.
+        pub reference_mismatches: u64,
     }
 
     thread_local! {
-        /// Whether estimates on this thread are checked.
+        /// Whether checks on this thread run.
         pub static ARMED: Cell<bool> = const { Cell::new(false) };
+        /// The graph and target the masks were last built from.
+        static GRAPH: RefCell<Option<(CoverGraph, Target)>> = const { RefCell::new(None) };
         pub static TALLY: Cell<Tally> = const {
-            Cell::new(Tally { checked: 0, after_spill: 0, mismatches: 0 })
+            Cell::new(Tally {
+                checked: 0,
+                after_spill: 0,
+                mismatches: 0,
+                reference_checks: 0,
+                reference_mismatches: 0,
+            })
         };
     }
 
+    /// The covering state with every field walked from the graph: the
+    /// reference the mask-based `State` must equal.
+    struct Reference {
+        ready: BitSet,
+        /// Remaining uncovered consumers per node (values only).
+        remaining: Vec<usize>,
+        pressure: Vec<usize>,
+        pinned: BitSet,
+    }
+
+    impl Reference {
+        fn new(graph: &CoverGraph, target: &Target, covered: &BitSet) -> Reference {
+            let n = graph.len();
+            let mut pinned = BitSet::new(n);
+            for &(_, operand) in graph.live_out() {
+                if let Operand::Cn(c) = operand {
+                    pinned.insert(c.index());
+                }
+            }
+            let mut remaining = vec![0; n];
+            let mut ready = BitSet::new(n);
+            for id in graph.alive() {
+                remaining[id.index()] = graph
+                    .uses(id)
+                    .iter()
+                    .filter(|u| !covered.contains(u.index()))
+                    .count();
+                if !covered.contains(id.index())
+                    && graph.preds(id).all(|p| covered.contains(p.index()))
+                {
+                    ready.insert(id.index());
+                }
+            }
+            let mut pressure = vec![0; target.machine.banks().len()];
+            for id in graph.alive() {
+                if !covered.contains(id.index()) {
+                    continue;
+                }
+                if let Some(bank) = graph.node(id).dest_bank(target) {
+                    if remaining[id.index()] > 0 || pinned.contains(id.index()) {
+                        pressure[bank.index()] += 1;
+                    }
+                }
+            }
+            Reference {
+                ready,
+                remaining,
+                pressure,
+                pinned,
+            }
+        }
+
+        fn pressure_after(
+            &self,
+            graph: &CoverGraph,
+            target: &Target,
+            covered: &BitSet,
+            group: &[CnId],
+            p: &mut Vec<usize>,
+        ) -> bool {
+            p.clone_from(&self.pressure);
+            // Values dying: all remaining uses are inside `group`.
+            for id in graph.alive() {
+                if !covered.contains(id.index()) || self.pinned.contains(id.index()) {
+                    continue;
+                }
+                let rem = self.remaining[id.index()];
+                if rem == 0 {
+                    continue;
+                }
+                let uses_in_group = graph.uses(id).iter().filter(|u| group.contains(u)).count();
+                if uses_in_group >= rem {
+                    if let Some(bank) = graph.node(id).dest_bank(target) {
+                        p[bank.index()] -= 1;
+                    }
+                }
+            }
+            // New definitions.
+            for &g in group {
+                if let Some(bank) = graph.node(g).dest_bank(target) {
+                    p[bank.index()] += 1;
+                }
+            }
+            p.iter()
+                .zip(target.machine.banks())
+                .all(|(&load, bank)| load <= bank.size as usize)
+        }
+
+        /// The anti-wedge policy, walking the graph.
+        fn policy_ok(
+            &self,
+            graph: &CoverGraph,
+            target: &Target,
+            covered: &BitSet,
+            group: &[CnId],
+            p_after: &[usize],
+        ) -> bool {
+            let done = |id: CnId| covered.contains(id.index()) || group.contains(&id);
+            p_after.iter().enumerate().all(|(bi, &load)| {
+                load < target.machine.banks()[bi].size as usize
+                    || graph.alive().any(|id| {
+                        done(id)
+                            && graph.node(id).dest_bank(target) == Some(BankId(bi as u32))
+                            && (self.pinned.contains(id.index())
+                                || graph.uses(id).iter().any(|u| !done(*u)))
+                            && graph
+                                .uses(id)
+                                .iter()
+                                .any(|&u| !done(u) && graph.preds(u).all(done))
+                    })
+            })
+        }
+
+        /// A rollout step's group: the first clique in pool order with
+        /// the most ready members that fits, else the first fitting
+        /// single ready node.
+        fn rollout_choice(
+            &self,
+            graph: &CoverGraph,
+            target: &Target,
+            covered: &BitSet,
+            pool: &Pool,
+        ) -> Option<Vec<CnId>> {
+            let mut p = Vec::new();
+            let mut best: Vec<CnId> = Vec::new();
+            let everything = vec![u64::MAX; pool.rows.width()];
+            for ci in 0..pool.len {
+                let clique: Vec<u64> = pool.shrunk(ci, &everything).collect();
+                let group: Vec<CnId> = mask_ids(&clique)
+                    .filter(|id| self.ready.contains(id.index()))
+                    .collect();
+                if group.len() > best.len()
+                    && self.pressure_after(graph, target, covered, &group, &mut p)
+                {
+                    best = group;
+                }
+            }
+            if best.is_empty() {
+                let single = self
+                    .ready
+                    .iter()
+                    .map(|i| CnId(i as u32))
+                    .find(|&r| self.pressure_after(graph, target, covered, &[r], &mut p));
+                best.extend(single);
+            }
+            (!best.is_empty()).then_some(best)
+        }
+    }
+
+    fn tally_reference(agrees: bool) {
+        let mut tally = TALLY.get();
+        tally.reference_checks += 1;
+        tally.reference_mismatches += u64::from(!agrees);
+        TALLY.set(tally);
+    }
+
+    /// Keep a copy of the graph the masks are being built from.
+    pub(super) fn snapshot(graph: &CoverGraph, target: &Target) {
+        if ARMED.get() {
+            GRAPH.set(Some((graph.clone(), target.clone())));
+        }
+    }
+
+    /// Tally `agrees(graph, target, reference)` for `state`'s covered
+    /// set on the snapshot graph.
+    fn compare(state: &State, agrees: impl FnOnce(&CoverGraph, &Target, &Reference) -> bool) {
+        if !ARMED.get() {
+            return;
+        }
+        GRAPH.with_borrow(|snapshot| {
+            let (graph, target) = snapshot.as_ref().expect("masks built while armed");
+            let spans = state.covered.capacity() == graph.len();
+            let want = Reference::new(graph, target, &state.covered);
+            tally_reference(spans && agrees(graph, target, &want));
+        });
+    }
+
+    /// Check a recomputed state's ready set and bank pressure.
+    pub(super) fn check_state(state: &State) {
+        compare(state, |_, _, want| {
+            state.ready_ids().map(CnId::index).eq(want.ready.iter())
+                && state.pressure == want.pressure
+        });
+    }
+
+    /// Check one [`State::pressure_after`] verdict and its bank loads.
+    pub(super) fn check_pressure(state: &State, group: &[u64], fits: bool, load: &[usize]) {
+        compare(state, |graph, target, want| {
+            let group: Vec<CnId> = mask_ids(group).collect();
+            let mut p = Vec::new();
+            let want_fits = want.pressure_after(graph, target, &state.covered, &group, &mut p);
+            fits == want_fits && load == p
+        });
+    }
+
+    /// Check one anti-wedge policy verdict.
+    pub(super) fn check_policy(state: &State, group: &[u64], p_after: &[usize], ok: bool) {
+        compare(state, |graph, target, want| {
+            let group: Vec<CnId> = mask_ids(group).collect();
+            ok == want.policy_ok(graph, target, &state.covered, &group, p_after)
+        });
+    }
+
+    /// Check a rollout step's chosen group (`None` when it found none).
+    pub(super) fn check_choice(state: &State, pool: &Pool, chosen: Option<&[u64]>) {
+        compare(state, |graph, target, want| {
+            let got = chosen.map(|mask| mask_ids(mask).collect::<Vec<_>>());
+            got == want.rollout_choice(graph, target, &state.covered, pool)
+        });
+    }
+
+    /// Check one memoized estimate against a fresh rollout.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn check(
         graph: &CoverGraph,
@@ -1537,9 +1989,11 @@ mod tests {
     use aviv_ir::Op;
     use aviv_isdl::archs;
 
-    /// Every memoized estimate equals a fresh rollout's, on seeded random
-    /// blocks over the bundled machines — with and without the cutoff,
-    /// and after spills, which regenerate the pool and reset the memo.
+    /// Every memoized estimate equals a fresh rollout's, and every
+    /// mask-based state, pressure check and rollout choice equals the
+    /// graph-walking reference's, on seeded random blocks over the
+    /// bundled machines — with and without the cutoff, and after spills,
+    /// which rebuild the masks, regenerate the pool and reset the memo.
     #[test]
     fn memoized_estimates_equal_fresh_rollouts() {
         oracle::ARMED.set(true);
@@ -1602,6 +2056,15 @@ mod tests {
             tally.mismatches, 0,
             "{} of {} memoized estimates differ from a fresh rollout",
             tally.mismatches, tally.checked
+        );
+        assert_eq!(
+            tally.reference_mismatches, 0,
+            "{} of {} states, verdicts and rollout choices differ from the reference",
+            tally.reference_mismatches, tally.reference_checks
+        );
+        assert!(
+            tally.reference_checks > 0,
+            "nothing was checked against the reference"
         );
         assert!(
             tally.after_spill > 0,

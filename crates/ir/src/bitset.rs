@@ -137,11 +137,7 @@ impl BitSet {
 
     /// Iterate over set indices in ascending order.
     pub fn iter(&self) -> Iter<'_> {
-        Iter {
-            set: self,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
+        Iter::new(&self.words)
     }
 
     /// The backing words (low bit of word 0 is index 0). Two sets of the
@@ -220,9 +216,22 @@ impl PartialOrd for BitSet {
 
 /// Iterator over set bit indices; see [`BitSet::iter`].
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
+}
+
+impl<'a> Iter<'a> {
+    /// Iterate over the set bits of `words` in ascending order (low bit
+    /// of word 0 is index 0), e.g. a [`BitMatrix`] row or a mask kept
+    /// outside a [`BitSet`].
+    pub fn new(words: &'a [u64]) -> Self {
+        Iter {
+            words,
+            word_idx: 0,
+            current: words.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Iter<'_> {
@@ -236,10 +245,7 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * 64 + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
-                return None;
-            }
-            self.current = self.set.words[self.word_idx];
+            self.current = *self.words.get(self.word_idx)?;
         }
     }
 }
@@ -280,7 +286,7 @@ impl fmt::Debug for BitSet {
 /// block. One `Vec<u64>` with a fixed row stride keeps every row cache-
 /// adjacent and lets row-level operations (intersection, union, overlap
 /// tests) run word-at-a-time instead of bit-at-a-time.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct BitMatrix {
     words: Vec<u64>,
     /// Words per row.
@@ -299,6 +305,16 @@ impl BitMatrix {
             rows,
             cols,
         }
+    }
+
+    /// Make this an all-zero `rows` × `cols` matrix in place, reusing
+    /// the allocation.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.stride = cols.div_ceil(64);
+        self.rows = rows;
+        self.cols = cols;
+        self.words.clear();
+        self.words.resize(rows * self.stride, 0);
     }
 
     /// Number of rows.
@@ -334,6 +350,11 @@ impl BitMatrix {
     /// The words backing row `r` (low bit of word 0 is column 0).
     pub fn row_words(&self, r: usize) -> &[u64] {
         &self.words[r * self.stride..(r + 1) * self.stride]
+    }
+
+    /// The words backing rows `range`, row after row.
+    pub fn rows_words(&self, range: std::ops::Range<usize>) -> &[u64] {
+        &self.words[range.start * self.stride..range.end * self.stride]
     }
 
     /// True if row `r` shares any set column with `set`.
@@ -545,6 +566,20 @@ mod tests {
         assert!(!m.contains(1, 0) && !m.contains(0, 64));
         assert!(!m.contains(5, 0));
         assert_eq!(m.row_to_bitset(0).iter().collect::<Vec<_>>(), vec![0, 129]);
+    }
+
+    #[test]
+    fn iter_over_words_and_matrix_reset() {
+        let words = [0b101u64, 0, 1 << 63];
+        assert_eq!(Iter::new(&words).collect::<Vec<_>>(), vec![0, 2, 191]);
+        assert_eq!(Iter::new(&[]).count(), 0);
+        let mut m = BitMatrix::new(2, 10);
+        m.set(1, 9);
+        m.reset(3, 70);
+        assert_eq!((m.rows(), m.cols()), (3, 70));
+        m.set(2, 69);
+        m.set(1, 0);
+        assert_eq!(m.rows_words(1..3), &[1, 0, 0, 1 << 5]);
     }
 
     #[test]
