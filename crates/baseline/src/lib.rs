@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 use aviv::assign::Assignment;
-use aviv::cover::{verify_schedule, CoverError, Schedule};
+use aviv::cover::{spill_victim, verify_schedule, CoverError, Schedule};
 use aviv::covergraph::{CnId, CoverGraph, Operand};
 use aviv::peephole::group_legal;
 use aviv::regalloc::allocate;
@@ -268,27 +268,7 @@ fn list_schedule(
                 .max_by_key(|&b| (blocked[b], pressure[b]))
                 .map(|b| aviv_isdl::BankId(b as u32))
                 .expect("machine has banks");
-            // Belady eviction: the value needed farthest in the future
-            // (see the covering engine for rationale).
-            let victim = graph
-                .alive()
-                .filter(|&id| {
-                    covered.contains(id.index())
-                        && !pinned.contains(id.index())
-                        && remaining(id, &covered) > 0
-                        && graph.node(id).dest_bank(target) == Some(bank)
-                })
-                .max_by_key(|&id| {
-                    let depths: Vec<u32> = graph
-                        .uses(id)
-                        .iter()
-                        .filter(|u| !covered.contains(u.index()))
-                        .map(|&u| graph.level_bottom(u))
-                        .collect();
-                    let min_d = depths.iter().min().copied().unwrap_or(u32::MAX);
-                    let max_d = depths.iter().max().copied().unwrap_or(u32::MAX);
-                    (min_d, max_d, std::cmp::Reverse(id))
-                });
+            let victim = spill_victim(graph, target, &covered, bank, |_| false);
             let Some(victim) = victim else {
                 return Err(CoverError::RegisterPressure { bank });
             };
@@ -300,7 +280,6 @@ fn list_schedule(
                 slot,
                 victim,
                 spill: outcome.spill,
-                loads: Vec::new(),
                 nodes: outcome.new_nodes,
             });
             continue;

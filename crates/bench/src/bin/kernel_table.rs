@@ -1,9 +1,9 @@
 //! Compile the DSP kernel suite for several machines and report code
 //! sizes — the workload family the paper's introduction motivates.
 //!
-//! The search effort behind each cell (with and without the
-//! analysis-bounds cutoff, and under the heuristics-off preset) is
-//! pinned exactly by `tests/search_pin.rs` at the repository root.
+//! The search effort behind each cell (and, for dot4 and cmul, under
+//! the heuristics-off preset) is pinned exactly by `tests/search_pin.rs`
+//! at the repository root.
 
 use aviv::{CodeGenerator, CodegenOptions};
 use aviv_bench::all_kernels;

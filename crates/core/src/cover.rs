@@ -66,20 +66,22 @@
 //! exactly once, so `node_expansions` keeps counting work done; a set is
 //! just never computed twice under one pool. Rollouts stopped by the
 //! incumbent cutoff or by budget exhaustion write no estimates, but
-//! their successor links stay. With a cutoff, every estimate is capped
-//! at it, so a known estimate gives the same answer as walking on until
-//! the cutoff fires: each estimate equals the one a fresh rollout would
-//! give. The memo is reset whenever the pool is regenerated (at the
-//! start and after each spill, since the graph grows).
+//! their successor links stay. The memo is reset whenever the pool is
+//! regenerated (at the start and after each spill, since the graph
+//! grows).
 //!
-//! Why the cutoff can only lower the charge: it never changes a
-//! decision, so the selection steps, and therefore the rollouts started,
-//! are the same with the cutoff on and off, and a cut rollout follows a
-//! prefix of the path the uncut one takes. So the sets charged with the
-//! cutoff on are a subset of those charged with it off, and with each
-//! set charged at most once per pool, charges on ≤ charges off. A memo
-//! that kept only finished estimates would break this: a cut rollout
-//! would leave nothing behind and pay again for the same steps later.
+//! Incumbent cutoff: the selection loop asks only whether a tied
+//! candidate's estimate strictly beats the best one so far, so every
+//! rollout after the first is capped at that incumbent and abandoned as
+//! soon as a lower bound shows it cannot beat it. Each estimate is then
+//! `min(uncut, incumbent)`, where `uncut` is what a fresh rollout with
+//! no cutoff and an empty memo gives; the test-only oracle checks this
+//! for every estimate taken. That equality is why the cap cannot change
+//! a decision. A cut rollout follows a prefix of the path the uncut one
+//! would take and links every step it computed, so the cutoff only
+//! skips charges. A memo that kept only finished estimates would lose
+//! that: a cut rollout would leave nothing behind and pay again for the
+//! same steps later.
 
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
@@ -101,9 +103,6 @@ pub struct SpillRecord {
     pub victim: CnId,
     /// The spill-store node (`None` for rematerialized loads).
     pub spill: Option<CnId>,
-    /// Reload chain tails per destination bank (informational; the
-    /// peephole pass re-derives tails from the graph).
-    pub loads: Vec<(BankId, CnId)>,
     /// Every node created for this spill (stores, moves, loads).
     pub nodes: Vec<CnId>,
 }
@@ -286,10 +285,6 @@ impl Rows {
 
     fn consumers(&self, id: CnId) -> &[u64] {
         self.row(self.node_row(id) + 1)
-    }
-
-    fn is_pinned(&self, id: CnId) -> bool {
-        self.matrix.contains(Rows::PINNED, id.index())
     }
 
     /// Whether `id` has a consumer outside `covered`.
@@ -698,9 +693,8 @@ pub struct SearchStats {
     /// Rollout steps answered by the memo instead: a known successor
     /// followed, or a known estimate to the end taken.
     pub memo_hits: u64,
-    /// Rollouts whose estimate the incumbent bound settled
-    /// ([`CodegenOptions::analysis_bounds`]): stopped early, or capped at
-    /// the bound.
+    /// Rollouts whose estimate the incumbent cutoff settled (see the
+    /// module doc): stopped early, or capped at the incumbent.
     pub rollouts_cut: u64,
     /// Budget units clique generation spent: the recursion steps of
     /// every pool generated (at the start and after each spill).
@@ -913,11 +907,10 @@ pub fn cover_with_stats(
             let mut best_gi = tied.next().expect("the largest group ties with itself");
             if options.lookahead && tied.peek().is_some() {
                 // Evaluate candidates in order, keeping the incumbent.
-                // With `analysis_bounds`, later rollouts abort as soon
-                // as an admissible lower bound proves they cannot
-                // strictly beat the incumbent — ties keep the earlier
+                // Later rollouts abort as soon as a lower bound proves
+                // they cannot strictly beat it; ties keep the earlier
                 // group, exactly as the plain (estimate, index) minimum
-                // would, so the winner is identical either way.
+                // would.
                 let mut estimate = |gi: usize, cutoff: Option<usize>| {
                     let est = lookahead_estimate(
                         graph,
@@ -945,7 +938,7 @@ pub fn cover_with_stats(
                 };
                 let mut best_est = estimate(best_gi, None);
                 for gi in tied {
-                    let est = estimate(gi, options.analysis_bounds.then_some(best_est));
+                    let est = estimate(gi, Some(best_est));
                     if est < best_est {
                         best_est = est;
                         best_gi = gi;
@@ -1048,55 +1041,12 @@ pub fn cover_with_stats(
                         .map(|(i, _)| i as u32)
                         .expect("machine has banks"),
                 );
-                // Victim: a live, unpinned value in that bank. Belady's
-                // rule — evict the value whose next use is farthest away
-                // (proxied by the dependence depth of its earliest
-                // uncovered consumer) — with the paper's reload count
-                // ("the number of parent nodes that would later require
-                // the spilled value") as the tie-break. Evicting the
-                // farthest-needed value is what lets the blocked
-                // dependence chain advance and makes the spill loop
-                // converge.
-                // Belady keys: primary — whose *next* use is farthest;
-                // tie — whose *last* use is farthest (evicting the value
-                // with the most distant outstanding work frees the
-                // register for the longest stretch; the freshly staged
-                // operand of the very next op always loses this
-                // comparison).
-                let covered = &state.covered;
-                let rows = &pool.rows;
-                let use_depths = |id: CnId| {
-                    let depths = || {
-                        graph
-                            .uses(id)
-                            .iter()
-                            .filter(|u| !covered.contains(u.index()))
-                            .map(|&u| graph.level_bottom(u))
-                    };
-                    (
-                        depths().min().unwrap_or(u32::MAX),
-                        depths().max().unwrap_or(u32::MAX),
-                    )
-                };
                 // Values consumed inside the focus closure are protected:
                 // evicting the operands of the very node we are trying to
                 // unblock would spin forever.
-                let is_protected = |id: CnId| {
+                let victim = spill_victim(graph, target, &state.covered, bank, |id| {
                     focused && graph.uses(id).iter().any(|u| closure.contains(u.index()))
-                };
-                let evictable = || {
-                    graph.alive().filter(|&id| {
-                        covered.contains(id.index())
-                            && !rows.is_pinned(id)
-                            && rows.has_uses_left(id, covered)
-                            && graph.node(id).dest_bank(target) == Some(bank)
-                    })
-                };
-                let key = |id: CnId| (use_depths(id), std::cmp::Reverse(id));
-                let victim = evictable()
-                    .filter(|&id| !is_protected(id))
-                    .max_by_key(|&id| key(id))
-                    .or_else(|| evictable().max_by_key(|&id| key(id)));
+                });
                 let Some(victim) = victim else {
                     // Nothing evictable. If some group was feasible under
                     // the raw pressure bound (the anti-wedge policy vetoed
@@ -1116,6 +1066,8 @@ pub fn cover_with_stats(
                     // relieve the blocked bank: an uncovered consumer of a
                     // currently-live value there, as nearly ready as
                     // possible.
+                    let covered = &state.covered;
+                    let rows = &pool.rows;
                     focus = graph
                         .alive()
                         .filter(|&n| {
@@ -1142,28 +1094,8 @@ pub fn cover_with_stats(
                     slot,
                     victim,
                     spill: outcome.spill,
-                    loads: Vec::new(), // filled below from the outcome
-                    nodes: outcome.new_nodes.clone(),
+                    nodes: outcome.new_nodes,
                 });
-                // Reload tails: chain ends among the new nodes that some
-                // outside node consumes — recorded for reporting (the
-                // peephole pass re-derives them from the graph).
-                if let Some(rec) = spills.last_mut() {
-                    for &nn in &outcome.new_nodes {
-                        if Some(nn) == outcome.spill {
-                            continue;
-                        }
-                        if let Some(b) = graph.node(nn).dest_bank(target) {
-                            if graph
-                                .uses(nn)
-                                .iter()
-                                .any(|u| !outcome.new_nodes.contains(u))
-                            {
-                                rec.loads.push((b, nn));
-                            }
-                        }
-                    }
-                }
                 // "New maximal cliques are then generated for all the
                 // remaining uncovered nodes."
                 pool.generate(graph, target, &state.covered, options, budget, stats);
@@ -1188,6 +1120,55 @@ fn wedged(covered: usize, total: usize) -> CoverError {
     ))
 }
 
+/// The value to spill from `bank` when nothing ready fits: a covered,
+/// alive value defining into `bank` that is not a block live-out and
+/// still has an uncovered consumer. Belady's rule picks among them: the
+/// value whose *next* use is farthest away (proxied by the dependence
+/// depth of its nearest uncovered consumer), then the one whose *last*
+/// use is farthest, then the lowest id. Evicting the farthest-needed
+/// value is what lets the blocked dependence chain advance and makes the
+/// spill loop converge; the freshly staged operand of the very next op
+/// always loses the comparison. Values for which `protected` holds are
+/// evicted only when nothing else is evictable. Every covering rung and
+/// the sequential baseline choose their victims here.
+pub fn spill_victim(
+    graph: &CoverGraph,
+    target: &Target,
+    covered: &BitSet,
+    bank: BankId,
+    protected: impl Fn(CnId) -> bool,
+) -> Option<CnId> {
+    let evictable = || {
+        graph.alive().filter(|&id| {
+            covered.contains(id.index())
+                && !graph
+                    .live_out()
+                    .iter()
+                    .any(|&(_, op)| op == Operand::Cn(id))
+                && graph.uses(id).iter().any(|u| !covered.contains(u.index()))
+                && graph.node(id).dest_bank(target) == Some(bank)
+        })
+    };
+    let key = |id: CnId| {
+        let depths = || {
+            graph
+                .uses(id)
+                .iter()
+                .filter(|u| !covered.contains(u.index()))
+                .map(|&u| graph.level_bottom(u))
+        };
+        (
+            depths().min().unwrap_or(u32::MAX),
+            depths().max().unwrap_or(u32::MAX),
+            std::cmp::Reverse(id),
+        )
+    };
+    evictable()
+        .filter(|&id| !protected(id))
+        .max_by_key(|&id| key(id))
+        .or_else(|| evictable().max_by_key(|&id| key(id)))
+}
+
 /// Greedy completion estimate used as the §IV-D lookahead: pretend we
 /// schedule `first`, then finish with plain max-cover selection under the
 /// register bound and count the steps. Futures that wedge on pressure get
@@ -1196,18 +1177,18 @@ fn wedged(covered: usize, total: usize) -> CoverError {
 /// and computes only the steps its memo does not already know (see the
 /// module doc); the estimate is the one an empty memo would give.
 ///
-/// When `cutoff` is set (the incumbent tie-break estimate, under
-/// `CodegenOptions::analysis_bounds`), the estimate is capped at it.
-/// The rollout aborts — returning the incumbent value — as soon as
-/// `steps` plus an admissible lower bound on the remaining steps
-/// reaches it: every later iteration adds one step and covers at most
-/// the largest clique in `pool`, so the eventual estimate could not have
-/// been strictly smaller (the wedge penalty only inflates it further).
-/// An estimate that reaches the cutoff without that abort — a wedged
-/// future, or one whose rest the memo supplied — is capped too. The
-/// caller only asks whether a candidate strictly beats the incumbent,
-/// so the cap never changes which group wins; the abort only skips
-/// budget charges the comparison no longer needs.
+/// When `cutoff` is set (the incumbent tie-break estimate), the
+/// estimate is capped at it: the result is `min(uncut, cutoff)`. The
+/// rollout aborts — returning the incumbent value — as soon as `steps`
+/// plus a lower bound on the remaining steps reaches it: every later
+/// iteration adds one step and covers at most the largest clique in
+/// `pool`, so the eventual estimate could not have been strictly smaller
+/// (the wedge penalty only inflates it further). An estimate that
+/// reaches the cutoff without that abort — a wedged future, or one whose
+/// rest the memo supplied — is capped too. The caller only asks whether
+/// a candidate strictly beats the incumbent, so the cap never changes
+/// which group wins; the abort only skips budget charges the comparison
+/// no longer needs.
 #[allow(clippy::too_many_arguments)]
 fn lookahead_estimate(
     graph: &CoverGraph,
@@ -1610,14 +1591,13 @@ pub fn cover_sequential_budgeted(
                         slot,
                         victim: r,
                         spill: outcome.spill,
-                        loads: Vec::new(),
                         nodes: outcome.new_nodes,
                     });
                 }
             }
             None => {
                 // Staging conflict: evict the live value whose next use is
-                // farthest (never pinned ones).
+                // farthest (see `spill_victim`).
                 if spills.len() >= spill_limit {
                     return Err(CoverError::SpillLimit);
                 }
@@ -1636,27 +1616,7 @@ pub fn cover_sequential_budgeted(
                         .max_by_key(|&b| (blocked[b], state.pressure[b]))
                         .expect("machine has banks") as u32,
                 );
-                let covered = &state.covered;
-                let victim = graph
-                    .alive()
-                    .filter(|&id| {
-                        covered.contains(id.index())
-                            && !rows.is_pinned(id)
-                            && rows.has_uses_left(id, covered)
-                            && graph.node(id).dest_bank(target) == Some(bank)
-                    })
-                    .max_by_key(|&id| {
-                        let depths = || {
-                            graph
-                                .uses(id)
-                                .iter()
-                                .filter(|u| !covered.contains(u.index()))
-                                .map(|&u| graph.level_bottom(u))
-                        };
-                        let min_d = depths().min().unwrap_or(u32::MAX);
-                        let max_d = depths().max().unwrap_or(u32::MAX);
-                        (min_d, max_d, std::cmp::Reverse(id))
-                    });
+                let victim = spill_victim(graph, target, &state.covered, bank, |_| false);
                 let Some(victim) = victim else {
                     return Err(CoverError::RegisterPressure { bank });
                 };
@@ -1673,7 +1633,6 @@ pub fn cover_sequential_budgeted(
                     slot,
                     victim,
                     spill: outcome.spill,
-                    loads: Vec::new(),
                     nodes: outcome.new_nodes,
                 });
             }
@@ -1688,8 +1647,10 @@ pub fn cover_sequential_budgeted(
 /// are counted, not raised: the degradation ladder would catch a panic
 /// and quietly cover the block another way.
 ///
-/// - The rollout memo: every estimate the selection loop takes is
-///   recomputed by a fresh rollout (empty memo, unlimited budget).
+/// - The rollout memo and the incumbent cutoff: every estimate the
+///   selection loop takes must equal `min(uncut, cutoff)`, where `uncut`
+///   is recomputed by a fresh rollout with no cutoff (empty memo,
+///   unlimited budget).
 /// - The masks: every recomputed state (its ready set and bank
 ///   pressure), every [`State::pressure_after`] verdict and bank load,
 ///   every anti-wedge policy verdict, and every rollout step's choice is
@@ -1709,7 +1670,8 @@ mod oracle {
         pub checked: u64,
         /// Of those, estimates taken after a spill.
         pub after_spill: u64,
-        /// Estimates that differed from the fresh rollout's.
+        /// Estimates that differed from the fresh uncut rollout's,
+        /// capped at the cutoff.
         pub mismatches: u64,
         /// States, `pressure_after` and policy verdicts, and rollout
         /// choices compared with the reference.
@@ -1945,7 +1907,8 @@ mod oracle {
         });
     }
 
-    /// Check one memoized estimate against a fresh rollout.
+    /// Check one memoized, possibly cut estimate against a fresh uncut
+    /// rollout capped at `cutoff`.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn check(
         graph: &CoverGraph,
@@ -1962,17 +1925,18 @@ mod oracle {
         }
         let mut fresh = Scratch::default();
         fresh.memo.reset(graph.len());
-        let want = lookahead_estimate(
+        let uncut = lookahead_estimate(
             graph,
             target,
             covered,
             pool,
             first,
             &Budget::unlimited(),
-            cutoff,
+            None,
             &mut fresh,
             &mut SearchStats::default(),
         );
+        let want = cutoff.map_or(uncut, |best| uncut.min(best));
         let mut tally = TALLY.get();
         tally.checked += 1;
         tally.after_spill += u64::from(after_spill);
@@ -1989,11 +1953,11 @@ mod tests {
     use aviv_ir::Op;
     use aviv_isdl::archs;
 
-    /// Every memoized estimate equals a fresh rollout's, and every
-    /// mask-based state, pressure check and rollout choice equals the
-    /// graph-walking reference's, on seeded random blocks over the
-    /// bundled machines — with and without the cutoff, and after spills,
-    /// which rebuild the masks, regenerate the pool and reset the memo.
+    /// Every memoized estimate equals a fresh uncut rollout's capped at
+    /// the incumbent cutoff, and every mask-based state, pressure check
+    /// and rollout choice equals the graph-walking reference's, on seeded
+    /// random blocks over the bundled machines — also after spills, which
+    /// rebuild the masks, regenerate the pool and reset the memo.
     #[test]
     fn memoized_estimates_equal_fresh_rollouts() {
         oracle::ARMED.set(true);
@@ -2025,36 +1989,31 @@ mod tests {
                 ops: vec![Op::Add, Op::Sub, Op::Mul],
                 ..RandDagConfig::default()
             };
-            for bounds in [true, false] {
-                let generator = CodeGenerator::new(machine.clone()).options(
-                    CodegenOptions::heuristics_on()
-                        .with_analysis_bounds(bounds)
-                        .with_jobs(1),
+            let generator = CodeGenerator::new(machine.clone())
+                .options(CodegenOptions::heuristics_on().with_jobs(1));
+            for seed in seeds {
+                let f = random_function(&cfg, 1, seed);
+                let (_, report) = generator
+                    .compile_function(&f)
+                    .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", machine.name));
+                // A panic inside covering would be caught by the ladder
+                // and hidden behind a lower rung.
+                assert!(
+                    report.downgrades.is_empty(),
+                    "{} seed {seed}: {:?}",
+                    machine.name,
+                    report.downgrades
                 );
-                for seed in seeds.clone() {
-                    let f = random_function(&cfg, 1, seed);
-                    let (_, report) = generator
-                        .compile_function(&f)
-                        .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", machine.name));
-                    // A panic inside covering would be caught by the
-                    // ladder and hidden behind a lower rung.
-                    assert!(
-                        report.downgrades.is_empty(),
-                        "{} seed {seed}: {:?}",
-                        machine.name,
-                        report.downgrades
-                    );
-                    for b in &report.blocks {
-                        search.memo_hits += b.search.memo_hits;
-                        search.rollouts_cut += b.search.rollouts_cut;
-                    }
+                for b in &report.blocks {
+                    search.memo_hits += b.search.memo_hits;
+                    search.rollouts_cut += b.search.rollouts_cut;
                 }
             }
         }
         let tally = oracle::TALLY.get();
         assert_eq!(
             tally.mismatches, 0,
-            "{} of {} memoized estimates differ from a fresh rollout",
+            "{} of {} estimates differ from min(fresh uncut rollout, cutoff)",
             tally.mismatches, tally.checked
         );
         assert_eq!(

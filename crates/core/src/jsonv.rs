@@ -331,23 +331,7 @@ impl Parser<'_> {
 /// Escape a string for embedding in a JSON document (quotes not
 /// included). Inverse of the parser's unescaping for the repo's output
 /// alphabet.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use aviv_verify::diag::json_escape as escape;
 
 #[cfg(test)]
 mod tests {

@@ -3,7 +3,9 @@
 //! "AVIV incorporates multiple heuristics that can be turned off if
 //! desired" (paper §VI) — the parenthesized columns of Table I come from
 //! running with every heuristic disabled. Each heuristic is a first-class
-//! toggle here so the ablation benchmarks can flip them independently.
+//! toggle here: the `table1` and `table2` benches compare the all-on and
+//! all-off presets, and `table_pressure` flips
+//! [`CodegenOptions::pressure_aware_assignment`] alone.
 
 use crate::budget::CancelToken;
 use crate::faults::FaultConfig;
@@ -44,7 +46,7 @@ pub struct CodegenOptions {
     /// unit assignment cost function to incorporate register resource
     /// limits so that it can detect assignments that are likely to
     /// require spills"). Off by default to match the published
-    /// algorithm; the ablation bench measures its effect.
+    /// algorithm; the `table_pressure` bench measures its effect.
     pub pressure_aware_assignment: bool,
     /// Worker threads for per-block covering in `compile_function`: `1`
     /// (the default) plans blocks in the calling thread; `0` uses one
@@ -84,15 +86,6 @@ pub struct CodegenOptions {
     /// nondeterministic; prefer [`CodegenOptions::fuel`] when
     /// reproducibility matters. `None` disables the deadline.
     pub deadline_ms: Option<u64>,
-    /// Use the admissible per-block lower bounds from
-    /// `aviv_verify::analyze` to cut dominated partial covers inside the
-    /// lookahead simulation: once a candidate provably cannot beat the
-    /// best tie-break estimate seen so far, its rollout is abandoned.
-    /// Prunes only futures that cannot win, so emitted code is
-    /// byte-identical with the flag on or off — only the node-expansion
-    /// count ([`crate::BlockReport::node_expansions`]) drops. On by
-    /// default.
-    pub analysis_bounds: bool,
     /// Deterministic fault injection at stage boundaries (see
     /// [`crate::faults`]). `None` (the default) injects nothing; tests
     /// and the CI fuzz-smoke job set a seeded config to exercise the
@@ -122,7 +115,6 @@ impl CodegenOptions {
             clique_level_window: Some(2),
             lookahead: true,
             peephole: true,
-            analysis_bounds: true,
             pressure_aware_assignment: false,
             jobs: 1,
             verify: cfg!(debug_assertions),
@@ -149,7 +141,6 @@ impl CodegenOptions {
             clique_level_window: Some(2),
             lookahead: true,
             peephole: true,
-            analysis_bounds: true,
             pressure_aware_assignment: false,
             jobs: 1,
             verify: cfg!(debug_assertions),
@@ -175,7 +166,6 @@ impl CodegenOptions {
             clique_level_window: None,
             lookahead: true,
             peephole: true,
-            analysis_bounds: true,
             pressure_aware_assignment: false,
             jobs: 1,
             verify: cfg!(debug_assertions),
@@ -223,13 +213,6 @@ impl CodegenOptions {
         self
     }
 
-    /// Enable or disable lower-bound pruning in covering tie-breaks
-    /// (see [`CodegenOptions::analysis_bounds`]).
-    pub fn with_analysis_bounds(mut self, analysis_bounds: bool) -> Self {
-        self.analysis_bounds = analysis_bounds;
-        self
-    }
-
     /// Set the fault-injection configuration (see
     /// [`CodegenOptions::faults`]).
     pub fn with_faults(mut self, faults: Option<FaultConfig>) -> Self {
@@ -266,10 +249,6 @@ impl CodegenOptions {
     /// * [`cancel`](CodegenOptions::cancel) — like budgets, cancellation
     ///   only decides whether a compile finishes; it never changes what a
     ///   complete plan contains.
-    /// * [`analysis_bounds`](CodegenOptions::analysis_bounds) — the
-    ///   bound cutoff prunes only candidate rollouts that provably
-    ///   cannot change the covering decision, so complete plans are
-    ///   byte-identical with it on or off.
     ///
     /// Everything else — the §IV/§VI heuristic knobs and the invariant
     /// verifier — is hashed.
@@ -328,7 +307,6 @@ mod tests {
             base.clone().with_fuel(Some(10)),
             base.clone().with_deadline_ms(Some(5)),
             base.clone().with_exact_liveness(false),
-            base.clone().with_analysis_bounds(false),
             base.clone().with_cancel(Some(CancelToken::new())),
         ] {
             assert_eq!(fp, tweaked.planning_fingerprint());

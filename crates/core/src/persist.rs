@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 8] = *b"AVIVPLNC";
 
 /// Snapshot format version; bump on any codec change so stale files are
 /// quarantined instead of misread.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
@@ -221,11 +221,6 @@ fn put_plan(e: &mut Enc, plan: &BlockPlan) {
                 e.put_u32(c.0);
             }
             None => e.put_u8(0),
-        }
-        e.put_u32(s.loads.len() as u32);
-        for (bank, c) in &s.loads {
-            e.put_u32(bank.0);
-            e.put_u32(c.0);
         }
         put_cn_list(e, &s.nodes);
     }
@@ -463,18 +458,11 @@ fn get_plan(d: &mut Dec<'_>) -> Result<BlockPlan, WireError> {
                 })
             }
         };
-        let n_loads = d.get_len("spill load count")?;
-        let mut loads = Vec::with_capacity(n_loads.min(1024));
-        for _ in 0..n_loads {
-            let bank = BankId(d.get_u32("spill load bank")?);
-            loads.push((bank, get_cn(d, n_nodes, "spill load node")?));
-        }
         let nodes = get_cn_list(d, n_nodes, "spill nodes")?;
         spills.push(SpillRecord {
             slot,
             victim,
             spill,
-            loads,
             nodes,
         });
     }

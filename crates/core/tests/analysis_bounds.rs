@@ -1,16 +1,11 @@
-//! Acceptance tests for the analysis-bounds pruning and the
-//! machine×program feasibility analyzer.
-//!
-//! The pruning contract: with `CodegenOptions::analysis_bounds` on (the
-//! default) emitted code is byte-identical to a run with it off — the
-//! cutoff only abandons lookahead rollouts that provably cannot change
-//! the covering decision — while the charged node expansions never
-//! increase, and strictly decrease somewhere on the corpus.
+//! Acceptance tests for the machine×program feasibility analyzer and
+//! its admissible per-block bounds.
 //!
 //! The analyzer contract: a "feasible" verdict matches actual
 //! `compile_function` success and an M-error verdict matches failure,
 //! for every bundled machine × corpus program and for random DAGs, at
-//! every worker count.
+//! every worker count. The bounds contract: every block's instruction
+//! and pressure lower bounds are at or below what covering achieved.
 
 use aviv::verify::analyze_program;
 use aviv::{CodeGenerator, CodegenOptions};
@@ -43,50 +38,26 @@ fn corpus() -> Vec<(&'static str, Function)> {
         .collect()
 }
 
-fn total_expansions(report: &aviv::CompileReport) -> u64 {
-    report.blocks.iter().map(|b| b.node_expansions).sum()
-}
-
-/// Byte-identity pin + bound admissibility + analyzer soundness over
-/// every bundled machine × corpus program, and budget monotonicity with
-/// at least one strict win.
+/// Analyzer soundness and bound admissibility over every bundled
+/// machine × corpus program.
 #[test]
-fn corpus_output_is_byte_identical_and_bounds_admissible() {
-    let mut strict_win = false;
+fn corpus_verdicts_match_and_bounds_are_admissible() {
     for machine in machines() {
         let target = Target::new(machine.clone());
         for (prog, f) in corpus() {
             let pair = format!("{} x {}", machine.name, prog);
             let analysis = analyze_program(&f, &target);
-
-            let on = CodeGenerator::new(machine.clone())
+            let outcome = CodeGenerator::new(machine.clone())
                 .options(CodegenOptions::heuristics_on())
                 .compile_function(&f);
-            let off = CodeGenerator::new(machine.clone())
-                .options(CodegenOptions::heuristics_on().with_analysis_bounds(false))
-                .compile_function(&f);
-
-            match (on, off) {
-                (Ok((prog_on, rep_on)), Ok((prog_off, rep_off))) => {
+            match outcome {
+                Ok((_, report)) => {
                     assert!(
                         analysis.feasible(),
                         "{pair}: compiles but analyze flags an M-error: {:?}",
                         analysis.diagnostics
                     );
-                    assert_eq!(
-                        prog_on.render(&target),
-                        prog_off.render(&target),
-                        "{pair}: analysis_bounds changed the emitted code"
-                    );
-                    let (e_on, e_off) = (total_expansions(&rep_on), total_expansions(&rep_off));
-                    assert!(
-                        e_on <= e_off,
-                        "{pair}: pruning increased expansions ({e_on} > {e_off})"
-                    );
-                    if e_on < e_off {
-                        strict_win = true;
-                    }
-                    for (bi, b) in rep_on.blocks.iter().enumerate() {
+                    for (bi, b) in report.blocks.iter().enumerate() {
                         assert!(
                             b.min_instructions_bound <= b.instructions,
                             "{pair} bb{bi}: instruction bound {} exceeds achieved {}",
@@ -101,59 +72,13 @@ fn corpus_output_is_byte_identical_and_bounds_admissible() {
                         );
                     }
                 }
-                (Err(_), Err(_)) => {
-                    assert!(
-                        !analysis.feasible(),
-                        "{pair}: fails to compile but analyze reports feasible"
-                    );
-                }
-                (on, off) => panic!(
-                    "{pair}: analysis_bounds changed compile success: on={} off={}",
-                    on.is_ok(),
-                    off.is_ok()
+                Err(_) => assert!(
+                    !analysis.feasible(),
+                    "{pair}: fails to compile but analyze reports feasible"
                 ),
             }
         }
     }
-    assert!(
-        strict_win,
-        "pruning never strictly reduced node expansions on the corpus"
-    );
-}
-
-/// The exhaustive preset explores the most tied covering decisions, so
-/// the cutoff must show a strict node-expansion win there too (this is
-/// the configuration of the search pin's `+off` rows).
-#[test]
-fn exhaustive_mode_prunes_strictly_on_dot4() {
-    let f = parse_function(include_str!("../../../assets/dot4.av")).unwrap();
-    let mut strict_win = false;
-    for machine in [archs::example_arch(4), archs::dsp_arch(4)] {
-        let target = Target::new(machine.clone());
-        let (prog_on, rep_on) = CodeGenerator::new(machine.clone())
-            .options(CodegenOptions::heuristics_off())
-            .compile_function(&f)
-            .expect("exhaustive compile succeeds");
-        let (prog_off, rep_off) = CodeGenerator::new(machine.clone())
-            .options(CodegenOptions::heuristics_off().with_analysis_bounds(false))
-            .compile_function(&f)
-            .expect("exhaustive compile succeeds");
-        assert_eq!(
-            prog_on.render(&target),
-            prog_off.render(&target),
-            "{}: analysis_bounds changed exhaustive-mode code",
-            machine.name
-        );
-        let (e_on, e_off) = (total_expansions(&rep_on), total_expansions(&rep_off));
-        assert!(e_on <= e_off, "{}: {e_on} > {e_off}", machine.name);
-        if e_on < e_off {
-            strict_win = true;
-        }
-    }
-    assert!(
-        strict_win,
-        "exhaustive-mode pruning never strictly reduced expansions"
-    );
 }
 
 fn soundness_cfg(n_ops: usize, with_div: bool) -> RandDagConfig {

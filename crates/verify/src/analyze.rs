@@ -14,10 +14,11 @@
 //!
 //! Alongside the feasibility verdict, [`block_bounds`] computes two
 //! *admissible* per-block lower bounds — a minimum instruction count
-//! and a minimum register-pressure — that the covering engine uses to
-//! prune dominated partial covers (see `CodegenOptions::analysis_bounds`
-//! in `aviv-core`) and that `CompileReport` surfaces next to the
-//! achieved numbers so optimality gaps are visible per block.
+//! and a minimum register-pressure — that `CompileReport` surfaces next
+//! to the achieved numbers so optimality gaps are visible per block.
+//! They are reported only: the covering engine's lookahead cutoff uses
+//! its own bound (remaining nodes over the largest clique in the pool),
+//! not these.
 //!
 //! The analysis mirrors the default compilation pipeline: dead code is
 //! eliminated exactly as `compile_function` does (every named variable

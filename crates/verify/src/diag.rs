@@ -373,8 +373,10 @@ pub fn render_report(diags: &[Diagnostic], format: Format) -> String {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON string literal (quotes not
+/// included). The workspace's one JSON string escaper: `aviv::jsonv`
+/// re-exports it as `escape`, and its parser inverts it.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -80,17 +80,13 @@ fn pairs(mut push: impl FnMut(String, &Machine, &Function, CodegenOptions)) {
     ];
     // The kernel table: every DSP kernel on every kernel-table machine
     // that implements it.
-    let mut kernel_table = Vec::new();
     for machine in &machines {
         for k in all_kernels() {
             let f = k.function();
             if implements(&f, machine) {
-                kernel_table.push((k.name, machine, f));
+                push(format!("{}@{}", k.name, machine.name), machine, &f, on());
             }
         }
-    }
-    for (k, machine, f) in &kernel_table {
-        push(format!("{k}@{}", machine.name), machine, f, on());
     }
     // The bundled programs on the bundled machines.
     for m in ["archII", "dsp_mac", "fig3"] {
@@ -103,25 +99,12 @@ fn pairs(mut push: impl FnMut(String, &Machine, &Function, CodegenOptions)) {
         }
     }
     // Exhaustive assignment enumeration with lookahead on every
-    // assignment (`+off`), with and without the analysis-bounds cutoff:
-    // the largest searches in the table.
+    // assignment (`+off`): the largest searches in the table.
     for machine in &machines {
         for k in [DOT4, CMUL] {
-            let f = k.function();
-            let name = format!("{}@{}", k.name, machine.name);
-            push(format!("{name}+off"), machine, &f, off());
-            push(
-                format!("{name}+off-nobounds"),
-                machine,
-                &f,
-                off().with_analysis_bounds(false),
-            );
+            let name = format!("{}@{}+off", k.name, machine.name);
+            push(name, machine, &k.function(), off());
         }
-    }
-    // The kernel table again with the analysis-bounds cutoff disabled.
-    for (k, machine, f) in &kernel_table {
-        let name = format!("{k}+nobounds@{}", machine.name);
-        push(name, machine, f, on().with_analysis_bounds(false));
     }
     // The scaling sweep's compiles: seeded random blocks on Example,
     // covered whole as `scaling_sweep`'s `compile_block` covers them (a
