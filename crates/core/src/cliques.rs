@@ -4,10 +4,12 @@
 //! into groups of nodes that can be executed in parallel on the target
 //! processor. Each grouping corresponds to a VLIW instruction." Two nodes
 //! can execute in parallel when they occupy different resources and no
-//! directed dependency path connects them (Fig. 7's pairwise matrix);
-//! [`gen_max_cliques`] is the recursive generator of Fig. 8 including its
-//! `i < index` pruning condition; [`legalize`] enforces the ISDL
-//! constraints by splitting illegal cliques (§IV-C.3).
+//! directed dependency path connects them (Fig. 7's pairwise matrix).
+//! [`gen_max_cliques`] enumerates the maximal cliques of that relation —
+//! the set Fig. 8's recursion generates — with Bron–Kerbosch and Tomita
+//! pivoting, which reaches each maximal clique exactly once instead of
+//! finding it repeatedly and discarding the copies; [`legalize`] enforces
+//! the ISDL constraints by splitting illegal cliques (§IV-C.3).
 
 use crate::budget::Budget;
 use crate::covergraph::{CnKind, CoverGraph, Resource};
@@ -16,16 +18,14 @@ use aviv_isdl::{SlotPattern, Target};
 
 /// The pairwise-parallelism matrix over a set of cover nodes.
 ///
-/// Row `i` of `conflict` has bit `j` set when node `i` **cannot** execute
-/// in parallel with node `j` (the paper's matrix stores 1 there); row `i`
-/// of `compat` is its complement minus the diagonal bit. Both relations
-/// are packed as [`BitMatrix`] rows so the clique generator works by
+/// Row `i` has bit `j` set when nodes `i` and `j` **can** execute in
+/// parallel (the paper's matrix stores 0 there; the diagonal is clear).
+/// Rows are packed [`BitMatrix`] rows so the clique enumerator works by
 /// whole-row intersection instead of probing pairs one bit at a time.
 #[derive(Debug, Clone)]
 pub struct ParallelismMatrix {
     /// Matrix index → cover-graph node.
     pub ids: Vec<crate::covergraph::CnId>,
-    conflict: BitMatrix,
     compat: BitMatrix,
 }
 
@@ -35,7 +35,8 @@ impl ParallelismMatrix {
     /// Conflicts: a dependency path in either direction; two operations on
     /// the same unit; two transfers on the same capacity-1 bus; and — when
     /// `level_window` is set (§IV-C.2) — any pair whose levels from the
-    /// top or from the bottom differ by more than the window.
+    /// top or from the bottom differ by more than the window. Every other
+    /// pair is compatible.
     pub fn build(
         graph: &CoverGraph,
         target: &Target,
@@ -43,7 +44,7 @@ impl ParallelismMatrix {
         level_window: Option<u32>,
     ) -> ParallelismMatrix {
         let n = nodes.len();
-        let mut conflict = BitMatrix::new(n, n);
+        let mut compat = BitMatrix::new(n, n);
         for i in 0..n {
             for j in (i + 1)..n {
                 let (a, b) = (nodes[i], nodes[j]);
@@ -64,33 +65,14 @@ impl ParallelismMatrix {
                         c = dt > w || db > w;
                     }
                 }
-                if c {
-                    conflict.set(i, j);
-                    conflict.set(j, i);
-                }
-            }
-        }
-        ParallelismMatrix::from_conflict_rows(nodes.to_vec(), conflict)
-    }
-
-    /// Finish a matrix from its packed conflict rows by precomputing the
-    /// complementary compatibility rows (diagonal excluded).
-    fn from_conflict_rows(
-        ids: Vec<crate::covergraph::CnId>,
-        conflict: BitMatrix,
-    ) -> ParallelismMatrix {
-        let n = ids.len();
-        let mut compat = BitMatrix::new(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && !conflict.contains(i, j) {
+                if !c {
                     compat.set(i, j);
+                    compat.set(j, i);
                 }
             }
         }
         ParallelismMatrix {
-            ids,
-            conflict,
+            ids: nodes.to_vec(),
             compat,
         }
     }
@@ -100,17 +82,19 @@ impl ParallelismMatrix {
     /// compare [`gen_max_cliques`] against a brute-force reference on
     /// arbitrary graphs.
     pub fn from_conflicts(n: usize, conflicts: &[(usize, usize)]) -> ParallelismMatrix {
-        let mut conflict = BitMatrix::new(n, n);
-        for &(i, j) in conflicts {
-            if i != j && i < n && j < n {
-                conflict.set(i, j);
-                conflict.set(j, i);
+        let mut compat = BitMatrix::new(n, n);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                let conflicting = conflicts.contains(&(i, j)) || conflicts.contains(&(j, i));
+                if !conflicting {
+                    compat.set(i, j);
+                }
             }
         }
-        ParallelismMatrix::from_conflict_rows(
-            (0..n as u32).map(crate::covergraph::CnId).collect(),
-            conflict,
-        )
+        ParallelismMatrix {
+            ids: (0..n as u32).map(crate::covergraph::CnId).collect(),
+            compat,
+        }
     }
 
     /// Number of nodes.
@@ -126,6 +110,37 @@ impl ParallelismMatrix {
     /// Whether matrix rows `i` and `j` can execute in parallel.
     pub fn compatible(&self, i: usize, j: usize) -> bool {
         self.compat.contains(i, j)
+    }
+
+    /// The Tomita pivot for candidates `cand` and excluded nodes `excl`:
+    /// the first node of `cand ∪ excl`, in ascending order, compatible
+    /// with the most candidates.
+    fn pivot(&self, cand: &BitSet, excl: &BitSet) -> usize {
+        let p = cand.words();
+        let mut best: Option<(usize, u32)> = None;
+        for (k, (&a, &b)) in p.iter().zip(excl.words()).enumerate() {
+            let mut w = a | b;
+            while w != 0 {
+                let u = k * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                let row = self.compat.row_words(u);
+                let count = row.iter().zip(p).map(|(r, c)| (r & c).count_ones()).sum();
+                if best.is_none_or(|(_, most)| count > most) {
+                    best = Some((u, count));
+                }
+            }
+        }
+        best.map_or(0, |(u, _)| u)
+    }
+
+    /// The first node of `cand`, in ascending order, that is not
+    /// compatible with node `u` (`u` itself included).
+    fn first_incompatible(&self, u: usize, cand: &BitSet) -> Option<usize> {
+        let row = self.compat.row_words(u).iter();
+        row.zip(cand.words()).enumerate().find_map(|(k, (&r, &c))| {
+            let w = c & !r;
+            (w != 0).then(|| k * 64 + w.trailing_zeros() as usize)
+        })
     }
 
     /// Render as the paper's Fig. 7 0/1 matrix (0 = parallel).
@@ -153,138 +168,115 @@ impl ParallelismMatrix {
     }
 }
 
-/// Generate all maximal cliques of the compatibility graph, as bitsets of
-/// matrix indices — the recursive algorithm of the paper's Fig. 8.
+/// All maximal cliques of the compatibility graph, as bitsets of matrix
+/// indices in ascending order: the clique set the paper's Fig. 8
+/// generates.
 pub fn gen_max_cliques(m: &ParallelismMatrix) -> Vec<BitSet> {
-    gen_max_cliques_budgeted(m, &Budget::unlimited())
+    let mut cliques = gen_max_cliques_budgeted(m, &Budget::unlimited());
+    cliques.sort_unstable();
+    cliques
 }
 
-/// [`gen_max_cliques`] under a cooperative [`Budget`]: each recursive
-/// step soft-charges one unit, and once the budget is exhausted the
-/// recursion unwinds, returning whatever cliques were already complete.
-/// A truncated clique set is still sound — [`legalize`] and the covering
-/// loop only require that cliques be legal, not exhaustive — and the
-/// caller's next hard charge surfaces the exhaustion.
+/// [`gen_max_cliques`] under a cooperative [`Budget`], in the order the
+/// enumeration finds them: each recursive call soft-charges one unit,
+/// and once the budget is exhausted the enumeration unwinds, returning
+/// the cliques already found. Every returned clique is maximal and
+/// appears once. A truncated clique set is still sound — [`legalize`]
+/// and the covering loop only require that cliques be legal, not
+/// exhaustive — and the caller's next hard charge surfaces the
+/// exhaustion.
+///
+/// The enumeration is Bron–Kerbosch with Tomita pivoting: a call holds
+/// a clique `R`, the candidates `P` that extend it, and the excluded
+/// nodes `X` already tried at this level. It branches only on the
+/// candidates outside the pivot's neighbourhood, so each maximal clique
+/// is reached exactly once and no call repeats another's work.
 pub fn gen_max_cliques_budgeted(m: &ParallelismMatrix, budget: &Budget) -> Vec<BitSet> {
+    let n = m.len();
     let mut gen = CliqueGen {
         m,
         budget,
         frames: Vec::new(),
         out: Vec::new(),
-        seen: std::collections::HashSet::new(),
     };
-    for start in 0..m.len() {
-        let root = gen.frame(0);
-        root.clique.clear();
-        root.clique.insert(start);
-        root.compat.clear();
-        m.compat.union_row_into(start, &mut root.compat);
-        gen.rec(0, start);
+    if n > 0 {
+        gen.frames.push(Frame::new(n, BitSet::full(n)));
+        gen.rec(0);
     }
     gen.out
 }
 
-/// One level of the clique recursion: the clique so far, the running
-/// intersection of its members' compatibility rows, and a snapshot of
-/// that intersection for the first loop to walk.
+/// One level of the enumeration: the clique `R`, the candidates `P`
+/// that extend it, and the excluded nodes `X` already tried at this
+/// level.
 struct Frame {
     clique: BitSet,
-    compat: BitSet,
-    candidates: BitSet,
+    cand: BitSet,
+    excl: BitSet,
+}
+
+impl Frame {
+    /// A frame over `n` nodes with candidates `cand` and no members or
+    /// excluded nodes.
+    fn new(n: usize, cand: BitSet) -> Frame {
+        Frame {
+            clique: BitSet::new(n),
+            cand,
+            excl: BitSet::new(n),
+        }
+    }
 }
 
 /// The state of one [`gen_max_cliques_budgeted`] call. Each recursion
 /// depth works in its own [`Frame`], reused by every call at that depth,
-/// so a recursive step allocates nothing; only a newly found clique is
-/// copied out.
+/// so a recursive call allocates nothing; only a found clique is copied
+/// out.
 struct CliqueGen<'a> {
     m: &'a ParallelismMatrix,
     budget: &'a Budget,
     frames: Vec<Frame>,
     out: Vec<BitSet>,
-    seen: std::collections::HashSet<BitSet>,
 }
 
 impl CliqueGen<'_> {
-    /// The frame for recursion depth `depth`, created on first use.
-    fn frame(&mut self, depth: usize) -> &mut Frame {
-        let n = self.m.len();
-        while self.frames.len() <= depth {
-            self.frames.push(Frame {
-                clique: BitSet::new(n),
-                compat: BitSet::new(n),
-                candidates: BitSet::new(n),
-            });
-        }
-        &mut self.frames[depth]
-    }
-
-    /// One recursive step of Fig. 8's `gen_max_clique(clique, index)` on
-    /// the clique in frame `depth`.
-    ///
-    /// `compat` is the running intersection of the compatibility rows of
-    /// every clique member — exactly the nodes that could still join — so
-    /// membership tests, preclusion tests, and candidate enumeration are
-    /// all whole-row bitset operations rather than per-pair probes.
-    fn rec(&mut self, depth: usize, index: usize) {
+    /// One Bron–Kerbosch call on the frame at `depth`: report `R` when
+    /// neither `P` nor `X` can extend it, otherwise branch on every
+    /// candidate the pivot is not compatible with, in ascending order.
+    fn rec(&mut self, depth: usize) {
         self.budget.note(1);
         if self.budget.exhaustion().is_some() {
             return;
         }
         let m = self.m;
-
-        // First loop: add every node that can join and does not preclude
-        // any other candidate. The pruning condition: if such a node has
-        // a smaller id than `index`, this whole branch was already
-        // generated from that node's seed — terminate.
-        let f = &mut self.frames[depth];
-        loop {
-            f.candidates.clone_from(&f.compat);
-            let mut grew = false;
-            for i in f.candidates.iter() {
-                if !f.compat.contains(i) {
-                    continue; // an earlier addition this round absorbed it
-                }
-                // Adding `i` precludes another live candidate iff its
-                // conflict row overlaps the remaining candidate set (the
-                // diagonal is never set, so `i` itself cannot match).
-                let precludes = m.conflict.row_intersects(i, &f.compat);
-                if !precludes {
-                    if i < index {
-                        return; // pruning condition of Fig. 8
-                    }
-                    f.clique.insert(i);
-                    m.compat.intersect_row_into(i, &mut f.compat);
-                    grew = true;
-                }
+        let f = &self.frames[depth];
+        if f.cand.is_empty() {
+            if f.excl.is_empty() {
+                self.out.push(f.clique.clone());
             }
-            if !grew {
-                break;
-            }
+            return;
         }
-
-        // Second loop: spawn a recursive call per remaining compatible
-        // node. Deeper calls touch only deeper frames, so this frame's
-        // `compat` is stable while it is walked.
-        let mut spawned = false;
-        for i in 0..m.len() {
-            if !self.frames[depth].compat.contains(i) {
-                continue;
-            }
-            self.frame(depth + 1);
+        let pivot = m.pivot(&f.cand, &f.excl);
+        if self.frames.len() == depth + 1 {
+            self.frames.push(Frame::new(m.len(), BitSet::new(m.len())));
+        }
+        // Each branched node leaves `P` for `X`, so the candidates still
+        // outside the pivot's row are exactly those not yet branched on.
+        // Deeper calls touch only deeper frames.
+        while let Some(v) = m.first_incompatible(pivot, &self.frames[depth].cand) {
             let (outer, inner) = self.frames.split_at_mut(depth + 1);
-            let (cur, next) = (&outer[depth], &mut inner[0]);
+            let (cur, next) = (&mut outer[depth], &mut inner[0]);
             next.clique.clone_from(&cur.clique);
-            next.clique.insert(i);
-            next.compat.clone_from(&cur.compat);
-            m.compat.intersect_row_into(i, &mut next.compat);
-            self.rec(depth + 1, index.max(i));
-            spawned = true;
-        }
-        let clique = &self.frames[depth].clique;
-        if !spawned && !self.seen.contains(clique) {
-            self.seen.insert(clique.clone());
-            self.out.push(clique.clone());
+            next.clique.insert(v);
+            next.cand.clone_from(&cur.cand);
+            m.compat.intersect_row_into(v, &mut next.cand);
+            next.excl.clone_from(&cur.excl);
+            m.compat.intersect_row_into(v, &mut next.excl);
+            cur.cand.remove(v);
+            cur.excl.insert(v);
+            self.rec(depth + 1);
+            if self.budget.exhaustion().is_some() {
+                return;
+            }
         }
     }
 }
@@ -384,29 +376,28 @@ pub fn is_legal(
 }
 
 /// Reference implementation for property tests: brute-force maximal
-/// cliques by subset enumeration (only usable for small `n`).
+/// cliques by subset enumeration (only usable for small `n`), in
+/// ascending order.
 pub fn brute_force_max_cliques(m: &ParallelismMatrix) -> Vec<BitSet> {
     let n = m.len();
     assert!(n <= 20, "brute force is exponential");
+    // Row `i` as a mask over the first 20 nodes.
+    let rows: Vec<u32> = (0..n)
+        .map(|i| (0..n).filter(|&j| m.compatible(i, j)).map(|j| 1 << j).sum())
+        .collect();
     let mut cliques: Vec<BitSet> = Vec::new();
     for mask in 1u32..(1 << n) {
-        let members: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-        let ok = members
-            .iter()
-            .enumerate()
-            .all(|(k, &i)| members[k + 1..].iter().all(|&j| m.compatible(i, j)));
-        if !ok {
+        let members = || (0..n).filter(move |&i| mask & (1 << i) != 0);
+        // A clique: every member is compatible with every other member.
+        if !members().all(|i| mask & !(1 << i) & !rows[i] == 0) {
             continue;
         }
         // Maximal: no outside node compatible with all members.
-        let maximal =
-            (0..n).all(|o| members.contains(&o) || members.iter().any(|&i| !m.compatible(i, o)));
+        let maximal = (0..n).all(|o| mask & (1 << o) != 0 || mask & !rows[o] != 0);
         if maximal {
-            let mut b = BitSet::new(n);
-            for i in members {
-                b.insert(i);
-            }
-            cliques.push(b);
+            let mut clique = BitSet::new(n);
+            clique.extend(members());
+            cliques.push(clique);
         }
     }
     cliques.sort_unstable();
@@ -425,16 +416,14 @@ mod tests {
             9,
             &[(0, 1), (2, 3), (4, 5), (1, 7), (3, 8), (0, 6), (5, 6)],
         );
-        let mut by_ord = gen_max_cliques(&m);
+        let by_ord = gen_max_cliques(&m);
         let mut by_key = by_ord.clone();
-        by_ord.sort_unstable();
         by_key.sort_by_key(|c| c.iter().collect::<Vec<_>>());
         assert_eq!(by_ord, by_key);
         assert!(!by_ord.is_empty());
     }
 
-    /// `legalize`'s output order is pinned: covering walks cliques in
-    /// this order, so any change here would change generated code.
+    /// Small hand-picked graphs: paths, stars, and disjoint conflicts.
     #[test]
     fn packed_generation_matches_brute_force() {
         let cases: &[(usize, &[(usize, usize)])] = &[
@@ -446,10 +435,18 @@ mod tests {
         ];
         for &(n, conflicts) in cases {
             let m = ParallelismMatrix::from_conflicts(n, conflicts);
-            let mut generated = gen_max_cliques(&m);
-            generated.sort_unstable();
             let brute = brute_force_max_cliques(&m);
-            assert_eq!(generated, brute, "n={n} conflicts={conflicts:?}");
+            assert_eq!(gen_max_cliques(&m), brute, "n={n} conflicts={conflicts:?}");
         }
+    }
+
+    /// An empty node set has no cliques, and enumerating it costs
+    /// nothing.
+    #[test]
+    fn empty_matrix_has_no_cliques() {
+        let budget = Budget::unlimited();
+        let m = ParallelismMatrix::from_conflicts(0, &[]);
+        assert!(gen_max_cliques_budgeted(&m, &budget).is_empty());
+        assert_eq!(budget.spent(), 0);
     }
 }

@@ -441,6 +441,14 @@ enum RungFailure {
     Error(CodegenError),
 }
 
+/// Whether a budget failure in a rung's tail stages salvages the block
+/// rather than abandoning the rung: covering already produced a complete
+/// schedule, the block is not salvaged yet, and fuel or time ran out.
+/// Cancellation and injected exhaustion keep failing the rung.
+fn salvageable(why: Exhaustion, exhausted: Option<Exhaustion>) -> bool {
+    exhausted.is_none() && matches!(why, Exhaustion::Fuel | Exhaustion::Deadline)
+}
+
 /// Extract a readable message from a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -811,10 +819,9 @@ impl CodeGenerator {
         // A salvaged block finishes its tail stages unbudgeted — but still
         // cancellable: the schedule exists, and allocation for it is cheap
         // and bounded.
-        let tail;
-        let tail_budget: &Budget = if exhausted.is_some() {
-            tail = Budget::unlimited().with_cancel(self.options.cancel.clone());
-            &tail
+        let salvage = Budget::unlimited().with_cancel(self.options.cancel.clone());
+        let mut tail_budget: &Budget = if exhausted.is_some() {
+            &salvage
         } else {
             rung_budget
         };
@@ -847,12 +854,24 @@ impl CodeGenerator {
         }
 
         let alloc_start = Instant::now();
-        let mut alloc = allocate_budgeted(&graph, &self.target, &schedule, tail_budget).map_err(
-            |e| match e {
+        let allocate = |budget: &Budget| {
+            allocate_budgeted(&graph, &self.target, &schedule, budget).map_err(|e| match e {
                 AllocFailure::Uncolorable(e) => RungFailure::Error(CodegenError::RegAlloc(e)),
                 AllocFailure::Budget(why) => RungFailure::Budget(why),
-            },
-        )?;
+            })
+        };
+        let mut alloc = match allocate(tail_budget) {
+            // Fuel or time ran out after covering finished every
+            // assignment: the schedule is complete, so salvage the block
+            // as the between-assignments check does instead of
+            // abandoning the rung.
+            Err(RungFailure::Budget(why)) if salvageable(why, exhausted) => {
+                exhausted = Some(why);
+                tail_budget = &salvage;
+                allocate(tail_budget)?
+            }
+            result => result?,
+        };
         stages.alloc = alloc_start.elapsed();
 
         if let Some(kind) = injector.arm(Stage::RegAlloc) {
@@ -864,7 +883,11 @@ impl CodeGenerator {
                 }
             }
         }
-        tail_budget.check().map_err(RungFailure::Budget)?;
+        match tail_budget.check() {
+            // The allocation is whole; only the rung's budget ran out.
+            Err(why) if salvageable(why, exhausted) => exhausted = Some(why),
+            result => result.map_err(RungFailure::Budget)?,
+        }
 
         // Peephole: try to undo pessimistic spills and recompact.
         let before_peephole = schedule.len();
@@ -1043,19 +1066,12 @@ impl CodeGenerator {
         // values never occupy registers. Every named variable is treated
         // as observable at exit, which keeps the memory image — and
         // therefore the differential oracle — bit-identical.
-        let pruned;
-        let f = if self.options.exact_liveness {
-            let mut g = f.clone();
-            let observable: Vec<Sym> = f.syms.iter().map(|(s, _)| s).collect();
-            if aviv_ir::opt::eliminate_dead_code(&mut g, &observable) > 0 {
-                pruned = g;
-                &pruned
-            } else {
-                f
-            }
+        let pruned = if self.options.exact_liveness {
+            without_dead_code(f)
         } else {
-            f
+            None
         };
+        let f = pruned.as_ref().unwrap_or(f);
         let snapshot = f.syms.clone();
         let deadline = budget::deadline(self.options.deadline_ms);
         let dags: Vec<&BlockDag> = f.iter().map(|(_, b)| &b.dag).collect();
@@ -1410,6 +1426,19 @@ impl CodeGenerator {
             .map(|p| p.expect("every block planned exactly once"))
             .collect()
     }
+}
+
+/// `f` after global dead-code elimination with every variable observable
+/// at exit, or `None` when that removes nothing. A function with nothing
+/// to remove (every warm recompile of an already-clean program) is
+/// recognised without cloning or rebuilding it.
+fn without_dead_code(f: &Function) -> Option<Function> {
+    let observable: Vec<Sym> = f.syms.iter().map(|(s, _)| s).collect();
+    if aviv_ir::opt::dead_code_free(f, &observable) {
+        return None;
+    }
+    let mut g = f.clone();
+    (aviv_ir::opt::eliminate_dead_code(&mut g, &observable) > 0).then_some(g)
 }
 
 /// Fault-harness corruption of a cover graph: kill the highest-numbered

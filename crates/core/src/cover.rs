@@ -696,8 +696,9 @@ pub struct SearchStats {
     /// Rollouts whose estimate the incumbent cutoff settled (see the
     /// module doc): stopped early, or capped at the incumbent.
     pub rollouts_cut: u64,
-    /// Budget units clique generation spent: the recursion steps of
-    /// every pool generated (at the start and after each spill).
+    /// Budget units clique generation spent: one per recursive call of
+    /// the enumerator, for every pool generated (at the start and after
+    /// each spill).
     pub clique_steps: u64,
 }
 

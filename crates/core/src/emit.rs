@@ -164,7 +164,8 @@ pub struct VliwProgram {
 }
 
 impl VliwProgram {
-    /// Render assembly text.
+    /// Render assembly text, writing every field straight into the
+    /// output buffer.
     pub fn render(&self, target: &Target) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "; machine {}", self.machine_name);
@@ -172,58 +173,53 @@ impl VliwProgram {
             if let Some(b) = self.block_starts.iter().position(|&s| s == i) {
                 let _ = writeln!(out, "bb{b}:");
             }
-            let mut fields: Vec<String> = Vec::new();
+            let _ = write!(out, "  {i:4}: {{ ");
+            // Fields are separated by " | "; `sep` is empty before the
+            // first one.
+            let mut sep = "";
             for (ui, slot) in inst.slots.iter().enumerate() {
                 if let Some(s) = slot {
                     let unit = &target.machine.units()[ui];
                     let opname = match s.opcode {
-                        SlotOpcode::Basic(op) => op.mnemonic().to_string(),
-                        SlotOpcode::Complex(ci) => target.machine.complexes()[ci].name.clone(),
+                        SlotOpcode::Basic(op) => op.mnemonic(),
+                        SlotOpcode::Complex(ci) => &target.machine.complexes()[ci].name,
                     };
-                    let args: Vec<String> = s
-                        .args
-                        .iter()
-                        .map(std::string::ToString::to_string)
-                        .collect();
-                    fields.push(format!(
-                        "{}: {} {}, {}",
-                        unit.name,
-                        opname,
-                        s.dst,
-                        args.join(", ")
-                    ));
+                    let _ = write!(out, "{sep}{}: {opname} {}, ", unit.name, s.dst);
+                    for (k, arg) in s.args.iter().enumerate() {
+                        let _ = write!(out, "{}{arg}", if k == 0 { "" } else { ", " });
+                    }
+                    sep = " | ";
                 }
             }
             for x in &inst.xfers {
-                let bus = &target.machine.bus(x.bus).name;
-                let desc = match &x.kind {
-                    TransferKind::Move { from, to } => format!("mov {to} <- {from}"),
+                let _ = write!(out, "{sep}{}: ", target.machine.bus(x.bus).name);
+                let _ = match &x.kind {
+                    TransferKind::Move { from, to } => write!(out, "mov {to} <- {from}"),
                     TransferKind::LoadVar { addr, name, to } => {
-                        format!("ld {to} <- [{addr}] ;{name}")
+                        write!(out, "ld {to} <- [{addr}] ;{name}")
                     }
                     TransferKind::StoreVar { value, addr, name } => {
-                        format!("st [{addr}] <- {value} ;{name}")
+                        write!(out, "st [{addr}] <- {value} ;{name}")
                     }
-                    TransferKind::LoadDyn { addr, to } => format!("ld {to} <- [{addr}]"),
+                    TransferKind::LoadDyn { addr, to } => write!(out, "ld {to} <- [{addr}]"),
                     TransferKind::StoreDyn { addr, value } => {
-                        format!("st [{addr}] <- {value}")
+                        write!(out, "st [{addr}] <- {value}")
                     }
                 };
-                fields.push(format!("{bus}: {desc}"));
+                sep = " | ";
             }
             if let Some(c) = &inst.control {
-                let desc = match c {
-                    ControlOp::Jump(t) => format!("jmp @{t}"),
-                    ControlOp::BranchNz { cond, target } => format!("bnz {cond}, @{target}"),
-                    ControlOp::Return(Some(v)) => format!("ret {v}"),
-                    ControlOp::Return(None) => "ret".to_string(),
+                let _ = write!(out, "{sep}CTRL: ");
+                let _ = match c {
+                    ControlOp::Jump(t) => write!(out, "jmp @{t}"),
+                    ControlOp::BranchNz { cond, target } => write!(out, "bnz {cond}, @{target}"),
+                    ControlOp::Return(Some(v)) => write!(out, "ret {v}"),
+                    ControlOp::Return(None) => write!(out, "ret"),
                 };
-                fields.push(format!("CTRL: {desc}"));
+            } else if sep.is_empty() {
+                out.push_str("nop");
             }
-            if fields.is_empty() {
-                fields.push("nop".to_string());
-            }
-            let _ = writeln!(out, "  {i:4}: {{ {} }}", fields.join(" | "));
+            out.push_str(" }\n");
         }
         out
     }

@@ -2,38 +2,51 @@
 //! (see DESIGN.md §7).
 
 use aviv::assign::explore;
-use aviv::cliques::{brute_force_max_cliques, gen_max_cliques, ParallelismMatrix};
+use aviv::cliques::{
+    brute_force_max_cliques, gen_max_cliques, gen_max_cliques_budgeted, ParallelismMatrix,
+};
 use aviv::cover::{cover, verify_schedule};
 use aviv::covergraph::CoverGraph;
 use aviv::regalloc::{allocate, verify_allocation};
-use aviv::CodegenOptions;
+use aviv::{Budget, CodegenOptions};
 use aviv_ir::randdag::{random_block, RandDagConfig};
 use aviv_ir::Op;
 use aviv_isdl::{archs, Target};
 use aviv_splitdag::SplitNodeDag;
 use proptest::prelude::*;
 
-// Invariant 1: the Fig. 8 generator returns exactly the maximal cliques
-// of any compatibility graph (checked against subset enumeration).
+// Invariant 1: the clique enumerator returns exactly the maximal cliques
+// of any compatibility graph (checked against subset enumeration), in
+// ascending order.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn clique_generator_matches_brute_force(
-        n in 1usize..10,
-        edges in prop::collection::vec((0usize..10, 0usize..10), 0..30),
+        n in 1usize..17,
+        edges in prop::collection::vec((0usize..16, 0usize..16), 0..60),
     ) {
         let m = ParallelismMatrix::from_conflicts(n, &edges);
-        let mut got: Vec<Vec<usize>> = gen_max_cliques(&m)
-            .iter()
-            .map(|c| c.iter().collect())
-            .collect();
-        got.sort();
-        let mut want: Vec<Vec<usize>> = brute_force_max_cliques(&m)
-            .iter()
-            .map(|c| c.iter().collect())
-            .collect();
-        want.sort();
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(gen_max_cliques(&m), brute_force_max_cliques(&m));
+    }
+
+    /// Cut short by its budget, the enumerator still returns only
+    /// maximal cliques, each once: a subset of the full set.
+    #[test]
+    fn truncated_clique_generation_is_a_duplicate_free_subset(
+        n in 1usize..17,
+        edges in prop::collection::vec((0usize..16, 0usize..16), 0..60),
+        fuel in 1u64..40,
+    ) {
+        let m = ParallelismMatrix::from_conflicts(n, &edges);
+        let full = brute_force_max_cliques(&m);
+        let mut cut = gen_max_cliques_budgeted(&m, &Budget::new(Some(fuel), None));
+        let found = cut.len();
+        cut.sort_unstable();
+        cut.dedup();
+        prop_assert_eq!(cut.len(), found, "a clique was returned twice");
+        for c in &cut {
+            prop_assert!(full.binary_search(c).is_ok(), "{:?} is not a maximal clique", c);
+        }
     }
 }
 
@@ -45,6 +58,41 @@ fn rand_cfg(n_ops: usize) -> RandDagConfig {
         n_outputs: 2,
         locality: 0.5,
         const_prob: 0.0,
+    }
+}
+
+// The same equality on the matrices covering actually builds: the live
+// nodes of seeded random blocks' cover graphs, with and without the
+// level window (§IV-C.2).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn cover_graph_cliques_match_brute_force(
+        seed in 0u64..10_000,
+        n_ops in 2usize..12,
+        arch_pick in 0usize..3,
+    ) {
+        let machine = match arch_pick {
+            0 => archs::example_arch(4),
+            1 => archs::arch_two(4),
+            _ => archs::wide_arch(4),
+        };
+        let f = random_block(&rand_cfg(n_ops), seed);
+        let dag = &f.blocks[0].dag;
+        let target = Target::new(machine);
+        let sndag = SplitNodeDag::build(dag, &target).unwrap();
+        let res = explore(dag, &sndag, &target, &CodegenOptions::heuristics_on());
+        for assignment in res.assignments.iter().take(2) {
+            let graph = CoverGraph::build(dag, &sndag, &target, assignment);
+            let nodes: Vec<_> = graph.alive().collect();
+            if nodes.len() > 20 {
+                continue; // beyond the brute force's reach
+            }
+            for window in [None, Some(1), Some(2)] {
+                let m = ParallelismMatrix::build(&graph, &target, &nodes, window);
+                prop_assert_eq!(gen_max_cliques(&m), brute_force_max_cliques(&m));
+            }
+        }
     }
 }
 

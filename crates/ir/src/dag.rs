@@ -170,6 +170,15 @@ impl BlockDag {
         id
     }
 
+    /// True when no two pure nodes share a value number, so a rebuild
+    /// would merge nothing. Only [`BlockDag::set_const_value`] can break
+    /// this, by giving a constant the value of another constant. The
+    /// table never keeps a key no node has, so an entry per pure node
+    /// proves the keys distinct; a `false` may be conservative.
+    pub(crate) fn value_numbers_unique(&self) -> bool {
+        self.vn.len() == self.nodes.iter().filter(|n| !n.op.is_store()).count()
+    }
+
     /// Insert a store to a dynamically addressed location. Stores are never
     /// value-numbered (two stores are two effects).
     pub fn add_store(&mut self, addr: NodeId, value: NodeId) -> NodeId {

@@ -8,12 +8,15 @@
 //! * [`prune_dead_stores`] — global dead variable-store elimination,
 //! * [`eliminate_dead_code`] — the fixpoint of store + node elimination
 //!   driven by the [`crate::dataflow`] liveness solver,
+//! * [`dead_code_free`] — whether that fixpoint would change anything,
+//!   answered without rebuilding,
 //! * [`unroll_self_loop`] — merges `k` iterations of a do-while self-loop
 //!   into one bigger basic block (the transformation behind the paper's
 //!   "loops that have been unrolled twice" examples),
 //! * [`merge_sequential`] — the block-DAG concatenation primitive used by
 //!   unrolling.
 
+use crate::bitset::BitSet;
 use crate::dag::{BlockDag, NodeId};
 use crate::op::Op;
 use crate::program::{BlockId, Function, Terminator};
@@ -69,22 +72,49 @@ pub fn eliminate_dead_code(f: &mut Function, observable: &[Sym]) -> usize {
     }
 }
 
-/// One liveness-then-rebuild round shared by [`prune_dead_stores`] and
-/// [`eliminate_dead_code`]. Returns `(stores_removed, nodes_removed)`.
-fn dead_code_round(f: &mut Function, observable: &[Sym]) -> (usize, usize) {
-    let mut exit_live = crate::bitset::BitSet::new(f.syms.len());
+/// Whether [`eliminate_dead_code`] would leave `f` unchanged, answered
+/// without cloning or rebuilding anything: every block keeps all its
+/// stores, its roots reach every node, and no two of its nodes share a
+/// value number (which a rebuild would merge). A `false` may still be a
+/// no-op; a `true` never hides a removal.
+pub fn dead_code_free(f: &Function, observable: &[Sym]) -> bool {
+    let lv = store_liveness(f, observable);
+    f.blocks.iter().zip(&lv.live_out).all(|(block, live_out)| {
+        let dag = &block.dag;
+        dag.stores()
+            .iter()
+            .all(|&s| store_is_live(dag.node(s), live_out))
+            && dag.value_numbers_unique()
+            && reachable(dag, dag.roots()).count() == dag.len()
+    })
+}
+
+/// Global liveness with every variable of `observable` live at exit.
+fn store_liveness(f: &Function, observable: &[Sym]) -> crate::dataflow::Liveness {
+    let mut exit_live = BitSet::new(f.syms.len());
     for s in observable {
         exit_live.insert(s.index());
     }
-    let lv = crate::dataflow::liveness(f, &exit_live);
+    crate::dataflow::liveness(f, &exit_live)
+}
+
+/// Whether dead-code elimination keeps the store `node`: every store but
+/// a `StoreVar` whose variable is dead after the block.
+fn store_is_live(node: &crate::dag::DagNode, live_out: &BitSet) -> bool {
+    node.op != Op::StoreVar || live_out.contains(node.sym.unwrap().index())
+}
+
+/// One liveness-then-rebuild round shared by [`prune_dead_stores`] and
+/// [`eliminate_dead_code`]. Returns `(stores_removed, nodes_removed)`.
+fn dead_code_round(f: &mut Function, observable: &[Sym]) -> (usize, usize) {
+    let lv = store_liveness(f, observable);
 
     let mut stores_removed = 0usize;
     let mut nodes_removed = 0usize;
     for (i, block) in f.blocks.iter_mut().enumerate() {
         let live_out = &lv.live_out[i];
-        let (new_dag, map) = rebuild_filtered(&block.dag, false, |node| {
-            node.op != Op::StoreVar || live_out.contains(node.sym.unwrap().index())
-        });
+        let (new_dag, map) =
+            rebuild_filtered(&block.dag, false, |node| store_is_live(node, live_out));
         if new_dag.len() == block.dag.len() {
             continue;
         }
@@ -293,6 +323,26 @@ fn rebuild_filtered_with_roots(
     rebuild_with(dag, fold, keep, extra_roots, None)
 }
 
+/// The nodes of `dag` that `roots` reach through operands and memory
+/// ordering edges.
+fn reachable(dag: &BlockDag, roots: Vec<NodeId>) -> BitSet {
+    let mut seen = BitSet::new(dag.len());
+    let mut stack = roots;
+    while let Some(n) = stack.pop() {
+        if seen.contains(n.index()) {
+            continue;
+        }
+        seen.insert(n.index());
+        stack.extend(dag.node(n).args.iter().copied());
+        for &(earlier, later) in dag.mem_deps() {
+            if later == n && !seen.contains(earlier.index()) {
+                stack.push(earlier);
+            }
+        }
+    }
+    seen
+}
+
 /// A peephole rewriter consulted while rebuilding: given the output DAG so
 /// far, an operation, and its (already remapped) operands, it may return
 /// an existing node to use instead of creating the operation.
@@ -315,30 +365,12 @@ pub(crate) fn rebuild_with(
         .collect();
     survivors.extend(dag.live_outs().iter().map(|&(_, n)| n));
     survivors.extend(extra_roots.iter().copied());
-    let live = {
-        // Treat the surviving roots as the reachability seed.
-        let mut seen = HashSet::new();
-        let mut stack = survivors.clone();
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
-                continue;
-            }
-            for &a in &dag.node(n).args {
-                stack.push(a);
-            }
-            for &(earlier, later) in dag.mem_deps() {
-                if later == n && !seen.contains(&earlier) {
-                    stack.push(earlier);
-                }
-            }
-        }
-        seen
-    };
+    let live = reachable(dag, survivors);
 
     let mut out = BlockDag::new();
     let mut map: Vec<Option<NodeId>> = vec![None; dag.len()];
     for (id, node) in dag.iter() {
-        if !live.contains(&id) {
+        if !live.contains(id.index()) {
             continue;
         }
         let new_id = match node.op {
@@ -459,6 +491,56 @@ mod tests {
         let removed = prune_dead_stores(&mut f, &[]);
         assert_eq!(removed, 0, "t is read in the next block");
         assert_eq!(run_function(&f, &[4]).unwrap().return_value, Some(10));
+    }
+
+    /// `dead_code_free` never hides a removal and recognises clean
+    /// functions: over random functions, with every variable or only the
+    /// inputs observable, it holds only where `eliminate_dead_code`
+    /// removes nothing, and both outcomes occur.
+    #[test]
+    fn dead_code_free_never_hides_a_removal() {
+        use crate::randdag::{random_function, RandDagConfig};
+        let cfg = RandDagConfig {
+            n_ops: 6,
+            n_inputs: 3,
+            n_outputs: 2,
+            ..Default::default()
+        };
+        let (mut clean, mut dirty) = (0, 0);
+        for seed in 0..40 {
+            for n_blocks in [1usize, 3, 6] {
+                let f = random_function(&cfg, n_blocks, seed);
+                let all: Vec<Sym> = f.syms.iter().map(|(s, _)| s).collect();
+                for observable in [&all[..], &all[..cfg.n_inputs]] {
+                    let removed = eliminate_dead_code(&mut f.clone(), observable);
+                    if dead_code_free(&f, observable) {
+                        assert_eq!(removed, 0, "seed {seed}, {n_blocks} blocks");
+                        clean += 1;
+                    } else if removed > 0 {
+                        dirty += 1;
+                    }
+                }
+            }
+        }
+        assert!(clean > 0 && dirty > 0, "{clean} clean, {dirty} dirty");
+    }
+
+    /// Two constants given one value by `set_const_value` are merged by a
+    /// rebuild, so the function is not dead-code free.
+    #[test]
+    fn dead_code_free_sees_constants_a_rebuild_would_merge() {
+        let mut f = parse_function("func f(a) { x = a + 1; y = a * 2; return x + y; }").unwrap();
+        let all: Vec<Sym> = f.syms.iter().map(|(s, _)| s).collect();
+        assert!(dead_code_free(&f, &all));
+        let dag = &mut f.blocks[0].dag;
+        let two = dag
+            .iter()
+            .find(|(_, n)| n.op == Op::Const && n.imm == Some(2))
+            .map(|(id, _)| id)
+            .unwrap();
+        assert!(dag.set_const_value(two, 1));
+        assert!(!dead_code_free(&f, &all));
+        assert!(eliminate_dead_code(&mut f, &all) > 0);
     }
 
     #[test]

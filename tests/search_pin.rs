@@ -118,8 +118,9 @@ fn pairs(mut push: impl FnMut(String, &Machine, &Function, CodegenOptions)) {
     }
 }
 
-/// The heuristics-off rows on Wide search about 3 M nodes each, so they
-/// run as a test of their own, in parallel with the rest of the table.
+/// The heuristics-off rows on Wide are the largest searches in the
+/// table (about 0.35 M nodes each), so they run as a test of their own,
+/// in parallel with the rest of the table.
 fn is_slow(row: &str) -> bool {
     row.contains("@Wide+off")
 }
@@ -155,7 +156,7 @@ fn covering_search_matches_the_golden_table() {
         .iter()
         .find(|r| r.starts_with("dot4@Example+off "))
         .expect("dot4@Example+off is pinned");
-    assert!(off.starts_with("dot4@Example+off 118252 12 "), "{off}");
+    assert!(off.starts_with("dot4@Example+off 62570 12 "), "{off}");
 }
 
 #[test]
