@@ -20,10 +20,11 @@
 #![warn(missing_docs)]
 
 use aviv::assign::Assignment;
-use aviv::cover::{spill_victim, verify_schedule, CoverError, Schedule};
+use aviv::cliques::conflict;
+use aviv::cover::{spill_victim, CoverError, Schedule};
 use aviv::covergraph::{CnId, CoverGraph, Operand};
-use aviv::peephole::group_legal;
 use aviv::regalloc::allocate;
+use aviv::verify_schedule;
 use aviv::{CodegenError, VliwInstruction};
 use aviv_ir::{BitSet, BlockDag, MemLayout, SymbolTable};
 use aviv_isdl::{Machine, Target};
@@ -139,7 +140,7 @@ impl BaselineGenerator {
                     .map_err(CodegenError::Cover)?
             }
         };
-        debug_assert!(verify_schedule(&graph, &self.target, &schedule).is_ok());
+        debug_assert_eq!(verify_schedule(&graph, &self.target, &schedule), []);
 
         // Phase 3: detailed allocation and emission (shared with AVIV).
         let alloc = allocate(&graph, &self.target, &schedule).map_err(CodegenError::RegAlloc)?;
@@ -213,11 +214,11 @@ fn list_schedule(
 
         let mut group: Vec<CnId> = Vec::new();
         for &cand in &ready {
-            let mut probe = group.clone();
-            probe.push(cand);
-            if !group_legal(graph, target, &probe) {
+            if conflict(graph, target, group.iter().copied().chain([cand])).is_some() {
                 continue;
             }
+            let mut probe = group.clone();
+            probe.push(cand);
             // Pressure check for the probe group.
             let mut p = pressure.clone();
             for n in graph.alive() {

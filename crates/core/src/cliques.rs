@@ -12,9 +12,9 @@
 //! the ISDL constraints by splitting illegal cliques (§IV-C.3).
 
 use crate::budget::Budget;
-use crate::covergraph::{CnKind, CoverGraph, Resource};
+use crate::covergraph::{CnId, CoverGraph, Resource};
 use aviv_ir::{BitMatrix, BitSet};
-use aviv_isdl::{SlotPattern, Target};
+use aviv_isdl::{BusId, Target, UnitId};
 
 /// The pairwise-parallelism matrix over a set of cover nodes.
 ///
@@ -25,7 +25,7 @@ use aviv_isdl::{SlotPattern, Target};
 #[derive(Debug, Clone)]
 pub struct ParallelismMatrix {
     /// Matrix index → cover-graph node.
-    pub ids: Vec<crate::covergraph::CnId>,
+    pub ids: Vec<CnId>,
     compat: BitMatrix,
 }
 
@@ -40,7 +40,7 @@ impl ParallelismMatrix {
     pub fn build(
         graph: &CoverGraph,
         target: &Target,
-        nodes: &[crate::covergraph::CnId],
+        nodes: &[CnId],
         level_window: Option<u32>,
     ) -> ParallelismMatrix {
         let n = nodes.len();
@@ -92,7 +92,7 @@ impl ParallelismMatrix {
             }
         }
         ParallelismMatrix {
-            ids: (0..n as u32).map(crate::covergraph::CnId).collect(),
+            ids: (0..n as u32).map(CnId).collect(),
             compat,
         }
     }
@@ -326,53 +326,75 @@ pub fn legalize(
     out
 }
 
-/// Whether a clique satisfies bus capacities and all ISDL constraints.
+/// Whether a clique satisfies unit and bus capacities and all ISDL
+/// constraints; see [`conflict`].
 pub fn is_legal(
     clique: &BitSet,
     m: &ParallelismMatrix,
     graph: &CoverGraph,
     target: &Target,
 ) -> bool {
-    // Bus capacity: count each bus's users (cliques are a handful of
-    // nodes, so the quadratic count is cheaper than a per-call table).
-    let resource = |i: usize| graph.node(m.ids[i]).resource();
-    for i in clique.iter() {
-        if let Resource::Bus(b) = resource(i) {
-            let users = clique
-                .iter()
-                .filter(|&j| resource(j) == Resource::Bus(b))
-                .count();
-            if users > target.machine.bus(b).capacity as usize {
-                return false;
-            }
-        }
-    }
-    // ISDL constraints.
-    for con in target.machine.constraints() {
-        let mut count = 0u32;
-        for i in clique.iter() {
-            let node = graph.node(m.ids[i]);
-            let matched = con.members.iter().any(|pat| match *pat {
-                SlotPattern::UnitOp { unit, op } => match &node.kind {
-                    CnKind::Op { unit: u, op: o, .. } => {
-                        *u == unit && op.is_none_or(|want| *o == want)
-                    }
-                    CnKind::Complex { unit: u, .. } => *u == unit && op.is_none(),
-                    _ => false,
-                },
-                SlotPattern::BusUse { bus } => {
-                    matches!(node.resource(), Resource::Bus(b) if b == bus)
-                }
+    conflict(graph, target, clique.iter().map(|i| m.ids[i])).is_none()
+}
+
+/// Why a group of cover nodes may not share one VLIW instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Conflict {
+    /// The unit would issue two operations.
+    Unit(UnitId),
+    /// The bus would carry more transfers than its capacity.
+    Bus(BusId),
+    /// The ISDL `at_most` constraint with this index would be exceeded.
+    Constraint {
+        /// Index into the machine's constraint list.
+        index: usize,
+        /// How many of the group's nodes the constraint matches.
+        members: u32,
+    },
+}
+
+/// The first reason `group` may not share one instruction, or `None`
+/// when it may. Resources come first, in group order: the node that
+/// first uses its unit twice, or its bus beyond capacity, names the
+/// conflict. The ISDL constraints follow in declaration order.
+/// Dependencies are the caller's concern. Allocates nothing, so the
+/// covering search, peephole compaction, the baseline scheduler and the
+/// V003 check all call it directly.
+pub fn conflict<I>(graph: &CoverGraph, target: &Target, group: I) -> Option<Conflict>
+where
+    I: Iterator<Item = CnId> + Clone,
+{
+    let machine = &target.machine;
+    // Groups are a handful of nodes, so counting each node's resource
+    // over the prefix ending at it is cheaper than a per-call table.
+    for (k, id) in group.clone().enumerate() {
+        let resource = graph.node(id).resource();
+        let capacity = match resource {
+            Resource::Unit(_) => 1,
+            Resource::Bus(b) => machine.bus(b).capacity as usize,
+        };
+        let users = group
+            .clone()
+            .take(k + 1)
+            .filter(|&j| graph.node(j).resource() == resource)
+            .count();
+        if users > capacity {
+            return Some(match resource {
+                Resource::Unit(u) => Conflict::Unit(u),
+                Resource::Bus(b) => Conflict::Bus(b),
             });
-            if matched {
-                count += 1;
-                if count > con.at_most {
-                    return false;
-                }
-            }
         }
     }
-    true
+    for (index, con) in machine.constraints().iter().enumerate() {
+        let members = group
+            .clone()
+            .filter(|&id| con.members.iter().any(|pat| graph.node(id).matches(pat)))
+            .count() as u32;
+        if members > con.at_most {
+            return Some(Conflict::Constraint { index, members });
+        }
+    }
+    None
 }
 
 /// Reference implementation for property tests: brute-force maximal

@@ -86,6 +86,7 @@
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
 use crate::covergraph::{CnId, CoverGraph, Operand};
+use crate::invariants::verify_schedule;
 use crate::options::CodegenOptions;
 use aviv_ir::{bitset, BitMatrix, BitSet, Sym, SymbolTable};
 use aviv_isdl::{BankId, Target};
@@ -1106,7 +1107,7 @@ pub fn cover_with_stats(
     }
 
     let schedule = Schedule { steps, spills };
-    debug_assert!(verify_schedule(graph, target, &schedule).is_ok());
+    debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
     Ok(schedule)
 }
 
@@ -1315,8 +1316,9 @@ fn lookahead_estimate(
 /// values simultaneously occupying any one bank at any step. A value's
 /// occupancy runs from its defining step through its last consumer's
 /// step, or to the end of the block when it is live-out. Purely a
-/// reporting metric (the bench snapshots record it); the allocator
-/// enforces the actual bank bounds.
+/// reporting metric (`avivc --report` prints it); the bank bounds are
+/// enforced by covering and checked by V004 in
+/// [`verify_schedule`].
 pub fn peak_pressure(graph: &CoverGraph, target: &Target, schedule: &Schedule) -> usize {
     let n = graph.len();
     let steps = schedule.steps.len();
@@ -1358,139 +1360,6 @@ pub fn peak_pressure(graph: &CoverGraph, target: &Target, schedule: &Schedule) -
         peak = peak.max(counts.iter().copied().max().unwrap_or(0));
     }
     peak
-}
-
-/// Validate a schedule against every constraint the covering step is
-/// supposed to maintain. This is the oracle for the property tests.
-///
-/// # Errors
-///
-/// Returns a description of the first violation: a node scheduled twice
-/// or never, a dependency scheduled out of order, a resource oversubscribed
-/// within one instruction, an ISDL constraint violated, or a register bank
-/// exceeding its size at some step.
-pub fn verify_schedule(
-    graph: &CoverGraph,
-    target: &Target,
-    schedule: &Schedule,
-) -> Result<(), String> {
-    let n = graph.len();
-    let step_of = schedule.step_of(n);
-    // Exactly-once coverage of alive nodes.
-    for id in graph.alive() {
-        if step_of[id.index()].is_none() {
-            return Err(format!("{id} never scheduled"));
-        }
-    }
-    let mut seen = BitSet::new(n);
-    for step in &schedule.steps {
-        for &id in step {
-            if graph.is_dead(id) {
-                return Err(format!("{id} is dead but scheduled"));
-            }
-            if seen.contains(id.index()) {
-                return Err(format!("{id} scheduled twice"));
-            }
-            seen.insert(id.index());
-        }
-    }
-    // Dependencies strictly precede.
-    for id in graph.alive() {
-        let t = step_of[id.index()].expect("checked scheduled above");
-        for p in graph.preds(id) {
-            let pt = step_of[p.index()].ok_or_else(|| format!("{p} unscheduled"))?;
-            if pt >= t {
-                return Err(format!("{p} (step {pt}) not before {id} (step {t})"));
-            }
-        }
-    }
-    // Per-step resources, constraints, legality.
-    for (t, step) in schedule.steps.iter().enumerate() {
-        let mut unit_used = vec![false; target.machine.units().len()];
-        let mut bus_used = vec![0u32; target.machine.buses().len()];
-        for &id in step {
-            match graph.node(id).resource() {
-                crate::covergraph::Resource::Unit(u) => {
-                    if unit_used[u.index()] {
-                        return Err(format!("step {t}: unit {u} used twice"));
-                    }
-                    unit_used[u.index()] = true;
-                }
-                crate::covergraph::Resource::Bus(b) => {
-                    bus_used[b.index()] += 1;
-                    if bus_used[b.index()] > target.machine.bus(b).capacity {
-                        return Err(format!("step {t}: bus {b} over capacity"));
-                    }
-                }
-            }
-        }
-        for (ci, con) in target.machine.constraints().iter().enumerate() {
-            let mut count = 0u32;
-            for &id in step {
-                let node = graph.node(id);
-                let matched = con.members.iter().any(|pat| match *pat {
-                    aviv_isdl::SlotPattern::UnitOp { unit, op } => match &node.kind {
-                        crate::covergraph::CnKind::Op { unit: u, op: o, .. } => {
-                            *u == unit && op.is_none_or(|want| *o == want)
-                        }
-                        crate::covergraph::CnKind::Complex { unit: u, .. } => {
-                            *u == unit && op.is_none()
-                        }
-                        _ => false,
-                    },
-                    aviv_isdl::SlotPattern::BusUse { bus } => matches!(
-                        node.resource(),
-                        crate::covergraph::Resource::Bus(b) if b == bus
-                    ),
-                });
-                if matched {
-                    count += 1;
-                }
-            }
-            if count > con.at_most {
-                return Err(format!("step {t}: constraint {ci} violated"));
-            }
-        }
-    }
-    // Register pressure at every step.
-    let mut pinned = BitSet::new(n);
-    for &(_, operand) in graph.live_out() {
-        if let Operand::Cn(c) = operand {
-            pinned.insert(c.index());
-        }
-    }
-    for t in 0..schedule.steps.len() {
-        let mut pressure = vec![0usize; target.machine.banks().len()];
-        for id in graph.alive() {
-            let Some(def_t) = step_of[id.index()] else {
-                continue;
-            };
-            if def_t > t {
-                continue;
-            }
-            let Some(bank) = graph.node(id).dest_bank(target) else {
-                continue;
-            };
-            let live = pinned.contains(id.index())
-                || graph
-                    .uses(id)
-                    .iter()
-                    .any(|u| step_of[u.index()].is_some_and(|ut| ut > t));
-            if live {
-                pressure[bank.index()] += 1;
-            }
-        }
-        for (bi, &load) in pressure.iter().enumerate() {
-            if load > target.machine.banks()[bi].size as usize {
-                return Err(format!(
-                    "step {t}: bank {} holds {load} > {}",
-                    target.machine.banks()[bi].name,
-                    target.machine.banks()[bi].size
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Guaranteed-progress fallback covering: one node per instruction,
@@ -1640,7 +1509,7 @@ pub fn cover_sequential_budgeted(
         }
     }
     let schedule = Schedule { steps, spills };
-    debug_assert!(verify_schedule(graph, target, &schedule).is_ok());
+    debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
     Ok(schedule)
 }
 

@@ -13,7 +13,7 @@
 
 use crate::assign::Assignment;
 use aviv_ir::{BitMatrix, BitSet, BlockDag, NodeId, Op, Sym, SymbolTable};
-use aviv_isdl::{BankId, BusId, Location, Target, UnitId};
+use aviv_isdl::{BankId, BusId, Location, SlotPattern, Target, UnitId};
 use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 use aviv_verify::{Code, Diagnostic};
 use std::collections::HashMap;
@@ -172,6 +172,21 @@ impl CoverNode {
     /// True for transfer-class nodes (everything on a bus).
     pub fn is_transfer(&self) -> bool {
         matches!(self.resource(), Resource::Bus(_))
+    }
+
+    /// Whether the node counts as a member `pat` of an ISDL `at_most`
+    /// constraint: an operation (or, for an opcode-free pattern, a
+    /// complex instruction) on the named unit, or any transfer on the
+    /// named bus.
+    pub fn matches(&self, pat: &SlotPattern) -> bool {
+        match *pat {
+            SlotPattern::UnitOp { unit, op } => match self.kind {
+                CnKind::Op { unit: u, op: o, .. } => u == unit && op.is_none_or(|want| o == want),
+                CnKind::Complex { unit: u, .. } => u == unit && op.is_none(),
+                _ => false,
+            },
+            SlotPattern::BusUse { bus } => self.resource() == Resource::Bus(bus),
+        }
     }
 }
 

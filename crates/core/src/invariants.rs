@@ -11,17 +11,22 @@
 //! slice of those properties and reports violations as structured
 //! [`Diagnostic`]s (codes `V001`–`V008`, see `docs/diagnostics.md`).
 //!
-//! The verifier runs after split-node DAG construction, covering,
-//! clique scheduling, register allocation, and emission when
-//! [`crate::CodegenOptions::verify`] is set — on by default in debug
-//! builds, opt-in via `avivc --verify` in release.
+//! [`verify_schedule`] is the one schedule checker: covering and the
+//! baseline assert it in debug builds, and peephole trials keep a change
+//! only when it comes back empty.
+//!
+//! When [`crate::CodegenOptions::verify`] is set — on by default in
+//! debug builds, opt-in via `avivc --verify` in release — the code
+//! generator runs [`verify_block`] once per block, after peephole, and
+//! [`verify_program`] once per function, after emission.
 
+use crate::cliques::{conflict, Conflict};
 use crate::cover::Schedule;
-use crate::covergraph::{CnKind, CoverGraph, Operand, Resource};
+use crate::covergraph::{CnKind, CoverGraph, Operand};
 use crate::emit::{AsmOperand, ControlOp, SlotOpcode, TransferKind, VliwInstruction, VliwProgram};
 use crate::regalloc::{verify_allocation, Allocation, Reg};
 use aviv_ir::BlockDag;
-use aviv_isdl::{Location, SlotPattern, Target};
+use aviv_isdl::{Location, Machine, Target};
 use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 use aviv_verify::{Code, Diagnostic};
 use std::collections::HashSet;
@@ -32,9 +37,10 @@ use std::fmt;
 pub enum Stage {
     /// After Split-Node DAG construction (§III).
     SplitDag,
-    /// After covering produced a cover graph and schedule (§IV-B/D/E).
+    /// After covering produced a cover graph and schedule (§IV-B/D/E):
+    /// [`verify_schedule`] plus the checks that read the block's DAG.
     Cover,
-    /// The clique-parallelism slice of the schedule check (§IV-C).
+    /// Clique scheduling (§IV-C): [`verify_schedule`] alone.
     Cliques,
     /// After detailed register allocation (§IV-F).
     RegAlloc,
@@ -99,14 +105,12 @@ pub fn verify_stage(stage: Stage, state: &StageState<'_>) -> Vec<Diagnostic> {
                 check_splitdag(state.target, dag, sndag, &mut out);
             }
         }
-        Stage::Cover => {
+        Stage::Cover | Stage::Cliques => {
             if let (Some(graph), Some(schedule)) = (state.graph, state.schedule) {
-                check_cover(state.target, state.dag, graph, schedule, &mut out);
-            }
-        }
-        Stage::Cliques => {
-            if let (Some(graph), Some(schedule)) = (state.graph, state.schedule) {
-                check_cliques(state.target, graph, schedule, &mut out);
+                out = verify_schedule(graph, state.target, schedule);
+                if stage == Stage::Cover {
+                    check_coverage(state.target, state.dag, graph, &mut out);
+                }
             }
         }
         Stage::RegAlloc => {
@@ -127,8 +131,9 @@ pub fn verify_stage(stage: Stage, state: &StageState<'_>) -> Vec<Diagnostic> {
     out
 }
 
-/// Run every block-level stage (everything but [`Stage::Emit`]) over a
-/// fully planned block.
+/// Run every block-level check over a fully planned block: the
+/// [`Stage::SplitDag`], [`Stage::Cover`] (which includes the
+/// [`Stage::Cliques`] check) and [`Stage::RegAlloc`] stages.
 pub fn verify_block(
     target: &Target,
     dag: &BlockDag,
@@ -147,7 +152,6 @@ pub fn verify_block(
     };
     let mut out = verify_stage(Stage::SplitDag, &state);
     out.extend(verify_stage(Stage::Cover, &state));
-    out.extend(verify_stage(Stage::Cliques, &state));
     out.extend(verify_stage(Stage::RegAlloc, &state));
     out
 }
@@ -256,20 +260,27 @@ fn check_splitdag(
     }
 }
 
-/// V001 / V002 / V004: exactly-once covering, explicit transfers on
-/// every cross-bank edge, and the per-bank pressure bound.
-fn check_cover(
-    target: &Target,
-    dag: Option<&BlockDag>,
+/// The one schedule checker: V001's schedule slice (every live node
+/// scheduled exactly once, no dead node scheduled, every dependency in a
+/// strictly earlier step), V003 (each step is a legal clique: no two of
+/// its nodes dependent, and no unit, bus or ISDL constraint conflict),
+/// and V004 (no bank holds more live values than registers at any
+/// step). An empty result means the schedule is valid for `graph` on
+/// `target`.
+///
+/// A step reports every dependent pair it holds, but only its first
+/// resource or constraint conflict (see [`conflict`]).
+pub fn verify_schedule(
     graph: &CoverGraph,
+    target: &Target,
     schedule: &Schedule,
-    out: &mut Vec<Diagnostic>,
-) {
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
     let n = graph.len();
     let step_of = schedule.step_of(n);
 
-    // Exactly-once: every alive node scheduled once, nothing dead or
-    // duplicated, dependencies strictly preceding.
+    // V001, exactly-once: every alive node scheduled once, nothing dead
+    // or duplicated, dependencies strictly preceding.
     for id in graph.alive() {
         if step_of[id.index()].is_none() {
             out.push(Diagnostic::new(
@@ -320,6 +331,106 @@ fn check_cover(
         }
     }
 
+    // V003: every step is a clique of pairwise-parallel operations.
+    for (t, step) in schedule.steps.iter().enumerate() {
+        for (i, &a) in step.iter().enumerate() {
+            for &b in &step[i + 1..] {
+                if graph.dependent(a, b) {
+                    out.push(Diagnostic::new(
+                        Code::V003,
+                        format!("step {t}"),
+                        format!("{a} and {b} are data-dependent but scheduled together"),
+                    ));
+                }
+            }
+        }
+        if let Some(c) = conflict(graph, target, step.iter().copied()) {
+            out.push(Diagnostic::new(
+                Code::V003,
+                format!("step {t}"),
+                conflict_message(c, &target.machine),
+            ));
+        }
+    }
+
+    // V004: per-bank register pressure at every step.
+    let mut pinned = vec![false; n];
+    for &(_, operand) in graph.live_out() {
+        if let Operand::Cn(c) = operand {
+            pinned[c.index()] = true;
+        }
+    }
+    let mut pressure = vec![0usize; target.machine.banks().len()];
+    for t in 0..schedule.steps.len() {
+        pressure.fill(0);
+        for id in graph.alive() {
+            let Some(def_t) = step_of[id.index()] else {
+                continue;
+            };
+            if def_t > t {
+                continue;
+            }
+            let Some(bank) = graph.node(id).dest_bank(target) else {
+                continue;
+            };
+            let live = pinned[id.index()]
+                || graph
+                    .uses(id)
+                    .iter()
+                    .any(|u| step_of[u.index()].is_some_and(|ut| ut > t));
+            if live {
+                pressure[bank.index()] += 1;
+            }
+        }
+        for (bi, &load) in pressure.iter().enumerate() {
+            let bank = &target.machine.banks()[bi];
+            if load > bank.size as usize {
+                out.push(Diagnostic::new(
+                    Code::V004,
+                    format!("step {t}, bank {}", bank.name),
+                    format!(
+                        "{load} simultaneously live values exceed the bank's {} registers",
+                        bank.size
+                    ),
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// V003's text for one conflict.
+fn conflict_message(conflict: Conflict, machine: &Machine) -> String {
+    match conflict {
+        Conflict::Unit(u) => format!(
+            "unit {} issues two operations in one instruction",
+            machine.unit(u).name
+        ),
+        Conflict::Bus(b) => format!(
+            "bus {} carries more transfers than its capacity {}",
+            machine.bus(b).name,
+            machine.bus(b).capacity
+        ),
+        Conflict::Constraint { index, members } => {
+            let con = &machine.constraints()[index];
+            let name = con.name.clone().unwrap_or_else(|| format!("#{index}"));
+            format!(
+                "constraint {name} allows {} concurrent members but {members} are scheduled",
+                con.at_most
+            )
+        }
+    }
+}
+
+/// V001 / V002 on the cover graph itself: every IR operation resolves
+/// to exactly one live implementation, and a transfer sits on every
+/// cross-bank edge.
+fn check_coverage(
+    target: &Target,
+    dag: Option<&BlockDag>,
+    graph: &CoverGraph,
+    out: &mut Vec<Diagnostic>,
+) {
     // Exactly-once per IR operation: every value-producing DAG node
     // must resolve to exactly one live implementation.
     if let Some(dag) = dag {
@@ -366,139 +477,6 @@ fn check_cover(
     // i.e. that a transfer node sits on every cross-bank edge).
     if let Err(msg) = graph.verify(target) {
         out.push(Diagnostic::new(Code::V002, "cover graph", msg));
-    }
-
-    // Per-bank register pressure at every schedule step.
-    let mut pinned = vec![false; n];
-    for &(_, operand) in graph.live_out() {
-        if let Operand::Cn(c) = operand {
-            pinned[c.index()] = true;
-        }
-    }
-    for t in 0..schedule.steps.len() {
-        let mut pressure = vec![0usize; target.machine.banks().len()];
-        for id in graph.alive() {
-            let Some(def_t) = step_of[id.index()] else {
-                continue;
-            };
-            if def_t > t {
-                continue;
-            }
-            let Some(bank) = graph.node(id).dest_bank(target) else {
-                continue;
-            };
-            let live = pinned[id.index()]
-                || graph
-                    .uses(id)
-                    .iter()
-                    .any(|u| step_of[u.index()].is_some_and(|ut| ut > t));
-            if live {
-                pressure[bank.index()] += 1;
-            }
-        }
-        for (bi, &load) in pressure.iter().enumerate() {
-            let bank = &target.machine.banks()[bi];
-            if load > bank.size as usize {
-                out.push(Diagnostic::new(
-                    Code::V004,
-                    format!("step {t}, bank {}", bank.name),
-                    format!(
-                        "{load} simultaneously live values exceed the bank's {} registers",
-                        bank.size
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// V003: every schedule step must be a clique of pairwise-parallel
-/// operations — independent, on distinct units, within bus capacity,
-/// and within every ISDL `at_most` constraint.
-fn check_cliques(
-    target: &Target,
-    graph: &CoverGraph,
-    schedule: &Schedule,
-    out: &mut Vec<Diagnostic>,
-) {
-    let machine = &target.machine;
-    for (t, step) in schedule.steps.iter().enumerate() {
-        for (i, &a) in step.iter().enumerate() {
-            for &b in &step[i + 1..] {
-                if graph.dependent(a, b) {
-                    out.push(Diagnostic::new(
-                        Code::V003,
-                        format!("step {t}"),
-                        format!("{a} and {b} are data-dependent but scheduled together"),
-                    ));
-                }
-            }
-        }
-        let mut unit_used = vec![false; machine.units().len()];
-        let mut bus_used = vec![0u32; machine.buses().len()];
-        for &id in step {
-            match graph.node(id).resource() {
-                Resource::Unit(u) => {
-                    if unit_used[u.index()] {
-                        out.push(Diagnostic::new(
-                            Code::V003,
-                            format!("step {t}"),
-                            format!(
-                                "unit {} issues two operations in one instruction",
-                                machine.unit(u).name
-                            ),
-                        ));
-                    }
-                    unit_used[u.index()] = true;
-                }
-                Resource::Bus(b) => {
-                    bus_used[b.index()] += 1;
-                    if bus_used[b.index()] == machine.bus(b).capacity + 1 {
-                        out.push(Diagnostic::new(
-                            Code::V003,
-                            format!("step {t}"),
-                            format!(
-                                "bus {} carries more transfers than its capacity {}",
-                                machine.bus(b).name,
-                                machine.bus(b).capacity
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        for (ci, con) in machine.constraints().iter().enumerate() {
-            let mut count = 0u32;
-            for &id in step {
-                let node = graph.node(id);
-                let matched = con.members.iter().any(|pat| match *pat {
-                    SlotPattern::UnitOp { unit, op } => match &node.kind {
-                        CnKind::Op { unit: u, op: o, .. } => {
-                            *u == unit && op.is_none_or(|want| *o == want)
-                        }
-                        CnKind::Complex { unit: u, .. } => *u == unit && op.is_none(),
-                        _ => false,
-                    },
-                    SlotPattern::BusUse { bus } => {
-                        matches!(node.resource(), Resource::Bus(b) if b == bus)
-                    }
-                });
-                if matched {
-                    count += 1;
-                }
-            }
-            if count > con.at_most {
-                let name = con.name.clone().unwrap_or_else(|| format!("#{ci}"));
-                out.push(Diagnostic::new(
-                    Code::V003,
-                    format!("step {t}"),
-                    format!(
-                        "constraint {name} allows {} concurrent members but {count} are scheduled",
-                        con.at_most
-                    ),
-                ));
-            }
-        }
     }
 }
 

@@ -41,7 +41,7 @@ pub use codegen::{
 };
 pub use cover::{
     cover, cover_budgeted, cover_sequential, cover_sequential_budgeted, cover_with_stats,
-    peak_pressure, verify_schedule, CoverError, Schedule, SearchStats, SpillRecord,
+    peak_pressure, CoverError, Schedule, SearchStats, SpillRecord,
 };
 pub use covergraph::{CnId, CnKind, CoverGraph, CoverNode, Operand, Resource};
 pub use emit::{
@@ -49,7 +49,9 @@ pub use emit::{
     VliwProgram,
 };
 pub use faults::{FaultConfig, FaultKind, INJECTED_PANIC};
-pub use invariants::{verify_block, verify_program, verify_stage, Stage, StageState};
+pub use invariants::{
+    verify_block, verify_program, verify_schedule, verify_stage, Stage, StageState,
+};
 pub use optimal::{optimal_block, OptimalConfig, OptimalResult};
 pub use options::CodegenOptions;
 pub use persist::{load_snapshot, save_snapshot, LoadOutcome};

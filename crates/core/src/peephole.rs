@@ -12,10 +12,12 @@
 //! change only when the schedule still verifies and colors, and then
 //! recompacts the schedule with an earliest-fit pass.
 
-use crate::cover::{verify_schedule, Schedule};
-use crate::covergraph::{CnId, CnKind, CoverGraph, Resource};
+use crate::cliques::conflict;
+use crate::cover::Schedule;
+use crate::covergraph::{CnId, CnKind, CoverGraph};
+use crate::invariants::verify_schedule;
 use crate::regalloc::{allocate, Allocation};
-use aviv_isdl::{SlotPattern, Target};
+use aviv_isdl::Target;
 
 /// Run the peephole pass in place. Never makes the schedule longer.
 pub fn optimize(
@@ -107,7 +109,7 @@ fn try_undo_spill(
     trial_sched.steps.retain(|s| !s.is_empty());
     trial_sched.spills.remove(si);
 
-    if verify_schedule(&trial_graph, target, &trial_sched).is_err() {
+    if !verify_schedule(&trial_graph, target, &trial_sched).is_empty() {
         return;
     }
     let Ok(trial_alloc) = allocate(&trial_graph, target, &trial_sched) else {
@@ -138,9 +140,8 @@ fn compact(
                 .unwrap_or(0);
             let mut t = min_step;
             while t < trial.len() {
-                let mut probe = trial[t].clone();
-                probe.push(id);
-                if group_legal(graph, target, &probe) {
+                let probe = trial[t].iter().copied().chain([id]);
+                if conflict(graph, target, probe).is_none() {
                     break;
                 }
                 t += 1;
@@ -159,7 +160,7 @@ fn compact(
         steps: trial,
         spills: schedule.spills.clone(),
     };
-    if verify_schedule(graph, target, &trial_sched).is_err() {
+    if !verify_schedule(graph, target, &trial_sched).is_empty() {
         return;
     }
     let Ok(trial_alloc) = allocate(graph, target, &trial_sched) else {
@@ -167,53 +168,4 @@ fn compact(
     };
     *schedule = trial_sched;
     *alloc = trial_alloc;
-}
-
-/// Whether a set of cover nodes may share one instruction: unit and bus
-/// resources plus the ISDL constraints (dependencies are enforced by the
-/// caller's placement order).
-pub fn group_legal(graph: &CoverGraph, target: &Target, group: &[CnId]) -> bool {
-    let mut unit_used = vec![false; target.machine.units().len()];
-    let mut bus_used = vec![0u32; target.machine.buses().len()];
-    for &id in group {
-        match graph.node(id).resource() {
-            Resource::Unit(u) => {
-                if unit_used[u.index()] {
-                    return false;
-                }
-                unit_used[u.index()] = true;
-            }
-            Resource::Bus(b) => {
-                bus_used[b.index()] += 1;
-                if bus_used[b.index()] > target.machine.bus(b).capacity {
-                    return false;
-                }
-            }
-        }
-    }
-    for con in target.machine.constraints() {
-        let mut count = 0u32;
-        for &id in group {
-            let node = graph.node(id);
-            let matched = con.members.iter().any(|pat| match *pat {
-                SlotPattern::UnitOp { unit, op } => match &node.kind {
-                    CnKind::Op { unit: u, op: o, .. } => {
-                        *u == unit && op.is_none_or(|want| *o == want)
-                    }
-                    CnKind::Complex { unit: u, .. } => *u == unit && op.is_none(),
-                    _ => false,
-                },
-                SlotPattern::BusUse { bus } => {
-                    matches!(node.resource(), Resource::Bus(b) if b == bus)
-                }
-            });
-            if matched {
-                count += 1;
-            }
-        }
-        if count > con.at_most {
-            return false;
-        }
-    }
-    true
 }

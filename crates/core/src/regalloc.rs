@@ -89,7 +89,7 @@ impl Allocation {
 }
 
 /// Coloring failure — cannot happen when the schedule honored the
-/// pressure bounds (see [`crate::cover::verify_schedule`]); reported
+/// pressure bounds (see [`crate::invariants::verify_schedule`]); reported
 /// rather than panicking so property tests can surface violations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegAllocError {
@@ -320,7 +320,7 @@ pub fn verify_allocation(
         if reg.index >= target.machine.bank(bank).size {
             return Err(format!("{id} register index out of range"));
         }
-        let def = step_of[id.index()].expect("alive nodes are scheduled");
+        let def = step_of[id.index()].ok_or_else(|| format!("{id} is never scheduled"))?;
         let mut last = def;
         for &u in graph.uses(id) {
             if let Some(ut) = step_of[u.index()] {

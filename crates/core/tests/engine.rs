@@ -4,10 +4,10 @@
 
 use aviv::assign::explore;
 use aviv::cliques::{gen_max_cliques, is_legal, legalize, ParallelismMatrix};
-use aviv::cover::{cover, cover_sequential, verify_schedule};
+use aviv::cover::{cover, cover_sequential};
 use aviv::covergraph::{CnKind, CoverGraph, Resource};
 use aviv::regalloc::{allocate, verify_allocation};
-use aviv::{CodeGenerator, CodegenOptions};
+use aviv::{verify_schedule, CodeGenerator, CodegenOptions};
 use aviv_ir::{parse_function, MemLayout, Op};
 use aviv_isdl::{archs, MachineBuilder, SlotPattern, Target};
 use aviv_splitdag::SplitNodeDag;
@@ -202,7 +202,7 @@ fn sequential_fallback_matches_interpreter_costs() {
     let mut g2 = CoverGraph::build(&f.blocks[0].dag, &sndag, &target, &res.assignments[0]);
     let mut syms2 = f.syms.clone();
     let sequential = cover_sequential(&mut g2, &target, &mut syms2).unwrap();
-    verify_schedule(&g2, &target, &sequential).unwrap();
+    assert_eq!(verify_schedule(&g2, &target, &sequential), []);
     assert!(
         concurrent.len() <= sequential.len(),
         "concurrent {} > sequential {}",
@@ -247,8 +247,11 @@ fn options_toggles_change_work_not_correctness() {
         let r = gen
             .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
-        verify_schedule(&r.graph, gen.target(), &r.schedule)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(
+            verify_schedule(&r.graph, gen.target(), &r.schedule),
+            [],
+            "{label}"
+        );
     }
 }
 

@@ -2,9 +2,8 @@
 //! exploration → covering → allocation → peephole → emission, verified
 //! with the structural oracles at every stage.
 
-use aviv::cover::verify_schedule;
 use aviv::regalloc::verify_allocation;
-use aviv::{CodeGenerator, CodegenOptions};
+use aviv::{verify_schedule, CodeGenerator, CodegenOptions};
 use aviv_ir::{parse_function, MemLayout};
 use aviv_isdl::archs;
 
@@ -16,7 +15,10 @@ fn compile(src: &str, machine: aviv_isdl::Machine, options: CodegenOptions) -> a
     let result = gen
         .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
         .unwrap();
-    verify_schedule(&result.graph, gen.target(), &result.schedule).unwrap();
+    assert_eq!(
+        verify_schedule(&result.graph, gen.target(), &result.schedule),
+        []
+    );
     verify_allocation(&result.graph, gen.target(), &result.schedule, &result.alloc).unwrap();
     result
 }

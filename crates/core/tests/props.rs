@@ -5,10 +5,10 @@ use aviv::assign::explore;
 use aviv::cliques::{
     brute_force_max_cliques, gen_max_cliques, gen_max_cliques_budgeted, ParallelismMatrix,
 };
-use aviv::cover::{cover, verify_schedule};
+use aviv::cover::cover;
 use aviv::covergraph::CoverGraph;
 use aviv::regalloc::{allocate, verify_allocation};
-use aviv::{Budget, CodegenOptions};
+use aviv::{verify_schedule, Budget, CodegenOptions};
 use aviv_ir::randdag::{random_block, RandDagConfig};
 use aviv_ir::Op;
 use aviv_isdl::{archs, Target};
@@ -142,8 +142,7 @@ proptest! {
                 }
             };
             let _ = &syms;
-            verify_schedule(&graph, &target, &schedule)
-                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(verify_schedule(&graph, &target, &schedule), []);
             let alloc = allocate(&graph, &target, &schedule)
                 .map_err(|e| TestCaseError::fail(format!("alloc: {e}")))?;
             verify_allocation(&graph, &target, &schedule, &alloc)
@@ -207,7 +206,7 @@ proptest! {
         };
         aviv::peephole::optimize(&mut graph, &target, &mut schedule, &mut alloc);
         prop_assert!(schedule.len() <= before);
-        verify_schedule(&graph, &target, &schedule).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(verify_schedule(&graph, &target, &schedule), []);
         verify_allocation(&graph, &target, &schedule, &alloc)
             .map_err(TestCaseError::fail)?;
     }
@@ -252,7 +251,7 @@ proptest! {
             let mut syms = f.syms.clone();
             let schedule = aviv::cover::cover_sequential(&mut graph, &target, &mut syms)
                 .map_err(|e| TestCaseError::fail(format!("sequential: {e}")))?;
-            verify_schedule(&graph, &target, &schedule).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(verify_schedule(&graph, &target, &schedule), []);
             let alloc = allocate(&graph, &target, &schedule)
                 .map_err(|e| TestCaseError::fail(format!("alloc: {e}")))?;
             verify_allocation(&graph, &target, &schedule, &alloc)

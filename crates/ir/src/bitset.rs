@@ -215,6 +215,7 @@ impl PartialOrd for BitSet {
 }
 
 /// Iterator over set bit indices; see [`BitSet::iter`].
+#[derive(Clone)]
 pub struct Iter<'a> {
     words: &'a [u64],
     word_idx: usize,

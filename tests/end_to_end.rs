@@ -223,3 +223,91 @@ fn derived_machines_compile_like_builtins() {
         .collect();
     assert_eq!(sizes[0], sizes[1]);
 }
+
+/// How many members of `con` one emitted instruction issues.
+fn constraint_members(instr: &aviv::VliwInstruction, con: &aviv_isdl::Constraint) -> u32 {
+    use aviv::SlotOpcode;
+    use aviv_isdl::SlotPattern;
+    let mut members = 0;
+    for pat in &con.members {
+        members += match *pat {
+            SlotPattern::UnitOp { unit, op } => u32::from(
+                instr.slots[unit.index()]
+                    .as_ref()
+                    .is_some_and(|s| op.is_none_or(|o| s.opcode == SlotOpcode::Basic(o))),
+            ),
+            SlotPattern::BusUse { bus } => {
+                instr.xfers.iter().filter(|x| x.bus == bus).count() as u32
+            }
+        };
+    }
+    members
+}
+
+#[test]
+fn isdl_constraint_with_unit_and_bus_members_holds_end_to_end() {
+    use aviv_ir::Op;
+    use aviv_isdl::{MachineBuilder, SlotPattern};
+    // U1 may not multiply while the bus carries a transfer. Two registers
+    // per bank force spills, so peephole's spill undoing and compaction
+    // and the baseline's list scheduler all probe the constraint too.
+    let mut b = MachineBuilder::new("MulOrMove");
+    let u1 = b.unit("U1", &[Op::Add, Op::Sub, Op::Mul], 2);
+    let u2 = b.unit("U2", &[Op::Add, Op::Sub, Op::Mul], 2);
+    let db = b.bus("DB", &[u1, u2], true, 2);
+    b.constraint(
+        1,
+        vec![
+            SlotPattern::UnitOp {
+                unit: u1,
+                op: Some(Op::Mul),
+            },
+            SlotPattern::BusUse { bus: db },
+        ],
+    );
+    let machine = b.build().unwrap();
+    // Without the constraint, both generators issue a multiply on U1
+    // beside a transfer, or two transfers, in several instructions.
+    let src = "func f(a, b, c, d, e, g, h, i) {
+        t1 = a * b;
+        t2 = c * d;
+        t3 = e * g;
+        t4 = h * i;
+        return (t1 + t2) * (t3 - t4) + a * i;
+    }";
+    let f = parse_function(src).unwrap();
+    let options = CodegenOptions::heuristics_on().with_verify(true);
+    let within = |instrs: &[aviv::VliwInstruction], who: &str| {
+        for (i, instr) in instrs.iter().enumerate() {
+            for con in machine.constraints() {
+                let members = constraint_members(instr, con);
+                assert!(
+                    members <= con.at_most,
+                    "{who}: instruction {i} issues {members} members"
+                );
+            }
+        }
+    };
+
+    let gen = CodeGenerator::new(machine.clone()).options(options.clone());
+    let (program, report) = gen.compile_function(&f).unwrap();
+    assert!(report.blocks.iter().any(|b| b.spills > 0), "{report:?}");
+    within(&program.instructions, "AVIV");
+    let asm = program.render(gen.target());
+    let tv = aviv::verify::validate_asm(&f, &asm, &machine);
+    assert!(tv.ok(), "{:?}", tv.diagnostics);
+    check_function(&f, machine.clone(), options, &[1, 2, 3, 4, 5, 6, 7, 8], &[]).unwrap();
+
+    let base = aviv_baseline::BaselineGenerator::new(machine.clone());
+    let mut syms = f.syms.clone();
+    let mut layout = MemLayout::for_function(&f);
+    let mut base_spills = 0;
+    for block in &f.blocks {
+        let r = base
+            .compile_block(&block.dag, &mut syms, &mut layout)
+            .unwrap();
+        base_spills += r.spills;
+        within(&r.instructions, "baseline");
+    }
+    assert!(base_spills > 0);
+}
