@@ -594,12 +594,12 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     if options.report {
         let _ = writeln!(
             outcome.report,
-            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut  cliq"
+            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut  cliq  prun"
         );
         for (bi, b) in report.blocks.iter().enumerate() {
             let _ = writeln!(
                 outcome.report,
-                "bb{bi}: {} {} {} {} {} {} {} {} {} {} {}",
+                "bb{bi}: {} {} {} {} {} {} {} {} {} {} {} {}",
                 b.instructions,
                 b.min_instructions_bound,
                 b.instructions.saturating_sub(b.min_instructions_bound),
@@ -611,6 +611,7 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
                 b.search.memo_hits,
                 b.search.rollouts_cut,
                 b.search.clique_steps,
+                b.search.assignments_pruned,
             );
         }
     }
@@ -1472,7 +1473,8 @@ mod tests {
             out.report
         );
         assert!(
-            out.report.contains("rollouts  steps  hits  cut  cliq"),
+            out.report
+                .contains("rollouts  steps  hits  cut  cliq  prun"),
             "{}",
             out.report
         );

@@ -20,6 +20,20 @@
 //! the exception — it is an absolute [`Instant`] shared by the whole
 //! function compile — and is therefore inherently nondeterministic; use
 //! fuel when reproducibility matters and deadlines when latency does.
+//!
+//! A budget also carries the rung's *incumbent*: the length of the
+//! shortest schedule covering has completed under it. Each covering
+//! entry point records its schedule's length on success and, on entry,
+//! before charging anything, skips an assignment whose admissible lower
+//! bound ([`crate::bound::schedule_lower_bound`]) already reaches the
+//! incumbent, returning [`crate::CoverError::Bounded`]. The driver keeps
+//! only a strictly shorter schedule, so a skipped assignment could not
+//! have won: this is the paper's branch and bound across assignments
+//! (§IV-A). The incumbent has the budget's scope, one block on one rung,
+//! so the first cover of a rung is never skipped. It lives here rather
+//! than in a parameter so that any caller that covers a block's
+//! assignments in turn under one budget prunes exactly as the driver
+//! does.
 
 use std::cell::Cell;
 use std::fmt;
@@ -140,6 +154,9 @@ pub struct Budget {
     /// Cooperative cancellation flag, sampled on the same stride as the
     /// wall clock; `None` means the budget cannot be cancelled.
     cancel: Option<CancelToken>,
+    /// Length of the shortest schedule completed under this budget;
+    /// `None` until the first one.
+    incumbent: Cell<Option<usize>>,
 }
 
 impl Budget {
@@ -157,6 +174,7 @@ impl Budget {
             exhausted: Cell::new(None),
             spent: Cell::new(0),
             cancel: None,
+            incumbent: Cell::new(None),
         }
     }
 
@@ -251,6 +269,19 @@ impl Budget {
     /// Total units charged so far.
     pub fn spent(&self) -> u64 {
         self.spent.get()
+    }
+
+    /// The length of the shortest schedule completed under this budget,
+    /// if any (see the module doc).
+    pub(crate) fn incumbent(&self) -> Option<usize> {
+        self.incumbent.get()
+    }
+
+    /// Record a completed schedule of `len` instructions: the incumbent
+    /// becomes the shorter of the two.
+    pub(crate) fn record_schedule(&self, len: usize) {
+        let best = self.incumbent.get().map_or(len, |i| i.min(len));
+        self.incumbent.set(Some(best));
     }
 }
 
@@ -355,6 +386,18 @@ mod tests {
         a.cancel();
         assert!(b.is_cancelled(), "clones share the flag");
         assert_eq!(b.generation(), 3);
+    }
+
+    #[test]
+    fn incumbent_keeps_the_shortest_schedule() {
+        let b = Budget::new(Some(10), None);
+        assert_eq!(b.incumbent(), None);
+        b.record_schedule(12);
+        b.record_schedule(15);
+        assert_eq!(b.incumbent(), Some(12));
+        b.record_schedule(11);
+        assert_eq!(b.incumbent(), Some(11));
+        assert_eq!(b.spent(), 0, "recording charges nothing");
     }
 
     #[test]

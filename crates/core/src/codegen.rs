@@ -245,7 +245,9 @@ pub struct BlockReport {
     pub assignment_space: u128,
     /// Assignments that survived enumeration.
     pub assignments_enumerated: usize,
-    /// Assignments explored in detail.
+    /// Assignments selected for detailed exploration; each is covered
+    /// unless the bound prunes it
+    /// ([`SearchStats::assignments_pruned`]).
     pub assignments_explored: usize,
     /// Whether enumeration was truncated by the safety cap.
     pub truncated: bool,
@@ -262,10 +264,10 @@ pub struct BlockReport {
     /// Node expansions charged to the winning rung's budget (the fuel
     /// unit of [`CodegenOptions::fuel`]).
     pub node_expansions: u64,
-    /// The winning rung's lookahead counters, summed over every
-    /// assignment it covered: rollouts run, rollout steps charged, memo
-    /// hits, rollouts settled by the incumbent bound, and the units
-    /// clique generation charged.
+    /// The winning rung's search counters, summed over every assignment
+    /// it covered: rollouts run, rollout steps charged, memo hits,
+    /// rollouts settled by the incumbent bound, and the units clique
+    /// generation charged; plus the assignments it pruned by bound.
     pub search: SearchStats,
     /// Peak simultaneous register occupancy of any one bank over the
     /// final schedule (see [`crate::cover::peak_pressure`]).
@@ -729,6 +731,8 @@ impl CodeGenerator {
         stages.explore = explore_start.elapsed();
 
         // Explore each selected assignment in depth; keep the cheapest.
+        // Covering skips an assignment whose lower bound already reaches
+        // the best length: `rung_budget` carries it (see `budget.rs`).
         let cover_start = Instant::now();
         let mut best: Option<(CoverGraph, Schedule, SymbolTable)> = None;
         let mut last_err: Option<CoverError> = None;
@@ -762,9 +766,15 @@ impl CodeGenerator {
                 )
                 .map(|s| (graph, s))
                 .or_else(|e| {
-                    if matches!(e, CoverError::Budget(_) | CoverError::Internal(_)) {
+                    if matches!(
+                        e,
+                        CoverError::Budget(_)
+                            | CoverError::Internal(_)
+                            | CoverError::Bounded { .. }
+                    ) {
                         // Budget exhaustion and engine defects are the
-                        // ladder's job, not the inline retry's.
+                        // ladder's job, not the inline retry's, and a
+                        // pruned assignment cannot win on any engine.
                         return Err(e);
                     }
                     // Extreme register pressure can wedge the concurrent
@@ -806,6 +816,16 @@ impl CodeGenerator {
                     }
                     _ => return Err(RungFailure::Budget(why)),
                 },
+                // Its bound reaches the best schedule's length, and only a
+                // strictly shorter one replaces the best.
+                Err(CoverError::Bounded { incumbent, .. }) => {
+                    debug_assert_eq!(
+                        best.as_ref().map(|(_, s, _)| s.len()),
+                        Some(incumbent),
+                        "the rung's first cover has no incumbent to prune against"
+                    );
+                    search.assignments_pruned += 1;
+                }
                 Err(e) => last_err = Some(e),
             }
         }

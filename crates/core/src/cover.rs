@@ -83,6 +83,7 @@
 //! that: a cut rollout would leave nothing behind and pay again for the
 //! same steps later.
 
+use crate::bound::schedule_lower_bound;
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
 use crate::covergraph::{CnId, CoverGraph, Operand};
@@ -155,6 +156,16 @@ pub enum CoverError {
     /// The cooperative [`Budget`] ran out mid-covering; the driver
     /// reacts by stepping down its degradation ladder.
     Budget(Exhaustion),
+    /// Branch and bound across assignments: the assignment was skipped
+    /// before any work because its admissible lower bound already
+    /// reaches the budget's incumbent (see [`crate::budget`]), so no
+    /// schedule of it could be strictly shorter.
+    Bounded {
+        /// [`schedule_lower_bound`] of the fresh graph.
+        bound: usize,
+        /// The shortest schedule completed under the budget.
+        incumbent: usize,
+    },
     /// A defect the engine used to panic (or silently loop) on, reported
     /// as a structured diagnostic instead: a wedged dependence frontier,
     /// an uncoverable node, or a spill-machinery precondition violation.
@@ -169,6 +180,10 @@ impl fmt::Display for CoverError {
             }
             CoverError::SpillLimit => write!(f, "spill loop failed to converge"),
             CoverError::Budget(why) => write!(f, "covering budget ran out: {why}"),
+            CoverError::Bounded { bound, incumbent } => write!(
+                f,
+                "assignment pruned: its lower bound {bound} reaches the incumbent's {incumbent} instructions"
+            ),
             CoverError::Internal(d) => write!(f, "covering engine defect: {d}"),
         }
     }
@@ -682,9 +697,10 @@ impl Memo {
     }
 }
 
-/// Lookahead search counters, summed over one or more covering calls.
-/// They describe the work only: the emitted code does not depend on
-/// them.
+/// Search counters, summed over one or more covering calls. They
+/// describe the work only: the emitted code does not depend on them.
+/// Covering fills the lookahead and clique counters; the driver counts
+/// the assignments the bound pruned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Lookahead rollouts run (one per tied candidate evaluated).
@@ -701,6 +717,9 @@ pub struct SearchStats {
     /// the enumerator, for every pool generated (at the start and after
     /// each spill).
     pub clique_steps: u64,
+    /// Assignments skipped before covering because their lower bound
+    /// already reached the incumbent ([`CoverError::Bounded`]).
+    pub assignments_pruned: u64,
 }
 
 /// The buffers one covering call lends to its selection loop and to
@@ -754,6 +773,13 @@ pub fn cover(
 /// expand work, and the engine returns [`CoverError::Budget`] as soon as
 /// the allotment runs out or the deadline passes.
 ///
+/// The budget also carries the incumbent (see [`crate::budget`]): a
+/// completed schedule records its length there, and a call whose fresh
+/// `graph` has a [`schedule_lower_bound`] at least that long returns
+/// [`CoverError::Bounded`] before charging anything. Cover a block's
+/// assignments in turn under one budget to prune as the driver does;
+/// use a fresh budget per block and rung.
+///
 /// # Errors
 ///
 /// See [`CoverError`].
@@ -788,6 +814,7 @@ pub fn cover_with_stats(
     budget: &Budget,
     stats: &mut SearchStats,
 ) -> Result<Schedule, CoverError> {
+    prune(graph, target, budget)?;
     let mut state = State::new(graph);
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
@@ -1108,7 +1135,23 @@ pub fn cover_with_stats(
 
     let schedule = Schedule { steps, spills };
     debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
+    budget.record_schedule(schedule.len());
     Ok(schedule)
+}
+
+/// Branch and bound across assignments: [`CoverError::Bounded`] when
+/// `budget` holds an incumbent no longer than the fresh `graph`'s
+/// [`schedule_lower_bound`]. The bound is taken only once there is an
+/// incumbent, so the first cover of a rung costs nothing extra.
+fn prune(graph: &CoverGraph, target: &Target, budget: &Budget) -> Result<(), CoverError> {
+    let Some(incumbent) = budget.incumbent() else {
+        return Ok(());
+    };
+    let bound = schedule_lower_bound(graph, target);
+    if bound >= incumbent {
+        return Err(CoverError::Bounded { bound, incumbent });
+    }
+    Ok(())
 }
 
 /// Structured "covering wedged" defect: uncovered nodes remain but none
@@ -1388,7 +1431,10 @@ pub fn cover_sequential(
 /// [`cover_sequential`] under a cooperative [`Budget`]. The final rung
 /// of the degradation ladder calls this with an unlimited budget — its
 /// register demand is bounded by operation arity, so it terminates
-/// whenever the machine can execute the block at all.
+/// whenever the machine can execute the block at all. Like
+/// [`cover_budgeted`], it records its schedule's length as the budget's
+/// incumbent and returns [`CoverError::Bounded`], before charging
+/// anything, for a fresh `graph` whose bound reaches it.
 ///
 /// # Errors
 ///
@@ -1399,6 +1445,7 @@ pub fn cover_sequential_budgeted(
     syms: &mut SymbolTable,
     budget: &Budget,
 ) -> Result<Schedule, CoverError> {
+    prune(graph, target, budget)?;
     let mut state = State::new(graph);
     let mut rows = Rows::default();
     rows.rebuild(graph, target);
@@ -1510,6 +1557,7 @@ pub fn cover_sequential_budgeted(
     }
     let schedule = Schedule { steps, spills };
     debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
+    budget.record_schedule(schedule.len());
     Ok(schedule)
 }
 

@@ -59,7 +59,7 @@ pub const MAGIC: [u8; 8] = *b"AVIVPLNC";
 
 /// Snapshot format version; bump on any codec change so stale files are
 /// quarantined instead of misread.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 const HEADER_LEN: usize = 8 + 4 + 8 + 8 + 8;
 
@@ -266,6 +266,7 @@ fn put_plan(e: &mut Enc, plan: &BlockPlan) {
     e.put_u64(report.search.memo_hits);
     e.put_u64(report.search.rollouts_cut);
     e.put_u64(report.search.clique_steps);
+    e.put_u64(report.search.assignments_pruned);
 }
 
 /// Encode `(key, plan)` entries into a complete snapshot file image
@@ -515,6 +516,7 @@ fn get_plan(d: &mut Dec<'_>) -> Result<BlockPlan, WireError> {
             memo_hits: d.get_u64("memo_hits")?,
             rollouts_cut: d.get_u64("rollouts_cut")?,
             clique_steps: d.get_u64("clique_steps")?,
+            assignments_pruned: d.get_u64("assignments_pruned")?,
         },
         cached: false,
         restored: false,

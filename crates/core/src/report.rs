@@ -18,12 +18,13 @@ impl BlockResult {
         let _ = writeln!(
             out,
             "block: {} DAG nodes -> {} split-node DAG nodes \
-             (assignment space {}, {} enumerated, {} explored)",
+             (assignment space {}, {} enumerated, {} explored, {} pruned by bound)",
             r.orig_nodes,
             r.sndag_nodes,
             r.assignment_space,
             r.assignments_enumerated,
-            r.assignments_explored
+            r.assignments_explored,
+            r.search.assignments_pruned
         );
         let _ = writeln!(
             out,

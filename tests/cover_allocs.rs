@@ -1,10 +1,11 @@
 //! Allocation ceiling for the covering hot path.
 //!
 //! Compiles the `sweep-exhaustive` benchmark input — `dot4` on the
-//! Example machine with every heuristic off, so the covering engine runs
-//! a lookahead rollout for every enumerated assignment (62,570 node
-//! expansions with the rollout memo and the pivoting clique enumerator;
-//! 118,252 with Fig. 8's recursion, 273,970 before the memo) — from source
+//! Example machine with every heuristic off, so every enumerated
+//! assignment is selected and each one the bound does not prune is
+//! covered with lookahead (2,680 node expansions with branch and bound
+//! across assignments; 62,570 without it, 118,252 with Fig. 8's
+//! recursion, 273,970 before the rollout memo) — from source
 //! bytes to assembly bytes, and counts every call into the allocator.
 //! The selection loop and the rollouts reuse one scratch state per
 //! covering call, and the memo reserves its capacity once per clique
@@ -81,7 +82,7 @@ fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
     let allocs = CALLS.load(Ordering::Relaxed) - before;
 
     let expansions: u64 = report.blocks.iter().map(|b| b.node_expansions).sum();
-    assert_eq!(expansions, 62_570, "the search itself changed");
+    assert_eq!(expansions, 2_680, "the search itself changed");
     assert_eq!(report.total_instructions, 12);
     assert!(!asm.is_empty());
     eprintln!("{allocs} allocations for {expansions} node expansions");
