@@ -528,7 +528,7 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     let preset = build_preset(options);
     let mut outcome = Outcome::default();
     let generator = CodeGenerator::new(machine).options(preset);
-    let target = generator.target().clone();
+    let target = generator.shared_target();
 
     if options.baseline {
         if options.validate {
@@ -616,9 +616,12 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
         }
     }
     if options.explain {
-        let mut syms = function.syms.clone();
-        let mut layout = MemLayout::for_function(&function);
-        for (bi, block) in function.blocks.iter().enumerate() {
+        // Explain the blocks `compile_function` planned (after dead-code
+        // elimination), so the counts match `--report` and the output.
+        let planned = generator.planned_function(&function);
+        let mut syms = planned.syms.clone();
+        let mut layout = MemLayout::for_function(&planned);
+        for (bi, block) in planned.blocks.iter().enumerate() {
             let r = generator
                 .compile_block(&block.dag, &mut syms, &mut layout)
                 .map_err(|e| err(format!("compile: {e}")))?;

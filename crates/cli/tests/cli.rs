@@ -123,3 +123,56 @@ fn help_prints_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: avivc"));
 }
+
+/// The per-block instruction counts of an `avivc` run's report: the
+/// `result:` line of each `--explain` block and the `bbN:` rows of
+/// `--report`.
+fn explained_and_reported_counts(report: &str) -> (Vec<usize>, Vec<usize>) {
+    let count = |rest: &str| rest.split_whitespace().next().unwrap().parse().unwrap();
+    let explained = report
+        .lines()
+        .filter_map(|l| l.strip_prefix("result: "))
+        .map(count)
+        .collect();
+    let reported = report
+        .lines()
+        .filter(|l| l.starts_with("bb"))
+        .map(|l| count(l.split_once(": ").unwrap().1))
+        .collect();
+    (explained, reported)
+}
+
+#[test]
+fn explain_describes_the_dead_code_eliminated_compile() {
+    let dir = std::env::temp_dir().join("avivc_test_explain_dce");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (machine, _) = write_fixtures(&dir);
+    // `x = a * b` is overwritten on the only path before anything reads
+    // it, so dead-code elimination leaves the first block empty.
+    let program = dir.join("dead.av");
+    std::fs::write(
+        &program,
+        "func f(a, b) {
+            x = a * b;
+            goto next;
+        next:
+            x = a + b;
+            return x;
+        }",
+    )
+    .unwrap();
+    let out = avivc()
+        .args(["--machine", &machine, program.to_str().unwrap()])
+        .args(["--explain", "--report"])
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{report}");
+    let (explained, reported) = explained_and_reported_counts(&report);
+    assert_eq!(reported.len(), 2, "{report}");
+    assert_eq!(
+        reported[0], 0,
+        "the dead multiply was eliminated:\n{report}"
+    );
+    assert_eq!(explained, reported, "{report}");
+}

@@ -34,6 +34,16 @@
 //! table the hit is applied to — the same mechanism that makes parallel
 //! planning deterministic.
 //!
+//! # Sharing
+//!
+//! Entries are `Arc<BlockPlan>`s and are never mutated in place: a hit
+//! costs a reference count, and
+//! [`compile_function`](crate::CodeGenerator::compile_function) emits
+//! straight from the shared plan. The one plan it copies is a hit whose
+//! spill-slot ids must be rebased because an earlier block of the same
+//! function already took those ids; the copy is rebased and the resident
+//! plan stays as it was inserted.
+//!
 //! # Eviction and concurrency
 //!
 //! Bounded LRU: inserting beyond [`PlanCache::capacity`] evicts the
@@ -46,7 +56,7 @@
 use crate::codegen::BlockPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Cache key: `(block content hash, target fingerprint, options
 /// fingerprint)`. See the [module docs](self) for what each component
@@ -85,7 +95,7 @@ pub struct CacheStats {
 }
 
 struct CacheEntry {
-    plan: BlockPlan,
+    plan: Arc<BlockPlan>,
     /// Logical timestamp of the last hit or insertion.
     last_used: u64,
     /// Came from a persisted snapshot, not a compile in this process
@@ -158,16 +168,19 @@ impl PlanCache {
     }
 
     /// Look up a plan, refreshing its LRU position and counting the
-    /// outcome. Returns a clone — plans are mutated during application
-    /// (spill-slot rebasing), so the resident copy must stay pristine.
+    /// outcome. Returns an owned copy of the shared plan, for callers
+    /// that hand it to [`apply_plan`](crate::CodeGenerator::apply_plan);
+    /// [`lookup_flagged`](PlanCache::lookup_flagged) shares it instead.
     pub fn lookup(&self, key: &CacheKey) -> Option<BlockPlan> {
-        self.lookup_flagged(key).map(|(plan, _)| plan)
+        self.lookup_flagged(key)
+            .map(|(plan, _)| BlockPlan::clone(&plan))
     }
 
-    /// [`lookup`](PlanCache::lookup), also reporting whether the serving
-    /// entry was restored from a persisted snapshot rather than computed
-    /// in this process.
-    pub fn lookup_flagged(&self, key: &CacheKey) -> Option<(BlockPlan, bool)> {
+    /// Look up a plan like [`lookup`](PlanCache::lookup), returning the
+    /// resident plan itself (plans are never mutated in place) and
+    /// whether it was restored from a persisted snapshot rather than
+    /// computed in this process.
+    pub fn lookup_flagged(&self, key: &CacheKey) -> Option<(Arc<BlockPlan>, bool)> {
         let mut map = lock_unpoisoned(&self.map);
         map.tick += 1;
         let tick = map.tick;
@@ -175,7 +188,7 @@ impl PlanCache {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((entry.plan.clone(), entry.restored))
+                Some((Arc::clone(&entry.plan), entry.restored))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -188,8 +201,9 @@ impl PlanCache {
     /// entry if the cache is full.
     ///
     /// Callers are expected to insert only *complete* plans — the
-    /// generator enforces this; see the [module docs](self).
-    pub fn insert(&self, key: CacheKey, plan: BlockPlan) {
+    /// generator enforces this; see the [module docs](self). Takes a
+    /// [`BlockPlan`] or an already shared `Arc<BlockPlan>`.
+    pub fn insert(&self, key: CacheKey, plan: impl Into<Arc<BlockPlan>>) {
         let mut map = lock_unpoisoned(&self.map);
         map.tick += 1;
         let tick = map.tick;
@@ -208,7 +222,7 @@ impl PlanCache {
         map.entries.insert(
             key,
             CacheEntry {
-                plan,
+                plan: plan.into(),
                 last_used: tick,
                 restored: false,
             },
@@ -216,17 +230,17 @@ impl PlanCache {
     }
 
     /// Snapshot the resident entries in LRU order (least recently used
-    /// first), cloning each plan — the input to
+    /// first), sharing each plan — the input to
     /// [`crate::persist::save_snapshot`]. Iterating oldest-first means a
     /// later [`absorb`](PlanCache::absorb) into a smaller cache keeps the
     /// hottest entries.
-    pub fn snapshot_entries(&self) -> Vec<(CacheKey, BlockPlan)> {
+    pub fn snapshot_entries(&self) -> Vec<(CacheKey, Arc<BlockPlan>)> {
         let map = lock_unpoisoned(&self.map);
         let mut entries: Vec<(&CacheKey, &CacheEntry)> = map.entries.iter().collect();
         entries.sort_by_key(|(_, e)| e.last_used);
         entries
             .into_iter()
-            .map(|(k, e)| (*k, e.plan.clone()))
+            .map(|(k, e)| (*k, Arc::clone(&e.plan)))
             .collect()
     }
 
@@ -236,7 +250,7 @@ impl PlanCache {
     /// capacity evict LRU as usual; an entry already resident (computed
     /// in this process) is *not* overwritten — a live plan is always at
     /// least as trustworthy as a restored one.
-    pub fn absorb(&self, restored: Vec<(CacheKey, BlockPlan)>) -> usize {
+    pub fn absorb<P: Into<Arc<BlockPlan>>>(&self, restored: Vec<(CacheKey, P)>) -> usize {
         let mut absorbed = 0;
         for (key, plan) in restored {
             let mut map = lock_unpoisoned(&self.map);
@@ -259,7 +273,7 @@ impl PlanCache {
             map.entries.insert(
                 key,
                 CacheEntry {
-                    plan,
+                    plan: plan.into(),
                     last_used: tick,
                     restored: true,
                 },

@@ -52,6 +52,7 @@ use aviv_ir::{BlockDag, Function, MemLayout, NodeId, Sym, SymbolTable, Terminato
 use aviv_isdl::{Machine, Target};
 use aviv_splitdag::{SplitDagError, SplitNodeDag};
 use aviv_verify::{Code, Diagnostic};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -350,6 +351,31 @@ impl BlockPlan {
         &self.appended_syms
     }
 
+    /// Intern this plan's spill slots into `syms` in creation order,
+    /// returning each plan-local id whose merged id differs (empty when
+    /// the ids already agree).
+    fn merge_spill_syms(&self, syms: &mut SymbolTable) -> HashMap<Sym, Sym> {
+        let mut remap = HashMap::new();
+        for (i, name) in self.appended_syms.iter().enumerate() {
+            let local = Sym((self.snapshot_len + i) as u32);
+            let merged = syms.fresh_like(name);
+            if merged != local {
+                remap.insert(local, merged);
+            }
+        }
+        remap
+    }
+
+    /// Rename spill-slot symbols by `remap`.
+    fn remap_syms(&mut self, remap: &HashMap<Sym, Sym>) {
+        self.graph.remap_syms(remap);
+        for r in &mut self.schedule.spills {
+            if let Some(&m) = remap.get(&r.slot) {
+                r.slot = m;
+            }
+        }
+    }
+
     /// Decompose into the parts the snapshot codec ([`crate::persist`])
     /// writes to disk.
     #[allow(clippy::type_complexity)]
@@ -389,6 +415,28 @@ impl BlockPlan {
             appended_syms,
             snapshot_len,
             report,
+        }
+    }
+}
+
+/// A block's plan as [`CodeGenerator::compile_function`] emits it: the
+/// plan, shared with the cache when it was served from or inserted into
+/// one, and where it came from.
+struct Planned {
+    plan: Arc<BlockPlan>,
+    /// Served from the [`PlanCache`].
+    cached: bool,
+    /// Served by an entry restored from a persisted snapshot.
+    restored: bool,
+}
+
+impl Planned {
+    /// A plan computed by this compile.
+    fn fresh(plan: impl Into<Arc<BlockPlan>>) -> Planned {
+        Planned {
+            plan: plan.into(),
+            cached: false,
+            restored: false,
         }
     }
 }
@@ -485,9 +533,6 @@ pub struct CodeGenerator {
     options: CodegenOptions,
     /// Shared plan cache; `None` (the default) plans every block fresh.
     cache: Option<Arc<PlanCache>>,
-    /// [`Target::fingerprint`] of `target`, computed once when the cache
-    /// is attached (it is only ever read on cache paths).
-    target_fp: u64,
 }
 
 impl CodeGenerator {
@@ -510,7 +555,6 @@ impl CodeGenerator {
             target,
             options: CodegenOptions::default(),
             cache: None,
-            target_fp: 0,
         }
     }
 
@@ -530,7 +574,6 @@ impl CodeGenerator {
     /// a plan that is byte-identical to what planning would produce (see
     /// the [`crate::cache`] module docs for the argument).
     pub fn with_cache(mut self, cache: Arc<PlanCache>) -> Self {
-        self.target_fp = self.target.fingerprint();
         self.cache = Some(cache);
         self
     }
@@ -1000,43 +1043,11 @@ impl CodeGenerator {
         layout: &mut MemLayout,
     ) -> Result<BlockResult, CodegenError> {
         let start = Instant::now();
-        if !plan.appended_syms.is_empty() {
-            let mut remap: HashMap<Sym, Sym> = HashMap::new();
-            for (i, name) in plan.appended_syms.iter().enumerate() {
-                let local = Sym((plan.snapshot_len + i) as u32);
-                let merged = syms.fresh_like(name);
-                if merged != local {
-                    remap.insert(local, merged);
-                }
-            }
-            if !remap.is_empty() {
-                plan.graph.remap_syms(&remap);
-                for r in &mut plan.schedule.spills {
-                    if let Some(&m) = remap.get(&r.slot) {
-                        r.slot = m;
-                    }
-                }
-            }
+        let remap = plan.merge_spill_syms(syms);
+        if !remap.is_empty() {
+            plan.remap_syms(&remap);
         }
-
-        // Register any new spill slots with the layout.
-        for (sym, _) in syms.iter() {
-            if sym.index() >= layout.known_symbols() {
-                layout.reserve_slot(sym);
-            }
-        }
-
-        let instructions = emit_block(
-            &plan.graph,
-            &self.target,
-            &plan.schedule,
-            &plan.alloc,
-            syms,
-            layout,
-        )
-        .map_err(CodegenError::Internal)?;
-        let live_out =
-            live_out_operands(&plan.graph, &plan.alloc).map_err(CodegenError::Internal)?;
+        let (instructions, live_out) = self.emit_plan(&plan, syms, layout)?;
         let mut report = plan.report;
         report.instructions = instructions.len();
         report.time += start.elapsed();
@@ -1048,6 +1059,49 @@ impl CodeGenerator {
             live_out,
             report,
         })
+    }
+
+    /// Emit a plan whose spill slots are already merged into `syms`:
+    /// reserve their layout slots, lower the schedule to instructions
+    /// and locate the live-out values.
+    fn emit_plan(
+        &self,
+        plan: &BlockPlan,
+        syms: &SymbolTable,
+        layout: &mut MemLayout,
+    ) -> Result<(Vec<VliwInstruction>, HashMap<NodeId, AsmOperand>), CodegenError> {
+        for (sym, _) in syms.iter().skip(layout.known_symbols()) {
+            layout.reserve_slot(sym);
+        }
+        let instructions = emit_block(
+            &plan.graph,
+            &self.target,
+            &plan.schedule,
+            &plan.alloc,
+            syms,
+            layout,
+        )
+        .map_err(CodegenError::Internal)?;
+        let live_out =
+            live_out_operands(&plan.graph, &plan.alloc).map_err(CodegenError::Internal)?;
+        Ok((instructions, live_out))
+    }
+
+    /// The function [`CodeGenerator::compile_function`] plans and emits
+    /// for `f`: with [`CodegenOptions::exact_liveness`] (the default),
+    /// `f` after exact global dead-code elimination — stores shadowed on
+    /// every path and the nodes only they kept alive are dropped before
+    /// covering, so dead values never occupy registers. Every named
+    /// variable is treated as observable at exit, which keeps the memory
+    /// image — and therefore the differential oracle — bit-identical.
+    /// Borrows `f` when nothing is removed.
+    pub fn planned_function<'f>(&self, f: &'f Function) -> Cow<'f, Function> {
+        let pruned = if self.options.exact_liveness {
+            without_dead_code(f)
+        } else {
+            None
+        };
+        pruned.map_or(Cow::Borrowed(f), Cow::Owned)
     }
 
     /// Compile a whole function, lowering control flow conventionally
@@ -1081,36 +1135,28 @@ impl CodeGenerator {
         {
             return Err(CodegenError::Cancelled);
         }
-        // Exact global liveness: drop stores shadowed on every path (and
-        // the nodes only they kept alive) before covering, so dead
-        // values never occupy registers. Every named variable is treated
-        // as observable at exit, which keeps the memory image — and
-        // therefore the differential oracle — bit-identical.
-        let pruned = if self.options.exact_liveness {
-            without_dead_code(f)
-        } else {
-            None
-        };
-        let f = pruned.as_ref().unwrap_or(f);
-        let snapshot = f.syms.clone();
+        let planned = self.planned_function(f);
+        let f = &*planned;
         let deadline = budget::deadline(self.options.deadline_ms);
         let dags: Vec<&BlockDag> = f.iter().map(|(_, b)| &b.dag).collect();
         // Cache keys are computed on the post-DCE dags (what is actually
         // planned), so toggling `exact_liveness` cannot alias entries.
         let keys = self.plan_cache_keys(f);
         let jobs = effective_jobs(self.options.jobs, dags.len());
-        let plans: Vec<Result<BlockPlan, CodegenError>> = if jobs <= 1 {
+        let plans: Vec<Result<Planned, CodegenError>> = if jobs <= 1 {
             dags.iter()
                 .enumerate()
                 .map(|(i, d)| {
-                    self.plan_block_keyed(d, &snapshot, i, deadline, keys.as_ref().map(|k| k[i]))
+                    self.plan_block_keyed(d, &f.syms, i, deadline, keys.as_ref().map(|k| k[i]))
                 })
                 .collect()
         } else {
-            self.plan_blocks_parallel(&dags, &snapshot, jobs, deadline, keys.as_deref())
+            self.plan_blocks_parallel(&dags, &f.syms, jobs, deadline, keys.as_deref())
         };
 
-        let mut syms = snapshot;
+        // Plans were made against `f.syms`; the table is copied only once
+        // a plan appends a spill slot.
+        let mut syms = Cow::Borrowed(&f.syms);
         let mut layout = MemLayout::for_function(f);
         let n_units = self.target.machine.units().len();
 
@@ -1120,8 +1166,12 @@ impl CodeGenerator {
         let mut pending_targets: Vec<(usize, usize)> = Vec::new(); // (instr, block)
         let mut report = CompileReport::default();
 
-        for ((bid, block), plan) in f.iter().zip(plans) {
-            let plan = plan?;
+        for ((bid, block), planned) in f.iter().zip(plans) {
+            let Planned {
+                mut plan,
+                cached,
+                restored,
+            } = planned?;
             block_starts.push(instructions.len());
 
             // Emission-side fault point (plan-side injectors never arm
@@ -1139,13 +1189,26 @@ impl CodeGenerator {
                 if emit_fault == Some(FaultKind::Panic) {
                     panic!("{INJECTED_PANIC} at emission");
                 }
-                let mut plan = plan;
+                // `Arc::make_mut` copies a plan only while the cache
+                // shares it, so a resident plan is never changed.
                 if emit_fault == Some(FaultKind::Malform) {
-                    plan.alloc.corrupt_one();
+                    Arc::make_mut(&mut plan).alloc.corrupt_one();
                 }
-                let result = self.apply_plan(plan, &mut syms, &mut layout)?;
-                report.blocks.push(result.report.clone());
-                instructions.extend(result.instructions.iter().cloned());
+                let start = Instant::now();
+                if !plan.appended_syms.is_empty() {
+                    let remap = plan.merge_spill_syms(syms.to_mut());
+                    if !remap.is_empty() {
+                        Arc::make_mut(&mut plan).remap_syms(&remap);
+                    }
+                }
+                let (body, live_out) = self.emit_plan(&plan, &syms, &mut layout)?;
+                let mut block_report = plan.report.clone();
+                block_report.cached = cached;
+                block_report.restored = restored;
+                block_report.instructions = body.len();
+                block_report.time += start.elapsed();
+                report.blocks.push(block_report);
+                instructions.extend(body);
 
                 let next = bid.index() + 1;
                 match &block.term {
@@ -1162,8 +1225,7 @@ impl CodeGenerator {
                         if_true,
                         if_false,
                     } => {
-                        let cond_op = *result
-                            .live_out
+                        let cond_op = *live_out
                             .get(cond)
                             .ok_or_else(|| missing_live_out(bid.index(), "branch condition"))?;
                         let mut inst = VliwInstruction::nop(n_units);
@@ -1183,7 +1245,7 @@ impl CodeGenerator {
                     Terminator::Return(v) => {
                         let val =
                             match v {
-                                Some(n) => Some(*result.live_out.get(n).ok_or_else(|| {
+                                Some(n) => Some(*live_out.get(n).ok_or_else(|| {
                                     missing_live_out(bid.index(), "return value")
                                 })?),
                                 None => None,
@@ -1337,7 +1399,7 @@ impl CodeGenerator {
             f.iter()
                 .map(|(_, b)| CacheKey {
                     block: aviv_ir::block_dag_hash(&b.dag, &f.syms),
-                    target: self.target_fp,
+                    target: self.target.fingerprint(),
                     options: options_fp,
                 })
                 .collect(),
@@ -1345,11 +1407,10 @@ impl CodeGenerator {
     }
 
     /// [`CodeGenerator::plan_block_guarded`] behind the plan cache: serve
-    /// a hit as a clone of the resident plan (marking the report
-    /// `cached`), or plan from scratch and — if the result is *complete*,
-    /// i.e. byte-identical to an unbudgeted run — insert it. Incomplete
-    /// (degraded/truncated) plans depend on budgets and wall-clock, so
-    /// they are recomputed every time.
+    /// a hit as the resident plan itself, or plan from scratch and — if
+    /// the result is *complete*, i.e. byte-identical to an unbudgeted
+    /// run — insert it. Incomplete (degraded/truncated) plans depend on
+    /// budgets and wall-clock, so they are recomputed every time.
     fn plan_block_keyed(
         &self,
         dag: &BlockDag,
@@ -1357,20 +1418,24 @@ impl CodeGenerator {
         block: usize,
         deadline: Option<Instant>,
         key: Option<CacheKey>,
-    ) -> Result<BlockPlan, CodegenError> {
+    ) -> Result<Planned, CodegenError> {
         let (Some(key), Some(cache)) = (key, self.cache.as_deref()) else {
-            return self.plan_block_guarded(dag, snapshot, block, deadline);
+            return self
+                .plan_block_guarded(dag, snapshot, block, deadline)
+                .map(Planned::fresh);
         };
-        if let Some((mut plan, restored)) = cache.lookup_flagged(&key) {
-            plan.report.cached = true;
-            plan.report.restored = restored;
-            return Ok(plan);
+        if let Some((plan, restored)) = cache.lookup_flagged(&key) {
+            return Ok(Planned {
+                plan,
+                cached: true,
+                restored,
+            });
         }
-        let plan = self.plan_block_guarded(dag, snapshot, block, deadline)?;
+        let plan = Arc::new(self.plan_block_guarded(dag, snapshot, block, deadline)?);
         if plan.report.complete {
-            cache.insert(key, plan.clone());
+            cache.insert(key, Arc::clone(&plan));
         }
-        Ok(plan)
+        Ok(Planned::fresh(plan))
     }
 
     /// [`CodeGenerator::plan_block_at`] with a last-resort panic guard:
@@ -1407,9 +1472,9 @@ impl CodeGenerator {
         jobs: usize,
         deadline: Option<Instant>,
         keys: Option<&[CacheKey]>,
-    ) -> Vec<Result<BlockPlan, CodegenError>> {
+    ) -> Vec<Result<Planned, CodegenError>> {
         let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<BlockPlan, CodegenError>>> = Vec::new();
+        let mut slots: Vec<Option<Result<Planned, CodegenError>>> = Vec::new();
         slots.resize_with(dags.len(), || None);
         std::thread::scope(|s| {
             let next = &next;

@@ -50,6 +50,7 @@ use crate::regalloc::{Allocation, Reg};
 use crate::wire::{fnv64, Dec, Enc, WireError};
 use aviv_ir::{BitSet, NodeId, Op, Sym};
 use aviv_isdl::{BankId, BusId, UnitId};
+use std::borrow::Borrow;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -270,14 +271,15 @@ fn put_plan(e: &mut Enc, plan: &BlockPlan) {
 }
 
 /// Encode `(key, plan)` entries into a complete snapshot file image
-/// (header + checksummed payload).
-pub fn encode_snapshot(entries: &[(CacheKey, BlockPlan)]) -> Vec<u8> {
+/// (header + checksummed payload). Plans may be owned or shared
+/// ([`PlanCache::snapshot_entries`](crate::PlanCache::snapshot_entries)).
+pub fn encode_snapshot<P: Borrow<BlockPlan>>(entries: &[(CacheKey, P)]) -> Vec<u8> {
     let mut payload = Enc::new();
     for (key, plan) in entries {
         payload.put_u64(key.block);
         payload.put_u64(key.target);
         payload.put_u64(key.options);
-        put_plan(&mut payload, plan);
+        put_plan(&mut payload, plan.borrow());
     }
     let payload = payload.into_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());

@@ -293,3 +293,83 @@ proptest! {
         }
     }
 }
+
+/// Block X spills on a two-register Example machine and names only
+/// parameters, so it hashes alike in every function declaring the same
+/// parameters.
+const SPILLING_X: &str = "p0 = (p1 + p2) * (p3 + p4) - (p5 + p6) * (p7 + p1);";
+
+#[test]
+fn resident_plans_are_shared_and_never_mutated() {
+    let params = "p0, p1, p2, p3, p4, p5, p6, p7";
+    // In `alone`, X's spill slot is the first id past the parameters. In
+    // `after`, a spilling block Y takes that id first (and the label
+    // another), so the cached plan of X must be rebased on emission.
+    let alone = parse_function(&format!("func alone({params}) {{ {SPILLING_X} }}")).unwrap();
+    let after = parse_function(&format!(
+        "func after({params}) {{
+            p6 = (p2 - p3) * (p4 - p5) + (p1 - p7) * (p0 - p2);
+        x:
+            {SPILLING_X}
+        }}"
+    ))
+    .unwrap();
+    let machine = aviv_isdl::archs::example_arch(2);
+    let options = CodegenOptions::default().with_jobs(1);
+    let cache = Arc::new(PlanCache::new(64));
+    let gen = CodeGenerator::new(machine)
+        .options(options.clone())
+        .with_cache(Arc::clone(&cache));
+    let cold_gen = CodeGenerator::with_shared_target(gen.shared_target()).options(options.clone());
+    let (cold, cold_report) = cold_gen.compile_function(&after).expect("compiles");
+    let cold = cold.render(gen.target());
+    assert!(
+        cold_report.blocks.iter().all(|b| b.spills > 0),
+        "both blocks must spill"
+    );
+
+    gen.compile_function(&alone).expect("compiles");
+    let key = aviv::CacheKey {
+        block: aviv_ir::block_dag_hash(&alone.blocks[0].dag, &alone.syms),
+        target: gen.target().fingerprint(),
+        options: options.planning_fingerprint(),
+    };
+    let (resident, _) = cache.lookup_flagged(&key).expect("X was cached");
+    assert!(!resident.appended_syms().is_empty());
+    let pristine = aviv::persist::encode_snapshot(&[(key, Arc::clone(&resident))]);
+
+    let (warm, report) = gen.compile_function(&after).expect("compiles");
+    assert!(!report.blocks[0].cached && report.blocks[1].cached);
+    assert_eq!(
+        warm.render(gen.target()),
+        cold,
+        "a rebased hit changed the bytes"
+    );
+
+    let (again, _) = cache.lookup_flagged(&key).expect("X is still cached");
+    assert!(
+        Arc::ptr_eq(&resident, &again),
+        "a hit copied the resident plan"
+    );
+    assert_eq!(
+        aviv::persist::encode_snapshot(&[(key, again)]),
+        pristine,
+        "emission changed the resident plan"
+    );
+
+    // The resident plans survive a snapshot save and restore.
+    let path = std::env::temp_dir().join(format!(
+        "aviv_shared_plans_{}.avivcache",
+        std::process::id()
+    ));
+    assert_eq!(aviv::save_snapshot(&path, &cache).unwrap(), cache.len());
+    let restored = Arc::new(PlanCache::new(64));
+    aviv::load_snapshot(&path, &restored).unwrap();
+    let _ = fs::remove_file(&path);
+    let restored_gen = CodeGenerator::with_shared_target(gen.shared_target())
+        .options(options)
+        .with_cache(restored);
+    let (replayed, report) = restored_gen.compile_function(&after).expect("compiles");
+    assert_eq!(report.restored_hits, 2);
+    assert_eq!(replayed.render(gen.target()), cold);
+}

@@ -68,8 +68,22 @@ pub struct BlockDag {
 }
 
 /// Value-numbering key: operation, canonicalized operands, immediate,
-/// and symbol.
-type VnKey = (Op, Vec<NodeId>, Option<i64>, Option<Sym>);
+/// and symbol. Operands sit in a fixed array of [`MAX_ARITY`] slots,
+/// unused ones [`NO_NODE`]; the operation fixes how many are used, so the
+/// padding never makes two keys equal.
+type VnKey = (Op, [NodeId; MAX_ARITY], Option<i64>, Option<Sym>);
+
+/// The largest [`Op::arity`].
+const MAX_ARITY: usize = 3;
+
+/// Padding for the unused operand slots of a [`VnKey`].
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
+fn vn_key(op: Op, args: &[NodeId], imm: Option<i64>, sym: Option<Sym>) -> VnKey {
+    let mut slots = [NO_NODE; MAX_ARITY];
+    slots[..args.len()].copy_from_slice(args);
+    (op, slots, imm, sym)
+}
 
 impl BlockDag {
     /// Create an empty DAG.
@@ -152,17 +166,16 @@ impl BlockDag {
         }
         // Canonicalize commutative operand order so `a+b` and `b+a` hit the
         // same value number.
-        let mut key_args = args.to_vec();
-        if op.is_commutative() && key_args.len() >= 2 && key_args[0] > key_args[1] {
-            key_args.swap(0, 1);
+        let mut key = vn_key(op, args, imm, sym);
+        if op.is_commutative() && args.len() >= 2 && args[0] > args[1] {
+            key.1.swap(0, 1);
         }
-        let key = (op, key_args.clone(), imm, sym);
         if let Some(&id) = self.vn.get(&key) {
             return id;
         }
         let id = self.push(DagNode {
             op,
-            args: key_args,
+            args: key.1[..args.len()].to_vec(),
             imm,
             sym,
         });
@@ -249,12 +262,12 @@ impl BlockDag {
         }
         let old = node.imm;
         node.imm = Some(value);
-        let old_key = (Op::Const, Vec::new(), old, None);
+        let old_key = vn_key(Op::Const, &[], old, None);
         if self.vn.get(&old_key) == Some(&id) {
             self.vn.remove(&old_key);
         }
         self.vn
-            .entry((Op::Const, Vec::new(), Some(value), None))
+            .entry(vn_key(Op::Const, &[], Some(value), None))
             .or_insert(id);
         true
     }
@@ -464,6 +477,14 @@ mod tests {
         // Commutative canonicalization: b + a hits the same node.
         let sum_swapped = dag.add_op(Op::Add, &[nb, na]);
         assert_eq!(sum_again, sum_swapped);
+    }
+
+    #[test]
+    fn value_number_keys_hold_every_arity() {
+        let leaves_and_memory = [Op::Const, Op::Input, Op::Load, Op::Store, Op::StoreVar];
+        for &op in Op::all_computational().iter().chain(&leaves_and_memory) {
+            assert!(op.arity() <= MAX_ARITY, "{op} has arity {}", op.arity());
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::symbols::{Sym, SymbolTable};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Error produced by [`parse_function`] with 1-based source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,16 +53,18 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// One token. Identifiers borrow the source text, so tokens are `Copy`
+/// and lexing allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Num(i64),
     Punct(&'static str),
     Eof,
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -70,7 +73,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -86,7 +89,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -98,11 +101,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn skip_trivia(&mut self) -> Result<(), ParseError> {
@@ -141,7 +144,13 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn next_tok(&mut self) -> Result<(Tok, u32, u32), ParseError> {
+    /// The source text from `start` to the current position. Token
+    /// boundaries always fall between ASCII bytes.
+    fn text_from(&self, start: usize) -> &'a str {
+        &self.src[start..self.pos]
+    }
+
+    fn next_tok(&mut self) -> Result<(Tok<'a>, u32, u32), ParseError> {
         self.skip_trivia()?;
         let (line, col) = (self.line, self.col);
         let Some(c) = self.peek() else {
@@ -155,13 +164,13 @@ impl<'a> Lexer<'a> {
             {
                 self.bump();
             }
-            Tok::Ident(String::from_utf8_lossy(&self.src[start..self.pos]).into_owned())
+            Tok::Ident(self.text_from(start))
         } else if c.is_ascii_digit() {
             let start = self.pos;
             while self.peek().is_some_and(|c| c.is_ascii_digit()) {
                 self.bump();
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).unwrap();
+            let text = self.text_from(start);
             let v: i64 = text
                 .parse()
                 .map_err(|_| self.err(format!("number out of range: {text}")))?;
@@ -214,38 +223,51 @@ impl<'a> Lexer<'a> {
 }
 
 /// Raw statements collected before block formation.
-#[derive(Debug)]
-enum RawStmt {
-    Label(String),
-    Assign(String, Expr),
-    MemStore(Expr, Expr),
-    Goto(String),
-    IfGoto(Expr, String),
-    Return(Option<Expr>),
+#[derive(Debug, Clone, Copy)]
+enum RawStmt<'a> {
+    Label(&'a str),
+    Assign(&'a str, ExprId),
+    MemStore(ExprId, ExprId),
+    Goto(&'a str),
+    IfGoto(ExprId, &'a str),
+    Return(Option<ExprId>),
 }
 
-/// Expression AST produced by the Pratt parser, lowered per block.
-#[derive(Debug, Clone)]
-enum Expr {
+/// Index of an expression in the parser's arena.
+#[derive(Debug, Clone, Copy)]
+struct ExprId(u32);
+
+/// Expression AST produced by the Pratt parser, lowered per block. The
+/// nodes of every expression in the function live in one arena, and
+/// operands refer to each other by [`ExprId`].
+#[derive(Debug, Clone, Copy)]
+enum Expr<'a> {
     Num(i64),
-    Var(String),
-    MemLoad(Box<Expr>),
-    Unary(Op, Box<Expr>),
-    Binary(Op, Box<Expr>, Box<Expr>),
+    Var(&'a str),
+    MemLoad(ExprId),
+    Unary(Op, ExprId),
+    Binary(Op, ExprId, ExprId),
 }
 
 struct Parser<'a> {
     lx: Lexer<'a>,
-    tok: Tok,
+    tok: Tok<'a>,
     line: u32,
     col: u32,
+    exprs: Vec<Expr<'a>>,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str) -> Result<Self, ParseError> {
         let mut lx = Lexer::new(src);
         let (tok, line, col) = lx.next_tok()?;
-        Ok(Parser { lx, tok, line, col })
+        Ok(Parser {
+            lx,
+            tok,
+            line,
+            col,
+            exprs: Vec::new(),
+        })
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -256,7 +278,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn advance(&mut self) -> Result<Tok, ParseError> {
+    fn advance(&mut self) -> Result<Tok<'a>, ParseError> {
         let (tok, line, col) = self.lx.next_tok()?;
         self.line = line;
         self.col = col;
@@ -264,7 +286,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
-        if matches!(&self.tok, Tok::Punct(q) if *q == p) {
+        if matches!(self.tok, Tok::Punct(q) if q == p) {
             self.advance()?;
             Ok(())
         } else {
@@ -273,7 +295,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_punct(&mut self, p: &str) -> Result<bool, ParseError> {
-        if matches!(&self.tok, Tok::Punct(q) if *q == p) {
+        if matches!(self.tok, Tok::Punct(q) if q == p) {
             self.advance()?;
             Ok(true)
         } else {
@@ -281,11 +303,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
         match self.advance()? {
             Tok::Ident(s) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
         }
+    }
+
+    fn push(&mut self, e: Expr<'a>) -> ExprId {
+        let id = ExprId(self.exprs.len() as u32);
+        self.exprs.push(e);
+        id
     }
 
     // Precedence climbing. Lower number binds looser.
@@ -310,13 +338,13 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+    fn parse_expr(&mut self) -> Result<ExprId, ParseError> {
         self.parse_bin(0)
     }
 
-    fn parse_bin(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+    fn parse_bin(&mut self, min_prec: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.parse_unary()?;
-        while let Tok::Punct(p) = &self.tok {
+        while let Tok::Punct(p) = self.tok {
             let Some((op, prec)) = Self::binop_prec(p) else {
                 break;
             };
@@ -325,26 +353,28 @@ impl<'a> Parser<'a> {
             }
             self.advance()?;
             let rhs = self.parse_bin(prec + 1)?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            lhs = self.push(Expr::Binary(op, lhs, rhs));
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<ExprId, ParseError> {
         if self.eat_punct("-")? {
-            return Ok(Expr::Unary(Op::Neg, Box::new(self.parse_unary()?)));
+            let a = self.parse_unary()?;
+            return Ok(self.push(Expr::Unary(Op::Neg, a)));
         }
         if self.eat_punct("~")? {
-            return Ok(Expr::Unary(Op::Compl, Box::new(self.parse_unary()?)));
+            let a = self.parse_unary()?;
+            return Ok(self.push(Expr::Unary(Op::Compl, a)));
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        match self.tok.clone() {
+    fn parse_primary(&mut self) -> Result<ExprId, ParseError> {
+        match self.tok {
             Tok::Num(v) => {
                 self.advance()?;
-                Ok(Expr::Num(v))
+                Ok(self.push(Expr::Num(v)))
             }
             Tok::Punct("(") => {
                 self.advance()?;
@@ -354,18 +384,18 @@ impl<'a> Parser<'a> {
             }
             Tok::Ident(name) => {
                 self.advance()?;
-                match name.as_str() {
+                match name {
                     "mem" => {
                         self.expect_punct("[")?;
                         let addr = self.parse_expr()?;
                         self.expect_punct("]")?;
-                        Ok(Expr::MemLoad(Box::new(addr)))
+                        Ok(self.push(Expr::MemLoad(addr)))
                     }
                     "abs" => {
                         self.expect_punct("(")?;
                         let e = self.parse_expr()?;
                         self.expect_punct(")")?;
-                        Ok(Expr::Unary(Op::Abs, Box::new(e)))
+                        Ok(self.push(Expr::Unary(Op::Abs, e)))
                     }
                     "min" | "max" => {
                         let op = if name == "min" { Op::Min } else { Op::Max };
@@ -374,18 +404,18 @@ impl<'a> Parser<'a> {
                         self.expect_punct(",")?;
                         let b = self.parse_expr()?;
                         self.expect_punct(")")?;
-                        Ok(Expr::Binary(op, Box::new(a), Box::new(b)))
+                        Ok(self.push(Expr::Binary(op, a, b)))
                     }
-                    _ => Ok(Expr::Var(name)),
+                    _ => Ok(self.push(Expr::Var(name))),
                 }
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
     }
 
-    fn parse_stmt(&mut self) -> Result<RawStmt, ParseError> {
-        match self.tok.clone() {
-            Tok::Ident(name) => match name.as_str() {
+    fn parse_stmt(&mut self) -> Result<RawStmt<'a>, ParseError> {
+        match self.tok {
+            Tok::Ident(name) => match name {
                 "goto" => {
                     self.advance()?;
                     let target = self.expect_ident()?;
@@ -442,30 +472,34 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Per-block lowering state: local variable bindings plus the last memory
-/// operation for serialization edges.
-struct BlockLowerer<'f> {
-    dag: BlockDag,
+/// Block lowering state: the expression arena, the DAG being built, the
+/// local variable bindings and the last memory operation for
+/// serialization edges. The binding buffers are cleared, not dropped,
+/// between blocks.
+struct BlockLowerer<'a, 'f> {
+    exprs: &'f [Expr<'a>],
     syms: &'f mut SymbolTable,
-    locals: HashMap<String, NodeId>,
-    assigned: Vec<String>,
+    dag: BlockDag,
+    locals: HashMap<&'a str, NodeId>,
+    assigned: Vec<&'a str>,
     last_mem: Option<NodeId>,
 }
 
-impl<'f> BlockLowerer<'f> {
-    fn new(syms: &'f mut SymbolTable) -> Self {
+impl<'a, 'f> BlockLowerer<'a, 'f> {
+    fn new(exprs: &'f [Expr<'a>], syms: &'f mut SymbolTable) -> Self {
         BlockLowerer {
-            dag: BlockDag::new(),
+            exprs,
             syms,
+            dag: BlockDag::new(),
             locals: HashMap::new(),
             assigned: Vec::new(),
             last_mem: None,
         }
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> NodeId {
-        match e {
-            Expr::Num(v) => self.dag.add_const(*v),
+    fn lower_expr(&mut self, e: ExprId) -> NodeId {
+        match self.exprs[e.0 as usize] {
+            Expr::Num(v) => self.dag.add_const(v),
             Expr::Var(name) => {
                 if let Some(&n) = self.locals.get(name) {
                     n
@@ -490,25 +524,24 @@ impl<'f> BlockLowerer<'f> {
             }
             Expr::Unary(op, a) => {
                 let na = self.lower_expr(a);
-                self.dag.add_op(*op, &[na])
+                self.dag.add_op(op, &[na])
             }
             Expr::Binary(op, a, b) => {
                 let na = self.lower_expr(a);
                 let nb = self.lower_expr(b);
-                self.dag.add_op(*op, &[na, nb])
+                self.dag.add_op(op, &[na, nb])
             }
         }
     }
 
-    fn assign(&mut self, name: &str, e: &Expr) {
+    fn assign(&mut self, name: &'a str, e: ExprId) {
         let v = self.lower_expr(e);
-        self.locals.insert(name.to_owned(), v);
-        if !self.assigned.iter().any(|n| n == name) {
-            self.assigned.push(name.to_owned());
+        if self.locals.insert(name, v).is_none() {
+            self.assigned.push(name);
         }
     }
 
-    fn mem_store(&mut self, addr: &Expr, val: &Expr) {
+    fn mem_store(&mut self, addr: ExprId, val: ExprId) {
         let a = self.lower_expr(addr);
         let v = self.lower_expr(val);
         let s = self.dag.add_store(a, v);
@@ -519,15 +552,36 @@ impl<'f> BlockLowerer<'f> {
     }
 
     /// Finish the block: write every assigned variable back (in first-
-    /// assignment order) and return the DAG.
-    fn finish(mut self) -> BlockDag {
-        let names = std::mem::take(&mut self.assigned);
-        for name in names {
-            let v = self.locals[&name];
-            let s = self.syms.intern(&name);
+    /// assignment order), return its DAG and reset for the next block.
+    fn finish(&mut self) -> BlockDag {
+        for &name in &self.assigned {
+            let v = self.locals[name];
+            let s = self.syms.intern(name);
             self.dag.add_store_var(s, v);
         }
-        self.dag
+        self.locals.clear();
+        self.assigned.clear();
+        self.last_mem = None;
+        std::mem::take(&mut self.dag)
+    }
+}
+
+/// A block before lowering: its label, the range of its body statements
+/// in the function's body list, and its terminator (`None` falls through
+/// to the next block).
+struct ProtoBlock<'a> {
+    label: Option<&'a str>,
+    body: Range<usize>,
+    term: Option<RawStmt<'a>>,
+}
+
+impl<'a> ProtoBlock<'a> {
+    fn starting_at(body_start: usize) -> Self {
+        ProtoBlock {
+            label: None,
+            body: body_start..body_start,
+            term: None,
+        }
     }
 }
 
@@ -543,7 +597,7 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
     if kw != "func" {
         return Err(p.err("expected `func`"));
     }
-    let name = p.expect_ident()?;
+    let name = p.expect_ident()?.to_owned();
     p.expect_punct("(")?;
     let mut param_names = Vec::new();
     if !p.eat_punct(")")? {
@@ -556,69 +610,50 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
         }
     }
     p.expect_punct("{")?;
-    let mut stmts = Vec::new();
+
+    // Split the statements into blocks as they are parsed. A label starts
+    // a new block; a control statement ends one. Body statements of all
+    // blocks share one list, each block owning a contiguous range.
+    let mut bodies: Vec<RawStmt> = Vec::new();
+    let mut protos: Vec<ProtoBlock> = vec![ProtoBlock::starting_at(0)];
     while !p.eat_punct("}")? {
         if p.tok == Tok::Eof {
             return Err(p.err("unexpected end of input inside function body"));
         }
-        stmts.push(p.parse_stmt()?);
-    }
-
-    // Split the raw statement list into block-sized chunks. A label starts
-    // a new block; a control statement ends one.
-    struct ProtoBlock {
-        label: Option<String>,
-        body: Vec<RawStmt>,
-        /// `None` means fall through to the next block.
-        term: Option<RawStmt>,
-    }
-    let mut protos: Vec<ProtoBlock> = vec![ProtoBlock {
-        label: None,
-        body: Vec::new(),
-        term: None,
-    }];
-    for s in stmts {
+        let s = p.parse_stmt()?;
+        let cur = protos.last_mut().unwrap();
         match s {
             RawStmt::Label(l) => {
                 // Labels always start a fresh block (the current one falls
                 // through), except when the current block is still empty
                 // and unlabeled.
-                let cur = protos.last_mut().unwrap();
                 if cur.body.is_empty() && cur.label.is_none() && cur.term.is_none() {
                     cur.label = Some(l);
                 } else {
                     protos.push(ProtoBlock {
                         label: Some(l),
-                        body: Vec::new(),
-                        term: None,
+                        ..ProtoBlock::starting_at(bodies.len())
                     });
                 }
             }
             RawStmt::Goto(_) | RawStmt::IfGoto(..) | RawStmt::Return(_) => {
-                let cur = protos.last_mut().unwrap();
                 if cur.term.is_some() {
                     // Unreachable statement after a terminator: start an
                     // anonymous block so label-less dead code still parses.
                     protos.push(ProtoBlock {
-                        label: None,
-                        body: Vec::new(),
                         term: Some(s),
+                        ..ProtoBlock::starting_at(bodies.len())
                     });
                 } else {
                     cur.term = Some(s);
                 }
             }
             body_stmt => {
-                let cur = protos.last_mut().unwrap();
                 if cur.term.is_some() {
-                    protos.push(ProtoBlock {
-                        label: None,
-                        body: vec![body_stmt],
-                        term: None,
-                    });
-                } else {
-                    cur.body.push(body_stmt);
+                    protos.push(ProtoBlock::starting_at(bodies.len()));
                 }
+                bodies.push(body_stmt);
+                protos.last_mut().unwrap().body.end += 1;
             }
         }
     }
@@ -627,10 +662,10 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
     let params: Vec<Sym> = param_names.iter().map(|n| syms.intern(n)).collect();
 
     // Resolve labels to block ids.
-    let mut label_map: HashMap<String, BlockId> = HashMap::new();
+    let mut label_map: HashMap<&str, BlockId> = HashMap::new();
     for (i, pb) in protos.iter().enumerate() {
-        if let Some(l) = &pb.label {
-            if label_map.insert(l.clone(), BlockId(i as u32)).is_some() {
+        if let Some(l) = pb.label {
+            if label_map.insert(l, BlockId(i as u32)).is_some() {
                 return Err(ParseError {
                     msg: format!("duplicate label `{l}`"),
                     line: 0,
@@ -649,11 +684,11 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
 
     let nblocks = protos.len();
     let mut blocks = Vec::with_capacity(nblocks);
-    for (i, pb) in protos.into_iter().enumerate() {
-        let label = pb.label.as_deref().map(|l| syms.intern(l));
-        let mut lower = BlockLowerer::new(&mut syms);
-        for s in &pb.body {
-            match s {
+    let mut lower = BlockLowerer::new(&p.exprs, &mut syms);
+    for (i, pb) in protos.iter().enumerate() {
+        let label = pb.label.map(|l| lower.syms.intern(l));
+        for s in &bodies[pb.body.clone()] {
+            match *s {
                 RawStmt::Assign(n, e) => lower.assign(n, e),
                 RawStmt::MemStore(a, v) => lower.mem_store(a, v),
                 _ => unreachable!("labels/terminators filtered above"),
@@ -661,7 +696,7 @@ pub fn parse_function(src: &str) -> Result<Function, ParseError> {
         }
         let next = BlockId((i + 1) as u32);
         let fallthrough_ok = i + 1 < nblocks;
-        let term = match &pb.term {
+        let term = match pb.term {
             Some(RawStmt::Goto(l)) => Terminator::Jump(resolve(l)?),
             Some(RawStmt::IfGoto(cond, l)) => {
                 let c = lower.lower_expr(cond);

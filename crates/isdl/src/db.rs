@@ -337,6 +337,8 @@ pub struct Target {
     /// The bank with the cheapest memory round trip (load + store) — the
     /// staging bank for memory-to-memory copies.
     pub round_trip_bank: Option<crate::model::BankId>,
+    /// [`Target::fingerprint`], computed once by [`Target::new`].
+    fingerprint: u64,
 }
 
 impl Target {
@@ -360,12 +362,14 @@ impl Target {
                         .unwrap_or(usize::MAX),
                 )
         });
+        let fingerprint = aviv_ir::stablehash::hash_str(&crate::printer::to_isdl(&machine));
         Target {
             machine,
             ops,
             xfers,
             load_bank,
             round_trip_bank,
+            fingerprint,
         }
     }
 
@@ -379,7 +383,11 @@ impl Target {
     /// plan-cache keys, so the value must be reproducible across parses
     /// and processes; it is built on [`aviv_ir::StableHasher`] (FNV-1a),
     /// never the std hasher.
+    ///
+    /// The value is computed once, by [`Target::new`], so reading it is
+    /// free; like the derived databases it describes the machine the
+    /// target was built from.
     pub fn fingerprint(&self) -> u64 {
-        aviv_ir::stablehash::hash_str(&crate::printer::to_isdl(&self.machine))
+        self.fingerprint
     }
 }
