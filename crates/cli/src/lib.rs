@@ -537,24 +537,26 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
                  carry no terminators to check)",
             ));
         }
-        return drive_baseline(options, &target, &function, outcome);
+        let planned = generator.planned_function(&function);
+        return drive_baseline(options, &target, &planned, outcome);
     }
 
-    // Block-level emissions need the block artifacts.
+    // Block-level emissions need the block artifacts, drawn from the
+    // dead-code-free function that `compile_function` compiles.
     match options.emit {
         Emit::Dot | Emit::SndagDot => {
-            let sndag = aviv_splitdag::SplitNodeDag::build(&function.blocks[0].dag, &target)
+            let planned = generator.planned_function(&function);
+            let dag = &planned.blocks[0].dag;
+            let sndag = aviv_splitdag::SplitNodeDag::build(dag, &target)
                 .map_err(|e| err(format!("unsupported: {e}")))?;
             if options.emit == Emit::SndagDot {
-                outcome.output =
-                    aviv_splitdag::sndag_to_dot(&sndag, &function.blocks[0].dag, &target)
-                        .into_bytes();
+                outcome.output = aviv_splitdag::sndag_to_dot(&sndag, dag, &target).into_bytes();
                 return Ok(outcome);
             }
-            let mut syms = function.syms.clone();
-            let mut layout = MemLayout::for_function(&function);
+            let mut syms = planned.syms.clone();
+            let mut layout = MemLayout::for_function(&planned);
             let block = generator
-                .compile_block(&function.blocks[0].dag, &mut syms, &mut layout)
+                .compile_block(dag, &mut syms, &mut layout)
                 .map_err(|e| err(format!("compile: {e}")))?;
             outcome.output =
                 aviv::covergraph_to_dot(&block.graph, &target, &syms, Some(&block.schedule))

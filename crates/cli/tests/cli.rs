@@ -176,3 +176,39 @@ fn explain_describes_the_dead_code_eliminated_compile() {
     );
     assert_eq!(explained, reported, "{report}");
 }
+
+#[test]
+fn dot_emissions_draw_the_dead_code_eliminated_block() {
+    let dir = std::env::temp_dir().join("avivc_test_dot_dce");
+    std::fs::create_dir_all(&dir).unwrap();
+    // The multiply is overwritten on the only path before anything reads
+    // it, so the compiled first block has none.
+    let program = dir.join("dead.av");
+    std::fs::write(
+        &program,
+        "func f(a, b) {
+            x = a * b;
+            goto next;
+        next:
+            x = a + b;
+            return x;
+        }",
+    )
+    .unwrap();
+    let machine = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets/fig3.isdl");
+    for emit in ["dot", "sndag-dot"] {
+        let out = avivc()
+            .args(["--machine", machine, program.to_str().unwrap()])
+            .args(["--emit", emit])
+            .output()
+            .unwrap();
+        let dot = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{emit}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(dot.starts_with("digraph"), "{emit}:\n{dot}");
+        assert!(!dot.to_lowercase().contains("mul"), "{emit}:\n{dot}");
+    }
+}

@@ -62,6 +62,57 @@ pub struct Solution {
     pub on_exit: Vec<BitSet>,
 }
 
+/// The CFG's edges in one flat list: block `b`'s neighbours are
+/// `list[start[b]..start[b + 1]]`.
+struct Edges {
+    start: Vec<usize>,
+    list: Vec<BlockId>,
+}
+
+impl Edges {
+    /// Each block's successors, in branch order.
+    fn successors(f: &Function) -> Self {
+        let edges = f.blocks.iter().map(|b| b.term.successors().count()).sum();
+        let mut start = Vec::with_capacity(f.blocks.len() + 1);
+        let mut list = Vec::with_capacity(edges);
+        start.push(0);
+        for b in &f.blocks {
+            list.extend(b.term.successors());
+            start.push(list.len());
+        }
+        Edges { start, list }
+    }
+
+    /// Each block's predecessors in block order, as
+    /// [`Function::predecessors`] lists them.
+    fn predecessors(succs: &Edges) -> Self {
+        let n = succs.start.len() - 1;
+        let mut start = vec![0; n + 1];
+        for s in &succs.list {
+            start[s.index() + 1] += 1;
+        }
+        for b in 0..n {
+            start[b + 1] += start[b];
+        }
+        // Place each edge at its target's cursor, `start[s]`, which then
+        // ends at `s + 1`'s start; shifting right restores the starts.
+        let mut list = vec![BlockId(0); succs.list.len()];
+        for b in 0..n {
+            for s in succs.of(b) {
+                list[start[s.index()]] = BlockId(b as u32);
+                start[s.index()] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+        Edges { start, list }
+    }
+
+    fn of(&self, b: usize) -> &[BlockId] {
+        &self.list[self.start[b]..self.start[b + 1]]
+    }
+}
+
 /// Solve a gen/kill dataflow problem over `f`'s CFG by worklist
 /// iteration.
 ///
@@ -93,12 +144,12 @@ pub fn solve(
         assert_eq!(s.capacity(), domain, "gen/kill capacity");
     }
 
-    let preds = f.predecessors();
-    let succs: Vec<Vec<BlockId>> = f.iter().map(|(_, b)| b.term.successors()).collect();
+    let succs = Edges::successors(f);
+    let preds = Edges::predecessors(&succs);
 
     // `feed[b]` are the blocks whose computed fact flows into `b`;
     // `dependents[b]` are the blocks to revisit when `b`'s fact changes.
-    let (feed, dependents): (&Vec<Vec<BlockId>>, &Vec<Vec<BlockId>>) = match direction {
+    let (feed, dependents) = match direction {
         Direction::Forward => (&preds, &succs),
         Direction::Backward => (&succs, &preds),
     };
@@ -159,7 +210,7 @@ pub fn solve(
             }
             fed = true;
         }
-        for p in &feed[b] {
+        for p in feed.of(b) {
             match confluence {
                 Confluence::May => acc.union_with(&derived[p.index()]),
                 Confluence::Must => acc.intersect_with(&derived[p.index()]),
@@ -180,7 +231,7 @@ pub fn solve(
             met[b] = acc;
             if next != derived[b] {
                 derived[b] = next;
-                for d in &dependents[b] {
+                for d in dependents.of(b) {
                     if !queued[d.index()] {
                         queued[d.index()] = true;
                         queue.push_back(d.index());
@@ -470,6 +521,36 @@ mod tests {
 
     fn sym(f: &Function, name: &str) -> usize {
         f.syms.get(name).unwrap().index()
+    }
+
+    /// The solver's flat edge lists hold what `Terminator::successors`
+    /// and `Function::predecessors` give, in their order, on a loop
+    /// with a branch whose two targets are one block.
+    #[test]
+    fn flat_edges_list_the_cfg_in_order() {
+        let f = parse_function(
+            "func f(a) {
+                x = a;
+            top:
+                if (x > 9) goto out;
+                x = x + 1;
+                if (x > 3) goto skip;
+            skip:
+                goto top;
+            out:
+                return x;
+            }",
+        )
+        .unwrap();
+        let succs = Edges::successors(&f);
+        let preds = Edges::predecessors(&succs);
+        let cfg_preds = f.predecessors();
+        assert!(cfg_preds.iter().any(|p| p.len() > 1 && p[0] == p[1]));
+        for (id, b) in f.iter() {
+            let want: Vec<BlockId> = b.term.successors().collect();
+            assert_eq!(succs.of(id.index()), want, "{id}");
+            assert_eq!(preds.of(id.index()), cfg_preds[id.index()], "{id}");
+        }
     }
 
     #[test]

@@ -57,15 +57,16 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks in branch order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(t) => vec![*t],
+    /// Successor blocks in branch order (at most two).
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match *self {
+            Terminator::Jump(t) => (Some(t), None),
             Terminator::Branch {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            Terminator::Return(_) => vec![],
-        }
+            } => (Some(if_true), Some(if_false)),
+            Terminator::Return(_) => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -130,9 +131,7 @@ impl Function {
         let mut stack = vec![(self.entry, 0usize)];
         visited[self.entry.index()] = true;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = self.block(b).term.successors();
-            if *next < succs.len() {
-                let s = succs[*next];
+            if let Some(s) = self.block(b).term.successors().nth(*next) {
                 *next += 1;
                 if !visited[s.index()] {
                     visited[s.index()] = true;
