@@ -134,7 +134,7 @@ impl BaselineGenerator {
         let schedule = match list_schedule(&mut graph, &self.target, syms) {
             Ok(s) => s,
             Err(_) => {
-                // Same guaranteed-progress fallback as the AVIV driver.
+                // Same sequential fallback as the AVIV driver.
                 graph = CoverGraph::build(dag, &sndag, &self.target, &assignment);
                 aviv::cover::cover_sequential(&mut graph, &self.target, syms)
                     .map_err(CodegenError::Cover)?

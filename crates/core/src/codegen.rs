@@ -37,7 +37,7 @@ use crate::assign::{explore, ExploreResult};
 use crate::budget::{self, Budget, Exhaustion};
 use crate::cache::{CacheKey, PlanCache};
 use crate::cover::{
-    cover_sequential_budgeted, cover_with_stats, CoverError, Schedule, SearchStats,
+    self, cover_sequential_budgeted, cover_with_stats, CoverError, Schedule, SearchStats,
 };
 use crate::covergraph::{CoverGraph, Operand};
 use crate::emit::{
@@ -132,20 +132,24 @@ impl From<SplitDagError> for CodegenError {
 /// The rung of the degradation ladder a block was compiled on.
 ///
 /// Rung 0 reproduces the paper's algorithm exactly; each step down trades
-/// code quality for a stronger termination guarantee. The last rung
-/// always terminates on a machine that can execute the block at all.
+/// code quality for a smaller per-step register demand. The last rung
+/// runs unbudgeted and bounds each step's demand by operation arity plus
+/// pinned live-outs, but it can still fail with
+/// [`CoverError::SpillLimit`] on chained banks (see
+/// [`crate::cover_sequential`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoverMode {
     /// Full branch-and-bound covering over the explored assignments —
     /// the paper's algorithm, with the per-assignment sequential retry.
     Concurrent,
-    /// Guaranteed-progress sequential covering over the explored
-    /// assignments (one node group per instruction, eager spilling under
-    /// pressure).
+    /// Sequential covering over the explored assignments (one node group
+    /// per instruction, eager spilling under pressure).
     Sequential,
     /// Last resort: a single assignment, sequential covering, no
-    /// lookahead, no peephole — run *unbudgeted*, because its register
-    /// demand is bounded by operation arity and so it terminates.
+    /// lookahead, no peephole — run *unbudgeted*. Each step's register
+    /// demand is bounded by operation arity plus pinned live-outs, but
+    /// the spill loop is not: on chained banks it can end in
+    /// [`CoverError::SpillLimit`] (see [`crate::cover_sequential`]).
     SpillAll,
 }
 
@@ -776,8 +780,11 @@ impl CodeGenerator {
         // Explore each selected assignment in depth; keep the cheapest.
         // Covering skips an assignment whose lower bound already reaches
         // the best length: `rung_budget` carries it (see `budget.rs`).
+        // Each assignment's graph is rebuilt in place in `graph`; a win
+        // moves it into `best` and hands the graph it replaces back.
         let cover_start = Instant::now();
         let mut best: Option<(CoverGraph, Schedule, SymbolTable)> = None;
+        let mut graph = CoverGraph::default();
         let mut last_err: Option<CoverError> = None;
         let mut exhausted: Option<Exhaustion> = None;
         let mut search = SearchStats::default();
@@ -791,65 +798,68 @@ impl CodeGenerator {
                 exhausted = Some(why);
                 break;
             }
-            let mut scratch_syms = snapshot.clone();
-            let mut graph = CoverGraph::try_build(dag, &sndag, &self.target, assignment)
-                .map_err(|d| RungFailure::Error(CodegenError::Internal(d)))?;
-            debug_assert!(graph.verify(&self.target).is_ok());
-            if corrupt_graph {
-                corrupt_cover_graph(&mut graph);
-            }
-            let result = match mode {
-                CoverMode::Concurrent => cover_with_stats(
-                    &mut graph,
-                    &self.target,
-                    &mut scratch_syms,
-                    &options,
-                    rung_budget,
-                    &mut search,
-                )
-                .map(|s| (graph, s))
-                .or_else(|e| {
-                    if matches!(
-                        e,
-                        CoverError::Budget(_)
-                            | CoverError::Internal(_)
-                            | CoverError::Bounded { .. }
+            let build = |graph: &mut CoverGraph| {
+                graph.try_rebuild(dag, &sndag, &self.target, assignment)?;
+                debug_assert!(graph.verify(&self.target).is_ok());
+                if corrupt_graph {
+                    corrupt_cover_graph(graph);
+                }
+                Ok::<_, Diagnostic>(())
+            };
+            build(&mut graph).map_err(|d| RungFailure::Error(CodegenError::Internal(d)))?;
+            // The covering entry points prune too; pruning first spares a
+            // pruned assignment the copy of the symbol table.
+            let result = cover::prune(&graph, &self.target, rung_budget).and_then(|()| {
+                let mut syms = snapshot.clone();
+                let schedule = match mode {
+                    CoverMode::Concurrent => match cover_with_stats(
+                        &mut graph,
+                        &self.target,
+                        &mut syms,
+                        &options,
+                        rung_budget,
+                        &mut search,
                     ) {
                         // Budget exhaustion and engine defects are the
                         // ladder's job, not the inline retry's, and a
                         // pruned assignment cannot win on any engine.
-                        return Err(e);
+                        Err(
+                            e @ (CoverError::Budget(_)
+                            | CoverError::Internal(_)
+                            | CoverError::Bounded { .. }),
+                        ) => Err(e),
+                        // Extreme register pressure can wedge the
+                        // concurrent engine; retry with the sequential
+                        // fallback on a fresh graph.
+                        Err(_) => {
+                            build(&mut graph).map_err(CoverError::Internal)?;
+                            syms.clone_from(snapshot);
+                            cover_sequential_budgeted(
+                                &mut graph,
+                                &self.target,
+                                &mut syms,
+                                rung_budget,
+                            )
+                        }
+                        ok => ok,
+                    },
+                    CoverMode::Sequential | CoverMode::SpillAll => {
+                        cover_sequential_budgeted(&mut graph, &self.target, &mut syms, rung_budget)
                     }
-                    // Extreme register pressure can wedge the concurrent
-                    // engine; retry with the guaranteed-progress
-                    // sequential fallback on a fresh graph.
-                    let mut scratch = snapshot.clone();
-                    let mut g = CoverGraph::try_build(dag, &sndag, &self.target, assignment)
-                        .map_err(CoverError::Internal)?;
-                    if corrupt_graph {
-                        corrupt_cover_graph(&mut g);
-                    }
-                    let s =
-                        cover_sequential_budgeted(&mut g, &self.target, &mut scratch, rung_budget)?;
-                    scratch_syms = scratch;
-                    Ok::<_, CoverError>((g, s))
-                }),
-                CoverMode::Sequential | CoverMode::SpillAll => cover_sequential_budgeted(
-                    &mut graph,
-                    &self.target,
-                    &mut scratch_syms,
-                    rung_budget,
-                )
-                .map(|s| (graph, s)),
-            };
+                }?;
+                Ok((schedule, syms))
+            });
             match result {
-                Ok((graph, schedule)) => {
+                Ok((schedule, syms)) => {
                     let better = match &best {
                         None => true,
                         Some((_, s, _)) => schedule.len() < s.len(),
                     };
                     if better {
-                        best = Some((graph, schedule, scratch_syms));
+                        let won = std::mem::take(&mut graph);
+                        if let Some((spare, _, _)) = best.replace((won, schedule, syms)) {
+                            graph = spare;
+                        }
                     }
                 }
                 Err(CoverError::Budget(why)) => match &best {

@@ -1143,7 +1143,11 @@ pub fn cover_with_stats(
 /// `budget` holds an incumbent no longer than the fresh `graph`'s
 /// [`schedule_lower_bound`]. The bound is taken only once there is an
 /// incumbent, so the first cover of a rung costs nothing extra.
-fn prune(graph: &CoverGraph, target: &Target, budget: &Budget) -> Result<(), CoverError> {
+pub(crate) fn prune(
+    graph: &CoverGraph,
+    target: &Target,
+    budget: &Budget,
+) -> Result<(), CoverError> {
     let Some(incumbent) = budget.incumbent() else {
         return Ok(());
     };
@@ -1405,21 +1409,26 @@ pub fn peak_pressure(graph: &CoverGraph, target: &Target, schedule: &Schedule) -
     peak
 }
 
-/// Guaranteed-progress fallback covering: one node per instruction,
-/// processed in dependence order, with *eager spilling* — every computed
-/// value is immediately stored to a slot and each consumer reloads it
-/// just in time. The register demand of this strategy is bounded by the
-/// widest operation arity (plus pinned live-outs) per bank, so it
-/// terminates whenever the machine can execute the block at all. Code
-/// quality is poor (that is the point of the concurrent engine); the
-/// driver only uses it when [`cover`] fails to converge under extreme
-/// register pressure.
+/// Fallback covering: one node per instruction, processed in dependence
+/// order, with *eager spilling* — every computed value is immediately
+/// stored to a slot and each consumer reloads it just in time. What this
+/// bounds is the demand of one step: per bank, the widest operation's
+/// arity plus the pinned live-outs. It does not bound the spill loop. A
+/// spill or reload routed through an intermediate bank occupies
+/// registers there too, so on chained banks (a bank that reaches memory
+/// only through another, as in `chained_arch(2)`) the loop can keep
+/// spilling until [`CoverError::SpillLimit`] stops it, on blocks the
+/// machine can execute. Code quality is poor (that is the point of the
+/// concurrent engine); the driver uses it when [`cover`] fails to
+/// converge under extreme register pressure, and for the ladder's lower
+/// rungs.
 ///
 /// # Errors
 ///
 /// [`CoverError::RegisterPressure`] when even single-operation staging
 /// exceeds a bank (the block is genuinely unimplementable), or
-/// [`CoverError::SpillLimit`] as a final safety valve.
+/// [`CoverError::SpillLimit`] when spilling does not converge (reachable
+/// on chained banks, see above).
 pub fn cover_sequential(
     graph: &mut CoverGraph,
     target: &Target,
@@ -1429,9 +1438,10 @@ pub fn cover_sequential(
 }
 
 /// [`cover_sequential`] under a cooperative [`Budget`]. The final rung
-/// of the degradation ladder calls this with an unlimited budget — its
-/// register demand is bounded by operation arity, so it terminates
-/// whenever the machine can execute the block at all. Like
+/// of the degradation ladder calls this with an unlimited budget; its
+/// per-step register demand is bounded by operation arity plus pinned
+/// live-outs, but [`CoverError::SpillLimit`] stays reachable on chained
+/// banks (see [`cover_sequential`]), so that rung can still fail. Like
 /// [`cover_budgeted`], it records its schedule's length as the budget's
 /// incumbent and returns [`CoverError::Bounded`], before charging
 /// anything, for a fresh `graph` whose bound reaches it.

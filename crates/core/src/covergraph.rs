@@ -13,11 +13,13 @@
 
 use crate::assign::Assignment;
 use aviv_ir::{BitMatrix, BitSet, BlockDag, NodeId, Op, Sym, SymbolTable};
-use aviv_isdl::{BankId, BusId, Location, SlotPattern, Target, UnitId};
+use aviv_isdl::{BankId, BusId, Location, SlotPattern, Target, TransferPath, UnitId};
 use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 use aviv_verify::{Code, Diagnostic};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::{Deref, DerefMut, Range};
 
 /// Index of a node in a [`CoverGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -113,6 +115,20 @@ pub enum CnKind {
     },
 }
 
+impl CnKind {
+    /// The resource a node of this kind occupies.
+    pub(crate) fn resource(&self) -> Resource {
+        match *self {
+            CnKind::Op { unit, .. } | CnKind::Complex { unit, .. } => Resource::Unit(unit),
+            CnKind::Move { bus, .. }
+            | CnKind::LoadVar { bus, .. }
+            | CnKind::StoreVar { bus, .. }
+            | CnKind::LoadDyn { bus, .. }
+            | CnKind::StoreDyn { bus, .. } => Resource::Bus(bus),
+        }
+    }
+}
+
 /// The execution resource a cover node occupies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
@@ -122,13 +138,127 @@ pub enum Resource {
     Bus(BusId),
 }
 
+/// A cover node's value operands, read as a slice. Up to
+/// [`Args::INLINE`] of them, the widest built-in operation's arity, live
+/// in the node itself; only a complex instruction with a wider pattern
+/// keeps its operands on the heap.
+#[derive(Clone)]
+pub struct Args(ArgsRepr);
+
+#[derive(Clone)]
+enum ArgsRepr {
+    Inline {
+        len: u8,
+        ops: [Operand; Args::INLINE],
+    },
+    Heap(Vec<Operand>),
+}
+
+impl Args {
+    /// Operands stored without a heap allocation.
+    pub const INLINE: usize = 3;
+
+    /// No operands.
+    pub const fn new() -> Args {
+        Args(ArgsRepr::Inline {
+            len: 0,
+            ops: [Operand::Imm(0); Args::INLINE],
+        })
+    }
+
+    /// Append an operand.
+    pub fn push(&mut self, operand: Operand) {
+        match &mut self.0 {
+            ArgsRepr::Inline { len, ops } if (*len as usize) < Args::INLINE => {
+                ops[*len as usize] = operand;
+                *len += 1;
+            }
+            ArgsRepr::Inline { ops, .. } => {
+                let mut heap = Vec::with_capacity(2 * Args::INLINE);
+                heap.extend_from_slice(ops);
+                heap.push(operand);
+                self.0 = ArgsRepr::Heap(heap);
+            }
+            ArgsRepr::Heap(heap) => heap.push(operand),
+        }
+    }
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args::new()
+    }
+}
+
+impl Deref for Args {
+    type Target = [Operand];
+
+    fn deref(&self) -> &[Operand] {
+        match &self.0 {
+            ArgsRepr::Inline { len, ops } => &ops[..*len as usize],
+            ArgsRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Args {
+    fn deref_mut(&mut self) -> &mut [Operand] {
+        match &mut self.0 {
+            ArgsRepr::Inline { len, ops } => &mut ops[..*len as usize],
+            ArgsRepr::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Args {
+    type Item = &'a Operand;
+    type IntoIter = std::slice::Iter<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut Args {
+    type Item = &'a mut Operand;
+    type IntoIter = std::slice::IterMut<'a, Operand>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter_mut()
+    }
+}
+
+impl FromIterator<Operand> for Args {
+    fn from_iter<I: IntoIterator<Item = Operand>>(iter: I) -> Args {
+        let mut args = Args::new();
+        for operand in iter {
+            args.push(operand);
+        }
+        args
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Args) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Args {}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One node of the cover graph.
 #[derive(Debug, Clone)]
 pub struct CoverNode {
     /// What the node does.
     pub kind: CnKind,
     /// Value operands.
-    pub args: Vec<Operand>,
+    pub args: Args,
     /// Extra ordering predecessors (memory serialization, spill→load).
     pub deps: Vec<CnId>,
 }
@@ -147,14 +277,7 @@ impl CoverNode {
 
     /// The resource the node occupies.
     pub fn resource(&self) -> Resource {
-        match self.kind {
-            CnKind::Op { unit, .. } | CnKind::Complex { unit, .. } => Resource::Unit(unit),
-            CnKind::Move { bus, .. }
-            | CnKind::LoadVar { bus, .. }
-            | CnKind::StoreVar { bus, .. }
-            | CnKind::LoadDyn { bus, .. }
-            | CnKind::StoreDyn { bus, .. } => Resource::Bus(bus),
-        }
+        self.kind.resource()
     }
 
     /// The bank the node's result lands in (`None` for stores).
@@ -204,7 +327,7 @@ pub struct SpillOutcome {
 }
 
 /// The concrete implementation graph of one assignment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CoverGraph {
     nodes: Vec<CoverNode>,
     dead: BitSet,
@@ -213,8 +336,9 @@ pub struct CoverGraph {
     /// Values that must stay live (in a register) at block end, with the
     /// original node they implement.
     live_out: Vec<(NodeId, Operand)>,
-    /// Rebuilt on demand after mutation.
-    uses: Vec<Vec<CnId>>,
+    /// Alive consumers of each node's value; rebuilt on demand after
+    /// mutation.
+    uses: Edges,
     /// Packed reachability: row `i` holds the ancestors of node `i`. A
     /// single allocation probed on every pair the parallelism matrix
     /// builds, so it lives in one cache-friendly [`BitMatrix`] rather
@@ -224,6 +348,70 @@ pub struct CoverGraph {
     levels_bottom: Vec<u32>,
     /// Per-bus usage counts (for the §IV-B path-choice heuristic).
     bus_usage: Vec<usize>,
+}
+
+/// Per-node lists in one flat buffer: node `i`'s entries are
+/// `list[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Edges {
+    start: Vec<u32>,
+    list: Vec<CnId>,
+}
+
+impl Edges {
+    fn of(&self, i: usize) -> &[CnId] {
+        &self.list[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Refill, reusing the buffers, from the `(node, entry)` pairs that
+    /// `pairs` yields; each node's entries keep their yield order.
+    /// `pairs` is called twice: once to count, once to place.
+    fn rebuild<I>(&mut self, n: usize, pairs: impl Fn() -> I)
+    where
+        I: Iterator<Item = (usize, CnId)>,
+    {
+        let start = &mut self.start;
+        start.clear();
+        start.resize(n + 1, 0);
+        for (i, _) in pairs() {
+            start[i + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        self.list.clear();
+        self.list.resize(start[n] as usize, CnId(0));
+        // Place each entry at its node's cursor, `start[i]`, which then
+        // ends at `i + 1`'s start; shifting right restores the starts.
+        for (i, entry) in pairs() {
+            self.list[start[i] as usize] = entry;
+            start[i] += 1;
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+    }
+}
+
+/// Buffers reused by every graph built or re-indexed on a thread, so
+/// that doing either allocates only when a graph is larger than any seen
+/// before.
+#[derive(Default)]
+struct Scratch {
+    /// The builder's transfer caches and memory bookkeeping.
+    build: BuildScratch,
+    /// Per node, its count of unprocessed predecessors (Kahn's
+    /// algorithm).
+    indeg: Vec<u32>,
+    /// Per node, the alive nodes it precedes.
+    succs: Edges,
+    /// Alive nodes in topological order.
+    order: Vec<u32>,
+    /// Kahn's ready nodes, kept sorted by descending id.
+    queue: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 impl CoverGraph {
@@ -245,8 +433,30 @@ impl CoverGraph {
         target: &Target,
         assignment: &Assignment,
     ) -> Result<CoverGraph, Diagnostic> {
+        let mut graph = CoverGraph::default();
+        graph.try_rebuild(dag, sndag, target, assignment)?;
+        Ok(graph)
+    }
+
+    /// [`CoverGraph::try_build`] in place: make this graph the cover
+    /// graph of `assignment`, equal to a fresh one, reusing its storage.
+    /// Covering one assignment after another into one graph allocates
+    /// only when a graph outgrows every earlier one. On error the graph
+    /// is left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// As [`CoverGraph::try_build`].
+    pub fn try_rebuild(
+        &mut self,
+        dag: &BlockDag,
+        sndag: &SplitNodeDag,
+        target: &Target,
+        assignment: &Assignment,
+    ) -> Result<(), Diagnostic> {
         validate_build_inputs(dag, sndag, target, assignment)?;
-        Ok(CoverGraph::build(dag, sndag, target, assignment))
+        self.rebuild(dag, sndag, target, assignment);
+        Ok(())
     }
 
     /// Build the cover graph of `assignment` for `dag` on `target`.
@@ -256,55 +466,62 @@ impl CoverGraph {
         target: &Target,
         assignment: &Assignment,
     ) -> CoverGraph {
-        let mut b = GraphBuilder {
-            dag,
-            sndag,
-            target,
-            assignment,
-            nodes: Vec::new(),
-            value_of_orig: vec![None; dag.len()],
-            n_banks: target.machine.banks().len(),
-            move_cache: Vec::new(),
-            loadvar_cache: Vec::new(),
-            mem_cn: vec![None; dag.len()],
-            loads_by_sym: Vec::new(),
-            stores_by_sym: Vec::new(),
-            bus_usage: vec![0; target.machine.buses().len()],
-        };
-        b.run();
+        let mut graph = CoverGraph::default();
+        graph.rebuild(dag, sndag, target, assignment);
+        graph
+    }
 
-        // Live-outs: branch conditions / return values must sit in a
-        // register (or be immediates) at block end. A live-out that is a
-        // plain input leaf gets loaded into the bank nearest memory.
-        let mut live_out = Vec::new();
-        for &(_, orig) in dag.live_outs() {
-            let operand = match dag.node(orig).op {
-                Op::Const => Operand::Imm(dag.node(orig).imm.expect("validated: const has imm")),
-                Op::Input => {
-                    let bank = target.load_bank.expect("machine has banks");
-                    b.resolve(orig, bank)
-                }
-                _ => Operand::Cn(
-                    b.value_of_orig[orig.index()].expect("live-out value was materialized"),
-                ),
+    /// [`CoverGraph::build`] in place.
+    fn rebuild(
+        &mut self,
+        dag: &BlockDag,
+        sndag: &SplitNodeDag,
+        target: &Target,
+        assignment: &Assignment,
+    ) {
+        self.nodes.clear();
+        self.value_of_orig.clear();
+        self.value_of_orig.resize(dag.len(), None);
+        self.live_out.clear();
+        self.bus_usage.clear();
+        self.bus_usage.resize(target.machine.buses().len(), 0);
+        SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut().build;
+            scratch.reset(dag.len());
+            let mut b = GraphBuilder {
+                dag,
+                sndag,
+                target,
+                assignment,
+                graph: self,
+                scratch,
+                n_banks: target.machine.banks().len(),
             };
-            live_out.push((orig, operand));
-        }
+            b.run();
 
-        let n = b.nodes.len();
-        let mut g = CoverGraph {
-            nodes: b.nodes,
-            dead: BitSet::new(n),
-            value_of_orig: b.value_of_orig,
-            live_out,
-            uses: Vec::new(),
-            desc: BitMatrix::new(0, 0),
-            levels_top: Vec::new(),
-            levels_bottom: Vec::new(),
-            bus_usage: b.bus_usage,
-        };
-        g.rebuild_indexes();
-        g
+            // Live-outs: branch conditions / return values must sit in a
+            // register (or be immediates) at block end. A live-out that
+            // is a plain input leaf gets loaded into the bank nearest
+            // memory.
+            for &(_, orig) in dag.live_outs() {
+                let operand = match dag.node(orig).op {
+                    Op::Const => {
+                        Operand::Imm(dag.node(orig).imm.expect("validated: const has imm"))
+                    }
+                    Op::Input => {
+                        let bank = target.load_bank.expect("machine has banks");
+                        b.resolve(orig, bank)
+                    }
+                    _ => Operand::Cn(
+                        b.graph.value_of_orig[orig.index()]
+                            .expect("live-out value was materialized"),
+                    ),
+                };
+                b.graph.live_out.push((orig, operand));
+            }
+        });
+        self.dead.reset(self.nodes.len());
+        self.rebuild_indexes();
     }
 
     /// Decompose into the essential fields the snapshot codec
@@ -346,11 +563,8 @@ impl CoverGraph {
             dead,
             value_of_orig,
             live_out,
-            uses: Vec::new(),
-            desc: BitMatrix::new(0, 0),
-            levels_top: Vec::new(),
-            levels_bottom: Vec::new(),
             bus_usage,
+            ..CoverGraph::default()
         };
         g.rebuild_indexes();
         g
@@ -398,7 +612,7 @@ impl CoverGraph {
 
     /// Consumers of each node's value (alive consumers only).
     pub fn uses(&self, id: CnId) -> &[CnId] {
-        &self.uses[id.index()]
+        self.uses.of(id.index())
     }
 
     /// Dependency test: is there a directed path between `a` and `b`?
@@ -428,81 +642,97 @@ impl CoverGraph {
     /// are no longer topological; a Kahn ordering over the alive subgraph
     /// drives the dataflow computations.
     pub fn rebuild_indexes(&mut self) {
+        SCRATCH.with(|scratch| self.index(&mut scratch.borrow_mut()));
+        #[cfg(test)]
+        tests::oracle::check_indexes(self);
+    }
+
+    fn index(&mut self, scratch: &mut Scratch) {
         let n = self.nodes.len();
-        self.uses = vec![Vec::new(); n];
-        for i in 0..n {
-            if self.dead.contains(i) {
-                continue;
-            }
-            for a in &self.nodes[i].args {
-                if let Operand::Cn(c) = a {
-                    self.uses[c.index()].push(CnId(i as u32));
-                }
-            }
-        }
+        let (nodes, dead) = (&self.nodes, &self.dead);
+        let alive = move || (0..n).filter(move |&i| !dead.contains(i));
+        self.uses.rebuild(n, || {
+            alive().flat_map(move |i| {
+                nodes[i].args.iter().filter_map(move |a| match a {
+                    Operand::Cn(c) => Some((c.index(), CnId(i as u32))),
+                    Operand::Imm(_) => None,
+                })
+            })
+        });
+
         // Kahn topological order over alive nodes.
-        let mut indeg = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, d) in indeg.iter_mut().enumerate() {
-            if self.dead.contains(i) {
-                continue;
-            }
-            for p in self.preds(CnId(i as u32)) {
+        let Scratch {
+            indeg,
+            succs,
+            order,
+            queue,
+            ..
+        } = scratch;
+        indeg.clear();
+        indeg.resize(n, 0);
+        for i in alive() {
+            for p in nodes[i].preds() {
                 debug_assert!(
-                    !self.dead.contains(p.index()),
+                    !dead.contains(p.index()),
                     "dead predecessor {p} of c{i}: {:?} <- {:?}",
-                    self.nodes[p.index()].kind,
-                    self.nodes[i].kind
+                    nodes[p.index()].kind,
+                    nodes[i].kind
                 );
-                *d += 1;
-                succs[p.index()].push(i);
+                indeg[i] += 1;
             }
         }
-        let mut order: Vec<usize> = Vec::with_capacity(n);
-        let mut queue: Vec<usize> = (0..n)
-            .filter(|&i| !self.dead.contains(i) && indeg[i] == 0)
-            .collect();
+        succs.rebuild(n, || {
+            alive().flat_map(move |i| nodes[i].preds().map(move |p| (p.index(), CnId(i as u32))))
+        });
+        order.clear();
+        queue.clear();
         // Deterministic: process smallest id first.
-        queue.sort_unstable_by(|a, b| b.cmp(a));
+        queue.extend(alive().filter(|&i| indeg[i] == 0).map(|i| i as u32).rev());
         while let Some(i) = queue.pop() {
             order.push(i);
-            for &s in &succs[i] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    // Insert keeping the stack roughly id-sorted.
-                    let pos = queue.binary_search_by(|&q| s.cmp(&q)).unwrap_or_else(|p| p);
-                    queue.insert(pos, s);
+            for &s in succs.of(i as usize) {
+                let d = &mut indeg[s.index()];
+                *d -= 1;
+                if *d == 0 {
+                    // Insert keeping the stack sorted by descending id.
+                    let pos = queue.binary_search_by(|q| s.0.cmp(q)).unwrap_or_else(|p| p);
+                    queue.insert(pos, s.0);
                 }
             }
         }
         debug_assert_eq!(
             order.len(),
-            n - self.dead.count(),
+            n - dead.count(),
             "cover graph must stay acyclic"
         );
 
-        self.desc = BitMatrix::new(n, n);
-        for &i in &order {
+        self.desc.reset(n, n);
+        for &i in order.iter() {
             // Predecessors come earlier in `order`, so their rows are
             // final; accumulate them into row `i` in place.
-            for p in self.nodes[i].preds() {
+            let i = i as usize;
+            for p in nodes[i].preds() {
                 self.desc.set(i, p.index());
                 self.desc.or_row_from(i, p.index());
             }
         }
-        self.levels_bottom = vec![0; n];
-        for &i in &order {
-            let l = self
-                .preds(CnId(i as u32))
+        self.levels_bottom.clear();
+        self.levels_bottom.resize(n, 0);
+        for &i in order.iter() {
+            let i = i as usize;
+            let l = nodes[i]
+                .preds()
                 .map(|p| self.levels_bottom[p.index()] + 1)
                 .max()
                 .unwrap_or(0);
             self.levels_bottom[i] = l;
         }
-        self.levels_top = vec![0; n];
+        self.levels_top.clear();
+        self.levels_top.resize(n, 0);
         for &i in order.iter().rev() {
+            let i = i as usize;
             let l = self.levels_top[i];
-            for p in self.nodes[i].preds() {
+            for p in nodes[i].preds() {
                 let pl = &mut self.levels_top[p.index()];
                 *pl = (*pl).max(l + 1);
             }
@@ -574,7 +804,6 @@ impl CoverGraph {
             .xfers
             .paths(Location::Bank(vbank), Location::Mem)
             .first()
-            .cloned()
         else {
             return Err(Diagnostic::new(
                 Code::C003,
@@ -587,7 +816,6 @@ impl CoverGraph {
         let mut new_nodes = Vec::new();
         let mut removed = Vec::new();
         let mut cur = Operand::Cn(victim);
-        let mut cur_dep: Option<CnId> = None;
         for (hi, hop) in path.hops.iter().enumerate() {
             let is_last = hi + 1 == path.hops.len();
             let kind = if is_last {
@@ -613,26 +841,24 @@ impl CoverGraph {
             let id = CnId(self.nodes.len() as u32);
             self.nodes.push(CoverNode {
                 kind,
-                args: vec![cur],
-                deps: cur_dep.into_iter().collect(),
+                args: Args::from_iter([cur]),
+                deps: Vec::new(),
             });
             self.dead.grow(self.nodes.len());
             new_nodes.push(id);
             cur = Operand::Cn(id);
-            cur_dep = None;
         }
         let spill = *new_nodes.last().expect("path has at least one hop");
 
         // 2. Redirect unscheduled consumers to loads from the slot. The
-        //    spill chain itself must keep reading the victim, so its
-        //    nodes are protected from redirection.
-        let protected: std::collections::HashSet<usize> =
-            new_nodes.iter().map(|n| n.index()).collect();
+        //    spill chain itself (the nodes just appended) must keep
+        //    reading the victim, so it is protected from redirection.
+        let protected = new_nodes[0].index()..self.nodes.len();
         let jit = self.redirect_to_reloads(
             target,
             victim,
             covered,
-            &protected,
+            protected,
             slot,
             Some(spill),
             &mut new_nodes,
@@ -669,7 +895,7 @@ impl CoverGraph {
             target,
             victim,
             covered,
-            &std::collections::HashSet::new(),
+            0..0,
             sym,
             None,
             &mut new_nodes,
@@ -705,17 +931,18 @@ impl CoverGraph {
     }
 
     /// Shared spill/remat rewiring: every unscheduled consumer of
-    /// `victim` is redirected to a reload chain of `slot_sym` into the
-    /// bank it needs; pending moves that only ferried the victim die and
-    /// their consumers chase the replacement transitively. Returns
-    /// `(chain head, consumer)` pairs for the just-in-time ordering pass.
+    /// `victim` outside the `protected` ids is redirected to a reload
+    /// chain of `slot_sym` into the bank it needs; pending moves that
+    /// only ferried the victim die and their consumers chase the
+    /// replacement transitively. Returns `(chain head, consumer)` pairs
+    /// for the just-in-time ordering pass.
     #[allow(clippy::too_many_arguments)]
     fn redirect_to_reloads(
         &mut self,
         target: &Target,
         victim: CnId,
         covered: &BitSet,
-        protected: &std::collections::HashSet<usize>,
+        protected: Range<usize>,
         slot_sym: Sym,
         after: Option<CnId>,
         new_nodes: &mut Vec<CnId>,
@@ -739,7 +966,7 @@ impl CoverGraph {
             // A pending move that only ferried this value dies; its
             // consumers chase the replacement instead.
             let is_ferry_move = matches!(self.nodes[c].kind, CnKind::Move { .. })
-                && self.nodes[c].args == vec![Operand::Cn(value)];
+                && self.nodes[c].args[..] == [Operand::Cn(value)];
             if is_ferry_move {
                 self.dead.insert(c);
                 removed.push(consumer);
@@ -781,12 +1008,11 @@ impl CoverGraph {
     /// read, spill-store ordering) all point at loads/stores, which are
     /// never killed — so dropping them is sound.
     pub(crate) fn prune_dead_deps(&mut self) {
-        let dead = self.dead.clone();
-        for i in 0..self.nodes.len() {
-            if dead.contains(i) {
-                continue;
+        let dead = &self.dead;
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if !dead.contains(i) {
+                node.deps.retain(|d| !dead.contains(d.index()));
             }
-            self.nodes[i].deps.retain(|d| !dead.contains(d.index()));
         }
     }
 
@@ -863,8 +1089,7 @@ impl CoverGraph {
             .xfers
             .paths(Location::Mem, Location::Bank(bank))
             .first()
-            .expect("validated machines reach every bank from memory")
-            .clone();
+            .expect("validated machines reach every bank from memory");
         let mut cur: Option<CnId> = None;
         for hop in &path.hops {
             let kind = match (hop.from, hop.to) {
@@ -882,8 +1107,8 @@ impl CoverGraph {
             };
             let id = CnId(self.nodes.len() as u32);
             let (args, deps) = match cur {
-                None => (Vec::new(), after.into_iter().collect()),
-                Some(prev) => (vec![Operand::Cn(prev)], Vec::new()),
+                None => (Args::new(), after.into_iter().collect()),
+                Some(prev) => (Args::from_iter([Operand::Cn(prev)]), Vec::new()),
             };
             self.nodes.push(CoverNode { kind, args, deps });
             self.dead.grow(self.nodes.len());
@@ -989,15 +1214,9 @@ impl CoverGraph {
     }
 }
 
-struct GraphBuilder<'a> {
-    dag: &'a BlockDag,
-    sndag: &'a SplitNodeDag,
-    target: &'a Target,
-    assignment: &'a Assignment,
-    nodes: Vec<CoverNode>,
-    value_of_orig: Vec<Option<CnId>>,
-    /// Bank count — the row stride of the two flat transfer caches.
-    n_banks: usize,
+/// The builder's temporaries, reused across builds (see [`Scratch`]).
+#[derive(Default)]
+struct BuildScratch {
     /// `producer.index() * n_banks + bank.index()` → chain tail. Flat and
     /// index-keyed: the builder probes it once per operand it resolves,
     /// so it must be a plain array lookup, not a hash probe. Grown on
@@ -1009,63 +1228,76 @@ struct GraphBuilder<'a> {
     /// Original memory node → cover node (for serialization edges),
     /// indexed by `NodeId`.
     mem_cn: Vec<Option<CnId>>,
-    /// Entry-value loads per variable (LoadVar nodes only, not the moves
-    /// behind them) — write-backs of the same variable must follow them.
-    /// Indexed by `Sym`, grown on demand.
-    loads_by_sym: Vec<Vec<CnId>>,
-    /// Write-backs per variable.
-    stores_by_sym: Vec<(Sym, CnId)>,
-    bus_usage: Vec<usize>,
+    /// Entry-value loads (LoadVar nodes only, not the moves behind them)
+    /// in creation order — write-backs of the same variable must follow
+    /// them.
+    loads: Vec<(Sym, CnId)>,
+    /// Write-backs in creation order.
+    stores: Vec<(Sym, CnId)>,
+}
+
+impl BuildScratch {
+    /// Empty every table for a DAG of `n` nodes.
+    fn reset(&mut self, n: usize) {
+        self.move_cache.clear();
+        self.loadvar_cache.clear();
+        self.mem_cn.clear();
+        self.mem_cn.resize(n, None);
+        self.loads.clear();
+        self.stores.clear();
+    }
+}
+
+struct GraphBuilder<'a> {
+    dag: &'a BlockDag,
+    sndag: &'a SplitNodeDag,
+    target: &'a Target,
+    assignment: &'a Assignment,
+    /// The graph under construction: nodes, `value_of_orig` and
+    /// `bus_usage` are written here directly.
+    graph: &'a mut CoverGraph,
+    scratch: &'a mut BuildScratch,
+    /// Bank count — the row stride of the two flat transfer caches.
+    n_banks: usize,
 }
 
 impl<'a> GraphBuilder<'a> {
     /// Cached transfer-chain tail ferrying `producer` into `bank`.
     fn move_cached(&self, producer: CnId, bank: BankId) -> Option<CnId> {
         let idx = producer.index() * self.n_banks + bank.index();
-        self.move_cache.get(idx).copied().flatten()
+        self.scratch.move_cache.get(idx).copied().flatten()
     }
 
     fn cache_move(&mut self, producer: CnId, bank: BankId, tail: CnId) {
         let idx = producer.index() * self.n_banks + bank.index();
-        if idx >= self.move_cache.len() {
-            self.move_cache.resize(idx + 1, None);
+        let cache = &mut self.scratch.move_cache;
+        if idx >= cache.len() {
+            cache.resize(idx + 1, None);
         }
-        self.move_cache[idx] = Some(tail);
+        cache[idx] = Some(tail);
     }
 
     /// Cached load-chain tail delivering `sym`'s entry value into `bank`.
     fn loadvar_cached(&self, sym: Sym, bank: BankId) -> Option<CnId> {
         let idx = sym.index() * self.n_banks + bank.index();
-        self.loadvar_cache.get(idx).copied().flatten()
+        self.scratch.loadvar_cache.get(idx).copied().flatten()
     }
 
     fn cache_loadvar(&mut self, sym: Sym, bank: BankId, tail: CnId) {
         let idx = sym.index() * self.n_banks + bank.index();
-        if idx >= self.loadvar_cache.len() {
-            self.loadvar_cache.resize(idx + 1, None);
+        let cache = &mut self.scratch.loadvar_cache;
+        if idx >= cache.len() {
+            cache.resize(idx + 1, None);
         }
-        self.loadvar_cache[idx] = Some(tail);
+        cache[idx] = Some(tail);
     }
 
-    fn record_load(&mut self, sym: Sym, load: CnId) {
-        if sym.index() >= self.loads_by_sym.len() {
-            self.loads_by_sym.resize(sym.index() + 1, Vec::new());
+    fn push(&mut self, kind: CnKind, args: Args) -> CnId {
+        if let Resource::Bus(b) = kind.resource() {
+            self.graph.bus_usage[b.index()] += 1;
         }
-        self.loads_by_sym[sym.index()].push(load);
-    }
-
-    fn push(&mut self, kind: CnKind, args: Vec<Operand>) -> CnId {
-        if let Resource::Bus(b) = (CoverNode {
-            kind: kind.clone(),
-            args: vec![],
-            deps: vec![],
-        })
-        .resource()
-        {
-            self.bus_usage[b.index()] += 1;
-        }
-        let id = CnId(self.nodes.len() as u32);
-        self.nodes.push(CoverNode {
+        let id = CnId(self.graph.nodes.len() as u32);
+        self.graph.nodes.push(CoverNode {
             kind,
             args,
             deps: Vec::new(),
@@ -1073,24 +1305,32 @@ impl<'a> GraphBuilder<'a> {
         id
     }
 
+    /// The bank `producer`'s value lands in.
+    fn bank_of(&self, producer: CnId) -> BankId {
+        self.graph.nodes[producer.index()]
+            .dest_bank(self.target)
+            .expect("value-producing node")
+    }
+
     /// Choose among equal-cost transfer paths by current bus pressure
     /// (§IV-B: "the cost function is based solely on parallelism").
-    fn choose_path(&self, from: Location, to: Location) -> aviv_isdl::TransferPath {
-        let paths = self.target.xfers.paths(from, to);
+    fn choose_path(&self, from: Location, to: Location) -> &'a TransferPath {
+        let target: &'a Target = self.target;
+        let paths = target.xfers.paths(from, to);
         assert!(!paths.is_empty(), "no transfer path {from} -> {to}");
+        let bus_usage = &self.graph.bus_usage;
         paths
             .iter()
             .min_by_key(|p| {
                 (
                     p.hops
                         .iter()
-                        .map(|h| self.bus_usage[h.bus.index()])
+                        .map(|h| bus_usage[h.bus.index()])
                         .sum::<usize>(),
                     p.hops.first().map_or(0, |h| h.bus.0),
                 )
             })
             .expect("nonempty")
-            .clone()
     }
 
     /// Produce `orig`'s value in `bank`, inserting transfer chains.
@@ -1118,10 +1358,10 @@ impl<'a> GraphBuilder<'a> {
                                         bus: hop.bus,
                                         to: t,
                                     },
-                                    Vec::new(),
+                                    Args::new(),
                                 );
                                 self.cache_loadvar(sym, t, c);
-                                self.record_load(sym, c);
+                                self.scratch.loads.push((sym, c));
                                 c
                             }
                         }
@@ -1136,7 +1376,7 @@ impl<'a> GraphBuilder<'a> {
                                         from: f,
                                         to: t,
                                     },
-                                    vec![Operand::Cn(prev)],
+                                    Args::from_iter([Operand::Cn(prev)]),
                                 );
                                 self.cache_loadvar(sym, t, c);
                                 c
@@ -1149,11 +1389,9 @@ impl<'a> GraphBuilder<'a> {
                 Operand::Cn(cur.expect("path nonempty"))
             }
             _ => {
-                let producer = self.value_of_orig[orig.index()]
+                let producer = self.graph.value_of_orig[orig.index()]
                     .expect("operands are materialized before consumers");
-                let pbank = self.nodes[producer.index()]
-                    .dest_bank(self.target)
-                    .expect("value-producing node");
+                let pbank = self.bank_of(producer);
                 if pbank == bank {
                     return Operand::Cn(producer);
                 }
@@ -1175,7 +1413,7 @@ impl<'a> GraphBuilder<'a> {
                                 from: f,
                                 to: t,
                             },
-                            vec![Operand::Cn(cur)],
+                            Args::from_iter([Operand::Cn(cur)]),
                         );
                         self.cache_move(producer, t, c);
                         c
@@ -1187,7 +1425,8 @@ impl<'a> GraphBuilder<'a> {
     }
 
     fn run(&mut self) {
-        for (orig, n) in self.dag.iter() {
+        let (dag, sndag) = (self.dag, self.sndag);
+        for (orig, n) in dag.iter() {
             // Skipped: leaves (lazy), and nodes swallowed by a chosen
             // complex (their value comes from the complex node, assigned
             // when the root is processed — roots have larger ids).
@@ -1198,7 +1437,7 @@ impl<'a> GraphBuilder<'a> {
                 Op::StoreVar => {
                     let sym = n.sym.expect("validated: store-var has sym");
                     let vnode = n.args[0];
-                    let vop = self.dag.node(vnode).op;
+                    let vop = dag.node(vnode).op;
                     if vop == Op::Const {
                         // Immediate store straight to memory.
                         let path = self.choose_path(
@@ -1215,31 +1454,24 @@ impl<'a> GraphBuilder<'a> {
                                 bus,
                                 from: None,
                             },
-                            vec![Operand::Imm(
-                                self.dag.node(vnode).imm.expect("validated: const has imm"),
-                            )],
+                            Args::from_iter([Operand::Imm(
+                                dag.node(vnode).imm.expect("validated: const has imm"),
+                            )]),
                         );
-                        self.mem_cn[orig.index()] = Some(cn);
-                        self.stores_by_sym.push((sym, cn));
+                        self.scratch.mem_cn[orig.index()] = Some(cn);
+                        self.scratch.stores.push((sym, cn));
                         continue;
                     }
                     // Route the value to memory: intermediate hops are
                     // moves, the final hop is the store itself.
-                    let producer_bank = if vop == Op::Input {
+                    let src_bank = if vop == Op::Input {
                         // Storing an unmodified input: load it somewhere
                         // first (degenerate but legal).
-                        None
+                        self.target.round_trip_bank.expect("machine has banks")
                     } else {
-                        let p = self.value_of_orig[vnode.index()].expect("value materialized");
-                        Some(
-                            self.nodes[p.index()]
-                                .dest_bank(self.target)
-                                .expect("value-producing node"),
-                        )
-                    };
-                    let src_bank = match producer_bank {
-                        Some(b) => b,
-                        None => self.target.round_trip_bank.expect("machine has banks"),
+                        let p =
+                            self.graph.value_of_orig[vnode.index()].expect("value materialized");
+                        self.bank_of(p)
                     };
                     let value = self.resolve(vnode, src_bank);
                     let path = self.choose_path(Location::Bank(src_bank), Location::Mem);
@@ -1258,9 +1490,9 @@ impl<'a> GraphBuilder<'a> {
                                     bus: hop.bus,
                                     from: Some(from),
                                 },
-                                vec![cur],
+                                Args::from_iter([cur]),
                             );
-                            self.stores_by_sym.push((sym, cn));
+                            self.scratch.stores.push((sym, cn));
                             store_cn = Some(cn);
                         } else {
                             let (Location::Bank(f), Location::Bank(t)) = (hop.from, hop.to) else {
@@ -1272,17 +1504,18 @@ impl<'a> GraphBuilder<'a> {
                                     from: f,
                                     to: t,
                                 },
-                                vec![cur],
+                                Args::from_iter([cur]),
                             );
                             cur = Operand::Cn(cn);
                         }
                     }
-                    self.mem_cn[orig.index()] = Some(store_cn.expect("store path nonempty"));
+                    self.scratch.mem_cn[orig.index()] =
+                        Some(store_cn.expect("store path nonempty"));
                 }
                 Op::Store | Op::Load => {
                     let ai = self.assignment.choice[orig.index()]
                         .expect("memory ops have chosen alternatives");
-                    let alt = &self.sndag.alts(orig)[ai];
+                    let alt = &sndag.alts(orig)[ai];
                     let (bus, bank) = match alt.exec {
                         aviv_splitdag::Exec::MemPort { bus, bank } => (bus, bank),
                         aviv_splitdag::Exec::Unit(_) => {
@@ -1291,20 +1524,24 @@ impl<'a> GraphBuilder<'a> {
                     };
                     if n.op == Op::Load {
                         let addr = self.resolve(n.args[0], bank);
-                        let cn = self.push(CnKind::LoadDyn { orig, bus, bank }, vec![addr]);
-                        self.value_of_orig[orig.index()] = Some(cn);
-                        self.mem_cn[orig.index()] = Some(cn);
+                        let cn =
+                            self.push(CnKind::LoadDyn { orig, bus, bank }, Args::from_iter([addr]));
+                        self.graph.value_of_orig[orig.index()] = Some(cn);
+                        self.scratch.mem_cn[orig.index()] = Some(cn);
                     } else {
                         let addr = self.resolve(n.args[0], bank);
                         let val = self.resolve(n.args[1], bank);
-                        let cn = self.push(CnKind::StoreDyn { orig, bus, bank }, vec![addr, val]);
-                        self.mem_cn[orig.index()] = Some(cn);
+                        let cn = self.push(
+                            CnKind::StoreDyn { orig, bus, bank },
+                            Args::from_iter([addr, val]),
+                        );
+                        self.scratch.mem_cn[orig.index()] = Some(cn);
                     }
                 }
                 _ => {
                     let ai = self.assignment.choice[orig.index()]
                         .expect("operations have chosen alternatives");
-                    let alt = &self.sndag.alts(orig)[ai];
+                    let alt = &sndag.alts(orig)[ai];
                     let unit = match alt.exec {
                         aviv_splitdag::Exec::Unit(u) => u,
                         aviv_splitdag::Exec::MemPort { .. } => {
@@ -1314,12 +1551,7 @@ impl<'a> GraphBuilder<'a> {
                     let bank = self.target.machine.bank_of(unit);
                     match &alt.kind {
                         AltKind::Simple(op) => {
-                            let args: Vec<Operand> = n
-                                .args
-                                .clone()
-                                .into_iter()
-                                .map(|a| self.resolve(a, bank))
-                                .collect();
+                            let args = n.args.iter().map(|&a| self.resolve(a, bank)).collect();
                             let cn = self.push(
                                 CnKind::Op {
                                     orig,
@@ -1328,18 +1560,14 @@ impl<'a> GraphBuilder<'a> {
                                 },
                                 args,
                             );
-                            self.value_of_orig[orig.index()] = Some(cn);
+                            self.graph.value_of_orig[orig.index()] = Some(cn);
                         }
                         AltKind::Complex {
                             index,
                             covers,
                             operands,
                         } => {
-                            let args: Vec<Operand> = operands
-                                .clone()
-                                .into_iter()
-                                .map(|a| self.resolve(a, bank))
-                                .collect();
+                            let args = operands.iter().map(|&a| self.resolve(a, bank)).collect();
                             let cn = self.push(
                                 CnKind::Complex {
                                     orig,
@@ -1349,7 +1577,7 @@ impl<'a> GraphBuilder<'a> {
                                 args,
                             );
                             for &c in covers {
-                                self.value_of_orig[c.index()] = Some(cn);
+                                self.graph.value_of_orig[c.index()] = Some(cn);
                             }
                         }
                         AltKind::DynLoad | AltKind::DynStore => {
@@ -1359,21 +1587,25 @@ impl<'a> GraphBuilder<'a> {
                 }
             }
         }
+        let nodes = &mut self.graph.nodes;
         // A variable's write-back must not overtake any same-block read
         // of its entry value (write-after-read on the variable's memory
         // cell). Loads have no inputs, so these edges cannot form cycles.
-        for (sym, store_cn) in self.stores_by_sym.clone() {
-            for &load_cn in self.loads_by_sym.get(sym.index()).into_iter().flatten() {
-                if !self.nodes[store_cn.index()].deps.contains(&load_cn) {
-                    self.nodes[store_cn.index()].deps.push(load_cn);
+        for &(sym, store_cn) in &self.scratch.stores {
+            for &(_, load_cn) in self.scratch.loads.iter().filter(|&&(s, _)| s == sym) {
+                let deps = &mut nodes[store_cn.index()].deps;
+                if !deps.contains(&load_cn) {
+                    deps.push(load_cn);
                 }
             }
         }
         // Memory serialization edges.
-        for &(earlier, later) in self.dag.mem_deps() {
-            if let (Some(a), Some(b)) = (self.mem_cn[earlier.index()], self.mem_cn[later.index()]) {
-                if a != b && !self.nodes[b.index()].deps.contains(&a) {
-                    self.nodes[b.index()].deps.push(a);
+        let mem_cn = &self.scratch.mem_cn;
+        for &(earlier, later) in dag.mem_deps() {
+            if let (Some(a), Some(b)) = (mem_cn[earlier.index()], mem_cn[later.index()]) {
+                let deps = &mut nodes[b.index()].deps;
+                if a != b && !deps.contains(&a) {
+                    deps.push(a);
                 }
             }
         }
@@ -1505,4 +1737,860 @@ fn validate_build_inputs(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::assign::explore;
+    use crate::budget::Budget;
+    use crate::cover::cover_sequential_budgeted;
+    use crate::options::CodegenOptions;
+    use aviv_ir::randdag::{random_block, RandDagConfig};
+    use aviv_ir::{parse_function, Function};
+    use aviv_isdl::archs;
+
+    /// The graph builder and index rebuild as they were before the graph
+    /// was built into reused storage: one `Vec` per node's operands and
+    /// per node's consumer list, fresh temporaries per build. The oracle
+    /// requires the same graph from both.
+    pub(super) mod reference {
+        use super::super::*;
+
+        /// A cover node with its operands in a `Vec`.
+        #[derive(Debug, Clone)]
+        pub struct RefNode {
+            pub kind: CnKind,
+            pub args: Vec<Operand>,
+            pub deps: Vec<CnId>,
+        }
+
+        impl RefNode {
+            pub fn preds(&self) -> impl Iterator<Item = CnId> + '_ {
+                self.args
+                    .iter()
+                    .filter_map(|a| match a {
+                        Operand::Cn(c) => Some(*c),
+                        Operand::Imm(_) => None,
+                    })
+                    .chain(self.deps.iter().copied())
+            }
+
+            fn resource(&self) -> Resource {
+                self.kind.resource()
+            }
+
+            fn dest_bank(&self, target: &Target) -> Option<BankId> {
+                match self.kind {
+                    CnKind::Op { unit, .. } | CnKind::Complex { unit, .. } => {
+                        Some(target.machine.bank_of(unit))
+                    }
+                    CnKind::Move { to, .. } | CnKind::LoadVar { to, .. } => Some(to),
+                    CnKind::LoadDyn { bank, .. } => Some(bank),
+                    CnKind::StoreVar { .. } | CnKind::StoreDyn { .. } => None,
+                }
+            }
+        }
+
+        /// The derived indexes, each node's consumers in its own `Vec`.
+        #[derive(Debug, Default)]
+        pub struct Indexes {
+            pub uses: Vec<Vec<CnId>>,
+            pub desc: BitMatrix,
+            pub levels_top: Vec<u32>,
+            pub levels_bottom: Vec<u32>,
+        }
+
+        impl Indexes {
+            pub(super) fn of(nodes: &[RefNode], dead: &BitSet) -> Indexes {
+                let mut this = Indexes::default();
+                let n = nodes.len();
+                this.uses = vec![Vec::new(); n];
+                for (i, node) in nodes.iter().enumerate() {
+                    if dead.contains(i) {
+                        continue;
+                    }
+                    for a in &node.args {
+                        if let Operand::Cn(c) = a {
+                            this.uses[c.index()].push(CnId(i as u32));
+                        }
+                    }
+                }
+                // Kahn topological order over alive nodes.
+                let mut indeg = vec![0usize; n];
+                let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+                for (i, d) in indeg.iter_mut().enumerate() {
+                    if dead.contains(i) {
+                        continue;
+                    }
+                    for p in nodes[i].preds() {
+                        debug_assert!(
+                            !dead.contains(p.index()),
+                            "dead predecessor {p} of c{i}: {:?} <- {:?}",
+                            nodes[p.index()].kind,
+                            nodes[i].kind
+                        );
+                        *d += 1;
+                        succs[p.index()].push(i);
+                    }
+                }
+                let mut order: Vec<usize> = Vec::with_capacity(n);
+                let mut queue: Vec<usize> = (0..n)
+                    .filter(|&i| !dead.contains(i) && indeg[i] == 0)
+                    .collect();
+                // Deterministic: process smallest id first.
+                queue.sort_unstable_by(|a, b| b.cmp(a));
+                while let Some(i) = queue.pop() {
+                    order.push(i);
+                    for &s in &succs[i] {
+                        indeg[s] -= 1;
+                        if indeg[s] == 0 {
+                            // Insert keeping the stack roughly id-sorted.
+                            let pos = queue.binary_search_by(|&q| s.cmp(&q)).unwrap_or_else(|p| p);
+                            queue.insert(pos, s);
+                        }
+                    }
+                }
+                debug_assert_eq!(
+                    order.len(),
+                    n - dead.count(),
+                    "cover graph must stay acyclic"
+                );
+
+                this.desc = BitMatrix::new(n, n);
+                for &i in &order {
+                    // Predecessors come earlier in `order`, so their rows are
+                    // final; accumulate them into row `i` in place.
+                    for p in nodes[i].preds() {
+                        this.desc.set(i, p.index());
+                        this.desc.or_row_from(i, p.index());
+                    }
+                }
+                this.levels_bottom = vec![0; n];
+                for &i in &order {
+                    let l = nodes[i]
+                        .preds()
+                        .map(|p| this.levels_bottom[p.index()] + 1)
+                        .max()
+                        .unwrap_or(0);
+                    this.levels_bottom[i] = l;
+                }
+                this.levels_top = vec![0; n];
+                for &i in order.iter().rev() {
+                    let l = this.levels_top[i];
+                    for p in nodes[i].preds() {
+                        let pl = &mut this.levels_top[p.index()];
+                        *pl = (*pl).max(l + 1);
+                    }
+                }
+                this
+            }
+        }
+
+        /// A cover graph as the reference builds it.
+        pub struct RefGraph {
+            pub nodes: Vec<RefNode>,
+            pub dead: BitSet,
+            pub value_of_orig: Vec<Option<CnId>>,
+            pub live_out: Vec<(NodeId, Operand)>,
+            pub bus_usage: Vec<usize>,
+            pub indexes: Indexes,
+        }
+
+        impl RefGraph {
+            pub(super) fn build(
+                dag: &BlockDag,
+                sndag: &SplitNodeDag,
+                target: &Target,
+                assignment: &Assignment,
+            ) -> RefGraph {
+                let mut b = GraphBuilder {
+                    dag,
+                    sndag,
+                    target,
+                    assignment,
+                    nodes: Vec::new(),
+                    value_of_orig: vec![None; dag.len()],
+                    n_banks: target.machine.banks().len(),
+                    move_cache: Vec::new(),
+                    loadvar_cache: Vec::new(),
+                    mem_cn: vec![None; dag.len()],
+                    loads_by_sym: Vec::new(),
+                    stores_by_sym: Vec::new(),
+                    bus_usage: vec![0; target.machine.buses().len()],
+                };
+                b.run();
+
+                // Live-outs: branch conditions / return values must sit in a
+                // register (or be immediates) at block end. A live-out that is a
+                // plain input leaf gets loaded into the bank nearest memory.
+                let mut live_out = Vec::new();
+                for &(_, orig) in dag.live_outs() {
+                    let operand = match dag.node(orig).op {
+                        Op::Const => {
+                            Operand::Imm(dag.node(orig).imm.expect("validated: const has imm"))
+                        }
+                        Op::Input => {
+                            let bank = target.load_bank.expect("machine has banks");
+                            b.resolve(orig, bank)
+                        }
+                        _ => Operand::Cn(
+                            b.value_of_orig[orig.index()].expect("live-out value was materialized"),
+                        ),
+                    };
+                    live_out.push((orig, operand));
+                }
+
+                let n = b.nodes.len();
+                let dead = BitSet::new(n);
+                let indexes = Indexes::of(&b.nodes, &dead);
+                RefGraph {
+                    nodes: b.nodes,
+                    dead,
+                    value_of_orig: b.value_of_orig,
+                    live_out,
+                    bus_usage: b.bus_usage,
+                    indexes,
+                }
+            }
+        }
+
+        struct GraphBuilder<'a> {
+            dag: &'a BlockDag,
+            sndag: &'a SplitNodeDag,
+            target: &'a Target,
+            assignment: &'a Assignment,
+            nodes: Vec<RefNode>,
+            value_of_orig: Vec<Option<CnId>>,
+            /// Bank count — the row stride of the two flat transfer caches.
+            n_banks: usize,
+            /// `producer.index() * n_banks + bank.index()` → chain tail. Flat and
+            /// index-keyed: the builder probes it once per operand it resolves,
+            /// so it must be a plain array lookup, not a hash probe. Grown on
+            /// demand as nodes are appended.
+            move_cache: Vec<Option<CnId>>,
+            /// `sym.index() * n_banks + bank.index()` → chain tail; grown on
+            /// demand (the builder never sees the symbol table's size).
+            loadvar_cache: Vec<Option<CnId>>,
+            /// Original memory node → cover node (for serialization edges),
+            /// indexed by `NodeId`.
+            mem_cn: Vec<Option<CnId>>,
+            /// Entry-value loads per variable (LoadVar nodes only, not the moves
+            /// behind them) — write-backs of the same variable must follow them.
+            /// Indexed by `Sym`, grown on demand.
+            loads_by_sym: Vec<Vec<CnId>>,
+            /// Write-backs per variable.
+            stores_by_sym: Vec<(Sym, CnId)>,
+            bus_usage: Vec<usize>,
+        }
+
+        impl<'a> GraphBuilder<'a> {
+            /// Cached transfer-chain tail ferrying `producer` into `bank`.
+            fn move_cached(&self, producer: CnId, bank: BankId) -> Option<CnId> {
+                let idx = producer.index() * self.n_banks + bank.index();
+                self.move_cache.get(idx).copied().flatten()
+            }
+
+            fn cache_move(&mut self, producer: CnId, bank: BankId, tail: CnId) {
+                let idx = producer.index() * self.n_banks + bank.index();
+                if idx >= self.move_cache.len() {
+                    self.move_cache.resize(idx + 1, None);
+                }
+                self.move_cache[idx] = Some(tail);
+            }
+
+            /// Cached load-chain tail delivering `sym`'s entry value into `bank`.
+            fn loadvar_cached(&self, sym: Sym, bank: BankId) -> Option<CnId> {
+                let idx = sym.index() * self.n_banks + bank.index();
+                self.loadvar_cache.get(idx).copied().flatten()
+            }
+
+            fn cache_loadvar(&mut self, sym: Sym, bank: BankId, tail: CnId) {
+                let idx = sym.index() * self.n_banks + bank.index();
+                if idx >= self.loadvar_cache.len() {
+                    self.loadvar_cache.resize(idx + 1, None);
+                }
+                self.loadvar_cache[idx] = Some(tail);
+            }
+
+            fn record_load(&mut self, sym: Sym, load: CnId) {
+                if sym.index() >= self.loads_by_sym.len() {
+                    self.loads_by_sym.resize(sym.index() + 1, Vec::new());
+                }
+                self.loads_by_sym[sym.index()].push(load);
+            }
+
+            fn push(&mut self, kind: CnKind, args: Vec<Operand>) -> CnId {
+                if let Resource::Bus(b) = (RefNode {
+                    kind: kind.clone(),
+                    args: vec![],
+                    deps: vec![],
+                })
+                .resource()
+                {
+                    self.bus_usage[b.index()] += 1;
+                }
+                let id = CnId(self.nodes.len() as u32);
+                self.nodes.push(RefNode {
+                    kind,
+                    args,
+                    deps: Vec::new(),
+                });
+                id
+            }
+
+            /// Choose among equal-cost transfer paths by current bus pressure
+            /// (§IV-B: "the cost function is based solely on parallelism").
+            fn choose_path(&self, from: Location, to: Location) -> TransferPath {
+                let paths = self.target.xfers.paths(from, to);
+                assert!(!paths.is_empty(), "no transfer path {from} -> {to}");
+                paths
+                    .iter()
+                    .min_by_key(|p| {
+                        (
+                            p.hops
+                                .iter()
+                                .map(|h| self.bus_usage[h.bus.index()])
+                                .sum::<usize>(),
+                            p.hops.first().map_or(0, |h| h.bus.0),
+                        )
+                    })
+                    .expect("nonempty")
+                    .clone()
+            }
+
+            /// Produce `orig`'s value in `bank`, inserting transfer chains.
+            fn resolve(&mut self, orig: NodeId, bank: BankId) -> Operand {
+                let n = self.dag.node(orig);
+                match n.op {
+                    Op::Const => Operand::Imm(n.imm.expect("validated: const has imm")),
+                    Op::Input => {
+                        let sym = n.sym.expect("validated: input has sym");
+                        if let Some(t) = self.loadvar_cached(sym, bank) {
+                            return Operand::Cn(t);
+                        }
+                        let path = self.choose_path(Location::Mem, Location::Bank(bank));
+                        let mut cur: Option<CnId> = None;
+                        for hop in &path.hops {
+                            let id = match (hop.from, hop.to) {
+                                (Location::Mem, Location::Bank(t)) => {
+                                    // Intermediate banks are cacheable too.
+                                    if let Some(c) = self.loadvar_cached(sym, t) {
+                                        c
+                                    } else {
+                                        let c = self.push(
+                                            CnKind::LoadVar {
+                                                sym,
+                                                bus: hop.bus,
+                                                to: t,
+                                            },
+                                            Vec::new(),
+                                        );
+                                        self.cache_loadvar(sym, t, c);
+                                        self.record_load(sym, c);
+                                        c
+                                    }
+                                }
+                                (Location::Bank(f), Location::Bank(t)) => {
+                                    let prev = cur.expect("bank hop follows the memory hop");
+                                    if let Some(c) = self.loadvar_cached(sym, t) {
+                                        c
+                                    } else {
+                                        let c = self.push(
+                                            CnKind::Move {
+                                                bus: hop.bus,
+                                                from: f,
+                                                to: t,
+                                            },
+                                            vec![Operand::Cn(prev)],
+                                        );
+                                        self.cache_loadvar(sym, t, c);
+                                        c
+                                    }
+                                }
+                                _ => unreachable!("memory is never an intermediate hop"),
+                            };
+                            cur = Some(id);
+                        }
+                        Operand::Cn(cur.expect("path nonempty"))
+                    }
+                    _ => {
+                        let producer = self.value_of_orig[orig.index()]
+                            .expect("operands are materialized before consumers");
+                        let pbank = self.nodes[producer.index()]
+                            .dest_bank(self.target)
+                            .expect("value-producing node");
+                        if pbank == bank {
+                            return Operand::Cn(producer);
+                        }
+                        if let Some(t) = self.move_cached(producer, bank) {
+                            return Operand::Cn(t);
+                        }
+                        let path = self.choose_path(Location::Bank(pbank), Location::Bank(bank));
+                        let mut cur = producer;
+                        for hop in &path.hops {
+                            let (Location::Bank(f), Location::Bank(t)) = (hop.from, hop.to) else {
+                                unreachable!("memory is never an intermediate hop")
+                            };
+                            cur = if let Some(c) = self.move_cached(producer, t) {
+                                c
+                            } else {
+                                let c = self.push(
+                                    CnKind::Move {
+                                        bus: hop.bus,
+                                        from: f,
+                                        to: t,
+                                    },
+                                    vec![Operand::Cn(cur)],
+                                );
+                                self.cache_move(producer, t, c);
+                                c
+                            };
+                        }
+                        Operand::Cn(cur)
+                    }
+                }
+            }
+
+            fn run(&mut self) {
+                for (orig, n) in self.dag.iter() {
+                    // Skipped: leaves (lazy), and nodes swallowed by a chosen
+                    // complex (their value comes from the complex node, assigned
+                    // when the root is processed — roots have larger ids).
+                    if n.op.is_leaf() || self.assignment.complex_covered[orig.index()] {
+                        continue;
+                    }
+                    match n.op {
+                        Op::StoreVar => {
+                            let sym = n.sym.expect("validated: store-var has sym");
+                            let vnode = n.args[0];
+                            let vop = self.dag.node(vnode).op;
+                            if vop == Op::Const {
+                                // Immediate store straight to memory.
+                                let path = self.choose_path(
+                                    // Any bank with a memory bus works; route from
+                                    // the first bank on a memory path. Immediates
+                                    // ride the bus directly.
+                                    Location::Bank(BankId(0)),
+                                    Location::Mem,
+                                );
+                                let bus = path.hops.last().expect("nonempty").bus;
+                                let cn = self.push(
+                                    CnKind::StoreVar {
+                                        sym,
+                                        bus,
+                                        from: None,
+                                    },
+                                    vec![Operand::Imm(
+                                        self.dag.node(vnode).imm.expect("validated: const has imm"),
+                                    )],
+                                );
+                                self.mem_cn[orig.index()] = Some(cn);
+                                self.stores_by_sym.push((sym, cn));
+                                continue;
+                            }
+                            // Route the value to memory: intermediate hops are
+                            // moves, the final hop is the store itself.
+                            let producer_bank = if vop == Op::Input {
+                                // Storing an unmodified input: load it somewhere
+                                // first (degenerate but legal).
+                                None
+                            } else {
+                                let p =
+                                    self.value_of_orig[vnode.index()].expect("value materialized");
+                                Some(
+                                    self.nodes[p.index()]
+                                        .dest_bank(self.target)
+                                        .expect("value-producing node"),
+                                )
+                            };
+                            let src_bank = match producer_bank {
+                                Some(b) => b,
+                                None => self.target.round_trip_bank.expect("machine has banks"),
+                            };
+                            let value = self.resolve(vnode, src_bank);
+                            let path = self.choose_path(Location::Bank(src_bank), Location::Mem);
+                            let mut cur = value;
+                            let mut store_cn = None;
+                            for (hi, hop) in path.hops.iter().enumerate() {
+                                let is_last = hi + 1 == path.hops.len();
+                                if is_last {
+                                    let from = match hop.from {
+                                        Location::Bank(b) => b,
+                                        Location::Mem => unreachable!(),
+                                    };
+                                    let cn = self.push(
+                                        CnKind::StoreVar {
+                                            sym,
+                                            bus: hop.bus,
+                                            from: Some(from),
+                                        },
+                                        vec![cur],
+                                    );
+                                    self.stores_by_sym.push((sym, cn));
+                                    store_cn = Some(cn);
+                                } else {
+                                    let (Location::Bank(f), Location::Bank(t)) = (hop.from, hop.to)
+                                    else {
+                                        unreachable!()
+                                    };
+                                    let cn = self.push(
+                                        CnKind::Move {
+                                            bus: hop.bus,
+                                            from: f,
+                                            to: t,
+                                        },
+                                        vec![cur],
+                                    );
+                                    cur = Operand::Cn(cn);
+                                }
+                            }
+                            self.mem_cn[orig.index()] =
+                                Some(store_cn.expect("store path nonempty"));
+                        }
+                        Op::Store | Op::Load => {
+                            let ai = self.assignment.choice[orig.index()]
+                                .expect("memory ops have chosen alternatives");
+                            let alt = &self.sndag.alts(orig)[ai];
+                            let (bus, bank) = match alt.exec {
+                                aviv_splitdag::Exec::MemPort { bus, bank } => (bus, bank),
+                                aviv_splitdag::Exec::Unit(_) => {
+                                    unreachable!("memory ops use memory ports")
+                                }
+                            };
+                            if n.op == Op::Load {
+                                let addr = self.resolve(n.args[0], bank);
+                                let cn = self.push(CnKind::LoadDyn { orig, bus, bank }, vec![addr]);
+                                self.value_of_orig[orig.index()] = Some(cn);
+                                self.mem_cn[orig.index()] = Some(cn);
+                            } else {
+                                let addr = self.resolve(n.args[0], bank);
+                                let val = self.resolve(n.args[1], bank);
+                                let cn = self
+                                    .push(CnKind::StoreDyn { orig, bus, bank }, vec![addr, val]);
+                                self.mem_cn[orig.index()] = Some(cn);
+                            }
+                        }
+                        _ => {
+                            let ai = self.assignment.choice[orig.index()]
+                                .expect("operations have chosen alternatives");
+                            let alt = &self.sndag.alts(orig)[ai];
+                            let unit = match alt.exec {
+                                aviv_splitdag::Exec::Unit(u) => u,
+                                aviv_splitdag::Exec::MemPort { .. } => {
+                                    unreachable!("pure ops execute on units")
+                                }
+                            };
+                            let bank = self.target.machine.bank_of(unit);
+                            match &alt.kind {
+                                AltKind::Simple(op) => {
+                                    let args: Vec<Operand> = n
+                                        .args
+                                        .clone()
+                                        .into_iter()
+                                        .map(|a| self.resolve(a, bank))
+                                        .collect();
+                                    let cn = self.push(
+                                        CnKind::Op {
+                                            orig,
+                                            unit,
+                                            op: *op,
+                                        },
+                                        args,
+                                    );
+                                    self.value_of_orig[orig.index()] = Some(cn);
+                                }
+                                AltKind::Complex {
+                                    index,
+                                    covers,
+                                    operands,
+                                } => {
+                                    let args: Vec<Operand> = operands
+                                        .clone()
+                                        .into_iter()
+                                        .map(|a| self.resolve(a, bank))
+                                        .collect();
+                                    let cn = self.push(
+                                        CnKind::Complex {
+                                            orig,
+                                            index: *index,
+                                            unit,
+                                        },
+                                        args,
+                                    );
+                                    for &c in covers {
+                                        self.value_of_orig[c.index()] = Some(cn);
+                                    }
+                                }
+                                AltKind::DynLoad | AltKind::DynStore => {
+                                    unreachable!("handled above")
+                                }
+                            }
+                        }
+                    }
+                }
+                // A variable's write-back must not overtake any same-block read
+                // of its entry value (write-after-read on the variable's memory
+                // cell). Loads have no inputs, so these edges cannot form cycles.
+                for (sym, store_cn) in self.stores_by_sym.clone() {
+                    for &load_cn in self.loads_by_sym.get(sym.index()).into_iter().flatten() {
+                        if !self.nodes[store_cn.index()].deps.contains(&load_cn) {
+                            self.nodes[store_cn.index()].deps.push(load_cn);
+                        }
+                    }
+                }
+                // Memory serialization edges.
+                for &(earlier, later) in self.dag.mem_deps() {
+                    if let (Some(a), Some(b)) =
+                        (self.mem_cn[earlier.index()], self.mem_cn[later.index()])
+                    {
+                        if a != b && !self.nodes[b.index()].deps.contains(&a) {
+                            self.nodes[b.index()].deps.push(a);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The armed index check: while armed on a thread, every
+    /// [`CoverGraph::rebuild_indexes`] compares the flat indexes with the
+    /// reference's, computed from the same nodes. Mismatches are
+    /// counted, not raised: the degradation ladder would catch a panic.
+    pub(super) mod oracle {
+        use super::super::*;
+        use super::reference::{Indexes, RefNode};
+        use std::cell::Cell;
+
+        thread_local! {
+            static ARMED: Cell<bool> = const { Cell::new(false) };
+            /// Index rebuilds checked, and how many differed.
+            static TALLY: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+        }
+
+        /// Run `f` with the check armed; returns the rebuilds it checked
+        /// and how many differed.
+        pub fn armed(f: impl FnOnce()) -> (usize, usize) {
+            ARMED.with(|a| a.set(true));
+            TALLY.with(|t| t.set((0, 0)));
+            f();
+            ARMED.with(|a| a.set(false));
+            TALLY.with(Cell::get)
+        }
+
+        pub fn check_indexes(graph: &CoverGraph) {
+            if !ARMED.with(Cell::get) {
+                return;
+            }
+            let nodes: Vec<RefNode> = graph
+                .nodes
+                .iter()
+                .map(|n| RefNode {
+                    kind: n.kind.clone(),
+                    args: n.args.to_vec(),
+                    deps: n.deps.clone(),
+                })
+                .collect();
+            let want = Indexes::of(&nodes, &graph.dead);
+            let same = same_indexes(graph, &want).is_ok();
+            TALLY.with(|t| {
+                let (checked, differed) = t.get();
+                t.set((checked + 1, differed + usize::from(!same)));
+            });
+        }
+
+        /// The first way `graph`'s indexes differ from `want`: consumer
+        /// lists, both level arrays, and the ancestor matrix behind
+        /// [`CoverGraph::dependent`].
+        pub fn same_indexes(graph: &CoverGraph, want: &Indexes) -> Result<(), String> {
+            for i in 0..graph.len() {
+                let id = CnId(i as u32);
+                if graph.uses(id) != want.uses[i] {
+                    return Err(format!("uses of {id}"));
+                }
+                if graph.level_top(id) != want.levels_top[i]
+                    || graph.level_bottom(id) != want.levels_bottom[i]
+                {
+                    return Err(format!("levels of {id}"));
+                }
+            }
+            if graph.desc != want.desc {
+                return Err("ancestor matrix".into());
+            }
+            Ok(())
+        }
+    }
+
+    /// The first way `graph` differs from the reference's `want`.
+    fn same_graph(graph: &CoverGraph, want: &reference::RefGraph) -> Result<(), String> {
+        if graph.len() != want.nodes.len() {
+            return Err(format!("{} nodes, want {}", graph.len(), want.nodes.len()));
+        }
+        for (i, (got, want)) in graph.nodes().iter().zip(&want.nodes).enumerate() {
+            if got.kind != want.kind || got.args[..] != want.args[..] || got.deps != want.deps {
+                return Err(format!("node c{i}: {got:?}, want {want:?}"));
+            }
+        }
+        if graph.dead != want.dead {
+            return Err("dead set".into());
+        }
+        if graph.value_of_orig != want.value_of_orig {
+            return Err("value_of_orig".into());
+        }
+        if graph.live_out != want.live_out {
+            return Err("live-outs".into());
+        }
+        if graph.bus_usage != want.bus_usage {
+            return Err("bus usage".into());
+        }
+        oracle::same_indexes(graph, &want.indexes)?;
+        let n = graph.len();
+        for i in 0..n {
+            for j in 0..n {
+                let desc = &want.indexes.desc;
+                let dependent = desc.contains(i, j) || desc.contains(j, i);
+                if graph.dependent(CnId(i as u32), CnId(j as u32)) != dependent {
+                    return Err(format!("dependent(c{i}, c{j})"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Seeded random blocks, plus two with variable write-backs,
+    /// immediates and dynamic memory, so that every node kind and every
+    /// ordering edge the builder adds is exercised.
+    fn blocks() -> Vec<Function> {
+        let mut blocks: Vec<Function> = [4, 6, 10]
+            .into_iter()
+            .flat_map(|n_ops| {
+                let cfg = RandDagConfig {
+                    n_ops,
+                    const_prob: 0.2,
+                    ..RandDagConfig::default()
+                };
+                (0..3).map(move |seed| random_block(&cfg, seed))
+            })
+            .collect();
+        for src in [
+            "func f(a, b) { a = a + b; b = a * 3; c = a - b; return c; }",
+            "func f(p, q, x) { mem[p] = x * x; y = mem[q] + x; mem[q + 1] = 7; x = y; return y; }",
+        ] {
+            blocks.push(parse_function(src).expect("oracle block parses"));
+        }
+        blocks
+    }
+
+    /// Every machine of `archs` that takes a register count, at two to
+    /// four registers per bank, plus the accumulator DSP.
+    fn machines() -> impl Iterator<Item = aviv_isdl::Machine> {
+        let makers = [
+            archs::example_arch as fn(u32) -> _,
+            archs::arch_two,
+            archs::dsp_arch,
+            archs::chained_arch,
+            archs::single_alu,
+            archs::wide_arch,
+            archs::quad_vliw,
+        ];
+        (2..=4)
+            .flat_map(move |regs| makers.map(|make| make(regs)))
+            .chain([archs::accumulator_dsp()])
+    }
+
+    /// Steps a sequential cover may take in the oracle: one that spills
+    /// without end on chained banks (see [`crate::cover_sequential`])
+    /// stops here instead of re-indexing a graph of thousands of nodes.
+    const SEQUENTIAL_FUEL: u64 = 200;
+
+    /// Assignments per block, machine and preset covered sequentially
+    /// with the index check armed: the first ones explored. Wide with the
+    /// heuristics off explores tens of thousands per 10-op block, and
+    /// every one of them is still built and compared.
+    const SEQUENTIAL_COVERS: usize = 8;
+
+    /// The builder against the [`reference`]: for every explored
+    /// assignment, a fresh graph and one rebuilt in place over the
+    /// previous assignment's graph both equal the reference's in every
+    /// node, the builder's outputs and every index; and after every
+    /// spill of a sequential cover of the fresh graph, the re-index
+    /// equals the reference's on the same nodes.
+    #[test]
+    fn graphs_build_like_the_reference() {
+        let blocks = blocks();
+        let (mut graphs, mut spills, mut reindexed, mut differed) = (0, 0, 0, 0);
+        for machine in machines() {
+            let target = Target::new(machine);
+            for (b, f) in blocks.iter().enumerate() {
+                let dag = &f.blocks[0].dag;
+                let Ok(sndag) = SplitNodeDag::build(dag, &target) else {
+                    continue;
+                };
+                for options in [
+                    CodegenOptions::heuristics_on(),
+                    CodegenOptions::heuristics_off(),
+                ] {
+                    let mut reused = CoverGraph::default();
+                    for (a, assignment) in explore(dag, &sndag, &target, &options)
+                        .assignments
+                        .iter()
+                        .enumerate()
+                    {
+                        let what = format!("{} block {b} assignment {a}", target.machine.name);
+                        let want = reference::RefGraph::build(dag, &sndag, &target, assignment);
+                        let fresh = CoverGraph::try_build(dag, &sndag, &target, assignment)
+                            .expect("explored assignments build");
+                        reused
+                            .try_rebuild(dag, &sndag, &target, assignment)
+                            .expect("explored assignments build");
+                        for graph in [&fresh, &reused] {
+                            if let Err(e) = same_graph(graph, &want) {
+                                panic!("{what}: {e}");
+                            }
+                        }
+                        graphs += 1;
+                        if a >= SEQUENTIAL_COVERS {
+                            continue;
+                        }
+
+                        let mut graph = fresh;
+                        let mut syms = f.syms.clone();
+                        let (checked, bad) = oracle::armed(|| {
+                            if let Ok(schedule) = cover_sequential_budgeted(
+                                &mut graph,
+                                &target,
+                                &mut syms,
+                                &Budget::new(Some(SEQUENTIAL_FUEL), None),
+                            ) {
+                                spills += schedule.spills.len();
+                            }
+                        });
+                        reindexed += checked;
+                        differed += bad;
+                    }
+                }
+            }
+        }
+        assert_eq!(differed, 0, "{differed} of {reindexed} re-indexes differ");
+        assert!(graphs > 500_000, "{graphs} graphs compared");
+        assert!(
+            spills > 5_000 && reindexed > 5_000,
+            "{spills} spills, {reindexed} re-indexes checked"
+        );
+    }
+
+    #[test]
+    fn args_past_the_inline_capacity_move_to_the_heap() {
+        let ops: Vec<Operand> = (0..7).map(Operand::Imm).collect();
+        for len in 0..ops.len() {
+            let mut args: Args = ops[..len].iter().copied().collect();
+            assert_eq!(args[..], ops[..len]);
+            assert_eq!(args, ops[..len].iter().copied().collect::<Args>());
+            args.push(Operand::Cn(CnId(9)));
+            assert_eq!(args.len(), len + 1);
+            assert_eq!(args.last(), Some(&Operand::Cn(CnId(9))));
+            args[0] = Operand::Imm(-1);
+            assert_eq!(args[0], Operand::Imm(-1));
+        }
+    }
 }

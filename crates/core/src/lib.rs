@@ -44,7 +44,7 @@ pub use cover::{
     cover, cover_budgeted, cover_sequential, cover_sequential_budgeted, cover_with_stats,
     peak_pressure, CoverError, Schedule, SearchStats, SpillRecord,
 };
-pub use covergraph::{CnId, CnKind, CoverGraph, CoverNode, Operand, Resource};
+pub use covergraph::{Args, CnId, CnKind, CoverGraph, CoverNode, Operand, Resource};
 pub use emit::{
     AsmOperand, ControlOp, SlotOp, SlotOpcode, TransferKind, TransferOp, VliwInstruction,
     VliwProgram,

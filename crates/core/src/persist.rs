@@ -45,7 +45,7 @@
 use crate::cache::{CacheKey, PlanCache};
 use crate::codegen::{BlockPlan, BlockReport, CoverMode, StageTimes};
 use crate::cover::{Schedule, SearchStats, SpillRecord};
-use crate::covergraph::{CnId, CnKind, CoverGraph, CoverNode, Operand};
+use crate::covergraph::{Args, CnId, CnKind, CoverGraph, CoverNode, Operand};
 use crate::regalloc::{Allocation, Reg};
 use crate::wire::{fnv64, Dec, Enc, WireError};
 use aviv_ir::{BitSet, NodeId, Op, Sym};
@@ -401,7 +401,7 @@ fn get_plan(d: &mut Dec<'_>) -> Result<BlockPlan, WireError> {
     for _ in 0..n_nodes {
         let kind = get_kind(d)?;
         let n_args = d.get_len("arg count")?;
-        let mut args = Vec::with_capacity(n_args.min(1024));
+        let mut args = Args::new();
         for _ in 0..n_args {
             args.push(get_operand(d, n_nodes)?);
         }

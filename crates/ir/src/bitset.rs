@@ -94,6 +94,14 @@ impl BitSet {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
 
+    /// Make this an all-clear set of capacity `len` in place, reusing
+    /// the allocation: equal to `BitSet::new(len)`.
+    pub fn reset(&mut self, len: usize) {
+        self.words.clear();
+        self.words.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
     /// `self |= other`.
     ///
     /// # Panics
@@ -440,6 +448,18 @@ mod tests {
         s.remove(64);
         assert!(!s.contains(64));
         assert_eq!(s.count(), 2);
+    }
+
+    #[test]
+    fn reset_equals_a_new_set() {
+        let mut s: BitSet = [3usize, 64, 129].into_iter().collect();
+        for len in [200, 65, 0, 7] {
+            s.reset(len);
+            assert_eq!(s, BitSet::new(len));
+            if len > 0 {
+                s.insert(len - 1);
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //! bytes to assembly bytes, and counts every call into the allocator.
 //! The selection loop and the rollouts reuse one scratch state per
 //! covering call, and the memo reserves its capacity once per clique
-//! pool, so the count stays far below one allocation per expansion; the
-//! ceiling is a tenth of what the engine made when every step rebuilt
-//! its state on the heap (8,326,978).
+//! pool, so the count stays far below one allocation per expansion.
+//! Each assignment's cover graph is rebuilt in place in one reused
+//! graph, and only an assignment the bound does not prune copies the
+//! symbol table: the compile makes 5,397 allocations, where it made
+//! 60,293 when every assignment built a fresh graph and cloned the
+//! table, and 8,326,978 when every covering step rebuilt its state on
+//! the heap. The ceiling leaves a small margin over the current count.
 //!
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
@@ -60,9 +64,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A tenth of the allocations one `sweep-exhaustive` compile made before
-/// the covering engine reused its scratch state.
-const CEILING: u64 = 832_698;
+/// A small margin over the allocations of one `sweep-exhaustive`
+/// compile (5,397 now).
+const CEILING: u64 = 5_700;
 
 #[test]
 fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
@@ -86,8 +90,5 @@ fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
     assert_eq!(report.total_instructions, 12);
     assert!(!asm.is_empty());
     eprintln!("{allocs} allocations for {expansions} node expansions");
-    assert!(
-        allocs < CEILING,
-        "{allocs} allocations, ceiling {CEILING} (a tenth of 8,326,978)"
-    );
+    assert!(allocs < CEILING, "{allocs} allocations, ceiling {CEILING}");
 }
