@@ -32,7 +32,7 @@ use aviv::verify::{
     analyze_program, check_program, lint_machine, render_analysis, render_report, validate_asm,
     Format, Severity,
 };
-use aviv::{CodeGenerator, CodegenError, CodegenOptions, VliwProgram};
+use aviv::{CodeGenerator, CodegenError, CodegenOptions, CompileReport, VliwProgram};
 use aviv_ir::{parse_function, Function, MemLayout};
 use aviv_isdl::{parse_machine, parse_machine_lenient, Target};
 use std::fmt::Write as _;
@@ -301,7 +301,9 @@ options:
                                       is identical for every value
   --simulate k=v[,k=v...]             run the program with these inputs
   --stats                             print utilization statistics
-  --explain                           print per-block decisions
+  --explain                           print per-block decisions (the
+                                      schedule of the compile that
+                                      produced the output)
   --report                            print the per-block optimality-gap
                                       table: achieved instructions and
                                       peak pressure vs the static lower
@@ -425,7 +427,7 @@ impl Options {
                         .next()
                         .ok_or_else(|| err("--preset needs a name"))?
                         .clone();
-                    if !matches!(preset.as_str(), "on" | "thorough" | "off") {
+                    if CodegenOptions::preset(&preset).is_none() {
                         return Err(err(format!("unknown preset `{preset}`")));
                     }
                 }
@@ -510,6 +512,9 @@ pub struct Outcome {
 
 /// Run the driver on in-memory sources (the testable core of `main`).
 ///
+/// Every view of the compile (`--explain`, `--report`, `--stats`,
+/// `--emit dot`) reads the one compile whose code is emitted.
+///
 /// # Errors
 ///
 /// Returns a [`CliError`] with a user-facing message.
@@ -525,10 +530,9 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
         });
     }
 
-    let preset = build_preset(options);
+    let generator = CodeGenerator::new(machine).options(build_preset(options));
+    let target = generator.target();
     let mut outcome = Outcome::default();
-    let generator = CodeGenerator::new(machine).options(preset);
-    let target = generator.shared_target();
 
     if options.baseline {
         if options.validate {
@@ -538,70 +542,108 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
             ));
         }
         let planned = generator.planned_function(&function);
-        return drive_baseline(options, &target, &planned, outcome);
+        return drive_baseline(options, target, &planned, outcome);
     }
 
-    // Block-level emissions need the block artifacts, drawn from the
-    // dead-code-free function that `compile_function` compiles.
-    match options.emit {
-        Emit::Dot | Emit::SndagDot => {
-            let planned = generator.planned_function(&function);
-            let dag = &planned.blocks[0].dag;
-            let sndag = aviv_splitdag::SplitNodeDag::build(dag, &target)
-                .map_err(|e| err(format!("unsupported: {e}")))?;
-            if options.emit == Emit::SndagDot {
-                outcome.output = aviv_splitdag::sndag_to_dot(&sndag, dag, &target).into_bytes();
-                return Ok(outcome);
-            }
-            let mut syms = planned.syms.clone();
-            let mut layout = MemLayout::for_function(&planned);
-            let block = generator
-                .compile_block(dag, &mut syms, &mut layout)
-                .map_err(|e| err(format!("compile: {e}")))?;
-            outcome.output =
-                aviv::covergraph_to_dot(&block.graph, &target, &syms, Some(&block.schedule))
-                    .into_bytes();
-            return Ok(outcome);
-        }
-        _ => {}
+    // The Split-Node DAG precedes covering: draw it from the
+    // dead-code-free function that `compile_function` would compile.
+    if options.emit == Emit::SndagDot {
+        let planned = generator.planned_function(&function);
+        let dag = &planned.blocks[0].dag;
+        let sndag = aviv_splitdag::SplitNodeDag::build(dag, target)
+            .map_err(|e| err(format!("unsupported: {e}")))?;
+        outcome.output = aviv_splitdag::sndag_to_dot(&sndag, dag, target).into_bytes();
+        return Ok(outcome);
     }
 
     let (program, report) = generator
         .compile_function(&function)
         .map_err(|e| err(format!("compile: {e}")))?;
+    let asm = report_compile(
+        options,
+        "",
+        &function,
+        target,
+        &program,
+        &report,
+        &mut outcome.report,
+    )?;
+    if let Some(bindings) = &options.simulate {
+        run_simulation(target, &program, bindings, &mut outcome)?;
+    }
 
+    outcome.output = match options.emit {
+        Emit::Asm => asm.unwrap_or_else(|| program.render(target)).into_bytes(),
+        Emit::Bin => aviv_vm::assemble(&program),
+        Emit::Rom => {
+            let (bytes, bits) = aviv_vm::encode_packed(target, &program)
+                .map_err(|e| err(format!("packed encoding: {e}")))?;
+            let _ = writeln!(
+                outcome.report,
+                "ROM image: {bits} bits ({} bytes, {} instructions)",
+                bytes.len(),
+                program.instructions.len()
+            );
+            bytes
+        }
+        Emit::Dot => {
+            let plan = &report.plans[0];
+            aviv::covergraph_to_dot(plan.graph(), target, &program, Some(plan.schedule()))
+                .into_bytes()
+        }
+        Emit::SndagDot | Emit::Isdl => unreachable!("handled above"),
+    };
+    Ok(outcome)
+}
+
+/// Append one compiled program's report lines to `out`, each prefixed
+/// with `prefix` (`"<name>: "` in batch mode): degradation notes, then
+/// `--validate`, `--report`, `--explain` and `--stats` as requested.
+/// Returns the rendered assembly when `--emit asm` or `--validate` needs
+/// it, so it is rendered once.
+///
+/// # Errors
+///
+/// Fails when `--validate` finds the assembly diverging from `function`.
+fn report_compile(
+    options: &Options,
+    prefix: &str,
+    function: &Function,
+    target: &Target,
+    program: &VliwProgram,
+    report: &CompileReport,
+    out: &mut String,
+) -> Result<Option<String>, CliError> {
     // Surface every degradation-ladder step: a budgeted compile that
     // stepped down still succeeds, but never silently.
     for d in &report.downgrades {
-        let _ = writeln!(outcome.report, "downgrade: {d}");
+        let _ = writeln!(out, "{prefix}downgrade: {d}");
     }
     if !report.complete {
         let _ = writeln!(
-            outcome.report,
-            "note: compile incomplete under the given budget; output is \
-             correct but may be slower than an unbudgeted compile"
+            out,
+            "{prefix}note: compile incomplete under the given budget; output \
+             is correct but may be slower than an unbudgeted compile"
         );
     }
-
-    if options.validate {
-        run_validation(
-            &function,
-            &target,
-            &program.render(&target),
-            "",
-            &mut outcome.report,
-        )?;
+    let asm = (options.emit == Emit::Asm || options.validate).then(|| program.render(target));
+    if let Some(asm) = asm.as_deref().filter(|_| options.validate) {
+        let (blocks, obligations) =
+            check_translation(function, asm, target).map_err(|e| err(format!("{prefix}{e}")))?;
+        let _ = writeln!(
+            out,
+            "{prefix}validate: {blocks} block(s), {obligations} obligation(s), ok"
+        );
     }
-
     if options.report {
         let _ = writeln!(
-            outcome.report,
-            "block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut  cliq  prun"
+            out,
+            "{prefix}block  instrs  bound  gap  pressure  bound  gap  rollouts  steps  hits  cut  cliq  prun"
         );
         for (bi, b) in report.blocks.iter().enumerate() {
             let _ = writeln!(
-                outcome.report,
-                "bb{bi}: {} {} {} {} {} {} {} {} {} {} {} {}",
+                out,
+                "{prefix}bb{bi}: {} {} {} {} {} {} {} {} {} {} {} {}",
                 b.instructions,
                 b.min_instructions_bound,
                 b.instructions.saturating_sub(b.min_instructions_bound),
@@ -618,87 +660,57 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
         }
     }
     if options.explain {
-        // Explain the blocks `compile_function` planned (after dead-code
-        // elimination), so the counts match `--report` and the output.
-        let planned = generator.planned_function(&function);
-        let mut syms = planned.syms.clone();
-        let mut layout = MemLayout::for_function(&planned);
-        for (bi, block) in planned.blocks.iter().enumerate() {
-            let r = generator
-                .compile_block(&block.dag, &mut syms, &mut layout)
-                .map_err(|e| err(format!("compile: {e}")))?;
-            let _ = writeln!(outcome.report, "--- block bb{bi} ---");
-            outcome.report.push_str(&r.explain(&target, &syms));
+        for (bi, (plan, b)) in report.plans.iter().zip(&report.blocks).enumerate() {
+            let _ = writeln!(out, "{prefix}--- block bb{bi} ---");
+            out.push_str(&aviv::explain_block(
+                plan.graph(),
+                plan.schedule(),
+                b,
+                target,
+                program,
+            ));
         }
     }
     if options.stats {
-        let stats = aviv_vm::program_stats(&target, &program);
-        outcome.report.push_str(&stats.render(&target));
+        out.push_str(&aviv_vm::program_stats(target, program).render(target));
         let _ = writeln!(
-            outcome.report,
-            "blocks: {}, total instructions: {}",
+            out,
+            "{prefix}blocks: {}, total instructions: {}",
             report.blocks.len(),
             report.total_instructions
         );
     }
-    if let Some(bindings) = &options.simulate {
-        run_simulation(&target, &program, bindings, &mut outcome)?;
-    }
-
-    outcome.output = match options.emit {
-        Emit::Asm => program.render(&target).into_bytes(),
-        Emit::Bin => aviv_vm::assemble(&program),
-        Emit::Rom => {
-            let (bytes, bits) = aviv_vm::encode_packed(&target, &program)
-                .map_err(|e| err(format!("packed encoding: {e}")))?;
-            let _ = writeln!(
-                outcome.report,
-                "ROM image: {bits} bits ({} bytes, {} instructions)",
-                bytes.len(),
-                program.instructions.len()
-            );
-            bytes
-        }
-        _ => unreachable!("handled above"),
-    };
-    Ok(outcome)
+    Ok(asm)
 }
 
-/// Run the translation validator on rendered assembly and either append
-/// a one-line success note to `report` (prefixed for batch mode) or
-/// fail with the full `T`-coded report.
-fn run_validation(
+/// Run the translation validator on rendered assembly: the number of
+/// blocks and obligations it proved, or the failure message with the
+/// full `T`-coded report. `avivc --validate` and avivd's `validate`
+/// share it.
+pub(crate) fn check_translation(
     function: &Function,
-    target: &Target,
     asm: &str,
-    prefix: &str,
-    report: &mut String,
-) -> Result<(), CliError> {
+    target: &Target,
+) -> Result<(usize, usize), String> {
     let tv = validate_asm(function, asm, &target.machine);
     if tv.ok() {
-        let _ = writeln!(
-            report,
-            "{prefix}validate: {} block(s), {} obligation(s), ok",
-            tv.blocks, tv.obligations
-        );
-        Ok(())
+        Ok((tv.blocks, tv.obligations))
     } else {
-        Err(err(format!(
-            "{prefix}validate: emitted assembly diverges from the source\n{}",
+        Err(format!(
+            "validate: emitted assembly diverges from the source\n{}",
             render_report(&tv.diagnostics, Format::Text)
-        )))
+        ))
     }
 }
 
+/// The codegen options `options` asks for. An unknown preset name
+/// (refused by [`Options::parse`]) falls back to the default preset.
 fn build_preset(options: &Options) -> CodegenOptions {
-    let mut preset = match options.preset.as_str() {
-        "thorough" => CodegenOptions::thorough(),
-        "off" => CodegenOptions::heuristics_off(),
-        _ => CodegenOptions::heuristics_on(),
-    }
-    .with_jobs(options.jobs)
-    .with_fuel(options.fuel)
-    .with_deadline_ms(options.timeout_ms);
+    let mut preset = CodegenOptions::preset(&options.preset)
+        .unwrap_or_else(CodegenOptions::heuristics_on)
+        .with_jobs(options.jobs)
+        .with_fuel(options.fuel)
+        .with_deadline_ms(options.timeout_ms);
     if options.verify {
         preset = preset.with_verify(true);
     }
@@ -711,8 +723,8 @@ fn build_preset(options: &Options) -> CodegenOptions {
 ///
 /// Programs are distributed over `--jobs` workers at whole-program
 /// granularity (see `CodeGenerator::compile_batch`); the concatenated
-/// output and the per-program report lines are byte-identical for any
-/// worker count.
+/// output and the per-program report lines, each prefixed with the
+/// program's name, are byte-identical for any worker count.
 ///
 /// # Errors
 ///
@@ -744,46 +756,26 @@ pub fn drive_batch(
     }
 
     let generator = CodeGenerator::new(machine).options(build_preset(options));
-    let target = generator.target().clone();
+    let target = generator.target();
     let mut outcome = Outcome::default();
     let results = generator.compile_batch(&functions);
     for (((name, _), function), result) in programs.iter().zip(&functions).zip(results) {
         let (program, report) = result.map_err(|e| err(format!("{name}: compile: {e}")))?;
-        for d in &report.downgrades {
-            let _ = writeln!(outcome.report, "{name}: downgrade: {d}");
-        }
-        if !report.complete {
-            let _ = writeln!(
-                outcome.report,
-                "{name}: note: compile incomplete under the given budget; output \
-                 is correct but may be slower than an unbudgeted compile"
-            );
-        }
-        if options.validate {
-            run_validation(
-                function,
-                &target,
-                &program.render(&target),
-                &format!("{name}: "),
-                &mut outcome.report,
-            )?;
-        }
-        if options.stats {
-            let stats = aviv_vm::program_stats(&target, &program);
-            outcome.report.push_str(&stats.render(&target));
-            let _ = writeln!(
-                outcome.report,
-                "{name}: blocks: {}, total instructions: {}",
-                report.blocks.len(),
-                report.total_instructions
-            );
-        }
+        let prefix = format!("{name}: ");
+        let asm = report_compile(
+            options,
+            &prefix,
+            function,
+            target,
+            &program,
+            &report,
+            &mut outcome.report,
+        )?;
+        let asm = asm.unwrap_or_else(|| program.render(target));
         outcome
             .output
             .extend_from_slice(format!("; program {name}\n").as_bytes());
-        outcome
-            .output
-            .extend_from_slice(program.render(&target).as_bytes());
+        outcome.output.extend_from_slice(asm.as_bytes());
     }
     Ok(outcome)
 }
@@ -1013,6 +1005,20 @@ mod tests {
             let text = String::from_utf8(out.output).unwrap();
             assert!(text.starts_with("digraph"), "{kind}: {text}");
         }
+        // The cover graph is drawn from the whole compile, so the views
+        // of that compile come along.
+        let out = drive(
+            &opts(&["--emit", "dot", "--validate", "--stats"]),
+            MACHINE,
+            PROGRAM,
+        )
+        .unwrap();
+        assert!(
+            out.report.contains("validate: 1 block(s)"),
+            "{}",
+            out.report
+        );
+        assert!(out.report.contains("total instructions"), "{}", out.report);
     }
 
     #[test]
@@ -1136,9 +1142,29 @@ mod tests {
             ("a.av".to_string(), PROGRAM.to_string()),
             ("b.av".to_string(), PROGRAM.to_string()),
         ];
-        let out = drive_batch(&opts(&["--fuel", "1"]), MACHINE, &programs).unwrap();
+        let out = drive_batch(&opts(&["--fuel", "1", "--report"]), MACHINE, &programs).unwrap();
         assert!(out.report.contains("a.av: downgrade:"), "{}", out.report);
         assert!(out.report.contains("b.av: downgrade:"), "{}", out.report);
+        // `--report` rows come from the same per-program path as a
+        // single program's, under the program's name.
+        let single = drive(&opts(&["--fuel", "1", "--report"]), MACHINE, PROGRAM).unwrap();
+        let rows = |prefix: &str| -> Vec<String> {
+            out.report
+                .lines()
+                .filter_map(|l| l.strip_prefix(prefix))
+                .filter(|l| l.starts_with("bb"))
+                .map(str::to_string)
+                .collect()
+        };
+        let single_rows: Vec<String> = single
+            .report
+            .lines()
+            .filter(|l| l.starts_with("bb"))
+            .map(str::to_string)
+            .collect();
+        assert!(!single_rows.is_empty(), "{}", single.report);
+        assert_eq!(rows("a.av: "), single_rows, "{}", out.report);
+        assert_eq!(rows("b.av: "), single_rows, "{}", out.report);
         let bad = vec![("broken.av".to_string(), "func f( {".to_string())];
         let e = drive_batch(&opts(&[]), MACHINE, &bad).unwrap_err();
         assert!(e.0.starts_with("broken.av:"), "{e}");

@@ -58,7 +58,6 @@
 //!   session minted.
 
 use aviv::jsonv::{self, Json};
-use aviv::verify::{render_report, validate_asm, Format};
 use aviv::{
     load_snapshot, save_snapshot, CacheStats, CancelToken, CodeGenerator, CodegenError,
     CodegenOptions, FaultConfig, LoadOutcome, PlanCache,
@@ -813,13 +812,7 @@ impl Server {
         // block was served from a *restored* (disk) cache entry.
         let validate = validate_requested || (self.validate_on_load && report.restored_hits > 0);
         if validate {
-            let tv = validate_asm(&function, &asm, &generator.target().machine);
-            if !tv.ok() {
-                return Err(CompileFailure::Message(format!(
-                    "validate: emitted assembly diverges from the source\n{}",
-                    render_report(&tv.diagnostics, Format::Text)
-                )));
-            }
+            crate::check_translation(&function, &asm, generator.target())?;
         }
 
         let mut notes = String::new();
@@ -968,12 +961,8 @@ impl Server {
 /// line, defaulting to the default preset with sequential inner jobs.
 fn request_options(req: &Json) -> Result<CodegenOptions, String> {
     let preset = req.get("preset").and_then(Json::as_str).unwrap_or("on");
-    let base = match preset {
-        "on" => CodegenOptions::heuristics_on(),
-        "thorough" => CodegenOptions::thorough(),
-        "off" => CodegenOptions::heuristics_off(),
-        other => return Err(format!("unknown preset `{other}`")),
-    };
+    let base =
+        CodegenOptions::preset(preset).ok_or_else(|| format!("unknown preset `{preset}`"))?;
     let jobs = match req.get("jobs") {
         None => 1,
         Some(v) => v.as_u64().ok_or("`jobs` must be a non-negative integer")? as usize,

@@ -178,6 +178,28 @@ fn explain_describes_the_dead_code_eliminated_compile() {
 }
 
 #[test]
+fn explain_describes_the_emitted_compile_under_a_deadline() {
+    // A 1 ms deadline makes the covering outcome depend on timing, so a
+    // second compile for the explanation could describe other code than
+    // the one emitted; the views must come from the emitted compile.
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+    for run in 0..20 {
+        let out = avivc()
+            .args(["--machine", &format!("{assets}/fig3.isdl")])
+            .arg(format!("{assets}/dot4.av"))
+            .args(["--preset", "off", "--timeout-ms", "1"])
+            .args(["--explain", "--report", "-o", "-"])
+            .output()
+            .unwrap();
+        let report = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "run {run}: {report}");
+        let (explained, reported) = explained_and_reported_counts(&report);
+        assert_eq!(reported.len(), 1, "run {run}: {report}");
+        assert_eq!(explained, reported, "run {run}: {report}");
+    }
+}
+
+#[test]
 fn dot_emissions_draw_the_dead_code_eliminated_block() {
     let dir = std::env::temp_dir().join("avivc_test_dot_dce");
     std::fs::create_dir_all(&dir).unwrap();

@@ -355,6 +355,16 @@ impl BlockPlan {
         &self.appended_syms
     }
 
+    /// The winning cover graph.
+    pub fn graph(&self) -> &CoverGraph {
+        &self.graph
+    }
+
+    /// The winning schedule: the order in which cliques were selected.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
     /// Intern this plan's spill slots into `syms` in creation order,
     /// returning each plan-local id whose merged id differs (empty when
     /// the ids already agree).
@@ -468,6 +478,12 @@ pub struct CompileReport {
     /// Cache hits served by entries restored from a persisted snapshot
     /// (a subset of [`cache_hits`](CompileReport::cache_hits)).
     pub restored_hits: usize,
+    /// Each emitted block's plan in block order, after its spill slots
+    /// were merged into the function's symbol table: the cover graph and
+    /// schedule behind [`blocks`](CompileReport::blocks), named by the
+    /// program's [`var_addrs`](VliwProgram::var_addrs). `avivc --explain`
+    /// and `--emit dot` draw these, so they show the emitted code.
+    pub plans: Vec<Arc<BlockPlan>>,
 }
 
 impl Default for CompileReport {
@@ -480,12 +496,10 @@ impl Default for CompileReport {
             cache_hits: 0,
             cache_misses: 0,
             restored_hits: 0,
+            plans: Vec::new(),
         }
     }
 }
-
-/// Former name of [`CompileReport`], kept for source compatibility.
-pub type FunctionReport = CompileReport;
 
 /// Why one rung of the degradation ladder failed.
 enum RungFailure {
@@ -1148,21 +1162,20 @@ impl CodeGenerator {
         let planned = self.planned_function(f);
         let f = &*planned;
         let deadline = budget::deadline(self.options.deadline_ms);
-        let dags: Vec<&BlockDag> = f.iter().map(|(_, b)| &b.dag).collect();
         // Cache keys are computed on the post-DCE dags (what is actually
         // planned), so toggling `exact_liveness` cannot alias entries.
         let keys = self.plan_cache_keys(f);
-        let jobs = effective_jobs(self.options.jobs, dags.len());
-        let plans: Vec<Result<Planned, CodegenError>> = if jobs <= 1 {
-            dags.iter()
-                .enumerate()
-                .map(|(i, d)| {
-                    self.plan_block_keyed(d, &f.syms, i, deadline, keys.as_ref().map(|k| k[i]))
-                })
-                .collect()
-        } else {
-            self.plan_blocks_parallel(&dags, &f.syms, jobs, deadline, keys.as_deref())
-        };
+        let n_blocks = f.blocks.len();
+        let jobs = effective_jobs(self.options.jobs, n_blocks);
+        let plans = steal_work(
+            n_blocks,
+            jobs,
+            || {},
+            |i| {
+                let key = keys.as_ref().map(|k| k[i]);
+                self.plan_block_keyed(&f.blocks[i].dag, &f.syms, i, deadline, key)
+            },
+        );
 
         // Plans were made against `f.syms`; the table is copied only once
         // a plan appends a spill slot.
@@ -1174,7 +1187,11 @@ impl CodeGenerator {
         let mut block_starts: Vec<usize> = Vec::new();
         // Control targets encoded as block ids; fixed up afterwards.
         let mut pending_targets: Vec<(usize, usize)> = Vec::new(); // (instr, block)
-        let mut report = CompileReport::default();
+        let mut report = CompileReport {
+            blocks: Vec::with_capacity(n_blocks),
+            plans: Vec::with_capacity(n_blocks),
+            ..CompileReport::default()
+        };
 
         for ((bid, block), planned) in f.iter().zip(plans) {
             let Planned {
@@ -1268,7 +1285,7 @@ impl CodeGenerator {
                 Ok(())
             }));
             match lowered {
-                Ok(Ok(())) => {}
+                Ok(Ok(())) => report.plans.push(plan),
                 Ok(Err(e)) => return Err(e),
                 Err(payload) => {
                     return Err(CodegenError::BlockFailed {
@@ -1348,9 +1365,6 @@ impl CodeGenerator {
         functions: &[Function],
     ) -> Vec<Result<(VliwProgram, CompileReport), CodegenError>> {
         let jobs = effective_jobs(self.options.jobs, functions.len());
-        if jobs <= 1 {
-            return functions.iter().map(|f| self.compile_function(f)).collect();
-        }
         // Nested-pool accounting: this batch may itself run inside an
         // enclosing pool (a server worker that called
         // `register_outer_pool`, or an outer batch). Workers are fresh
@@ -1360,40 +1374,12 @@ impl CodeGenerator {
         // divide by this batch's width alone and oversubscribe.
         let outer = OUTER_POOL_WIDTH.with(std::cell::Cell::get).max(1);
         let nested = outer.saturating_mul(jobs);
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<(VliwProgram, CompileReport), CodegenError>>> = Vec::new();
-        slots.resize_with(functions.len(), || None);
-        std::thread::scope(|s| {
-            let next = &next;
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(move || {
-                        OUTER_POOL_WIDTH.with(|w| w.set(nested));
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= functions.len() {
-                                break;
-                            }
-                            done.push((i, self.compile_function(&functions[i])));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, result) in h
-                    .join()
-                    .expect("batch workers never panic: compile_function catches everything")
-                {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|r| r.expect("every function compiled exactly once"))
-            .collect()
+        steal_work(
+            functions.len(),
+            jobs,
+            || OUTER_POOL_WIDTH.with(|w| w.set(nested)),
+            |i| self.compile_function(&functions[i]),
+        )
     }
 
     /// Cache keys for every block of `f` (post-DCE), or `None` when
@@ -1470,57 +1456,55 @@ impl CodeGenerator {
             })
         })
     }
+}
 
-    /// Plan all blocks on a scoped worker pool. Workers steal block
-    /// indices from a shared counter (blocks vary wildly in cost, so a
-    /// static partition would idle half the pool); results land in their
-    /// block's slot, keeping the outcome independent of worker timing.
-    fn plan_blocks_parallel(
-        &self,
-        dags: &[&BlockDag],
-        snapshot: &SymbolTable,
-        jobs: usize,
-        deadline: Option<Instant>,
-        keys: Option<&[CacheKey]>,
-    ) -> Vec<Result<Planned, CodegenError>> {
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<Planned, CodegenError>>> = Vec::new();
-        slots.resize_with(dags.len(), || None);
-        std::thread::scope(|s| {
-            let next = &next;
-            let handles: Vec<_> = (0..jobs)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= dags.len() {
-                                break;
-                            }
-                            let key = keys.map(|k| k[i]);
-                            done.push((
-                                i,
-                                self.plan_block_keyed(dags[i], snapshot, i, deadline, key),
-                            ));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, plan) in h
-                    .join()
-                    .expect("planner workers never panic: plan_block_guarded catches everything")
-                {
-                    slots[i] = Some(plan);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|p| p.expect("every block planned exactly once"))
-            .collect()
+/// Run `work` on every index in `0..n` and return the results in index
+/// order: in the calling thread when `jobs <= 1`, otherwise on a scoped
+/// pool of `jobs` workers, each of which runs `init` first. Workers steal
+/// indices from a shared counter (items vary wildly in cost, so a static
+/// partition would idle half the pool) and every result lands in its
+/// item's slot, so the outcome is independent of worker timing. `work`
+/// must not panic; both callers catch every panic inside it.
+fn steal_work<T: Send>(
+    n: usize,
+    jobs: usize,
+    init: impl Fn() + Sync,
+    work: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    if jobs <= 1 {
+        return (0..n).map(work).collect();
     }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    std::thread::scope(|s| {
+        let (next, init, work) = (&next, &init, &work);
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                s.spawn(move || {
+                    init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        done.push((i, work(i)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, result) in h.join().expect("pool work never panics") {
+                slots[i] = Some(result);
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every item ran exactly once"))
+        .collect()
 }
 
 /// `f` after global dead-code elimination with every variable observable

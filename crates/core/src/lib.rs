@@ -38,7 +38,7 @@ pub use budget::{Budget, CancelToken, Exhaustion};
 pub use cache::{CacheKey, CacheStats, PlanCache, DEFAULT_CACHE_CAPACITY};
 pub use codegen::{
     register_outer_pool, BlockPlan, BlockReport, BlockResult, CodeGenerator, CodegenError,
-    CompileReport, CoverMode, Downgrade, DowngradeReason, FunctionReport, StageTimes,
+    CompileReport, CoverMode, Downgrade, DowngradeReason, StageTimes,
 };
 pub use cover::{
     cover, cover_budgeted, cover_sequential, cover_sequential_budgeted, cover_with_stats,
@@ -59,7 +59,7 @@ pub use persist::{load_snapshot, save_snapshot, LoadOutcome};
 pub use regalloc::{
     allocate, allocate_budgeted, verify_allocation, AllocFailure, Allocation, Reg, RegAllocError,
 };
-pub use report::covergraph_to_dot;
+pub use report::{covergraph_to_dot, explain_block, SymbolNames};
 
 // Re-export the shared static-analysis crate (diagnostics framework and
 // the ISDL machine lint) so downstream users need only depend on `aviv`.

@@ -104,6 +104,22 @@ pub struct CodegenOptions {
 }
 
 impl CodegenOptions {
+    /// The preset called `name` — `on` ([`heuristics_on`]), `thorough`
+    /// ([`thorough`]) or `off` ([`heuristics_off`]), the names `avivc
+    /// --preset` and avivd's `preset` field accept — or `None`.
+    ///
+    /// [`heuristics_on`]: CodegenOptions::heuristics_on
+    /// [`thorough`]: CodegenOptions::thorough
+    /// [`heuristics_off`]: CodegenOptions::heuristics_off
+    pub fn preset(name: &str) -> Option<Self> {
+        match name {
+            "on" => Some(Self::heuristics_on()),
+            "thorough" => Some(Self::thorough()),
+            "off" => Some(Self::heuristics_off()),
+            _ => None,
+        }
+    }
+
     /// The paper's default configuration: all heuristics on.
     pub fn heuristics_on() -> Self {
         CodegenOptions {
