@@ -42,7 +42,8 @@ use std::fmt::Write as _;
 pub enum Emit {
     /// Assembly text (default).
     Asm,
-    /// Binary (byte-format container).
+    /// Binary: the `Rom` stream behind a header (machine fingerprint,
+    /// variables, block starts) that `aviv_vm::disassemble` loads back.
     Bin,
     /// Raw bit-packed ROM image (machine-derived field widths).
     Rom,
@@ -290,7 +291,9 @@ usage: avivc --machine <file.isdl> <program.av> [more.av ...] [options]
 
 options:
   --emit asm|bin|rom|dot|sndag-dot|isdl
-                                      what to produce (default: asm)
+                                      what to produce (default: asm);
+                                      bin is the rom stream plus the
+                                      header that loads it back
   -o, --output <path>                 write to a file instead of stdout
   --preset on|thorough|off            heuristic preset (default: on)
   --jobs <n>                          worker threads (1 = sequential,
@@ -541,8 +544,15 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
                  carry no terminators to check)",
             ));
         }
+        if matches!(options.emit, Emit::Dot | Emit::SndagDot) {
+            return Err(err(
+                "--baseline builds no graph for --emit dot or sndag-dot",
+            ));
+        }
         let planned = generator.planned_function(&function);
-        return drive_baseline(options, target, &planned, outcome);
+        let program = baseline_program(target, &planned, &mut outcome.report)?;
+        outcome.output = emit_code(options.emit, target, &program, None, &mut outcome.report)?;
+        return Ok(outcome);
     }
 
     // The Split-Node DAG precedes covering: draw it from the
@@ -572,28 +582,43 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
         run_simulation(target, &program, bindings, &mut outcome)?;
     }
 
-    outcome.output = match options.emit {
-        Emit::Asm => asm.unwrap_or_else(|| program.render(target)).into_bytes(),
-        Emit::Bin => aviv_vm::assemble(&program),
+    outcome.output = if options.emit == Emit::Dot {
+        let plan = &report.plans[0];
+        aviv::covergraph_to_dot(plan.graph(), target, &program, Some(plan.schedule())).into_bytes()
+    } else {
+        emit_code(options.emit, target, &program, asm, &mut outcome.report)?
+    };
+    Ok(outcome)
+}
+
+/// The `asm`, `bin` or `rom` output of a program, AVIV's or the
+/// baseline's: `asm` is the assembly if already rendered, and `--emit
+/// rom` adds its size line to `report`.
+fn emit_code(
+    emit: Emit,
+    target: &Target,
+    program: &VliwProgram,
+    asm: Option<String>,
+    report: &mut String,
+) -> Result<Vec<u8>, CliError> {
+    Ok(match emit {
+        Emit::Bin => {
+            aviv_vm::assemble(target, program).map_err(|e| err(format!("assemble: {e}")))?
+        }
         Emit::Rom => {
-            let (bytes, bits) = aviv_vm::encode_packed(target, &program)
+            let (bytes, bits) = aviv_vm::encode_packed(target, program)
                 .map_err(|e| err(format!("packed encoding: {e}")))?;
             let _ = writeln!(
-                outcome.report,
+                report,
                 "ROM image: {bits} bits ({} bytes, {} instructions)",
                 bytes.len(),
                 program.instructions.len()
             );
             bytes
         }
-        Emit::Dot => {
-            let plan = &report.plans[0];
-            aviv::covergraph_to_dot(plan.graph(), target, &program, Some(plan.schedule()))
-                .into_bytes()
-        }
-        Emit::SndagDot | Emit::Isdl => unreachable!("handled above"),
-    };
-    Ok(outcome)
+        Emit::Asm => asm.unwrap_or_else(|| program.render(target)).into_bytes(),
+        Emit::Dot | Emit::SndagDot | Emit::Isdl => unreachable!("drawn by `drive`"),
+    })
 }
 
 /// Append one compiled program's report lines to `out`, each prefixed
@@ -662,17 +687,19 @@ fn report_compile(
     if options.explain {
         for (bi, (plan, b)) in report.plans.iter().zip(&report.blocks).enumerate() {
             let _ = writeln!(out, "{prefix}--- block bb{bi} ---");
-            out.push_str(&aviv::explain_block(
-                plan.graph(),
-                plan.schedule(),
-                b,
-                target,
-                program,
-            ));
+            push_prefixed(
+                out,
+                prefix,
+                &aviv::explain_block(plan.graph(), plan.schedule(), b, target, program),
+            );
         }
     }
     if options.stats {
-        out.push_str(&aviv_vm::program_stats(target, program).render(target));
+        push_prefixed(
+            out,
+            prefix,
+            &aviv_vm::program_stats(target, program).render(target),
+        );
         let _ = writeln!(
             out,
             "{prefix}blocks: {}, total instructions: {}",
@@ -681,6 +708,14 @@ fn report_compile(
         );
     }
     Ok(asm)
+}
+
+/// Append `text` to `out` with `prefix` before each of its lines.
+fn push_prefixed(out: &mut String, prefix: &str, text: &str) {
+    for line in text.split_inclusive('\n') {
+        out.push_str(prefix);
+        out.push_str(line);
+    }
 }
 
 /// Run the translation validator on rendered assembly: the number of
@@ -872,12 +907,13 @@ pub fn run_analyze(
     Ok((render_analysis(&analysis, options.format), fail))
 }
 
-fn drive_baseline(
-    options: &Options,
+/// Compile a single-block `function` with the sequential baseline,
+/// reporting its size to `report`.
+fn baseline_program(
     target: &Target,
     function: &Function,
-    mut outcome: Outcome,
-) -> Result<Outcome, CliError> {
+    report: &mut String,
+) -> Result<VliwProgram, CliError> {
     if function.blocks.len() != 1 {
         return Err(err("--baseline supports single-block programs"));
     }
@@ -888,11 +924,11 @@ fn drive_baseline(
         .compile_block(&function.blocks[0].dag, &mut syms, &mut layout)
         .map_err(|e| err(format!("baseline compile: {e}")))?;
     let _ = writeln!(
-        outcome.report,
+        report,
         "baseline: {} instructions, {} spill(s)",
         r.size, r.spills
     );
-    let program = VliwProgram {
+    Ok(VliwProgram {
         machine_name: target.machine.name.clone(),
         instructions: r.instructions,
         block_starts: vec![0],
@@ -900,12 +936,7 @@ fn drive_baseline(
             .iter()
             .map(|(s, n)| (n.to_string(), layout.addr(s)))
             .collect(),
-    };
-    outcome.output = match options.emit {
-        Emit::Bin => aviv_vm::assemble(&program),
-        _ => program.render(target).into_bytes(),
-    };
-    Ok(outcome)
+    })
 }
 
 fn run_simulation(
@@ -991,11 +1022,43 @@ mod tests {
         assert!(text.contains("ret"), "{text}");
     }
 
+    /// `--emit bin` loads back into the program whose assembly the same
+    /// options print, AVIV's and the baseline's alike.
     #[test]
     fn bin_emission_round_trips() {
-        let out = drive(&opts(&["--emit", "bin"]), MACHINE, PROGRAM).unwrap();
-        let program = aviv_vm::disassemble(&out.output).unwrap();
-        assert!(!program.instructions.is_empty());
+        let target = Target::new(parse_machine(MACHINE).unwrap());
+        for extra in [&[][..], &["--baseline"]] {
+            let bin = drive(
+                &opts(&[extra, &["--emit", "bin"]].concat()),
+                MACHINE,
+                PROGRAM,
+            )
+            .unwrap();
+            let asm = drive(&opts(extra), MACHINE, PROGRAM).unwrap();
+            let program = aviv_vm::disassemble(&target, &bin.output).unwrap();
+            assert!(!program.instructions.is_empty());
+            assert_eq!(
+                program.render(&target).into_bytes(),
+                asm.output,
+                "{extra:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn baseline_honours_emit() {
+        let rom = drive(&opts(&["--baseline", "--emit", "rom"]), MACHINE, PROGRAM).unwrap();
+        assert!(rom.report.contains("ROM image:"), "{}", rom.report);
+        let target = Target::new(parse_machine(MACHINE).unwrap());
+        let bin = drive(&opts(&["--baseline", "--emit", "bin"]), MACHINE, PROGRAM).unwrap();
+        let program = aviv_vm::disassemble(&target, &bin.output).unwrap();
+        let (stream, _) = aviv_vm::encode_packed(&target, &program).unwrap();
+        assert_eq!(rom.output, stream);
+        // The baseline builds no cover graph to draw.
+        for kind in ["dot", "sndag-dot"] {
+            let e = drive(&opts(&["--baseline", "--emit", kind]), MACHINE, PROGRAM).unwrap_err();
+            assert!(e.0.contains("--baseline"), "{kind}: {e}");
+        }
     }
 
     #[test]
@@ -1142,9 +1205,54 @@ mod tests {
             ("a.av".to_string(), PROGRAM.to_string()),
             ("b.av".to_string(), PROGRAM.to_string()),
         ];
-        let out = drive_batch(&opts(&["--fuel", "1", "--report"]), MACHINE, &programs).unwrap();
+        let views = ["--fuel", "1", "--report", "--stats"];
+        let out = drive_batch(&opts(&views), MACHINE, &programs).unwrap();
         assert!(out.report.contains("a.av: downgrade:"), "{}", out.report);
         assert!(out.report.contains("b.av: downgrade:"), "{}", out.report);
+        // Every line names its program, and each program's lines are the
+        // single-program report, `--stats` table included.
+        assert!(
+            out.report
+                .lines()
+                .all(|l| l.starts_with("a.av: ") || l.starts_with("b.av: ")),
+            "{}",
+            out.report
+        );
+        let single = drive(&opts(&views), MACHINE, PROGRAM).unwrap();
+        assert!(single.report.contains("  unit U1"), "{}", single.report);
+        for prefix in ["a.av: ", "b.av: "] {
+            let own: Vec<&str> = out
+                .report
+                .lines()
+                .filter_map(|l| l.strip_prefix(prefix))
+                .collect();
+            assert_eq!(own, single.report.lines().collect::<Vec<_>>());
+        }
+        // Batch mode refuses `--explain`, but its body lines take the
+        // prefix like every other view's.
+        let function = parse_function(PROGRAM).unwrap();
+        let options = opts(&["--explain"]);
+        let generator =
+            CodeGenerator::new(parse_machine(MACHINE).unwrap()).options(build_preset(&options));
+        let (program, report) = generator.compile_function(&function).unwrap();
+        let explain = |prefix: &str| {
+            let mut text = String::new();
+            report_compile(
+                &options,
+                prefix,
+                &function,
+                generator.target(),
+                &program,
+                &report,
+                &mut text,
+            )
+            .unwrap();
+            text
+        };
+        let plain = explain("");
+        assert!(plain.contains("  step   0:"), "{plain}");
+        let named: String = plain.lines().map(|l| format!("a.av: {l}\n")).collect();
+        assert_eq!(explain("a.av: "), named);
         // `--report` rows come from the same per-program path as a
         // single program's, under the program's name.
         let single = drive(&opts(&["--fuel", "1", "--report"]), MACHINE, PROGRAM).unwrap();

@@ -1,8 +1,10 @@
-//! Minimal binary wire codec for the persisted plan-cache snapshot.
+//! Minimal binary wire codec for the persisted plan-cache snapshot and
+//! the header of the `aviv-vm` binary container (`avivc --emit bin`),
+//! which frames the machine-derived packed instruction stream.
 //!
 //! The workspace is dependency-free by policy (see `docs/serving.md`), so
-//! the snapshot format is hand-rolled: little-endian fixed-width
-//! integers, length-prefixed byte strings, and a rolling FNV-1a checksum.
+//! both formats are hand-rolled: little-endian fixed-width integers,
+//! length-prefixed byte strings, and (snapshot) a rolling FNV-1a checksum.
 //! The decoder is written for hostile input — every length is bounded
 //! before allocation, every read is range-checked, and any violation
 //! surfaces as a [`WireError`] rather than a panic or an unbounded

@@ -1,7 +1,8 @@
 //! # aviv-vm — assembler and VLIW simulator
 //!
 //! The downstream half of the paper's framework (Fig. 1): an assembler
-//! that turns generated code into binaries, and an instruction-level
+//! that turns generated code into binaries whose instruction encoding is
+//! derived from the machine description, and an instruction-level
 //! simulator that executes them against the machine's real resources.
 //! Together with the `aviv-ir` interpreter this closes the differential-
 //! testing loop: compiled code must compute exactly what the source
@@ -27,15 +28,13 @@
 #![warn(missing_docs)]
 
 pub mod diff;
-pub mod encode;
 pub mod packed;
 pub mod sim;
 pub mod stats;
 pub mod trace;
 
 pub use diff::{check_function, DiffError};
-pub use encode::{assemble, disassemble, DecodeError};
-pub use packed::{decode_packed, encode_packed, PackedError};
+pub use packed::{assemble, decode_packed, disassemble, encode_packed, CodecError};
 pub use sim::{SimError, SimResult, Simulator};
 pub use stats::{program_stats, ProgramStats};
 pub use trace::{run_traced, ExecutionTrace, TraceEntry};

@@ -3,7 +3,6 @@
 //! candidate datapath (code size is the paper's cost function; ROM bytes
 //! are what it ultimately stands for).
 
-use crate::encode::assemble;
 use aviv::{ControlOp, VliwProgram};
 use aviv_isdl::Target;
 
@@ -12,9 +11,6 @@ use aviv_isdl::Target;
 pub struct ProgramStats {
     /// Total VLIW instructions.
     pub instructions: usize,
-    /// Encoded size in bytes ([`assemble`] output — the debug-friendly
-    /// byte format).
-    pub code_bytes: usize,
     /// ROM size in bits under the machine-derived packed encoding
     /// ([`crate::packed::encode_packed`]) — the paper's "on-chip ROM"
     /// figure.
@@ -38,10 +34,8 @@ impl ProgramStats {
     pub fn render(&self, target: &Target) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{} instructions, {} bytes (byte format), {} ROM bits (packed), \
-             {:.1}% unit-slot utilization\n",
+            "{} instructions, {} ROM bits (packed), {:.1}% unit-slot utilization\n",
             self.instructions,
-            self.code_bytes,
             self.rom_bits,
             self.slot_utilization * 100.0
         ));
@@ -98,7 +92,6 @@ pub fn program_stats(target: &Target, program: &VliwProgram) -> ProgramStats {
     let rom_bits = crate::packed::encode_packed(target, program).map_or(0, |(_, bits)| bits);
     ProgramStats {
         instructions: program.instructions.len(),
-        code_bytes: assemble(program).len(),
         rom_bits,
         unit_slots_used,
         bus_transfers,
@@ -131,7 +124,7 @@ mod tests {
     fn counts_are_consistent() {
         let (s, target) = stats_for("func f(a, b, c) { x = (a + b) * c; y = x - a; return y; }");
         assert!(s.instructions > 0);
-        assert!(s.code_bytes > 0);
+        assert!(s.rom_bits > 0);
         assert_eq!(s.unit_slots_used.len(), target.machine.units().len());
         // Unit ops + transfers both present in this block.
         assert!(s.unit_slots_used.iter().sum::<usize>() >= 3, "{s:?}");

@@ -202,8 +202,8 @@ fn assemble_disassemble_round_trip() {
     let f = parse_function(src).unwrap();
     let gen = aviv::CodeGenerator::new(archs::example_arch(4));
     let (program, _) = gen.compile_function(&f).unwrap();
-    let bytes = aviv_vm::assemble(&program);
-    let back = aviv_vm::disassemble(&bytes).unwrap();
+    let bytes = aviv_vm::assemble(gen.target(), &program).unwrap();
+    let back = aviv_vm::disassemble(gen.target(), &bytes).unwrap();
     assert_eq!(program, back);
 
     // The decoded program simulates identically.
@@ -216,12 +216,13 @@ fn assemble_disassemble_round_trip() {
 
 #[test]
 fn decoder_rejects_garbage() {
-    assert!(aviv_vm::disassemble(b"not a program").is_err());
-    assert!(aviv_vm::disassemble(b"AVIV").is_err());
     let f = parse_function("func f(a) { return a; }").unwrap();
     let gen = aviv::CodeGenerator::new(archs::example_arch(4));
+    let t = gen.target();
+    assert!(aviv_vm::disassemble(t, b"not a program").is_err());
+    assert!(aviv_vm::disassemble(t, b"AVIV").is_err());
     let (program, _) = gen.compile_function(&f).unwrap();
-    let mut bytes = aviv_vm::assemble(&program);
+    let mut bytes = aviv_vm::assemble(t, &program).unwrap();
     bytes.push(0); // trailing byte
-    assert!(aviv_vm::disassemble(&bytes).is_err());
+    assert!(aviv_vm::disassemble(t, &bytes).is_err());
 }

@@ -39,10 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Assemble to binary and load it back — the paper's ISDL-generated
-    // assembler step.
-    let binary = assemble(&program);
+    // assembler step, with field widths derived from the machine.
+    let binary = assemble(gen.target(), &program)?;
     println!("assembled binary: {} bytes", binary.len());
-    let loaded = disassemble(&binary)?;
+    let loaded = disassemble(gen.target(), &binary)?;
     assert_eq!(program, loaded, "assembler round-trips losslessly");
 
     // Simulate the loaded binary.

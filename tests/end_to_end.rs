@@ -86,8 +86,8 @@ fn binary_round_trip_on_control_flow_program() {
     let f = parse_function(src).unwrap();
     let gen = CodeGenerator::new(archs::example_arch(4));
     let (program, _) = gen.compile_function(&f).unwrap();
-    let bytes = assemble(&program);
-    let loaded = disassemble(&bytes).unwrap();
+    let bytes = assemble(gen.target(), &program).unwrap();
+    let loaded = disassemble(gen.target(), &bytes).unwrap();
     assert_eq!(program, loaded);
     for (a, b, lo, hi) in [(5, 7, 0, 100), (5, 7, 20, 100), (90, 80, 0, 100)] {
         let mut sim = Simulator::new(gen.target(), &loaded);

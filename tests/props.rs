@@ -157,22 +157,53 @@ proptest! {
     }
 }
 
+/// Every machine of `archs` that takes a register count, at two to four
+/// registers per bank, plus the accumulator DSP.
+fn every_arch() -> Vec<aviv_isdl::Machine> {
+    let makers = [
+        archs::example_arch as fn(u32) -> _,
+        archs::arch_two,
+        archs::dsp_arch,
+        archs::chained_arch,
+        archs::single_alu,
+        archs::wide_arch,
+        archs::quad_vliw,
+    ];
+    (2..=4)
+        .flat_map(|regs| makers.map(|make| make(regs)))
+        .chain([archs::accumulator_dsp()])
+        .collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn binary_round_trip_on_random_programs(
         seed in 0u64..100_000,
         n_ops in 2usize..10,
+        pick in 0usize..22,
     ) {
-        let f = random_block(&cfg(n_ops), seed);
-        let gen = aviv::CodeGenerator::new(archs::example_arch(4));
-        let (program, _) = gen
-            .compile_function(&f)
+        // Constants put immediates in the stream.
+        let mut c = cfg(n_ops);
+        c.const_prob = 0.3;
+        let f = random_block(&c, seed);
+        let mut machines = every_arch();
+        prop_assert_eq!(machines.len(), 22);
+        let gen = aviv::CodeGenerator::new(machines.swap_remove(pick));
+        // A compile that fails (the sequential rung can exhaust its spill
+        // limit on two-register chained banks) has nothing to assemble.
+        let Ok((program, _)) = gen.compile_function(&f) else {
+            return Ok(());
+        };
+        let t = gen.target();
+        let bytes = aviv_vm::assemble(t, &program)
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        let bytes = aviv_vm::assemble(&program);
-        let back = aviv_vm::disassemble(&bytes)
+        let back = aviv_vm::disassemble(t, &bytes)
             .map_err(|e| TestCaseError::fail(format!("{e}")))?;
-        prop_assert_eq!(program, back);
+        prop_assert_eq!(&program, &back);
+        // Loading against another machine is refused.
+        let other = aviv_isdl::Target::new(machines.swap_remove(pick % machines.len()));
+        prop_assert!(aviv_vm::disassemble(&other, &bytes).is_err());
     }
 }
 
