@@ -313,6 +313,10 @@ options:
                                       bounds
   --baseline                          use the sequential phase-ordered
                                       generator instead of AVIV
+                                      (single-block programs; --simulate
+                                      and --stats apply, --explain,
+                                      --report and --validate are
+                                      refused)
   --verify                            run the pipeline invariant verifier
                                       (default in debug builds); compile
                                       fails on any violation
@@ -544,6 +548,12 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
                  carry no terminators to check)",
             ));
         }
+        if options.explain || options.report {
+            return Err(err(
+                "--explain and --report do not support --baseline (the \
+                 baseline runs no covering search to explain or bound)",
+            ));
+        }
         if matches!(options.emit, Emit::Dot | Emit::SndagDot) {
             return Err(err(
                 "--baseline builds no graph for --emit dot or sndag-dot",
@@ -551,6 +561,13 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
         }
         let planned = generator.planned_function(&function);
         let program = baseline_program(target, &planned, &mut outcome.report)?;
+        if options.stats {
+            let instructions = program.instructions.len();
+            push_stats(&mut outcome.report, "", target, &program, 1, instructions);
+        }
+        if let Some(bindings) = &options.simulate {
+            run_simulation(target, &program, bindings, &mut outcome)?;
+        }
         outcome.output = emit_code(options.emit, target, &program, None, &mut outcome.report)?;
         return Ok(outcome);
     }
@@ -695,19 +712,31 @@ fn report_compile(
         }
     }
     if options.stats {
-        push_prefixed(
-            out,
-            prefix,
-            &aviv_vm::program_stats(target, program).render(target),
-        );
-        let _ = writeln!(
-            out,
-            "{prefix}blocks: {}, total instructions: {}",
-            report.blocks.len(),
-            report.total_instructions
-        );
+        let (blocks, instructions) = (report.blocks.len(), report.total_instructions);
+        push_stats(out, prefix, target, program, blocks, instructions);
     }
     Ok(asm)
+}
+
+/// Append `--stats`' lines for `program`, AVIV's or the baseline's: the
+/// utilization table, then the block and instruction counts.
+fn push_stats(
+    out: &mut String,
+    prefix: &str,
+    target: &Target,
+    program: &VliwProgram,
+    blocks: usize,
+    instructions: usize,
+) {
+    push_prefixed(
+        out,
+        prefix,
+        &aviv_vm::program_stats(target, program).render(target),
+    );
+    let _ = writeln!(
+        out,
+        "{prefix}blocks: {blocks}, total instructions: {instructions}"
+    );
 }
 
 /// Append `text` to `out` with `prefix` before each of its lines.

@@ -234,3 +234,88 @@ fn dot_emissions_draw_the_dead_code_eliminated_block() {
         assert!(!dot.to_lowercase().contains("mul"), "{emit}:\n{dot}");
     }
 }
+
+/// The dot4 inputs whose dot product is 70.
+const DOT4_INPUTS: &str = "x0=1,x1=2,x2=3,x3=4,y0=5,y1=6,y2=7,y3=8";
+
+/// `--baseline` honours `--simulate` and `--stats` on the baseline's
+/// program: the run prints its utilization table and block count, and
+/// the simulated dot product lands in `acc` (baseline blocks carry no
+/// terminator, so the run returns nothing).
+#[test]
+fn baseline_simulates_and_prints_stats() {
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+    let out = avivc()
+        .args(["--machine", &format!("{assets}/fig3.isdl")])
+        .arg(format!("{assets}/dot4.av"))
+        .args(["--baseline", "--stats", "--simulate", DOT4_INPUTS])
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{report}");
+    assert!(report.contains("baseline: 14 instructions"), "{report}");
+    assert!(report.contains("unit-slot utilization"), "{report}");
+    assert!(
+        report.contains("blocks: 1, total instructions: 14"),
+        "{report}"
+    );
+    assert!(report.contains("simulation: 14 cycles"), "{report}");
+    assert!(report.contains("acc = 70"), "{report}");
+}
+
+/// `--explain` and `--report` describe AVIV's covering search, which
+/// the baseline does not run: with `--baseline` each is refused, as
+/// `--validate` is, instead of being ignored.
+#[test]
+fn baseline_refuses_explain_and_report() {
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+    for flag in ["--explain", "--report"] {
+        let out = avivc()
+            .args(["--machine", &format!("{assets}/fig3.isdl")])
+            .arg(format!("{assets}/dot4.av"))
+            .args(["--baseline", flag])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{flag}");
+        assert!(out.stdout.is_empty(), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("do not support --baseline"),
+            "{flag}: {stderr}"
+        );
+    }
+}
+
+/// A constraint allowing none of its members would make each of them
+/// illegal even alone; the machine is refused when read, with a
+/// message, instead of compiling into a legalization that never ends.
+#[test]
+fn a_constraint_that_always_triggers_is_refused() {
+    let dir = std::env::temp_dir().join("avivc_test_at_most_0");
+    std::fs::create_dir_all(&dir).unwrap();
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+    let fig3 = std::fs::read_to_string(format!("{assets}/fig3.isdl")).unwrap();
+    let end = fig3.rfind('}').unwrap();
+    let machine = dir.join("fig3_at_most_0.isdl");
+    std::fs::write(
+        &machine,
+        format!(
+            "{}    constraint at_most 0 {{ U3.mul, U2.mul }};\n}}\n",
+            &fig3[..end]
+        ),
+    )
+    .unwrap();
+    let out = avivc()
+        .args(["--machine", machine.to_str().unwrap()])
+        .arg(format!("{assets}/dot4.av"))
+        .args(["--fuel", "1000", "--timeout-ms", "500"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("machine description")
+            && stderr.contains("constraint that always triggers"),
+        "{stderr}"
+    );
+}

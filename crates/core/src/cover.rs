@@ -43,14 +43,19 @@
 //!   members' predecessor rows visits each such value once, and "all
 //!   remaining uses are in the group" is "uncovered consumers ⊆ group".
 //!
-//! One `Scratch` per [`cover_budgeted`] call — the rollout's state plus
-//! the group, mask, ready-count and bank-pressure buffers — is lent to
-//! the selection loop and to every rollout in turn. Buffers grow only
-//! when a spill grows the graph. Nothing read from a scratch survives a
-//! step: each user clears or re-seeds a buffer before reading it, so
-//! reuse cannot change a decision, a budget charge, or an emitted byte.
-//! What still allocates is clique generation itself and the one `Vec`
-//! per selected group that the returned schedule keeps.
+//! One `Scratch` — the rollout's state plus the group, mask, ready-count
+//! and bank-pressure buffers — is lent to the selection loop and to
+//! every rollout in turn. It lives, with the covering state, the pool
+//! (its masks and the flat [`CliquePool`] it is generated into), the
+//! candidate groups and index lists, in a `Workspace` kept per thread,
+//! as `bound.rs`'s and `covergraph.rs`'s scratch are. Buffers grow only
+//! when a graph is larger than any the thread has covered. Nothing read
+//! from a scratch survives a step: each user clears or re-seeds a
+//! buffer before reading it, so reuse cannot change a decision, a budget
+//! charge, or an emitted byte. Once a thread's buffers are warm, a
+//! covering call allocates only the schedule it returns (one `Vec` per
+//! selected group, and the spill records) and what a spill adds to the
+//! graph.
 //!
 //! Rollout memo: for a fixed clique pool and cover graph, a greedy
 //! rollout step depends only on the covered set it starts from, and
@@ -85,13 +90,15 @@
 
 use crate::bound::schedule_lower_bound;
 use crate::budget::{Budget, Exhaustion};
-use crate::cliques::{gen_max_cliques_budgeted, legalize, ParallelismMatrix};
+use crate::cliques::CliquePool;
 use crate::covergraph::{CnId, CoverGraph, Operand};
 use crate::invariants::verify_schedule;
 use crate::options::CodegenOptions;
+use crate::rowset::RowSet;
 use aviv_ir::{bitset, BitMatrix, BitSet, Sym, SymbolTable};
 use aviv_isdl::{BankId, Target};
 use aviv_verify::{Code, Diagnostic};
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -467,6 +474,8 @@ impl State {
 #[derive(Default)]
 struct Pool {
     rows: Rows,
+    /// The legal cliques over matrix indices, in pool order.
+    legal: CliquePool,
     /// Number of cliques.
     len: usize,
     /// Each clique as a mask over node ids, stored word-major: word `k`
@@ -490,27 +499,44 @@ impl Pool {
         options: &CodegenOptions,
         budget: &Budget,
         stats: &mut SearchStats,
-    ) {
+    ) -> Result<(), CoverError> {
         self.rows.rebuild(graph, target);
-        let nodes: Vec<CnId> = graph
-            .alive()
-            .filter(|n| !covered.contains(n.index()))
-            .collect();
-        let matrix = ParallelismMatrix::build(graph, target, &nodes, options.clique_level_window);
+        #[cfg(test)]
+        let reference_budget = budget.clone();
         let spent = budget.spent();
-        let raw = gen_max_cliques_budgeted(&matrix, budget);
+        let generated = self.legal.generate(
+            graph,
+            target,
+            graph.alive().filter(|n| !covered.contains(n.index())),
+            options.clique_level_window,
+            budget,
+        );
         stats.clique_steps += budget.spent() - spent;
-        let cliques = legalize(raw, &matrix, graph, target);
-        self.len = cliques.len();
+        generated.map_err(CoverError::Internal)?;
+        self.len = self.legal.len();
         self.cliques.clear();
         self.cliques.resize(self.len * self.rows.width(), 0);
-        for (ci, clique) in cliques.iter().enumerate() {
-            for i in clique.iter() {
-                let id = matrix.ids[i].index();
-                self.cliques[id / 64 * self.len + ci] |= 1 << (id % 64);
+        self.max_per_step = 1;
+        for ci in 0..self.len {
+            let mut size = 0;
+            for id in self.legal.members(ci) {
+                self.cliques[id.index() / 64 * self.len + ci] |= 1 << (id.index() % 64);
+                size += 1;
             }
+            self.max_per_step = self.max_per_step.max(size);
         }
-        self.max_per_step = cliques.iter().map(BitSet::count).max().unwrap_or(1).max(1);
+        #[cfg(test)]
+        crate::cliques::tests::reference::check_pool(
+            graph,
+            target,
+            covered,
+            options.clique_level_window,
+            &reference_budget,
+            &self.legal,
+            self.max_per_step,
+            budget.spent() - spent,
+        );
+        Ok(())
     }
 
     /// Write into `counts` the number of ready members of every clique.
@@ -587,8 +613,7 @@ impl Groups {
     }
 }
 
-/// Marks a [`MemoEntry`] successor or value not known yet, and a free
-/// slot in [`Memo::slots`].
+/// Marks a [`MemoEntry`] successor or value not known yet.
 const UNKNOWN: u32 = u32::MAX;
 
 /// What the rollouts have learned about one covered set under the
@@ -605,20 +630,13 @@ struct MemoEntry {
 }
 
 /// The rollout memo (see the module doc): covered sets to what the
-/// rollouts learned about them, valid for one clique pool. Keys are
-/// stored flat and indexed by open addressing, so recording a state
-/// allocates nothing until the reserved capacity runs out.
+/// rollouts learned about them, valid for one clique pool. Entry `i`'s
+/// key is row `i` of a flat [`RowSet`], so recording a state allocates
+/// nothing until the reserved capacity runs out.
 #[derive(Default)]
 struct Memo {
-    /// Words per key.
-    width: usize,
-    /// Entry `i`'s key is `keys[i * width..(i + 1) * width]`.
-    keys: Vec<u64>,
+    keys: RowSet,
     entries: Vec<MemoEntry>,
-    /// Open-addressing index into `entries` (`UNKNOWN` marks a free
-    /// slot); its length is a power of two at least twice the entry
-    /// count.
-    slots: Vec<u32>,
     /// The entries the current rollout has stepped out of, in order.
     path: Vec<u32>,
 }
@@ -630,70 +648,28 @@ impl Memo {
     /// Forget every entry: the pool was regenerated, and possibly the
     /// graph grew to `graph_len` nodes.
     fn reset(&mut self, graph_len: usize) {
-        self.width = graph_len.div_ceil(64);
-        self.keys.clear();
-        self.keys.reserve(Memo::RESERVE * self.width);
+        self.keys.reset(graph_len.div_ceil(64), Memo::RESERVE);
         self.entries.clear();
         self.entries.reserve(Memo::RESERVE);
-        self.slots.clear();
-        self.slots.resize(2 * Memo::RESERVE, UNKNOWN);
         self.path.clear();
         self.path.reserve(graph_len);
     }
 
     fn key(&self, e: u32) -> &[u64] {
-        let at = e as usize * self.width;
-        &self.keys[at..at + self.width]
-    }
-
-    /// The home slot of `key` in a table of `slots` slots.
-    fn home(key: &[u64], slots: usize) -> usize {
-        let h = key.iter().fold(0u64, |h, &w| {
-            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
-        // The high bits of the product depend on every bit of the key.
-        (h >> (64 - slots.trailing_zeros())) as usize
+        self.keys.row(e)
     }
 
     /// The entry for `covered`, added (with nothing known) if new.
     fn entry(&mut self, covered: &BitSet) -> u32 {
-        let key = covered.words();
-        debug_assert_eq!(key.len(), self.width, "memo used across a graph change");
-        if 2 * (self.entries.len() + 1) > self.slots.len() {
-            self.grow();
+        let (e, new) = self.keys.insert(covered.words());
+        if new {
+            self.entries.push(MemoEntry {
+                count: covered.count() as u32,
+                succ: UNKNOWN,
+                value: UNKNOWN,
+            });
         }
-        let mask = self.slots.len() - 1;
-        let mut i = Memo::home(key, self.slots.len());
-        loop {
-            match self.slots[i] {
-                UNKNOWN => break,
-                e if self.key(e) == key => return e,
-                _ => i = (i + 1) & mask,
-            }
-        }
-        let e = self.entries.len() as u32;
-        self.slots[i] = e;
-        self.keys.extend_from_slice(key);
-        self.entries.push(MemoEntry {
-            count: covered.count() as u32,
-            succ: UNKNOWN,
-            value: UNKNOWN,
-        });
         e
-    }
-
-    /// Double the index and re-seat every entry.
-    fn grow(&mut self) {
-        let n = 2 * self.slots.len();
-        self.slots.clear();
-        self.slots.resize(n, UNKNOWN);
-        for e in 0..self.entries.len() as u32 {
-            let mut i = Memo::home(self.key(e), n);
-            while self.slots[i] != UNKNOWN {
-                i = (i + 1) & (n - 1);
-            }
-            self.slots[i] = e;
-        }
     }
 }
 
@@ -815,13 +791,75 @@ pub fn cover_with_stats(
     stats: &mut SearchStats,
 ) -> Result<Schedule, CoverError> {
     prune(graph, target, budget)?;
-    let mut state = State::new(graph);
+    WORKSPACE.with(|w| {
+        cover_in(
+            &mut w.borrow_mut(),
+            graph,
+            target,
+            syms,
+            options,
+            budget,
+            stats,
+        )
+    })
+}
+
+/// Everything a covering call works in besides the schedule it returns:
+/// the state, the pool, the rollouts' [`Scratch`], the candidate groups
+/// and index lists, and the focus and spill buffers. One lives on each
+/// thread, as `bound.rs`'s and `covergraph.rs`'s scratch do, and every
+/// call re-seeds each buffer before reading it, so a warm call
+/// allocates only the schedule it returns.
+#[derive(Default)]
+struct Workspace {
+    state: State,
+    pool: Pool,
+    scratch: Scratch,
+    groups: Groups,
+    /// Indices into `groups`: the candidates, those feasible under the
+    /// register bound, and those that also pass the anti-wedge policy.
+    candidates: Vec<usize>,
+    plain: Vec<usize>,
+    feasible: Vec<usize>,
+    /// The focus node's uncovered predecessor closure, and the stack
+    /// that walks it.
+    closure: BitSet,
+    stack: Vec<CnId>,
+    /// Per bank, the ready nodes a spill finds blocked there.
+    blocked: Vec<usize>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// The body of [`cover_with_stats`], after the bound, in `workspace`.
+fn cover_in(
+    workspace: &mut Workspace,
+    graph: &mut CoverGraph,
+    target: &Target,
+    syms: &mut SymbolTable,
+    options: &CodegenOptions,
+    budget: &Budget,
+    stats: &mut SearchStats,
+) -> Result<Schedule, CoverError> {
+    let Workspace {
+        state,
+        pool,
+        scratch,
+        groups,
+        candidates,
+        plain,
+        feasible,
+        closure,
+        stack,
+        blocked,
+    } = workspace;
+    state.covered.reset(graph.len());
     let mut steps: Vec<Vec<CnId>> = Vec::new();
     let mut spills: Vec<SpillRecord> = Vec::new();
-    let mut scratch = Scratch::default();
-    let mut pool = Pool::default();
-    pool.generate(graph, target, &state.covered, options, budget, stats);
-    scratch.reset(&pool);
+    pool.generate(graph, target, &state.covered, options, budget, stats)?;
+    scratch.reset(pool);
     let spill_limit = 4 * graph.len().max(8);
     // Deadlock breaker: once spilling starts, commit to one nearly-ready
     // node and schedule only toward it (its uncovered predecessor
@@ -832,14 +870,6 @@ pub fn cover_with_stats(
     // plain-feasible group instead (the anti-wedge policy is a
     // preference, not a straitjacket).
     let mut last_spill_progress: Option<usize> = None;
-    let mut groups = Groups::default();
-    // Indices into `groups`: the candidates, those feasible under the
-    // register bound, and those that also pass the anti-wedge policy.
-    let mut candidates: Vec<usize> = Vec::new();
-    let mut plain: Vec<usize> = Vec::new();
-    let mut feasible: Vec<usize> = Vec::new();
-    let mut closure = BitSet::new(0);
-    let mut stack: Vec<CnId> = Vec::new();
 
     loop {
         let total_alive = graph.live_len();
@@ -856,7 +886,7 @@ pub fn cover_with_stats(
         }
 
         // Candidate groups: the shrunk-to-ready form of every clique.
-        groups.collect(&pool, &state.ready, &mut scratch.counts);
+        groups.collect(pool, &state.ready, &mut scratch.counts);
         if groups.is_empty() {
             return Err(CoverError::Internal(Diagnostic::new(
                 Code::C004,
@@ -869,8 +899,7 @@ pub fn cover_with_stats(
         // focus node's uncovered predecessor closure.
         let focused = match focus {
             Some(c) if !state.covered.contains(c.index()) && !graph.is_dead(c) => {
-                closure.grow(graph.len());
-                closure.clear();
+                closure.reset(graph.len());
                 stack.clear();
                 stack.push(c);
                 while let Some(n) = stack.pop() {
@@ -912,7 +941,7 @@ pub fn cover_with_stats(
         // also satisfy the anti-wedge policy.
         plain.clear();
         feasible.clear();
-        for &gi in &candidates {
+        for &gi in candidates.iter() {
             let g = groups.mask(gi);
             if state.pressure_after(target, &pool.rows, g, &mut scratch.pressure) {
                 plain.push(gi);
@@ -945,11 +974,11 @@ pub fn cover_with_stats(
                         graph,
                         target,
                         &state.covered,
-                        &pool,
+                        pool,
                         groups.get(gi),
                         budget,
                         cutoff,
-                        &mut scratch,
+                        scratch,
                         stats,
                     );
                     #[cfg(test)]
@@ -957,7 +986,7 @@ pub fn cover_with_stats(
                         graph,
                         target,
                         &state.covered,
-                        &pool,
+                        pool,
                         groups.get(gi),
                         cutoff,
                         est,
@@ -984,10 +1013,10 @@ pub fn cover_with_stats(
                 mask,
                 pressure,
                 ..
-            } = &mut scratch;
+            } = &mut *scratch;
             let width = pool.rows.width();
             best.clear();
-            for &gi in &candidates {
+            for &gi in candidates.iter() {
                 g.clear();
                 g.extend_from_slice(groups.get(gi));
                 let mut fits = false;
@@ -1052,7 +1081,8 @@ pub fn cover_with_stats(
                     }
                 }
                 last_spill_progress = Some(state.covered.count());
-                let mut blocked: Vec<usize> = vec![0; target.machine.banks().len()];
+                blocked.clear();
+                blocked.resize(target.machine.banks().len(), 0);
                 for r in state.ready_ids() {
                     if let Some(b) = graph.node(r).dest_bank(target) {
                         if state.pressure[b.index()]
@@ -1127,8 +1157,8 @@ pub fn cover_with_stats(
                 });
                 // "New maximal cliques are then generated for all the
                 // remaining uncovered nodes."
-                pool.generate(graph, target, &state.covered, options, budget, stats);
-                scratch.reset(&pool);
+                pool.generate(graph, target, &state.covered, options, budget, stats)?;
+                scratch.reset(pool);
             }
         }
     }

@@ -400,7 +400,7 @@ pub fn verify_schedule(
 }
 
 /// V003's text for one conflict.
-fn conflict_message(conflict: Conflict, machine: &Machine) -> String {
+pub(crate) fn conflict_message(conflict: Conflict, machine: &Machine) -> String {
     match conflict {
         Conflict::Unit(u) => format!(
             "unit {} issues two operations in one instruction",

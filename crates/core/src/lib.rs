@@ -31,6 +31,7 @@ pub mod peephole;
 pub mod persist;
 pub mod regalloc;
 pub mod report;
+mod rowset;
 pub mod wire;
 
 pub use assign::{explore, Assignment, ExploreResult, ExploreTrace};

@@ -177,43 +177,51 @@ impl BitSet {
 /// Lexicographic order over the *ascending element sequences* of two
 /// sets: `{0, 5} < {0, 9}` and `{0} < {0, 5}` (a proper prefix sorts
 /// first), exactly the order `a.iter().collect::<Vec<_>>()` would give —
-/// but computed word-at-a-time without allocating. Ties on content are
-/// broken by capacity so the order stays consistent with the derived
-/// `Eq` (which compares the backing words *and* the length).
+/// but computed word-at-a-time without allocating (see [`cmp_words`]).
+/// Ties on content are broken by capacity so the order stays consistent
+/// with the derived `Eq` (which compares the backing words *and* the
+/// length).
 impl Ord for BitSet {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        let n = self.words.len().max(other.words.len());
-        for i in 0..n {
-            let a = self.words.get(i).copied().unwrap_or(0);
-            let b = other.words.get(i).copied().unwrap_or(0);
-            if a == b {
-                continue;
-            }
-            // The lowest differing bit `d` belongs to exactly one set;
-            // call it X. X's element sequence matches the other's up to
-            // `d`, then X has `d` where the other has its next element
-            // (> d) or nothing. So X sorts first iff the other set has
-            // any element above `d`; otherwise the other set is a proper
-            // prefix of X and sorts first.
-            let low = (a ^ b) & (a ^ b).wrapping_neg();
-            let above = !(low | (low - 1));
-            let (holder_is_self, rest_word, rest_tail) = if a & low != 0 {
-                (true, b, &other.words)
-            } else {
-                (false, a, &self.words)
-            };
-            let rest_has_more = rest_word & above != 0
-                || rest_tail
-                    .get(i + 1..)
-                    .is_some_and(|tail| tail.iter().any(|&w| w != 0));
-            return match (holder_is_self, rest_has_more) {
-                (true, true) | (false, false) => Ordering::Less,
-                (true, false) | (false, true) => Ordering::Greater,
-            };
-        }
-        self.len.cmp(&other.len)
+        cmp_words(&self.words, &other.words).then(self.len.cmp(&other.len))
     }
+}
+
+/// The order of [`BitSet`]'s `Ord` on raw set words: lexicographic over
+/// the ascending element sequences of the two masks, `Equal` only when
+/// they hold the same elements. A shorter slice reads as zero-padded.
+pub fn cmp_words(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    let n = a.len().max(b.len());
+    for i in 0..n {
+        let x = a.get(i).copied().unwrap_or(0);
+        let y = b.get(i).copied().unwrap_or(0);
+        if x == y {
+            continue;
+        }
+        // The lowest differing bit `d` belongs to exactly one set; call
+        // it X. X's element sequence matches the other's up to `d`, then
+        // X has `d` where the other has its next element (> d) or
+        // nothing. So X sorts first iff the other set has any element
+        // above `d`; otherwise the other set is a proper prefix of X and
+        // sorts first.
+        let low = (x ^ y) & (x ^ y).wrapping_neg();
+        let above = !(low | (low - 1));
+        let (holder_is_a, rest_word, rest_tail) = if x & low != 0 {
+            (true, y, b)
+        } else {
+            (false, x, a)
+        };
+        let rest_has_more = rest_word & above != 0
+            || rest_tail
+                .get(i + 1..)
+                .is_some_and(|tail| tail.iter().any(|&w| w != 0));
+        return match (holder_is_a, rest_has_more) {
+            (true, true) | (false, false) => Ordering::Less,
+            (true, false) | (false, true) => Ordering::Greater,
+        };
+    }
+    Ordering::Equal
 }
 
 impl PartialOrd for BitSet {

@@ -388,8 +388,9 @@ impl Machine {
     /// # Errors
     ///
     /// Returns the first problem found: no units, empty unit op lists,
-    /// dangling bank/bus/unit references, degenerate constraints, or
-    /// malformed complex patterns.
+    /// dangling bank/bus/unit references, degenerate constraints (fewer
+    /// than two members, `at_most` at least the member count, or
+    /// `at_most 0`), or malformed complex patterns.
     pub fn validate(&self) -> Result<(), String> {
         self.validate_refs()?;
         if self.units.is_empty() {
@@ -431,6 +432,11 @@ impl Machine {
             }
             if c.at_most as usize >= c.members.len() {
                 return Err("constraint that can never trigger".into());
+            }
+            // Every matching node would be illegal even alone, so no
+            // instruction could issue it.
+            if c.at_most == 0 {
+                return Err("constraint that always triggers".into());
             }
             for m in &c.members {
                 if let SlotPattern::UnitOp { unit, op: Some(op) } = *m {

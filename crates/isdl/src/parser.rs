@@ -543,6 +543,30 @@ mod tests {
         assert!(e.msg.contains("unreachable"), "{e}");
     }
 
+    /// `at_most 0` would make every matching operation illegal even on
+    /// its own, so no schedule could issue it: validation refuses it as
+    /// the twin of a constraint that can never trigger.
+    #[test]
+    fn rejects_a_constraint_that_always_triggers() {
+        let machine = |at_most: u32| {
+            format!(
+                "machine X {{
+                    unit U1 {{ ops {{ add, mul }} regfile R1[4]; }}
+                    unit U2 {{ ops {{ add, mul }} regfile R2[4]; }}
+                    memory DM;
+                    bus B capacity 1 connects {{ R1, R2, DM }};
+                    constraint at_most {at_most} {{ U1.mul, U2.mul }};
+                }}"
+            )
+        };
+        let e = parse_machine(&machine(0)).unwrap_err();
+        assert!(e.msg.contains("constraint that always triggers"), "{e}");
+        assert!(parse_machine(&machine(1)).is_ok());
+        let e = parse_machine(&machine(2)).unwrap_err();
+        assert!(e.msg.contains("constraint that can never trigger"), "{e}");
+        assert!(parse_machine_lenient(&machine(0)).is_ok());
+    }
+
     #[test]
     fn errors_carry_positions() {
         let e = parse_machine("machine X { unit }").unwrap_err();

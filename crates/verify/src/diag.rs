@@ -95,7 +95,8 @@ pub enum Code {
     C003,
     /// The covering engine wedged or its spill machinery hit a defect:
     /// uncovered nodes with nothing ready, a spill victim producing no
-    /// value, or an empty candidate group set.
+    /// value, an empty candidate group set, or a node illegal on its
+    /// own (no legal clique covers it).
     C004,
     /// A deterministic fault injected by the test harness
     /// (`CodegenOptions::faults`) was converted into a diagnostic.
