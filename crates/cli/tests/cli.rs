@@ -318,4 +318,15 @@ fn a_constraint_that_always_triggers_is_refused() {
             && stderr.contains("constraint that always triggers"),
         "{stderr}"
     );
+    // Lint refuses the machine too.
+    let out = avivc()
+        .args(["lint", machine.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("error[E004]") && stdout.contains("1 error"),
+        "{stdout}"
+    );
 }

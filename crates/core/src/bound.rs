@@ -1,13 +1,26 @@
-//! An admissible lower bound on the length of any schedule covering can
+//! Admissible lower bounds on the length of any schedule covering can
 //! produce for one assignment: the bound of the branch and bound across
 //! assignments (§IV-A, Fig. 5).
 //!
 //! The driver covers each selected assignment and keeps a schedule only
 //! when it is *strictly* shorter than the best one so far, so an
-//! assignment whose bound already reaches that length cannot win. The
-//! covering entry points skip such an assignment before charging any
-//! fuel (the incumbent travels in the [`Budget`](crate::Budget); see
-//! [`crate::budget`]), and no emitted byte can change.
+//! assignment whose bound already reaches that length cannot win. Such
+//! an assignment is skipped before any fuel is charged (the incumbent
+//! travels in the [`Budget`](crate::Budget); see [`crate::budget`]), and
+//! no emitted byte can change.
+//!
+//! The bound is taken in two stages. [`assignment_lower_bound`] reads
+//! only the assignment, the block DAG, its Split-Node DAG and the target,
+//! so the driver takes it *before* it builds the assignment's cover
+//! graph: an assignment it prunes costs no graph at all. An assignment
+//! that survives gets its graph, and the covering entry points take
+//! [`schedule_lower_bound`] of that graph. The first stage never exceeds
+//! the second (the argument is below, term by term), so it prunes only
+//! assignments the second would have pruned: the covered assignments,
+//! the pruned count and every emitted byte are what the graph bound
+//! alone gives.
+//!
+//! # The graph bound
 //!
 //! [`schedule_lower_bound`] reads a *fresh* cover graph, as
 //! [`CoverGraph::try_build`] returns it. Covering may spill, and a spill
@@ -36,13 +49,56 @@
 //! On a graph that has already spilled, advisory reload-ordering deps may
 //! point at moves a later spill kills, so the chain term is only claimed
 //! for fresh graphs.
+//!
+//! # The assignment bound
+//!
+//! [`assignment_lower_bound`] walks the DAG in the builder's order
+//! ([`CoverGraph::try_rebuild`]) and counts only nodes the builder is
+//! certain to add, so each of its terms is at most the graph bound's:
+//!
+//! - **Unit.** Every operation the assignment places on a unit counts
+//!   once there; a complex instruction counts once, and the nodes it
+//!   swallows count nothing. These are exactly the graph's `Op` and
+//!   `Complex` nodes.
+//! - **Bus.** The builder caches one load chain per (variable, bank) and
+//!   one move chain per (producer, bank), and routes each write-back and
+//!   dynamic access on its own. The walk keeps the same two caches. Where
+//!   `target.xfers.paths` offers one path, the builder takes it, so each
+//!   uncached hop is one node on that hop's bus. Where it offers several,
+//!   the builder picks by bus usage, which the walk does not know: it
+//!   counts only the chain's last node, which every pick adds, charges it
+//!   to the set of buses the paths end on, and marks the intermediate
+//!   banks as *maybe* cached, where a later chain then counts nothing.
+//!   Every node counted is a distinct graph node on a bus of its set, so
+//!   for any set S of buses, the nodes charged within S are at most the
+//!   graph's transfers on S, and ⌈those ÷ S's total capacity⌉ is at most
+//!   ⌈transfers ÷ capacity⌉ of S's fullest bus. Moves count only on a
+//!   single-bus machine, as in the graph bound; there every path is one
+//!   hop on the one bus, so the count is exact.
+//! - **Chain.** Per DAG node, the longest chain of non-move nodes ending
+//!   at the node that produces its value: one for each operation, load,
+//!   write-back and dynamic access, none for a move. A variable operand
+//!   adds its leading load and an immediate nothing. A write-back also
+//!   follows every load of its variable walked before it, and a memory
+//!   access its serialization predecessors, as the builder's ordering
+//!   deps do. Each chain walked is a chain of the graph's non-move nodes
+//!   along its predecessors, so it is no longer than the graph's term.
+//!
+//! On a machine with one path per transfer the walk misses only the
+//! ordering of a write-back before a later load of its variable; in the
+//! oracle below it equals the graph bound on every assignment of every
+//! such machine, and it prunes all 410 assignments the graph bound
+//! prunes in the Example machine's exhaustive `dot4` search.
 
+use crate::assign::Assignment;
 use crate::covergraph::{CnId, CnKind, CoverGraph, Resource};
-use aviv_isdl::Target;
+use aviv_ir::{BlockDag, NodeId, Op, Sym};
+use aviv_isdl::{BankId, BusId, Location, Target, TransferPath};
+use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 use std::cell::RefCell;
 
 /// Buffers reused by every bound taken on a thread, so that taking one
-/// allocates only when a graph is larger than any seen before.
+/// allocates only when a graph or block is larger than any seen before.
 #[derive(Default)]
 struct Scratch {
     /// Per-unit, then per-bus, node counts.
@@ -52,8 +108,36 @@ struct Scratch {
     /// Alive node ids by ascending bottom level: every predecessor comes
     /// before its consumers.
     order: Vec<u32>,
-    /// Per node, the longest chain ending at it.
+    /// Per cover node (graph bound) or DAG node (assignment bound), the
+    /// longest chain ending at it.
     depth: Vec<u32>,
+    /// Per DAG node, the bank its value lands in, or [`NONE`].
+    bank: Vec<u32>,
+    /// Per DAG node, the DAG node whose cover node produces its value:
+    /// itself, or the root of the complex instruction swallowing it.
+    producer: Vec<u32>,
+    /// The builder's load cache, at `sym * banks + bank`.
+    loaded: Vec<Cached>,
+    /// The builder's move cache, at `producer * banks + bank`.
+    moved: Vec<Cached>,
+    /// Transfers the builder routes over one of several paths: the mask
+    /// of the buses they could use, and their count.
+    pooled: Vec<(u64, usize)>,
+}
+
+/// No bank, or no producer, yet.
+const NONE: u32 = u32::MAX;
+
+/// What the assignment bound knows of one entry of a builder cache.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+enum Cached {
+    /// Certainly not cached yet: resolving it adds a node.
+    #[default]
+    No,
+    /// Cached only if the builder picked a path through it.
+    Maybe,
+    /// Certainly cached.
+    Yes,
 }
 
 thread_local! {
@@ -67,6 +151,31 @@ thread_local! {
 /// unit, bus and chain terms of the module doc.
 pub fn schedule_lower_bound(graph: &CoverGraph, target: &Target) -> usize {
     SCRATCH.with(|s| s.borrow_mut().bound(graph, target))
+}
+
+/// A lower bound on [`schedule_lower_bound`] of the graph
+/// [`CoverGraph::try_build`] would build from `assignment`, taken without
+/// building it (the module doc). 0 when the builder would refuse the
+/// input.
+pub(crate) fn assignment_lower_bound(
+    dag: &BlockDag,
+    sndag: &SplitNodeDag,
+    target: &Target,
+    assignment: &Assignment,
+) -> usize {
+    SCRATCH.with(|s| {
+        let mut walk = Walk {
+            dag,
+            sndag,
+            target,
+            assignment,
+            n_banks: target.machine.banks().len(),
+            single_bus: target.machine.buses().len() == 1,
+            nodes: 0,
+            s: &mut s.borrow_mut(),
+        };
+        walk.bound().unwrap_or(0)
+    })
 }
 
 impl Scratch {
@@ -154,6 +263,362 @@ fn count_resources(graph: &CoverGraph, target: &Target, counts: &mut Vec<usize>)
 
 fn is_move(kind: &CnKind) -> bool {
     matches!(kind, CnKind::Move { .. })
+}
+
+/// The assignment bound's walk over one block (see the module doc).
+struct Walk<'a> {
+    dag: &'a BlockDag,
+    sndag: &'a SplitNodeDag,
+    target: &'a Target,
+    assignment: &'a Assignment,
+    /// Bank count: the row stride of the two caches.
+    n_banks: usize,
+    single_bus: bool,
+    /// At least the nodes the builder would add.
+    nodes: usize,
+    s: &'a mut Scratch,
+}
+
+impl Walk<'_> {
+    /// The bound, or `None` where the builder would refuse the input.
+    fn bound(&mut self) -> Option<usize> {
+        let (dag, sndag, target, assignment) = (self.dag, self.sndag, self.target, self.assignment);
+        let machine = &target.machine;
+        let n = dag.len();
+        if assignment.choice.len() != n || assignment.complex_covered.len() != n {
+            return None;
+        }
+        let n_units = machine.units().len();
+        let s = &mut *self.s;
+        s.counts.clear();
+        s.counts.resize(n_units + machine.buses().len(), 0);
+        for v in [&mut s.bank, &mut s.producer] {
+            v.clear();
+            v.resize(n, NONE);
+        }
+        s.depth.clear();
+        s.depth.resize(n, 0);
+        s.loaded.clear();
+        s.moved.clear();
+        s.moved.resize(n * self.n_banks, Cached::No);
+        s.pooled.clear();
+
+        let mut chain = 0;
+        for (orig, node) in dag.iter() {
+            let i = orig.index();
+            if node.op.is_leaf() || assignment.complex_covered[i] {
+                continue;
+            }
+            let depth = match node.op {
+                Op::StoreVar => {
+                    let sym = node.sym?;
+                    let value = *node.args.first()?;
+                    let depth = match dag.node(value).op {
+                        Op::Const => {
+                            self.store(Location::Bank(BankId(0)), false)?;
+                            1
+                        }
+                        vop => {
+                            let from = if vop == Op::Input {
+                                target.round_trip_bank?
+                            } else {
+                                self.bank_of(value)?
+                            };
+                            let d = self.operand(value, from)?;
+                            self.store(Location::Bank(from), true)?;
+                            1 + d
+                        }
+                    };
+                    // The write-back follows the variable's loads.
+                    let row = sym.index() * self.n_banks;
+                    let loaded = self.s.loaded.get(row..row + self.n_banks);
+                    let after_load = loaded.is_some_and(|r| r.iter().any(|&c| c != Cached::No));
+                    self.after_mem_deps(orig, depth.max(1 + u32::from(after_load)))
+                }
+                Op::Load | Op::Store => {
+                    let alt = sndag.alts(orig).get(assignment.choice[i]?)?;
+                    let Exec::MemPort { bus, bank } = alt.exec else {
+                        return None;
+                    };
+                    let mut d = 0;
+                    for &arg in &node.args {
+                        d = d.max(self.operand(arg, bank)?);
+                    }
+                    self.charge().one(bus, false);
+                    self.nodes += 1;
+                    if node.op == Op::Load {
+                        self.s.bank[i] = bank.0;
+                        self.s.producer[i] = orig.0;
+                    }
+                    self.after_mem_deps(orig, 1 + d)
+                }
+                _ => {
+                    let alt = sndag.alts(orig).get(assignment.choice[i]?)?;
+                    let Exec::Unit(unit) = alt.exec else {
+                        return None;
+                    };
+                    let bank = machine.bank_of(unit);
+                    let (operands, covers): (&[NodeId], &[NodeId]) = match &alt.kind {
+                        AltKind::Simple(_) => (node.args.as_slice(), std::slice::from_ref(&orig)),
+                        AltKind::Complex {
+                            covers, operands, ..
+                        } => (operands, covers),
+                        AltKind::DynLoad | AltKind::DynStore => return None,
+                    };
+                    let mut d = 0;
+                    for &arg in operands {
+                        d = d.max(self.operand(arg, bank)?);
+                    }
+                    self.s.counts[unit.index()] += 1;
+                    self.nodes += 1;
+                    let s = &mut *self.s;
+                    for &c in covers {
+                        s.bank[c.index()] = bank.0;
+                        s.producer[c.index()] = orig.0;
+                        s.depth[c.index()] = 1 + d;
+                    }
+                    1 + d
+                }
+            };
+            self.s.depth[i] = depth;
+            chain = chain.max(depth);
+        }
+        // Live-outs: a plain input is loaded into the bank nearest memory.
+        for &(_, orig) in dag.live_outs() {
+            match dag.node(orig).op {
+                Op::Const => {}
+                Op::Input => {
+                    self.operand(orig, target.load_bank?)?;
+                    chain = chain.max(1);
+                }
+                _ => {
+                    self.bank_of(orig)?;
+                }
+            }
+        }
+
+        // Size the graph bound's buffers for the graph this assignment
+        // would get, so that bounding a graph allocates alike whether or
+        // not the graphs of the assignments before it were built.
+        let s = &mut *self.s;
+        for v in [&mut s.levels, &mut s.order, &mut s.depth] {
+            v.reserve(self.nodes.saturating_sub(v.len()));
+        }
+        let unit = s.counts[..n_units].iter().copied().max().unwrap_or(0);
+        let buses = machine.buses();
+        let per_bus = &s.counts[n_units..];
+        let mut bus = buses
+            .iter()
+            .zip(per_bus)
+            .map(|(bus, &c)| c.div_ceil(bus.capacity as usize))
+            .max()
+            .unwrap_or(0);
+        // Each pooled set of buses, with every count charged inside it.
+        for &(set, _) in &s.pooled {
+            let (mut count, mut capacity) = (0, 0);
+            for &(mask, c) in &s.pooled {
+                if mask & !set == 0 {
+                    count += c;
+                }
+            }
+            for (b, (spec, &c)) in buses.iter().zip(per_bus).enumerate() {
+                if set & (1 << b) != 0 {
+                    count += c;
+                    capacity += spec.capacity as usize;
+                }
+            }
+            bus = bus.max(count.div_ceil(capacity));
+        }
+        Some(unit.max(bus).max(chain as usize))
+    }
+
+    /// The bank `orig`'s value lands in; `None` before it is produced.
+    fn bank_of(&self, orig: NodeId) -> Option<BankId> {
+        let bank = self.s.bank[orig.index()];
+        (bank != NONE).then_some(BankId(bank))
+    }
+
+    /// Deliver `orig`'s value into `bank` as the builder's `resolve`
+    /// does, charging the transfers it certainly adds; returns the chain
+    /// ending at the delivered value.
+    fn operand(&mut self, orig: NodeId, bank: BankId) -> Option<u32> {
+        let node = self.dag.node(orig);
+        match node.op {
+            Op::Const => node.imm.map(|_| 0),
+            Op::Input => {
+                let sym = node.sym?;
+                self.load(sym, bank)?;
+                Some(1)
+            }
+            _ => {
+                let from = self.bank_of(orig)?;
+                if from != bank {
+                    let row = self.s.producer[orig.index()] as usize * self.n_banks;
+                    self.route(false, row, Location::Bank(from), bank)?;
+                }
+                Some(self.s.depth[orig.index()])
+            }
+        }
+    }
+
+    /// The load chain delivering `sym`'s entry value into `bank`.
+    fn load(&mut self, sym: Sym, bank: BankId) -> Option<()> {
+        let row = sym.index() * self.n_banks;
+        if self.s.loaded.len() < row + self.n_banks {
+            self.s.loaded.resize(row + self.n_banks, Cached::No);
+        }
+        self.route(true, row, Location::Mem, bank)
+    }
+
+    /// Walk the cached chain from `from` into `to`: through the load
+    /// cache for `loads`, else through the move cache. `row` is the
+    /// value's row in that cache.
+    fn route(&mut self, loads: bool, row: usize, from: Location, to: BankId) -> Option<()> {
+        let target = self.target;
+        let Scratch {
+            loaded,
+            moved,
+            counts,
+            pooled,
+            ..
+        } = &mut *self.s;
+        let cache = if loads { loaded } else { moved };
+        let was = std::mem::replace(&mut cache[row + to.index()], Cached::Yes);
+        if was == Cached::Yes {
+            return Some(());
+        }
+        let paths = target.xfers.paths(from, Location::Bank(to));
+        self.nodes += paths.iter().map(|p| p.hops.len()).max()?;
+        let mut charge = Charge {
+            counts,
+            pooled,
+            n_units: target.machine.units().len(),
+            single_bus: self.single_bus,
+        };
+        match paths {
+            [path] if was == Cached::No => {
+                for hop in &path.hops {
+                    let Location::Bank(t) = hop.to else {
+                        return None;
+                    };
+                    // `to` itself is already marked.
+                    let cell = &mut cache[row + t.index()];
+                    if t == to || std::mem::replace(cell, Cached::Yes) == Cached::No {
+                        charge.one(hop.bus, hop.from != Location::Mem);
+                    }
+                }
+                return Some(());
+            }
+            // Every pick ends in one node into `to`, a load only where
+            // every path is a single hop from memory.
+            several if was == Cached::No => {
+                let is_move = !loads || several.iter().any(|p| p.hops.len() > 1);
+                charge.pool(last_buses(several), is_move);
+            }
+            // `to` may be cached already, so the builder may add nothing.
+            _ => {}
+        }
+        // The builder may have passed through any intermediate bank.
+        let before = paths.iter().filter_map(|p| p.hops.split_last());
+        for hop in before.flat_map(|(_, before)| before) {
+            if let Location::Bank(t) = hop.to {
+                let cell = &mut cache[row + t.index()];
+                if *cell == Cached::No {
+                    *cell = Cached::Maybe;
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// A write-back from `from` to memory: the store on the path's last
+    /// hop and, when `moves`, a move per hop before it.
+    fn store(&mut self, from: Location, moves: bool) -> Option<()> {
+        let target = self.target;
+        let paths = target.xfers.paths(from, Location::Mem);
+        self.nodes += paths.iter().map(|p| p.hops.len()).max()?;
+        let mut charge = self.charge();
+        match paths {
+            [path] => {
+                let (last, before) = path.hops.split_last()?;
+                if moves {
+                    for hop in before {
+                        charge.one(hop.bus, true);
+                    }
+                }
+                charge.one(last.bus, false);
+            }
+            several => charge.pool(last_buses(several), false),
+        }
+        Some(())
+    }
+
+    fn charge(&mut self) -> Charge<'_> {
+        Charge {
+            counts: &mut self.s.counts,
+            pooled: &mut self.s.pooled,
+            n_units: self.target.machine.units().len(),
+            single_bus: self.single_bus,
+        }
+    }
+
+    /// `depth`, raised past each memory access `orig` is serialized
+    /// after (the builder's ordering deps between memory nodes).
+    fn after_mem_deps(&self, orig: NodeId, depth: u32) -> u32 {
+        let (dag, covered) = (self.dag, &self.assignment.complex_covered);
+        dag.mem_deps()
+            .iter()
+            .filter(|&&(earlier, later)| {
+                later == orig
+                    && !covered[earlier.index()]
+                    && matches!(dag.node(earlier).op, Op::StoreVar | Op::Store | Op::Load)
+            })
+            .map(|&(earlier, _)| self.s.depth[earlier.index()] + 1)
+            .fold(depth, u32::max)
+    }
+}
+
+/// Where transfer nodes are charged: per bus, or to a pooled set.
+struct Charge<'a> {
+    counts: &'a mut Vec<usize>,
+    pooled: &'a mut Vec<(u64, usize)>,
+    n_units: usize,
+    single_bus: bool,
+}
+
+impl Charge<'_> {
+    /// One node on `bus`; a move counts only on a single-bus machine.
+    fn one(&mut self, bus: BusId, is_move: bool) {
+        if self.single_bus || !is_move {
+            self.counts[self.n_units + bus.index()] += 1;
+        }
+    }
+
+    /// One node on some bus of `mask` (0: too many buses to pool).
+    fn pool(&mut self, mask: u64, is_move: bool) {
+        if mask == 0 || (is_move && !self.single_bus) {
+            return;
+        }
+        if mask.is_power_of_two() {
+            self.one(BusId(mask.trailing_zeros()), is_move);
+        } else if let Some(entry) = self.pooled.iter_mut().find(|(m, _)| *m == mask) {
+            entry.1 += 1;
+        } else {
+            self.pooled.push((mask, 1));
+        }
+    }
+}
+
+/// The buses the last hops of `paths` use, as a mask; 0 when one of
+/// them has no bit.
+fn last_buses(paths: &[TransferPath]) -> u64 {
+    paths
+        .iter()
+        .try_fold(0u64, |mask, p| {
+            let bus = p.hops.last()?.bus.0;
+            (bus < 64).then(|| mask | 1 << bus)
+        })
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -346,5 +811,140 @@ mod tests {
         assert!(tally.spilled > 0, "nothing spilled: {tally:?}");
         assert!(tally.pruned > 0, "nothing was pruned: {tally:?}");
         assert!(tally.tight > 0, "the bound was never tight: {tally:?}");
+    }
+
+    /// The six DSP kernels of the bench crate, read from its source: that
+    /// crate depends on this one, so it cannot be a dependency here.
+    fn kernels() -> Vec<(&'static str, aviv_ir::Function)> {
+        let source = include_str!("../../bench/src/kernels.rs");
+        let kernels: Vec<_> = source
+            .split("source: \"")
+            .skip(1)
+            .map(|rest| {
+                let text = &rest[..rest.find('"').expect("a kernel's source ends")];
+                let name = text["func ".len()..].split('(').next().expect("a name");
+                let f = aviv_ir::parse_function(text).expect("kernels parse");
+                (name, f)
+            })
+            .collect();
+        assert_eq!(kernels.len(), 6, "the bench crate's kernels");
+        kernels
+    }
+
+    /// Assignments the oracle enumerates per block, machine and preset
+    /// with the heuristics off: the kernels on Wide and QuadVliw have
+    /// hundreds of thousands each.
+    const EXHAUSTIVE_CAP: usize = 50_000;
+
+    /// The assignment bound's oracle: for every explored assignment,
+    /// with the heuristics on and off, the bound taken without a graph
+    /// is at most [`schedule_lower_bound`] of the graph
+    /// [`CoverGraph::try_build`] builds. Over seeded random blocks, the
+    /// two hand-written blocks with write-backs and dynamic memory, and
+    /// the six DSP kernels, on every `archs` machine. Prints, per
+    /// machine, the assignments checked and how many bounds are equal.
+    #[test]
+    fn the_assignment_bound_never_exceeds_the_graph_bound() {
+        use crate::covergraph::tests::{blocks, machines};
+        let mut functions: Vec<_> = blocks().into_iter().map(|f| ("block", f)).collect();
+        functions.extend(kernels());
+        // (machine, assignments checked, bounds equal), in first-seen order.
+        let mut tally: Vec<(String, usize, usize)> = Vec::new();
+        for machine in machines() {
+            let target = Target::new(machine);
+            let name = &target.machine.name;
+            let at = match tally.iter().position(|(m, ..)| m == name) {
+                Some(at) => at,
+                None => {
+                    tally.push((name.clone(), 0, 0));
+                    tally.len() - 1
+                }
+            };
+            for (what, f) in &functions {
+                for block in &f.blocks {
+                    let dag = &block.dag;
+                    let Ok(sndag) = SplitNodeDag::build(dag, &target) else {
+                        continue;
+                    };
+                    for options in [
+                        CodegenOptions::heuristics_on(),
+                        CodegenOptions {
+                            max_assignments: EXHAUSTIVE_CAP,
+                            ..CodegenOptions::heuristics_off()
+                        },
+                    ] {
+                        for (k, assignment) in explore(dag, &sndag, &target, &options)
+                            .assignments
+                            .iter()
+                            .enumerate()
+                        {
+                            let before = assignment_lower_bound(dag, &sndag, &target, assignment);
+                            let graph = CoverGraph::try_build(dag, &sndag, &target, assignment)
+                                .expect("explored assignments build");
+                            let bound = schedule_lower_bound(&graph, &target);
+                            assert!(
+                                before <= bound,
+                                "{what} on {name} #{k}: assignment bound {before} over \
+                                 the graph bound {bound}"
+                            );
+                            tally[at].1 += 1;
+                            tally[at].2 += usize::from(before == bound);
+                        }
+                    }
+                }
+            }
+        }
+        for (machine, checked, equal) in &tally {
+            eprintln!("{machine}: {checked} assignments, {equal} bounds equal");
+        }
+        let (checked, equal) = tally.iter().fold((0, 0), |(c, e), &(_, checked, equal)| {
+            (c + checked, e + equal)
+        });
+        eprintln!("all: {checked} assignments, {equal} bounds equal");
+        assert!(checked > 100_000, "{checked} assignments checked");
+        assert!(
+            equal * 2 > checked,
+            "bounds equal on only {equal} of {checked}"
+        );
+    }
+
+    /// The graph-build pin: the exhaustive `dot4` search on Example (the
+    /// `sweep-exhaustive` input, 432 assignments of which the bound
+    /// prunes 410) builds graphs only for the assignments it covers, and
+    /// its search and bytes stay as `tests/search_pin.rs` pins them.
+    #[test]
+    fn pruned_assignments_build_no_graph() {
+        use crate::codegen::CodeGenerator;
+        use crate::covergraph::tests::BUILDS;
+        let (_, dot4) = kernels()
+            .into_iter()
+            .find(|(name, _)| *name == "dot4")
+            .expect("dot4");
+        let generator = CodeGenerator::new(archs::example_arch(4))
+            .options(CodegenOptions::heuristics_off().with_jobs(1));
+        let before = BUILDS.with(std::cell::Cell::get);
+        let (program, report) = generator.compile_function(&dot4).expect("dot4 compiles");
+        let built = BUILDS.with(std::cell::Cell::get) - before;
+        let sum =
+            |field: fn(&crate::BlockReport) -> u64| report.blocks.iter().map(field).sum::<u64>();
+        assert_eq!(sum(|b| b.search.assignments_pruned), 410);
+        assert!(built <= 40, "{built} cover graphs built");
+        // The row `tests/search_pin.rs` pins: expansions, instructions and
+        // an FNV-1a hash of the assembly.
+        let asm = program.render(generator.target());
+        let hash = asm.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let row = format!(
+            "dot4@Example+off {} {} {hash:016x}",
+            sum(|b| b.node_expansions),
+            report.total_instructions
+        );
+        let golden = include_str!("../../../tests/golden/search_pin.txt");
+        assert!(
+            golden.lines().any(|l| l == row),
+            "{row} is not the pinned row"
+        );
+        eprintln!("{built} cover graphs built; {row}");
     }
 }

@@ -623,6 +623,7 @@ pub(crate) mod tests {
     use crate::assign::explore;
     use crate::codegen::CodeGenerator;
     use crate::cover::{cover, CoverError};
+    use crate::covergraph::tests::machines;
     use crate::options::CodegenOptions;
     use aviv_ir::randdag::{random_block, RandDagConfig};
     use aviv_ir::{parse_function, Function, Op};
@@ -969,25 +970,6 @@ pub(crate) mod tests {
         blocks
     }
 
-    /// Every machine of `archs` that takes a register count, at two to
-    /// four registers per bank, plus the accumulator DSP. `dsp_arch`
-    /// carries ISDL constraints and Wide a 2-wide bus, so legalization
-    /// splits cliques there.
-    fn machines() -> impl Iterator<Item = aviv_isdl::Machine> {
-        let makers = [
-            archs::example_arch as fn(u32) -> _,
-            archs::arch_two,
-            archs::dsp_arch,
-            archs::chained_arch,
-            archs::single_alu,
-            archs::wide_arch,
-            archs::quad_vliw,
-        ];
-        (2..=4)
-            .flat_map(move |regs| makers.map(|make| make(regs)))
-            .chain([archs::accumulator_dsp()])
-    }
-
     /// Fuel allotments the direct comparisons give enumeration: none,
     /// and cuts at 1, 2, 5 and 50 units.
     const FUELS: [Option<u64>; 5] = [None, Some(1), Some(2), Some(5), Some(50)];
@@ -1020,8 +1002,10 @@ pub(crate) mod tests {
     /// spill) while compiling seeded blocks on every `archs` machine
     /// with the level window on and off, and for the first explored
     /// assignments' graphs generated directly with enumeration cut at
-    /// 1, 2, 5 and 50 units. Larger blocks give pools over more than 64
-    /// nodes, whose cliques span several words.
+    /// 1, 2, 5 and 50 units. `dsp_arch` carries ISDL constraints and
+    /// Wide a 2-wide bus, so legalization splits cliques there. Larger
+    /// blocks give pools over more than 64 nodes, whose cliques span
+    /// several words.
     #[test]
     fn pools_match_the_reference() {
         reference::ARMED.set(true);

@@ -34,6 +34,7 @@
 //!   exercises all of the above from property tests.
 
 use crate::assign::{explore, ExploreResult};
+use crate::bound::{assignment_lower_bound, schedule_lower_bound};
 use crate::budget::{self, Budget, Exhaustion};
 use crate::cache::{CacheKey, PlanCache};
 use crate::cover::{
@@ -812,6 +813,21 @@ impl CodeGenerator {
                 exhausted = Some(why);
                 break;
             }
+            // Bound the assignment before building its graph: one the
+            // assignment bound prunes, the graph bound would prune too
+            // (see `bound.rs`), so it skips the build. A corrupted graph
+            // is not the one the bound describes.
+            let pre_bound = match rung_budget.incumbent() {
+                Some(incumbent) if !corrupt_graph => {
+                    let bound = assignment_lower_bound(dag, &sndag, &self.target, assignment);
+                    if bound >= incumbent {
+                        search.assignments_pruned += 1;
+                        continue;
+                    }
+                    Some(bound)
+                }
+                _ => None,
+            };
             let build = |graph: &mut CoverGraph| {
                 graph.try_rebuild(dag, &sndag, &self.target, assignment)?;
                 debug_assert!(graph.verify(&self.target).is_ok());
@@ -821,6 +837,10 @@ impl CodeGenerator {
                 Ok::<_, Diagnostic>(())
             };
             build(&mut graph).map_err(|d| RungFailure::Error(CodegenError::Internal(d)))?;
+            debug_assert!(
+                pre_bound.is_none_or(|b| b <= schedule_lower_bound(&graph, &self.target)),
+                "the assignment bound exceeds its graph's bound"
+            );
             // The covering entry points prune too; pruning first spares a
             // pruned assignment the copy of the symbol table.
             let result = cover::prune(&graph, &self.target, rung_budget).and_then(|()| {

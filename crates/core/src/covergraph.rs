@@ -414,6 +414,56 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
+impl Scratch {
+    /// Reserve for the largest cover graph any assignment of `dag` can
+    /// have on `target`, so that the scratch grows at most on a block's
+    /// first build, whichever of its assignments are built after it.
+    /// Each operation, memory access and write-back is one node, and
+    /// each operand, write-back route and live-out adds at most one
+    /// node per hop of the longest transfer path; a node's operand
+    /// edges come from the DAG's or are a transfer's single operand,
+    /// and a write-back's ordering deps are at most one load per bank
+    /// of its variable plus the DAG's memory deps.
+    fn reserve_for(&mut self, dag: &BlockDag, target: &Target) {
+        let hops = target.xfers.max_hops();
+        let n_banks = target.machine.banks().len();
+        let mut nodes = dag.live_outs().len() * hops;
+        let mut edges = dag.mem_deps().len();
+        let (mut syms, mut stores) = (0, 0usize);
+        for (_, n) in dag.iter() {
+            match n.op {
+                Op::Const => {}
+                Op::Input => syms = syms.max(n.sym.map_or(0, |s| s.index() + 1)),
+                Op::StoreVar => {
+                    stores += 1;
+                    nodes += 2 * hops;
+                    edges += 1 + n_banks;
+                }
+                _ => {
+                    nodes += 1 + n.args.len() * hops;
+                    edges += n.args.len();
+                }
+            }
+        }
+        edges += nodes;
+        reserve(&mut self.indeg, nodes);
+        reserve(&mut self.order, nodes);
+        reserve(&mut self.queue, nodes);
+        reserve(&mut self.succs.start, nodes + 1);
+        reserve(&mut self.succs.list, edges);
+        let build = &mut self.build;
+        reserve(&mut build.move_cache, nodes * n_banks);
+        reserve(&mut build.loadvar_cache, syms * n_banks);
+        reserve(&mut build.loads, syms * n_banks);
+        reserve(&mut build.stores, stores);
+    }
+}
+
+/// Make room for `len` entries in `v`.
+fn reserve<T>(v: &mut Vec<T>, len: usize) {
+    v.reserve(len.saturating_sub(v.len()));
+}
+
 impl CoverGraph {
     /// [`CoverGraph::build`] with the builder's input preconditions
     /// checked up front: every constant carries an immediate, every
@@ -486,7 +536,9 @@ impl CoverGraph {
         self.bus_usage.clear();
         self.bus_usage.resize(target.machine.buses().len(), 0);
         SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut().build;
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.reserve_for(dag, target);
+            let scratch = &mut scratch.build;
             scratch.reset(dag.len());
             let mut b = GraphBuilder {
                 dag,
@@ -522,6 +574,8 @@ impl CoverGraph {
         });
         self.dead.reset(self.nodes.len());
         self.rebuild_indexes();
+        #[cfg(test)]
+        tests::BUILDS.with(|b| b.set(b.get() + 1));
     }
 
     /// Decompose into the essential fields the snapshot codec
@@ -1740,7 +1794,7 @@ fn validate_build_inputs(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::assign::explore;
     use crate::budget::Budget;
@@ -1749,6 +1803,12 @@ mod tests {
     use aviv_ir::randdag::{random_block, RandDagConfig};
     use aviv_ir::{parse_function, Function};
     use aviv_isdl::archs;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Cover graphs built on this thread, fresh or in place.
+        pub(crate) static BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// The graph builder and index rebuild as they were before the graph
     /// was built into reused storage: one `Vec` per node's operands and
@@ -2460,7 +2520,7 @@ mod tests {
     /// Seeded random blocks, plus two with variable write-backs,
     /// immediates and dynamic memory, so that every node kind and every
     /// ordering edge the builder adds is exercised.
-    fn blocks() -> Vec<Function> {
+    pub(crate) fn blocks() -> Vec<Function> {
         let mut blocks: Vec<Function> = [4, 6, 10]
             .into_iter()
             .flat_map(|n_ops| {
@@ -2482,8 +2542,11 @@ mod tests {
     }
 
     /// Every machine of `archs` that takes a register count, at two to
-    /// four registers per bank, plus the accumulator DSP.
-    fn machines() -> impl Iterator<Item = aviv_isdl::Machine> {
+    /// four registers per bank, plus the accumulator DSP. `chained_arch`
+    /// has multi-hop paths, `quad_vliw` two paths between any two places,
+    /// `dsp_arch` carries ISDL constraints and the `mac` complex, and
+    /// Wide a 2-wide bus.
+    pub(crate) fn machines() -> impl Iterator<Item = aviv_isdl::Machine> {
         let makers = [
             archs::example_arch as fn(u32) -> _,
             archs::arch_two,

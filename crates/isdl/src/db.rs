@@ -107,7 +107,12 @@ impl OpDb {
 /// alternatives must be preserved.
 #[derive(Debug, Clone)]
 pub struct TransferDb {
-    paths: HashMap<(Location, Location), Vec<TransferPath>>,
+    /// The paths of each ordered pair, at `slot(from) * n + slot(to)`
+    /// for `n` locations: a plain index, since the cover-graph builder
+    /// and the assignment bound look paths up for every transfer.
+    paths: Vec<Vec<TransferPath>>,
+    /// Register banks; memory's slot follows theirs.
+    n_banks: usize,
     /// Cap on stored equal-cost alternatives per pair.
     max_alternatives: usize,
 }
@@ -137,8 +142,10 @@ impl TransferDb {
                 }
             }
         }
-        let mut paths: HashMap<(Location, Location), Vec<TransferPath>> = HashMap::new();
-        for &src in &locs {
+        let n_banks = m.banks().len();
+        let mut paths = vec![Vec::new(); locs.len() * locs.len()];
+        // `locs` lists the locations in slot order.
+        for (from, &src) in locs.iter().enumerate() {
             // Breadth-first exploration keeping all shortest paths.
             let mut best_cost: HashMap<Location, usize> = HashMap::new();
             best_cost.insert(src, 0);
@@ -154,7 +161,8 @@ impl TransferDb {
                     let dst = p.to();
                     let entry = best_cost.entry(dst).or_insert(depth);
                     if *entry == depth {
-                        let list = paths.entry((src, dst)).or_default();
+                        let to = slot(n_banks, dst).expect("paths end at the machine's locations");
+                        let list = &mut paths[from * locs.len() + to];
                         if list.len() < max_alternatives {
                             list.push(p.clone());
                         }
@@ -181,8 +189,16 @@ impl TransferDb {
         }
         TransferDb {
             paths,
+            n_banks,
             max_alternatives,
         }
+    }
+
+    /// The stored paths of `(from, to)`; `None` for a bank the machine
+    /// does not have.
+    fn pair(&self, from: Location, to: Location) -> Option<&[TransferPath]> {
+        let (from, to) = (slot(self.n_banks, from)?, slot(self.n_banks, to)?);
+        Some(&self.paths[from * (self.n_banks + 1) + to])
     }
 
     /// All stored shortest paths from `from` to `to` (empty if
@@ -191,7 +207,7 @@ impl TransferDb {
         if from == to {
             return &[];
         }
-        self.paths.get(&(from, to)).map_or(&[], |v| v.as_slice())
+        self.pair(from, to).unwrap_or(&[])
     }
 
     /// Cost (hop count) of the shortest transfer, or `None` when
@@ -200,15 +216,35 @@ impl TransferDb {
         if from == to {
             return Some(0);
         }
-        self.paths
-            .get(&(from, to))
-            .and_then(|v| v.first())
+        self.pair(from, to)
+            .and_then(<[_]>::first)
             .map(TransferPath::cost)
+    }
+
+    /// Hops of the longest stored path: the most transfer nodes one
+    /// transfer can add.
+    pub fn max_hops(&self) -> usize {
+        self.paths
+            .iter()
+            .flatten()
+            .map(TransferPath::cost)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The configured alternative cap.
     pub fn max_alternatives(&self) -> usize {
         self.max_alternatives
+    }
+}
+
+/// A location's slot in [`TransferDb`]'s table: its bank's index, or
+/// `n_banks` for memory (the order of [`Machine::locations`]); `None`
+/// for a bank past the machine's.
+fn slot(n_banks: usize, location: Location) -> Option<usize> {
+    match location {
+        Location::Bank(b) => (b.index() < n_banks).then_some(b.index()),
+        Location::Mem => Some(n_banks),
     }
 }
 

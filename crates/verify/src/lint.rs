@@ -326,6 +326,14 @@ fn lint_constraints(machine: &Machine, out: &mut Vec<Diagnostic>) {
             ));
             continue;
         }
+        if c.at_most == 0 {
+            out.push(Diagnostic::new(
+                Code::E004,
+                element.clone(),
+                "at most 0 members: an instruction holding any member is illegal, \
+                 so no member can ever issue",
+            ));
+        }
         // A member can only be active if its unit actually implements
         // the named op; count the members that can ever fire.
         let mut active = 0usize;
@@ -572,6 +580,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(codes(&lint_machine(&m)), vec![Code::W003]);
+    }
+
+    /// `Machine::validate` refuses `at_most 0`, which no compile can
+    /// satisfy; lint reports it as an error on the constraint.
+    #[test]
+    fn a_constraint_that_always_triggers_is_e004() {
+        let isdl = aviv_isdl::archs::EXAMPLE_ARCH_ISDL.replace(
+            "memory DM;",
+            "memory DM;\n    constraint at_most 0 { U3.mul, U2.mul };",
+        );
+        let m = aviv_isdl::parse_machine_lenient(&isdl).unwrap();
+        assert!(m.validate().is_err());
+        let diags = lint_machine(&m);
+        assert_eq!(codes(&diags), vec![Code::E004]);
+        assert_eq!(diags[0].element, "constraint #0");
     }
 
     #[test]

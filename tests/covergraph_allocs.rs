@@ -8,11 +8,12 @@
 //! `CoverGraph::try_rebuild`, as the compilation driver does.
 //!
 //! The builder's temporaries and the index rebuild's buffers are reused
-//! on each thread, operands live inline in their node, and consumer and
-//! successor lists are flat, so a fresh graph costs only its own storage
-//! (about 13 allocations for a 20-node graph) and a graph rebuilt in
-//! place costs nothing once its storage fits: the 432 fresh graphs make
-//! 5,636 allocations, and the 432 rebuilt in place make 18, while its
+//! on each thread, sized on a block's first build for the largest graph
+//! the block can have, operands live inline in their node, and consumer
+//! and successor lists are flat, so a fresh graph costs only its own
+//! storage (about 13 allocations for a 20-node graph) and a graph
+//! rebuilt in place costs nothing once its storage fits: the 432 fresh
+//! graphs make 5,624 allocations, and the 432 rebuilt in place make 18, while its
 //! storage grows to the largest graph. When every node held its operands in a `Vec`,
 //! each build made fresh temporaries and the index rebuild a `Vec` per
 //! node's consumers and successors, the 432 builds made 45,934. The
@@ -66,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Ceiling for the 432 fresh graphs (5,636 now).
+/// Ceiling for the 432 fresh graphs (5,624 now).
 const CEILING_FRESH: u64 = 5_800;
 
 /// Ceiling for the 432 graphs rebuilt in place (18 now).
