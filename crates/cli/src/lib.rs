@@ -34,7 +34,7 @@ use aviv::verify::{
 };
 use aviv::{CodeGenerator, CodegenError, CodegenOptions, CompileReport, VliwProgram};
 use aviv_ir::{parse_function, Function, MemLayout};
-use aviv_isdl::{parse_machine, parse_machine_lenient, Target};
+use aviv_isdl::{parse_machine, parse_machine_unchecked, Target};
 use std::fmt::Write as _;
 
 /// What the driver should produce.
@@ -848,18 +848,17 @@ pub fn drive_batch(
 ///
 /// Returns the rendered report plus whether the binary should exit
 /// nonzero: any error-severity finding, or — under `--deny-warnings` —
-/// any finding at all. The machine is parsed leniently so semantic
-/// defects the strict validator refuses — orphan banks, dead
-/// constraints — are reported with codes instead of aborting at the
-/// first problem.
+/// any finding at all. The machine is read by the unchecked parse, so
+/// every finding of the rules the loader applies is reported, not just
+/// the first; the lint errors exactly when the loader refuses.
 ///
 /// # Errors
 ///
-/// Returns a [`CliError`] only for lexical/syntax problems or dangling
-/// references; semantic defects become diagnostics.
+/// Returns a [`CliError`] only for lexical/syntax problems; rule
+/// findings become diagnostics.
 pub fn run_lint(options: &LintOptions, machine_src: &str) -> Result<(String, bool), CliError> {
-    let machine =
-        parse_machine_lenient(machine_src).map_err(|e| err(format!("machine description: {e}")))?;
+    let machine = parse_machine_unchecked(machine_src)
+        .map_err(|e| err(format!("machine description: {e}")))?;
     let diags = lint_machine(&machine);
     let fail = diags.iter().any(|d| d.severity() == Severity::Error)
         || (options.deny_warnings && !diags.is_empty());
@@ -1455,8 +1454,8 @@ mod tests {
 
     #[test]
     fn lint_reports_orphan_bank_with_code() {
-        // RF2 is on no bus: the strict parser refuses this machine, the
-        // lenient lint path reports it as E002.
+        // RF2 is on no bus: the loader refuses this machine and the lint
+        // reports the same finding as E002.
         let broken = "machine Broken {
             unit U1 { ops { add } regfile R1[4]; }
             unit U2 { ops { add } regfile R2[4]; }
@@ -1481,6 +1480,46 @@ mod tests {
         let (report, _) = run_lint(&json, broken).unwrap();
         assert!(report.contains("\"code\":\"E002\""), "{report}");
         assert!(report.contains("\"errors\":1"), "{report}");
+    }
+
+    /// A constraint that can never trigger changes no legality decision:
+    /// fig3 with each such constraint loads, lints W003 only, and compiles
+    /// every bundled program to plain fig3's bytes.
+    #[test]
+    fn never_triggering_constraints_load_and_change_no_byte() {
+        let assets = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../assets");
+        let read = |path: &std::path::Path| std::fs::read_to_string(path).unwrap();
+        let fig3 = read(&assets.join("fig3.isdl"));
+        let end = fig3.rfind('}').unwrap();
+        let mut programs: Vec<_> = std::fs::read_dir(&assets)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "av"))
+            .collect();
+        programs.sort();
+        assert!(programs.len() >= 2, "{programs:?}");
+        let opts = Options::parse(&["--machine".into(), "m.isdl".into(), "p.av".into()]).unwrap();
+        for line in [
+            "constraint at_most 1 { U3.mul };",
+            "constraint at_most 2 { U3.mul, U2.mul };",
+            "constraint at_most 1 { U3.sub, U2.mul };",
+        ] {
+            let machine = format!("{}    {line}\n}}\n", &fig3[..end]);
+            let diags = lint_machine(&parse_machine(&machine).unwrap());
+            assert!(
+                !diags.is_empty() && diags.iter().all(|d| d.code == aviv::verify::Code::W003),
+                "{line}: {diags:?}"
+            );
+            for p in &programs {
+                let program = read(p);
+                assert_eq!(
+                    drive(&opts, &machine, &program).unwrap().output,
+                    drive(&opts, &fig3, &program).unwrap().output,
+                    "{line} {}",
+                    p.display()
+                );
+            }
+        }
     }
 
     fn check_opts(extra: &[&str]) -> CheckOptions {

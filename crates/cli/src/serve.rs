@@ -1152,6 +1152,28 @@ mod tests {
         assert!(msg.contains("machine description"), "{msg}");
     }
 
+    /// A machine the rules refuse is answered with the rule's code at
+    /// the element's declaration, not at `0:0`.
+    #[test]
+    fn a_refused_machine_names_the_rule_and_its_line() {
+        let machine = MACHINE.replace(
+            "memory DM;",
+            "memory DM;\n        constraint at_most 0 { U1.add, U2.mul };",
+        );
+        let request = format!(
+            "{{\"id\":1,\"op\":\"compile\",\"machine\":\"{}\",\"program\":\"{}\"}}\n",
+            jsonv::escape(&machine),
+            jsonv::escape(PROGRAM)
+        );
+        let responses = run(&Server::new(&ServeConfig::default()), &request);
+        assert_eq!(responses[0].get("ok").and_then(Json::as_bool), Some(false));
+        let msg = responses[0].get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            msg.contains("ISDL error at 5:9: E004 constraint #0: at most 0"),
+            "{msg}"
+        );
+    }
+
     #[test]
     fn repeat_compiles_hit_the_cache_and_match() {
         let server = Server::new(&ServeConfig::default());

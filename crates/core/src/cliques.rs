@@ -23,12 +23,12 @@
 //! allocates nothing. [`gen_max_cliques`], [`gen_max_cliques_budgeted`]
 //! and [`legalize`] are `Vec<BitSet>` views of the same path.
 //!
-//! Validation keeps every single node legal: a unit issues one
+//! The machine rules keep every single node legal: a unit issues one
 //! operation, every bus carries at least one transfer, and
-//! `Machine::validate` refuses an `at_most 0` constraint. The greedy
+//! every machine load refuses an `at_most 0` constraint (E004). The greedy
 //! split keeps a non-empty legal piece whenever the clique's first node
 //! is legal alone, so every split shrinks the work. A node that is
-//! illegal alone anyway (a machine built without validation) ends
+//! illegal alone anyway (a machine read by `parse_machine_unchecked`) ends
 //! generation with a `C004` diagnostic instead of splitting forever.
 
 use crate::budget::Budget;
@@ -231,7 +231,7 @@ impl CliquePool {
     /// # Errors
     ///
     /// A `C004` diagnostic when a node is illegal on its own, which no
-    /// machine `Machine::validate` accepts can produce (see the module
+    /// machine the loader accepts can produce (see the module
     /// doc); the pool is then unusable until generated again.
     pub fn generate(
         &mut self,
@@ -494,7 +494,7 @@ fn illegal_alone(id: CnId, graph: &CoverGraph, target: &Target) -> Diagnostic {
 /// # Panics
 ///
 /// When a node is illegal on its own, which no machine
-/// `Machine::validate` accepts can produce ([`CliquePool::generate`]
+/// the loader accepts can produce ([`CliquePool::generate`]
 /// reports it as a diagnostic instead).
 pub fn legalize(
     cliques: Vec<BitSet>,
@@ -627,7 +627,7 @@ pub(crate) mod tests {
     use crate::options::CodegenOptions;
     use aviv_ir::randdag::{random_block, RandDagConfig};
     use aviv_ir::{parse_function, Function, Op};
-    use aviv_isdl::{archs, parse_machine_lenient};
+    use aviv_isdl::{archs, parse_machine_unchecked};
     use aviv_splitdag::SplitNodeDag;
 
     /// Clique generation as it was before the pool moved into flat
@@ -1085,12 +1085,12 @@ pub(crate) mod tests {
     }
 
     /// A node that is illegal on its own — here every `mul` under an
-    /// `at_most 0` constraint, on a machine built without validation —
+    /// `at_most 0` constraint, on a machine read by the unchecked parse —
     /// ends generation with a coded defect, and covering reports it,
     /// where the old legalizer split the same clique forever.
     #[test]
     fn a_node_illegal_on_its_own_is_a_coded_defect() {
-        let machine = parse_machine_lenient(
+        let machine = parse_machine_unchecked(
             "machine M {
                 unit U1 { ops { add, mul } regfile R1[4]; }
                 unit U2 { ops { add, mul } regfile R2[4]; }
@@ -1099,7 +1099,7 @@ pub(crate) mod tests {
                 constraint at_most 0 { U1.mul, U2.mul };
             }",
         )
-        .expect("the lenient parser accepts at_most 0");
+        .expect("the unchecked parse accepts at_most 0");
         let target = Target::new(machine);
         let f = parse_function("func f(a, b) { c = a * b; return c + a; }").expect("parses");
         let dag = &f.blocks[0].dag;

@@ -412,11 +412,9 @@ pub(crate) fn conflict_message(conflict: Conflict, machine: &Machine) -> String 
             machine.bus(b).capacity
         ),
         Conflict::Constraint { index, members } => {
-            let con = &machine.constraints()[index];
-            let name = con.name.clone().unwrap_or_else(|| format!("#{index}"));
             format!(
-                "constraint {name} allows {} concurrent members but {members} are scheduled",
-                con.at_most
+                "constraint #{index} allows {} concurrent members but {members} are scheduled",
+                machine.constraints()[index].at_most
             )
         }
     }

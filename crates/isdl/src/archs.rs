@@ -243,21 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn all_bundled_archs_validate() {
-        for m in [
-            example_arch(4),
-            example_arch(2),
-            arch_two(4),
-            dsp_arch(4),
-            chained_arch(4),
-            single_alu(4),
-            wide_arch(8),
-        ] {
-            m.validate().unwrap_or_else(|e| panic!("{}: {e}", m.name));
-        }
-    }
-
-    #[test]
     fn dsp_arch_has_mac() {
         let m = dsp_arch(4);
         assert_eq!(m.complexes().len(), 1);
@@ -312,10 +297,7 @@ mod extra_arch_tests {
     use super::*;
 
     #[test]
-    fn extra_machines_validate() {
-        quad_vliw(4).validate().unwrap();
-        accumulator_dsp().validate().unwrap();
-        // Asymmetric banks really are asymmetric.
+    fn accumulator_banks_are_asymmetric() {
         let acc = accumulator_dsp();
         let sizes: Vec<u32> = acc.banks().iter().map(|b| b.size).collect();
         assert_eq!(sizes, vec![8, 3]);

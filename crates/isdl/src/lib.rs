@@ -7,6 +7,8 @@
 //! * [`Machine`] — functional units with per-unit register files, buses,
 //!   instruction constraints, and complex instructions;
 //! * [`parse_machine`] — a textual description format;
+//! * [`rules`] — the one judgment of whether a machine is usable, which
+//!   every strict load applies and the lint renders;
 //! * [`OpDb`] — the operation→unit correlation database;
 //! * [`TransferDb`] — explicit and multi-hop data-transfer paths;
 //! * [`archs`] — the paper's Fig. 3 architecture and Table II variant,
@@ -28,11 +30,13 @@ pub mod db;
 pub mod model;
 pub mod parser;
 pub mod printer;
+pub mod rules;
 
 pub use db::{Hop, OpDb, Target, TransferDb, TransferPath};
 pub use model::{
     BankId, Bus, BusId, ComplexInstr, Constraint, Location, Machine, MachineBuilder, OpCap,
     PatTree, RegBank, SlotPattern, Unit, UnitId,
 };
-pub use parser::{parse_machine, parse_machine_lenient, IsdlError};
+pub use parser::{parse_machine, parse_machine_unchecked, IsdlError};
 pub use printer::to_isdl;
+pub use rules::{Element, Finding, Rule};

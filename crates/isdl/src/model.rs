@@ -157,8 +157,6 @@ pub enum SlotPattern {
 /// combinations (unlike nML, which enumerates legal ones) — see §V-C.
 #[derive(Debug, Clone)]
 pub struct Constraint {
-    /// Optional label from the description (diagnostics only).
-    pub name: Option<String>,
     /// At most this many of `members` may appear together. A `forbid`
     /// constraint over n members is `AtMost(n - 1)`.
     pub at_most: u32,
@@ -237,11 +235,11 @@ pub struct ComplexInstr {
 pub struct Machine {
     /// Machine name.
     pub name: String,
-    units: Vec<Unit>,
-    banks: Vec<RegBank>,
-    buses: Vec<Bus>,
-    constraints: Vec<Constraint>,
-    complexes: Vec<ComplexInstr>,
+    pub(crate) units: Vec<Unit>,
+    pub(crate) banks: Vec<RegBank>,
+    pub(crate) buses: Vec<Bus>,
+    pub(crate) constraints: Vec<Constraint>,
+    pub(crate) complexes: Vec<ComplexInstr>,
 }
 
 impl Machine {
@@ -250,8 +248,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first structural problem found — see
-    /// [`Machine::validate`].
+    /// Returns the first dangling unit/bank/bus index, or else the first
+    /// error finding of the machine rules ([`Machine::findings`]),
+    /// rendered as `CODE element: message`.
     pub fn from_parts(
         name: String,
         units: Vec<Unit>,
@@ -268,41 +267,11 @@ impl Machine {
             constraints,
             complexes,
         };
-        m.validate()?;
-        Ok(m)
-    }
-
-    /// Build a machine checking only referential integrity (no dangling
-    /// unit/bank/bus indices), skipping the semantic checks in
-    /// [`Machine::validate`]. Intended for static-analysis tooling that
-    /// wants to *report* semantic defects (orphan banks, dead
-    /// constraints, …) rather than refuse to construct the machine.
-    ///
-    /// Machines built this way must not be fed to the code generator; the
-    /// pipeline relies on the full [`Machine::validate`] guarantees.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first dangling reference found — see
-    /// [`Machine::validate_refs`].
-    pub fn from_parts_lenient(
-        name: String,
-        units: Vec<Unit>,
-        banks: Vec<RegBank>,
-        buses: Vec<Bus>,
-        constraints: Vec<Constraint>,
-        complexes: Vec<ComplexInstr>,
-    ) -> Result<Machine, String> {
-        let m = Machine {
-            name,
-            units,
-            banks,
-            buses,
-            constraints,
-            complexes,
-        };
         m.validate_refs()?;
-        Ok(m)
+        match m.refusal() {
+            Some(f) => Err(f.render(&m)),
+            None => Ok(m),
+        }
     }
 
     /// The functional units.
@@ -383,103 +352,11 @@ impl Machine {
         v
     }
 
-    /// Structural validation; called by every constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first problem found: no units, empty unit op lists,
-    /// dangling bank/bus/unit references, degenerate constraints (fewer
-    /// than two members, `at_most` at least the member count, or
-    /// `at_most 0`), or malformed complex patterns.
-    pub fn validate(&self) -> Result<(), String> {
-        self.validate_refs()?;
-        if self.units.is_empty() {
-            return Err("machine has no functional units".into());
-        }
-        let mut names = std::collections::HashSet::new();
-        for u in &self.units {
-            if !names.insert(&u.name) {
-                return Err(format!("duplicate unit name {}", u.name));
-            }
-            if u.ops.is_empty() {
-                return Err(format!("unit {} implements no operations", u.name));
-            }
-            for c in &u.ops {
-                if c.op.is_leaf() || c.op.is_store() {
-                    return Err(format!(
-                        "unit {} lists non-computational op {}",
-                        u.name, c.op
-                    ));
-                }
-            }
-        }
-        for b in &self.banks {
-            if b.size == 0 {
-                return Err(format!("bank {} has zero registers", b.name));
-            }
-        }
-        for bus in &self.buses {
-            if bus.endpoints.len() < 2 {
-                return Err(format!("bus {} connects fewer than 2 locations", bus.name));
-            }
-            if bus.capacity == 0 {
-                return Err(format!("bus {} has zero capacity", bus.name));
-            }
-        }
-        for c in &self.constraints {
-            if c.members.len() < 2 {
-                return Err("constraint with fewer than 2 members".into());
-            }
-            if c.at_most as usize >= c.members.len() {
-                return Err("constraint that can never trigger".into());
-            }
-            // Every matching node would be illegal even alone, so no
-            // instruction could issue it.
-            if c.at_most == 0 {
-                return Err("constraint that always triggers".into());
-            }
-            for m in &c.members {
-                if let SlotPattern::UnitOp { unit, op: Some(op) } = *m {
-                    if !self.units[unit.index()].can_do(op) {
-                        return Err(format!(
-                            "constraint references op {op} not on unit {}",
-                            self.units[unit.index()].name
-                        ));
-                    }
-                }
-            }
-        }
-        for cx in &self.complexes {
-            if cx.pattern.op_count() < 1 {
-                return Err(format!("complex {} covers no operation", cx.name));
-            }
-        }
-        // Every bank must be able to exchange values with memory through
-        // some bus path; otherwise leaves can never be loaded or results
-        // stored. Checked via the same BFS the transfer database uses.
-        let reach_from_mem = self.reachable_from(Location::Mem);
-        for (i, b) in self.banks.iter().enumerate() {
-            let loc = Location::Bank(BankId(i as u32));
-            if !reach_from_mem.contains(&loc) {
-                return Err(format!("bank {} unreachable from memory", b.name));
-            }
-            if !self.reachable_from(loc).contains(&Location::Mem) {
-                return Err(format!("memory unreachable from bank {}", b.name));
-            }
-        }
-        Ok(())
-    }
-
-    /// Referential-integrity check only: every unit/bank/bus index stored
-    /// anywhere in the machine must be in range. This is the minimum
-    /// needed for read-only traversals (lints, pretty-printers) to be
-    /// panic-free; it deliberately accepts machines that
-    /// [`Machine::validate`] rejects.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first dangling reference found.
-    pub fn validate_refs(&self) -> Result<(), String> {
+    /// Referential integrity: every unit/bank/bus index stored anywhere
+    /// in the machine is in range, so the rule walks and the
+    /// pretty-printer cannot panic. Only the Rust API can break it; the
+    /// parser resolves every name it stores.
+    fn validate_refs(&self) -> Result<(), String> {
         for u in &self.units {
             if u.bank.index() >= self.banks.len() {
                 return Err(format!("unit {} references missing bank", u.name));
@@ -520,7 +397,7 @@ impl Machine {
 
     /// Every storage location reachable from `start` by chaining bus
     /// hops (including `start` itself). The same BFS the transfer
-    /// database and [`Machine::validate`] use; public so analysis tools
+    /// database and the reachability rule use; public so analysis tools
     /// can reason about connectivity without rebuilding it.
     pub fn reachable_from(&self, start: Location) -> Vec<Location> {
         let mut seen = vec![start];
@@ -648,11 +525,7 @@ impl MachineBuilder {
 
     /// Add a constraint.
     pub fn constraint(&mut self, at_most: u32, members: Vec<SlotPattern>) -> &mut Self {
-        self.constraints.push(Constraint {
-            name: None,
-            at_most,
-            members,
-        });
+        self.constraints.push(Constraint { at_most, members });
         self
     }
 
@@ -678,11 +551,11 @@ impl MachineBuilder {
         self
     }
 
-    /// Finish, validating the machine.
+    /// Finish, judging the machine.
     ///
     /// # Errors
     ///
-    /// Propagates [`Machine::validate`] failures.
+    /// Propagates [`Machine::from_parts`] refusals.
     pub fn build(self) -> Result<Machine, String> {
         Machine::from_parts(
             self.name,
@@ -757,19 +630,44 @@ mod tests {
         );
         assert!(b.build().is_ok());
 
-        let mut b = MachineBuilder::new("c2");
+        // at_most >= member count never triggers: a warning, which never
+        // refuses; at_most 0 always triggers: an error, which does.
+        for (at_most, refused) in [(2, false), (0, true)] {
+            let mut b = MachineBuilder::new("c2");
+            let u1 = b.unit("U1", &[Op::Add], 4);
+            let u2 = b.unit("U2", &[Op::Mul], 4);
+            b.bus("DB", &[u1, u2], true, 1);
+            b.constraint(
+                at_most,
+                vec![
+                    SlotPattern::UnitOp { unit: u1, op: None },
+                    SlotPattern::UnitOp { unit: u2, op: None },
+                ],
+            );
+            let built = b.build();
+            assert_eq!(built.is_err(), refused, "at_most {at_most}: {built:?}");
+        }
+        let mut b = MachineBuilder::new("c3");
         let u1 = b.unit("U1", &[Op::Add], 4);
-        let u2 = b.unit("U2", &[Op::Mul], 4);
-        b.bus("DB", &[u1, u2], true, 1);
-        // at_most >= member count never triggers.
-        b.constraint(
-            2,
-            vec![
-                SlotPattern::UnitOp { unit: u1, op: None },
-                SlotPattern::UnitOp { unit: u2, op: None },
-            ],
-        );
-        assert!(b.build().is_err());
+        b.bus("DB", &[u1], true, 1);
+        b.constraint(0, vec![SlotPattern::UnitOp { unit: u1, op: None }]);
+        let e = b.build().unwrap_err();
+        assert!(e.starts_with("E004 constraint #0: at most 0"), "{e}");
+    }
+
+    /// A dangling index from the Rust API is refused before any rule
+    /// walks the machine.
+    #[test]
+    fn dangling_references_are_refused() {
+        let m = tiny();
+        let parts = |units| {
+            let (banks, buses) = (m.banks().to_vec(), m.buses().to_vec());
+            Machine::from_parts("t".into(), units, banks, buses, vec![], vec![])
+        };
+        assert!(parts(m.units().to_vec()).is_ok());
+        let mut units = m.units().to_vec();
+        units[1].bank = BankId(7);
+        assert_eq!(parts(units).unwrap_err(), "unit U2 references missing bank");
     }
 
     #[test]
@@ -870,7 +768,6 @@ impl Machine {
             .constraints
             .iter()
             .map(|c| Constraint {
-                name: c.name.clone(),
                 at_most: c.at_most,
                 members: c
                     .members
@@ -909,23 +806,15 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Fails when the unit or op is missing, a constraint names the
-    /// (unit, op) pair, or the unit would be left without operations.
+    /// Fails when the unit or op is missing, or when the rules refuse the
+    /// result: the unit is left without operations, or a pattern or
+    /// constraint names an op no unit implements any more.
     pub fn without_op(&self, unit_name: &str, op: aviv_ir::Op) -> Result<Machine, String> {
         let uid = self
             .unit_by_name(unit_name)
             .ok_or_else(|| format!("no unit named {unit_name}"))?;
         if !self.units[uid.index()].can_do(op) {
             return Err(format!("{unit_name} does not implement {op}"));
-        }
-        for c in &self.constraints {
-            for m in &c.members {
-                if matches!(m, SlotPattern::UnitOp { unit, op: Some(o) }
-                            if *unit == uid && *o == op)
-                {
-                    return Err(format!("constraint references {unit_name}.{op}"));
-                }
-            }
         }
         let mut units = self.units.clone();
         units[uid.index()].ops.retain(|c| c.op != op);
@@ -1001,7 +890,6 @@ mod edit_tests {
         assert!(m.units()[1].can_do(Op::Mul));
         // Bus endpoints shrank with the removed bank.
         assert_eq!(m.buses()[0].endpoints.len(), 3);
-        m.validate().unwrap();
     }
 
     #[test]
@@ -1048,6 +936,11 @@ mod edit_tests {
             SlotPattern::UnitOp { unit, .. } => assert_eq!(unit, UnitId(0)),
             _ => panic!("expected unit pattern"),
         }
-        m2.validate().unwrap();
+        // Without U2.mul the constraint can never trigger: a warning,
+        // which loads. Without U3.mul, U3 has no operations: refused.
+        let inert = m.without_op("U2", Op::Mul).unwrap();
+        assert!(inert.findings().iter().all(|f| f.rule == crate::Rule::W003));
+        let e = m.without_op("U3", Op::Mul).unwrap_err();
+        assert!(e.starts_with("E004 unit U3: "), "{e}");
     }
 }

@@ -18,8 +18,10 @@
 //! ```
 
 use crate::model::{
-    Bus, ComplexInstr, Constraint, Location, Machine, OpCap, PatTree, RegBank, SlotPattern, Unit,
+    BankId, Bus, BusId, ComplexInstr, Constraint, Location, Machine, OpCap, PatTree, RegBank,
+    SlotPattern, Unit, UnitId,
 };
+use crate::rules::Element;
 use aviv_ir::Op;
 use std::collections::HashMap;
 use std::error::Error;
@@ -57,7 +59,12 @@ struct Lx<'a> {
     pos: usize,
     line: u32,
     col: u32,
+    /// Where the last token lexed starts.
+    start: Pos,
 }
+
+/// A 1-based (line, column) source position.
+type Pos = (u32, u32);
 
 impl<'a> Lx<'a> {
     fn new(s: &'a str) -> Self {
@@ -66,6 +73,7 @@ impl<'a> Lx<'a> {
             pos: 0,
             line: 1,
             col: 1,
+            start: (1, 1),
         }
     }
 
@@ -110,6 +118,7 @@ impl<'a> Lx<'a> {
                 _ => break,
             }
         }
+        self.start = (self.line, self.col);
         let Some(c) = self.peek() else {
             return Ok(Tok::Eof);
         };
@@ -145,13 +154,19 @@ impl<'a> Lx<'a> {
 struct P<'a> {
     lx: Lx<'a>,
     tok: Tok,
+    /// Where `tok` starts.
+    at: Pos,
 }
 
 impl<'a> P<'a> {
     fn new(s: &'a str) -> Result<Self, IsdlError> {
         let mut lx = Lx::new(s);
         let tok = lx.next_tok()?;
-        Ok(P { lx, tok })
+        Ok(P {
+            at: lx.start,
+            lx,
+            tok,
+        })
     }
 
     fn err(&self, msg: impl Into<String>) -> IsdlError {
@@ -160,6 +175,7 @@ impl<'a> P<'a> {
 
     fn advance(&mut self) -> Result<Tok, IsdlError> {
         let next = self.lx.next_tok()?;
+        self.at = self.lx.start;
         Ok(std::mem::replace(&mut self.tok, next))
     }
 
@@ -203,58 +219,45 @@ impl<'a> P<'a> {
     }
 }
 
-/// Parse a machine description.
+/// Parse a machine description and judge it by the machine rules
+/// ([`Machine::findings`]).
 ///
 /// # Errors
 ///
-/// Returns an [`IsdlError`] with source position for lexical and syntax
-/// problems, or with position 0:0 for semantic problems found by
-/// [`Machine::validate`].
+/// Returns an [`IsdlError`] for lexical and syntax problems, or for the
+/// first error finding, rendered as `CODE element: message` at the
+/// element's declaration.
 pub fn parse_machine(src: &str) -> Result<Machine, IsdlError> {
-    let (name, units, banks, buses, constraints, complexes) = parse_parts(src)?;
-    Machine::from_parts(name, units, banks, buses, constraints, complexes).map_err(|msg| {
-        IsdlError {
-            msg,
-            line: 0,
-            col: 0,
-        }
+    let (machine, spans) = parse_parts(src)?;
+    let Some(f) = machine.refusal() else {
+        return Ok(machine);
+    };
+    let &(_, (line, col)) = spans
+        .iter()
+        .find(|(e, _)| *e == f.element)
+        .expect("every element is declared");
+    Err(IsdlError {
+        msg: f.render(&machine),
+        line,
+        col,
     })
 }
 
-/// Parse a machine description, checking only referential integrity.
-///
-/// Accepts semantically broken machines (orphan banks, dead constraints,
-/// …) that [`parse_machine`] rejects, so static-analysis tools can report
-/// every defect instead of stopping at the first. See
-/// [`Machine::from_parts_lenient`]; the result must not be fed to the
-/// code generator.
+/// Parse a machine description without judging it: the first step of
+/// [`parse_machine`], for the lint. Compile only machines without `E`
+/// findings.
 ///
 /// # Errors
 ///
-/// Returns an [`IsdlError`] for lexical/syntax problems or dangling
-/// references.
-pub fn parse_machine_lenient(src: &str) -> Result<Machine, IsdlError> {
-    let (name, units, banks, buses, constraints, complexes) = parse_parts(src)?;
-    Machine::from_parts_lenient(name, units, banks, buses, constraints, complexes).map_err(|msg| {
-        IsdlError {
-            msg,
-            line: 0,
-            col: 0,
-        }
-    })
+/// Returns an [`IsdlError`] for lexical and syntax problems.
+pub fn parse_machine_unchecked(src: &str) -> Result<Machine, IsdlError> {
+    parse_parts(src).map(|(machine, _)| machine)
 }
 
-type Parts = (
-    String,
-    Vec<Unit>,
-    Vec<RegBank>,
-    Vec<Bus>,
-    Vec<Constraint>,
-    Vec<ComplexInstr>,
-);
-
-fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
+/// The unchecked parse, and where each element is declared.
+fn parse_parts(src: &str) -> Result<(Machine, Vec<(Element, Pos)>), IsdlError> {
     let mut p = P::new(src)?;
+    let mut spans = vec![(Element::Machine, p.at)];
     p.expect_kw("machine")?;
     let name = p.expect_ident()?;
     p.expect_punct('{')?;
@@ -264,14 +267,15 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
     let mut buses: Vec<Bus> = Vec::new();
     let mut constraints: Vec<Constraint> = Vec::new();
     let mut complexes: Vec<ComplexInstr> = Vec::new();
-    let mut bank_names: HashMap<String, crate::model::BankId> = HashMap::new();
-    let mut unit_names: HashMap<String, crate::model::UnitId> = HashMap::new();
+    let mut bank_names: HashMap<String, BankId> = HashMap::new();
+    let mut unit_names: HashMap<String, UnitId> = HashMap::new();
     let mut memory_name: Option<String> = None;
 
     loop {
         if p.eat_punct('}')? {
             break;
         }
+        let at = p.at;
         let kw = p.expect_ident()?;
         match kw.as_str() {
             "unit" => {
@@ -280,16 +284,16 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                 p.expect_kw("ops")?;
                 p.expect_punct('{')?;
                 let mut ops = Vec::new();
-                loop {
+                while !p.eat_punct('}')? {
+                    if !ops.is_empty() {
+                        p.expect_punct(',')?;
+                    }
                     let opname = p.expect_ident()?;
                     let op = Op::from_mnemonic(&opname)
                         .ok_or_else(|| p.err(format!("unknown operation `{opname}`")))?;
                     ops.push(OpCap { op, cost: 1 });
-                    if p.eat_punct('}')? {
-                        break;
-                    }
-                    p.expect_punct(',')?;
                 }
+                spans.push((Element::Bank(BankId(banks.len() as u32)), p.at));
                 p.expect_kw("regfile")?;
                 let bname = p.expect_ident()?;
                 p.expect_punct('[')?;
@@ -297,15 +301,16 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                 p.expect_punct(']')?;
                 p.expect_punct(';')?;
                 p.expect_punct('}')?;
-                let bank = crate::model::BankId(banks.len() as u32);
+                let bank = BankId(banks.len() as u32);
                 if bank_names.insert(bname.clone(), bank).is_some() {
                     return Err(p.err(format!("duplicate regfile `{bname}`")));
                 }
                 banks.push(RegBank { name: bname, size });
-                let uid = crate::model::UnitId(units.len() as u32);
-                if unit_names.insert(uname.clone(), uid).is_some() {
-                    return Err(p.err(format!("duplicate unit `{uname}`")));
-                }
+                // A second unit of the same name is the duplicate-unit
+                // rule's to refuse; names resolve to the first.
+                let uid = UnitId(units.len() as u32);
+                unit_names.entry(uname.clone()).or_insert(uid);
+                spans.push((Element::Unit(uid), at));
                 units.push(Unit {
                     name: uname,
                     ops,
@@ -342,6 +347,7 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                     p.expect_punct(',')?;
                 }
                 p.expect_punct(';')?;
+                spans.push((Element::Bus(BusId(buses.len() as u32)), at));
                 buses.push(Bus {
                     name: bname,
                     endpoints,
@@ -369,7 +375,7 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                         let bus = buses
                             .iter()
                             .position(|b| b.name == bname)
-                            .map(|i| crate::model::BusId(i as u32))
+                            .map(|i| BusId(i as u32))
                             .ok_or_else(|| p.err(format!("unknown bus `{bname}`")))?;
                         members.push(SlotPattern::BusUse { bus });
                     } else {
@@ -398,11 +404,8 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                     Some(k) => k,
                     None => (members.len() as u32).saturating_sub(1),
                 };
-                constraints.push(Constraint {
-                    name: None,
-                    at_most,
-                    members,
-                });
+                spans.push((Element::Constraint(constraints.len()), at));
+                constraints.push(Constraint { at_most, members });
             }
             "complex" => {
                 let cname = p.expect_ident()?;
@@ -416,6 +419,7 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
                 let pattern = parse_pattern(&mut p, &mut arg_names)?;
                 p.expect_punct('}')?;
                 p.expect_punct(';')?;
+                spans.push((Element::Complex(complexes.len()), at));
                 complexes.push(ComplexInstr {
                     name: cname,
                     unit,
@@ -427,7 +431,15 @@ fn parse_parts(src: &str) -> Result<Parts, IsdlError> {
         }
     }
 
-    Ok((name, units, banks, buses, constraints, complexes))
+    let machine = Machine {
+        name,
+        units,
+        banks,
+        buses,
+        constraints,
+        complexes,
+    };
+    Ok((machine, spans))
 }
 
 /// Parse `op(sub, sub, ...)` or an operand name into a pattern tree.
@@ -443,13 +455,6 @@ fn parse_pattern(p: &mut P<'_>, arg_names: &mut Vec<String>) -> Result<PatTree, 
                 break;
             }
             p.expect_punct(',')?;
-        }
-        if subs.len() != op.arity() {
-            return Err(p.err(format!(
-                "pattern op `{head}` expects {} operands, found {}",
-                op.arity(),
-                subs.len()
-            )));
         }
         Ok(PatTree::Op(op, subs))
     } else {
@@ -528,9 +533,10 @@ mod tests {
         .is_err());
     }
 
+    /// A refusal names the rule's code and the element, at the
+    /// element's declaration.
     #[test]
-    fn rejects_semantic_problems_via_validation() {
-        // Bank never connected to memory.
+    fn refusals_carry_the_code_and_the_declaration() {
         let e = parse_machine(
             "machine X {
                 unit U1 { ops { add } regfile R1[4]; }
@@ -540,14 +546,15 @@ mod tests {
             }",
         )
         .unwrap_err();
-        assert!(e.msg.contains("unreachable"), "{e}");
+        assert_eq!((e.line, e.col), (3, 39), "{e}");
+        assert!(e.msg.starts_with("E002 bank R2: "), "{e}");
     }
 
     /// `at_most 0` would make every matching operation illegal even on
-    /// its own, so no schedule could issue it: validation refuses it as
-    /// the twin of a constraint that can never trigger.
+    /// its own, so no schedule could issue it: the loader refuses it. A
+    /// constraint that can never trigger is only a warning and loads.
     #[test]
-    fn rejects_a_constraint_that_always_triggers() {
+    fn refuses_a_constraint_that_always_triggers() {
         let machine = |at_most: u32| {
             format!(
                 "machine X {{
@@ -560,11 +567,11 @@ mod tests {
             )
         };
         let e = parse_machine(&machine(0)).unwrap_err();
-        assert!(e.msg.contains("constraint that always triggers"), "{e}");
+        assert_eq!((e.line, e.col), (6, 21), "{e}");
+        assert!(e.msg.starts_with("E004 constraint #0: at most 0"), "{e}");
         assert!(parse_machine(&machine(1)).is_ok());
-        let e = parse_machine(&machine(2)).unwrap_err();
-        assert!(e.msg.contains("constraint that can never trigger"), "{e}");
-        assert!(parse_machine_lenient(&machine(0)).is_ok());
+        assert!(parse_machine(&machine(2)).is_ok());
+        assert!(parse_machine_unchecked(&machine(0)).is_ok());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The broken fixtures under `tests/fixtures/` feed the verifier-crate
-//! snapshot tests.  This file pins which parse path accepts each one:
-//! the lenient parser must accept everything (so the linter can see it),
-//! while the strict parser rejects only the machine with a dangling bank.
+//! The fixtures under `tests/fixtures/` feed the verifier-crate snapshot
+//! tests. This file pins which of them the strict parser refuses: every
+//! fixture with an error-coded defect, at that defect's declaration,
+//! while the unchecked parse accepts them all so the linter can see them.
 
-use aviv_isdl::{parse_machine, parse_machine_lenient};
+use aviv_isdl::{parse_machine, parse_machine_unchecked};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -15,39 +15,24 @@ fn fixture(name: &str) -> String {
 }
 
 #[test]
-fn orphan_bank_needs_the_lenient_parser() {
-    let src = fixture("orphan_bank.isdl");
-    let err = parse_machine(&src).expect_err("strict parse must reject an unreachable bank");
-    assert!(
-        err.to_string().contains("RF2"),
-        "error should name the orphan bank: {err}"
-    );
-    let machine = parse_machine_lenient(&src).expect("lenient parse must accept it");
-    assert_eq!(machine.name, "OrphanBank");
-    assert_eq!(machine.banks().len(), 2);
-}
-
-#[test]
-fn uncoverable_op_passes_strict_validation() {
-    // Nothing structurally wrong: the defect (a pattern op no unit
-    // implements) is semantic and only the linter reports it.
-    let machine = parse_machine(&fixture("uncoverable_op.isdl")).unwrap();
-    assert_eq!(machine.complexes().len(), 1);
-    machine.validate().unwrap();
-}
-
-#[test]
-fn dead_complex_passes_strict_validation() {
-    let machine = parse_machine(&fixture("dead_complex.isdl")).unwrap();
-    assert_eq!(machine.complexes().len(), 1);
-    machine.validate().unwrap();
-}
-
-#[test]
-fn lenient_and_strict_agree_on_well_formed_machines() {
-    for src in [fixture("uncoverable_op.isdl"), fixture("dead_complex.isdl")] {
-        let strict = parse_machine(&src).unwrap();
-        let lenient = parse_machine_lenient(&src).unwrap();
-        assert_eq!(format!("{strict:?}"), format!("{lenient:?}"));
+fn fixtures_with_errors_are_refused_at_the_defect() {
+    for (name, line, col, start) in [
+        ("orphan_bank.isdl", 5, 32, "E002 bank RF2: "),
+        ("uncoverable_op.isdl", 8, 5, "E001 complex mac: "),
+        ("dead_complex.isdl", 8, 5, "E003 complex dead: "),
+        ("at_most_zero.isdl", 11, 5, "E004 constraint #0: "),
+        ("duplicate_endpoint_bus.isdl", 10, 5, "E004 bus X: "),
+    ] {
+        let src = fixture(name);
+        let err = parse_machine(&src).expect_err(name);
+        assert!(err.msg.starts_with(start), "{name}: {err}");
+        assert_eq!((err.line, err.col), (line, col), "{name}: {err}");
+        parse_machine_unchecked(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
+}
+
+#[test]
+fn a_constraint_that_can_never_trigger_loads() {
+    let machine = parse_machine(&fixture("inert_constraint.isdl")).unwrap();
+    assert_eq!(machine.constraints().len(), 1);
 }

@@ -15,7 +15,7 @@ fn fixture(name: &str) -> String {
 }
 
 fn codes_for(name: &str) -> Vec<Code> {
-    let machine = aviv_isdl::parse_machine_lenient(&fixture(name)).unwrap();
+    let machine = aviv_isdl::parse_machine_unchecked(&fixture(name)).unwrap();
     lint_machine(&machine).into_iter().map(|d| d.code).collect()
 }
 
@@ -38,8 +38,30 @@ fn dead_complex_reports_e003() {
 }
 
 #[test]
+fn at_most_zero_reports_e004() {
+    let codes = codes_for("at_most_zero.isdl");
+    assert_eq!(codes, vec![Code::E004], "at_most_zero.isdl: {codes:?}");
+}
+
+#[test]
+fn duplicate_endpoint_bus_reports_e004() {
+    let codes = codes_for("duplicate_endpoint_bus.isdl");
+    assert_eq!(
+        codes,
+        vec![Code::E004, Code::W004, Code::W001],
+        "duplicate_endpoint_bus.isdl: {codes:?}"
+    );
+}
+
+#[test]
+fn inert_constraint_reports_w003_only() {
+    let codes = codes_for("inert_constraint.isdl");
+    assert_eq!(codes, vec![Code::W003], "inert_constraint.isdl: {codes:?}");
+}
+
+#[test]
 fn orphan_bank_text_report_snapshot() {
-    let machine = aviv_isdl::parse_machine_lenient(&fixture("orphan_bank.isdl")).unwrap();
+    let machine = aviv_isdl::parse_machine_unchecked(&fixture("orphan_bank.isdl")).unwrap();
     let report = render_report(&lint_machine(&machine), Format::Text);
     assert!(report.contains("error[E002]"), "{report}");
     assert!(report.contains("RF2"), "{report}");
@@ -53,7 +75,7 @@ fn json_reports_carry_codes_and_explanations() {
         ("uncoverable_op.isdl", "E001"),
         ("dead_complex.isdl", "E003"),
     ] {
-        let machine = aviv_isdl::parse_machine_lenient(&fixture(name)).unwrap();
+        let machine = aviv_isdl::parse_machine_unchecked(&fixture(name)).unwrap();
         let report = render_report(&lint_machine(&machine), Format::Json);
         assert!(
             report.contains(&format!("\"code\":\"{code}\"")),
