@@ -5,7 +5,6 @@
 
 use crate::examples::Example;
 use aviv::{CodeGenerator, CodegenOptions};
-use aviv_baseline::BaselineGenerator;
 use aviv_ir::randdag::{random_block, RandDagConfig};
 use aviv_ir::MemLayout;
 use aviv_isdl::{archs, Machine, Target};
@@ -27,27 +26,26 @@ pub struct CompareRow {
     pub baseline_spills: usize,
 }
 
-/// Compare AVIV against the sequential baseline on one block.
+/// Compare AVIV against the sequential baseline
+/// ([`CodegenOptions::phase_ordered`]) on one block.
 pub fn compare_block(name: &str, f: &aviv_ir::Function, machine: Machine) -> CompareRow {
-    let gen = CodeGenerator::new(machine.clone()).options(CodegenOptions::heuristics_on());
-    let mut syms = f.syms.clone();
-    let mut layout = MemLayout::for_function(f);
-    let a = gen
-        .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
-        .expect("block compiles");
-
-    let base = BaselineGenerator::new(machine);
-    let mut syms = f.syms.clone();
-    let mut layout = MemLayout::for_function(f);
-    let b = base
-        .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
-        .expect("block compiles");
-
+    let [a, b] = [false, true].map(|phase_ordered| {
+        let options = CodegenOptions {
+            phase_ordered,
+            ..CodegenOptions::heuristics_on()
+        };
+        let gen = CodeGenerator::new(machine.clone()).options(options);
+        let mut syms = f.syms.clone();
+        let mut layout = MemLayout::for_function(f);
+        gen.compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
+            .expect("block compiles")
+            .report
+    });
     CompareRow {
         name: name.to_string(),
-        aviv: a.report.instructions,
-        baseline: b.size,
-        aviv_spills: a.report.spills,
+        aviv: a.instructions,
+        baseline: b.instructions,
+        aviv_spills: a.spills,
         baseline_spills: b.spills,
     }
 }

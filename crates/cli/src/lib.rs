@@ -33,7 +33,7 @@ use aviv::verify::{
     Format, Severity,
 };
 use aviv::{CodeGenerator, CodegenError, CodegenOptions, CompileReport, VliwProgram};
-use aviv_ir::{parse_function, Function, MemLayout};
+use aviv_ir::{parse_function, Function};
 use aviv_isdl::{parse_machine, parse_machine_unchecked, Target};
 use std::fmt::Write as _;
 
@@ -85,7 +85,8 @@ pub struct Options {
     /// count and peak pressure against the static lower bounds from
     /// `aviv_verify::analyze`.
     pub report: bool,
-    /// Use the sequential baseline generator instead of AVIV.
+    /// Plan with the sequential phase-ordered comparator instead of
+    /// AVIV (`CodegenOptions::phase_ordered`).
     pub baseline: bool,
     /// Force the pipeline invariant verifier on (it already defaults on
     /// in debug builds).
@@ -311,12 +312,11 @@ options:
                                       table: achieved instructions and
                                       peak pressure vs the static lower
                                       bounds
-  --baseline                          use the sequential phase-ordered
-                                      generator instead of AVIV
-                                      (single-block programs; --simulate
-                                      and --stats apply, --explain,
-                                      --report and --validate are
-                                      refused)
+  --baseline                          plan with the sequential
+                                      phase-ordered comparator instead
+                                      of AVIV; every other option
+                                      applies but --explain, which has
+                                      no search to explain
   --verify                            run the pipeline invariant verifier
                                       (default in debug builds); compile
                                       fails on any violation
@@ -486,6 +486,12 @@ impl Options {
                 other => return Err(err(format!("unknown argument `{other}`\n{USAGE}"))),
             }
         }
+        if baseline && explain {
+            return Err(err(
+                "--explain does not support --baseline (the baseline runs \
+                 no covering search to explain)",
+            ));
+        }
         Ok(Options {
             machine_path: machine_path.ok_or_else(|| err("missing --machine"))?,
             program_path: program_path.ok_or_else(|| err("missing program path"))?,
@@ -541,37 +547,6 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     let target = generator.target();
     let mut outcome = Outcome::default();
 
-    if options.baseline {
-        if options.validate {
-            return Err(err(
-                "--validate does not support --baseline (baseline blocks \
-                 carry no terminators to check)",
-            ));
-        }
-        if options.explain || options.report {
-            return Err(err(
-                "--explain and --report do not support --baseline (the \
-                 baseline runs no covering search to explain or bound)",
-            ));
-        }
-        if matches!(options.emit, Emit::Dot | Emit::SndagDot) {
-            return Err(err(
-                "--baseline builds no graph for --emit dot or sndag-dot",
-            ));
-        }
-        let planned = generator.planned_function(&function);
-        let program = baseline_program(target, &planned, &mut outcome.report)?;
-        if options.stats {
-            let instructions = program.instructions.len();
-            push_stats(&mut outcome.report, "", target, &program, 1, instructions);
-        }
-        if let Some(bindings) = &options.simulate {
-            run_simulation(target, &program, bindings, &mut outcome)?;
-        }
-        outcome.output = emit_code(options.emit, target, &program, None, &mut outcome.report)?;
-        return Ok(outcome);
-    }
-
     // The Split-Node DAG precedes covering: draw it from the
     // dead-code-free function that `compile_function` would compile.
     if options.emit == Emit::SndagDot {
@@ -608,9 +583,8 @@ pub fn drive(options: &Options, machine_src: &str, program_src: &str) -> Result<
     Ok(outcome)
 }
 
-/// The `asm`, `bin` or `rom` output of a program, AVIV's or the
-/// baseline's: `asm` is the assembly if already rendered, and `--emit
-/// rom` adds its size line to `report`.
+/// The `asm`, `bin` or `rom` output of a program: `asm` is the assembly
+/// if already rendered, and `--emit rom` adds its size line to `report`.
 fn emit_code(
     emit: Emit,
     target: &Target,
@@ -712,31 +686,19 @@ fn report_compile(
         }
     }
     if options.stats {
-        let (blocks, instructions) = (report.blocks.len(), report.total_instructions);
-        push_stats(out, prefix, target, program, blocks, instructions);
+        push_prefixed(
+            out,
+            prefix,
+            &aviv_vm::program_stats(target, program).render(target),
+        );
+        let _ = writeln!(
+            out,
+            "{prefix}blocks: {}, total instructions: {}",
+            report.blocks.len(),
+            report.total_instructions
+        );
     }
     Ok(asm)
-}
-
-/// Append `--stats`' lines for `program`, AVIV's or the baseline's: the
-/// utilization table, then the block and instruction counts.
-fn push_stats(
-    out: &mut String,
-    prefix: &str,
-    target: &Target,
-    program: &VliwProgram,
-    blocks: usize,
-    instructions: usize,
-) {
-    push_prefixed(
-        out,
-        prefix,
-        &aviv_vm::program_stats(target, program).render(target),
-    );
-    let _ = writeln!(
-        out,
-        "{prefix}blocks: {blocks}, total instructions: {instructions}"
-    );
 }
 
 /// Append `text` to `out` with `prefix` before each of its lines.
@@ -778,6 +740,7 @@ fn build_preset(options: &Options) -> CodegenOptions {
     if options.verify {
         preset = preset.with_verify(true);
     }
+    preset.phase_ordered = options.baseline;
     preset
 }
 
@@ -794,8 +757,8 @@ fn build_preset(options: &Options) -> CodegenOptions {
 ///
 /// Returns a [`CliError`] for unparsable sources, for the first failing
 /// compile (prefixed with the program's name), or when an option that
-/// has no batch meaning (`--emit` other than `asm`, `--baseline`,
-/// `--simulate`, `--explain`) was combined with multiple programs.
+/// has no batch meaning (`--emit` other than `asm`, `--simulate`,
+/// `--explain`) was combined with multiple programs.
 pub fn drive_batch(
     options: &Options,
     machine_src: &str,
@@ -806,10 +769,10 @@ pub fn drive_batch(
             "batch mode (multiple programs) supports --emit asm only",
         ));
     }
-    if options.baseline || options.simulate.is_some() || options.explain {
+    if options.simulate.is_some() || options.explain {
         return Err(err(
-            "batch mode (multiple programs) does not support --baseline, \
-             --simulate, or --explain",
+            "batch mode (multiple programs) does not support --simulate \
+             or --explain",
         ));
     }
     let machine =
@@ -935,38 +898,6 @@ pub fn run_analyze(
     Ok((render_analysis(&analysis, options.format), fail))
 }
 
-/// Compile a single-block `function` with the sequential baseline,
-/// reporting its size to `report`.
-fn baseline_program(
-    target: &Target,
-    function: &Function,
-    report: &mut String,
-) -> Result<VliwProgram, CliError> {
-    if function.blocks.len() != 1 {
-        return Err(err("--baseline supports single-block programs"));
-    }
-    let generator = aviv_baseline::BaselineGenerator::with_target(target.clone());
-    let mut syms = function.syms.clone();
-    let mut layout = MemLayout::for_function(function);
-    let r = generator
-        .compile_block(&function.blocks[0].dag, &mut syms, &mut layout)
-        .map_err(|e| err(format!("baseline compile: {e}")))?;
-    let _ = writeln!(
-        report,
-        "baseline: {} instructions, {} spill(s)",
-        r.size, r.spills
-    );
-    Ok(VliwProgram {
-        machine_name: target.machine.name.clone(),
-        instructions: r.instructions,
-        block_starts: vec![0],
-        var_addrs: syms
-            .iter()
-            .map(|(s, n)| (n.to_string(), layout.addr(s)))
-            .collect(),
-    })
-}
-
 fn run_simulation(
     target: &Target,
     program: &VliwProgram,
@@ -1082,10 +1013,11 @@ mod tests {
         let program = aviv_vm::disassemble(&target, &bin.output).unwrap();
         let (stream, _) = aviv_vm::encode_packed(&target, &program).unwrap();
         assert_eq!(rom.output, stream);
-        // The baseline builds no cover graph to draw.
+        // The baseline's plans are drawn like AVIV's.
         for kind in ["dot", "sndag-dot"] {
-            let e = drive(&opts(&["--baseline", "--emit", kind]), MACHINE, PROGRAM).unwrap_err();
-            assert!(e.0.contains("--baseline"), "{kind}: {e}");
+            let out = drive(&opts(&["--baseline", "--emit", kind]), MACHINE, PROGRAM).unwrap();
+            let text = String::from_utf8(out.output).unwrap();
+            assert!(text.starts_with("digraph"), "{kind}: {text}");
         }
     }
 
@@ -1137,10 +1069,20 @@ mod tests {
 
     #[test]
     fn baseline_mode_compiles() {
-        let out = drive(&opts(&["--baseline"]), MACHINE, PROGRAM).unwrap();
-        assert!(out.report.contains("baseline:"), "{}", out.report);
+        let out = drive(&opts(&["--baseline", "--stats"]), MACHINE, PROGRAM).unwrap();
+        assert!(
+            out.report.contains("blocks: 1, total instructions: "),
+            "{}",
+            out.report
+        );
         let text = String::from_utf8(out.output).unwrap();
-        assert!(text.contains("mul"));
+        assert!(text.contains("mul"), "{text}");
+        assert!(text.contains("ret"), "{text}");
+        // --explain has no search to explain.
+        assert!(Options::parse(
+            &["--machine", "m", "p", "--baseline", "--explain"].map(String::from)
+        )
+        .is_err());
     }
 
     #[test]
@@ -1189,6 +1131,8 @@ mod tests {
         assert!(opts(&[]).extra_programs.is_empty());
     }
 
+    /// A batch, AVIV's or the baseline's, is the single-program outputs
+    /// under their banners, at every worker count.
     #[test]
     fn batch_output_is_banner_separated_and_jobs_invariant() {
         let second = "func g(a, b) { y = a + b; z = y * y; return z; }";
@@ -1196,22 +1140,29 @@ mod tests {
             ("first.av".to_string(), PROGRAM.to_string()),
             ("second.av".to_string(), second.to_string()),
         ];
-        let batch = drive_batch(&opts(&[]), MACHINE, &programs).unwrap();
-        let text = String::from_utf8(batch.output.clone()).unwrap();
-        // Input order is preserved and each chunk matches the
-        // single-program driver byte for byte.
-        let one = drive(&opts(&[]), MACHINE, PROGRAM).unwrap();
-        let two = drive(&opts(&[]), MACHINE, second).unwrap();
-        let mut expected = b"; program first.av\n".to_vec();
-        expected.extend_from_slice(&one.output);
-        expected.extend_from_slice(b"; program second.av\n");
-        expected.extend_from_slice(&two.output);
-        assert_eq!(batch.output, expected, "{text}");
-        // Worker count never changes the bytes.
-        for jobs in ["0", "4"] {
-            let par = drive_batch(&opts(&["--jobs", jobs]), MACHINE, &programs).unwrap();
-            assert_eq!(par.output, batch.output, "--jobs {jobs}");
-            assert_eq!(par.report, batch.report, "--jobs {jobs}");
+        for extra in [&[][..], &["--baseline"]] {
+            let batch = drive_batch(&opts(extra), MACHINE, &programs).unwrap();
+            let text = String::from_utf8(batch.output.clone()).unwrap();
+            // Input order is preserved and each chunk matches the
+            // single-program driver byte for byte.
+            let one = drive(&opts(extra), MACHINE, PROGRAM).unwrap();
+            let two = drive(&opts(extra), MACHINE, second).unwrap();
+            let mut expected = b"; program first.av\n".to_vec();
+            expected.extend_from_slice(&one.output);
+            expected.extend_from_slice(b"; program second.av\n");
+            expected.extend_from_slice(&two.output);
+            assert_eq!(batch.output, expected, "{extra:?}: {text}");
+            // Worker count never changes the bytes.
+            for jobs in ["0", "4"] {
+                let par = drive_batch(
+                    &opts(&[extra, &["--jobs", jobs]].concat()),
+                    MACHINE,
+                    &programs,
+                )
+                .unwrap();
+                assert_eq!(par.output, batch.output, "{extra:?} --jobs {jobs}");
+                assert_eq!(par.report, batch.report, "{extra:?} --jobs {jobs}");
+            }
         }
     }
 
@@ -1222,7 +1173,6 @@ mod tests {
             ("b.av".to_string(), PROGRAM.to_string()),
         ];
         assert!(drive_batch(&opts(&["--emit", "bin"]), MACHINE, &programs).is_err());
-        assert!(drive_batch(&opts(&["--baseline"]), MACHINE, &programs).is_err());
         assert!(drive_batch(&opts(&["--simulate", "a=1"]), MACHINE, &programs).is_err());
         assert!(drive_batch(&opts(&["--explain"]), MACHINE, &programs).is_err());
     }
@@ -1393,8 +1343,11 @@ mod tests {
         let out = drive(&opts(&["--validate", "--fuel", "1"]), MACHINE, PROGRAM).unwrap();
         assert!(out.report.contains("downgrade:"), "{}", out.report);
         assert!(out.report.contains("validate: "), "{}", out.report);
-        // --baseline output has no terminators to check.
-        assert!(drive(&opts(&["--validate", "--baseline"]), MACHINE, PROGRAM).is_err());
+        // The baseline's output validates, multi-block programs too.
+        for program in [PROGRAM, branchy] {
+            let out = drive(&opts(&["--validate", "--baseline"]), MACHINE, program).unwrap();
+            assert!(out.report.contains("validate: "), "{}", out.report);
+        }
     }
 
     #[test]

@@ -240,8 +240,8 @@ const DOT4_INPUTS: &str = "x0=1,x1=2,x2=3,x3=4,y0=5,y1=6,y2=7,y3=8";
 
 /// `--baseline` honours `--simulate` and `--stats` on the baseline's
 /// program: the run prints its utilization table and block count, and
-/// the simulated dot product lands in `acc` (baseline blocks carry no
-/// terminator, so the run returns nothing).
+/// the simulated dot product lands in `acc` and is returned (the
+/// baseline's blocks end in their terminators, as AVIV's do).
 #[test]
 fn baseline_simulates_and_prints_stats() {
     let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
@@ -253,36 +253,70 @@ fn baseline_simulates_and_prints_stats() {
         .unwrap();
     let report = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{report}");
-    assert!(report.contains("baseline: 14 instructions"), "{report}");
     assert!(report.contains("unit-slot utilization"), "{report}");
     assert!(
-        report.contains("blocks: 1, total instructions: 14"),
+        report.contains("blocks: 1, total instructions: 15"),
         "{report}"
     );
-    assert!(report.contains("simulation: 14 cycles"), "{report}");
+    assert!(
+        report.contains("simulation: 15 cycles, return Some(70)"),
+        "{report}"
+    );
     assert!(report.contains("acc = 70"), "{report}");
 }
 
-/// `--explain` and `--report` describe AVIV's covering search, which
-/// the baseline does not run: with `--baseline` each is refused, as
-/// `--validate` is, instead of being ignored.
+/// `--explain` describes AVIV's covering search, which the baseline
+/// does not run, so `--baseline --explain` is refused; `--report`
+/// prints the baseline's gap table.
 #[test]
-fn baseline_refuses_explain_and_report() {
+fn baseline_refuses_explain_only() {
     let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
-    for flag in ["--explain", "--report"] {
-        let out = avivc()
+    let run = |flag: &str| {
+        avivc()
             .args(["--machine", &format!("{assets}/fig3.isdl")])
             .arg(format!("{assets}/dot4.av"))
             .args(["--baseline", flag])
             .output()
-            .unwrap();
-        assert!(!out.status.success(), "{flag}");
-        assert!(out.stdout.is_empty(), "{flag}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("do not support --baseline"),
-            "{flag}: {stderr}"
-        );
+            .unwrap()
+    };
+    let out = run("--explain");
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("does not support --baseline"), "{stderr}");
+    let out = run("--report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("bb0: 14 "), "{stderr}");
+}
+
+/// The baseline's output passes the translation validator on every
+/// bundled machine × program pair, the multi-block `sum_loop` included,
+/// and is byte-identical at every worker count.
+#[test]
+fn baseline_validates_every_bundled_pair_at_any_jobs() {
+    let assets = concat!(env!("CARGO_MANIFEST_DIR"), "/../../assets");
+    for machine in ["fig3", "archII", "dsp_mac"] {
+        for program in ["dot4", "sum_loop"] {
+            let asm: Vec<Vec<u8>> = ["1", "4", "0"]
+                .iter()
+                .map(|jobs| {
+                    let out = avivc()
+                        .args(["--machine", &format!("{assets}/{machine}.isdl")])
+                        .arg(format!("{assets}/{program}.av"))
+                        .args(["--baseline", "--validate", "--jobs", jobs])
+                        .output()
+                        .unwrap();
+                    let stderr = String::from_utf8_lossy(&out.stderr);
+                    assert!(out.status.success(), "{machine}×{program}: {stderr}");
+                    assert!(stderr.contains(", ok"), "{machine}×{program}: {stderr}");
+                    out.stdout
+                })
+                .collect();
+            assert!(asm[0].ends_with(b"ret r0.0 }\n"), "{machine}×{program}");
+            assert_eq!(asm[0], asm[1], "{machine}×{program} --jobs 4");
+            assert_eq!(asm[0], asm[2], "{machine}×{program} --jobs 0");
+        }
     }
 }
 

@@ -414,8 +414,9 @@ impl BlockPlan {
         )
     }
 
-    /// Reassemble from decoded snapshot parts ([`crate::persist`]).
-    pub(crate) fn from_wire_parts(
+    /// Assemble from its parts: decoded snapshot parts
+    /// ([`crate::persist`]) or the phase-ordered planner's.
+    pub(crate) fn from_parts(
         graph: CoverGraph,
         schedule: Schedule,
         alloc: Allocation,
@@ -638,7 +639,9 @@ impl CodeGenerator {
 
     /// Plan one basic block against an immutable `snapshot` of the symbol
     /// table: assignment exploration, covering, register allocation, and
-    /// peephole — everything except emission. Mutates nothing, so any
+    /// peephole — everything except emission (with
+    /// [`CodegenOptions::phase_ordered`], greedy binding, list
+    /// scheduling and allocation instead). Mutates nothing, so any
     /// number of blocks can be planned concurrently from one snapshot.
     ///
     /// # Errors
@@ -657,7 +660,9 @@ impl CodeGenerator {
     /// wall-clock `deadline` is shared — a block that blew the deadline
     /// falls straight through to the unbudgeted last rung), catching
     /// panics at the rung boundary and recording every step down as a
-    /// [`Downgrade`].
+    /// [`Downgrade`]. With [`CodegenOptions::phase_ordered`] the
+    /// phase-ordered comparator plans the block instead, without a
+    /// ladder.
     fn plan_block_at(
         &self,
         dag: &BlockDag,
@@ -665,6 +670,9 @@ impl CodeGenerator {
         block: usize,
         deadline: Option<Instant>,
     ) -> Result<BlockPlan, CodegenError> {
+        if self.options.phase_ordered {
+            return self.plan_phase_ordered(dag, snapshot);
+        }
         let injector = FaultInjector::new(self.options.faults.as_ref(), block);
         let mut downgrades: Vec<Downgrade> = Vec::new();
         let mut mode = CoverMode::Concurrent;

@@ -90,7 +90,7 @@
 
 use crate::bound::schedule_lower_bound;
 use crate::budget::{Budget, Exhaustion};
-use crate::cliques::CliquePool;
+use crate::cliques::{conflict, CliquePool};
 use crate::covergraph::{CnId, CoverGraph, Operand};
 use crate::invariants::verify_schedule;
 use crate::options::CodegenOptions;
@@ -1209,7 +1209,8 @@ fn wedged(covered: usize, total: usize) -> CoverError {
 /// spill loop converge; the freshly staged operand of the very next op
 /// always loses the comparison. Values for which `protected` holds are
 /// evicted only when nothing else is evictable. Every covering rung and
-/// the sequential baseline choose their victims here.
+/// the phase-ordered comparator's list scheduler choose their victims
+/// here.
 pub fn spill_victim(
     graph: &CoverGraph,
     target: &Target,
@@ -1522,82 +1523,179 @@ pub fn cover_sequential_budgeted(
             });
         match pick {
             Some(r) => {
-                let covered = &mut state.covered;
-                covered.insert(r.index());
+                state.covered.insert(r.index());
                 steps.push(vec![r]);
                 // Eager eviction of the fresh value.
-                let has_pending_use = graph.uses(r).iter().any(|u| !covered.contains(u.index()));
-                if has_pending_use
-                    && graph.node(r).dest_bank(target).is_some()
-                    && !no_eager.contains(r.index())
-                    && !graph.live_out().iter().any(|&(_, op)| op == Operand::Cn(r))
+                let has_pending_use = graph
+                    .uses(r)
+                    .iter()
+                    .any(|u| !state.covered.contains(u.index()));
+                if !has_pending_use
+                    || graph.node(r).dest_bank(target).is_none()
+                    || no_eager.contains(r.index())
+                    || graph.live_out().iter().any(|&(_, op)| op == Operand::Cn(r))
                 {
-                    if spills.len() >= spill_limit {
-                        return Err(CoverError::SpillLimit);
-                    }
-                    let (slot, outcome) = graph
-                        .relieve_pressure(target, syms, r, covered)
-                        .map_err(CoverError::Internal)?;
-                    covered.grow(graph.len());
-                    rows.rebuild(graph, target);
-                    no_eager.grow(graph.len());
-                    for &nn in &outcome.new_nodes {
-                        no_eager.insert(nn.index());
-                    }
-                    spills.push(SpillRecord {
-                        slot,
-                        victim: r,
-                        spill: outcome.spill,
-                        nodes: outcome.new_nodes,
-                    });
+                    continue;
                 }
-            }
-            None => {
-                // Staging conflict: evict the live value whose next use is
-                // farthest (see `spill_victim`).
                 if spills.len() >= spill_limit {
                     return Err(CoverError::SpillLimit);
                 }
-                let mut blocked = vec![0usize; target.machine.banks().len()];
-                for r in state.ready_ids() {
-                    if let Some(b) = graph.node(r).dest_bank(target) {
-                        if state.pressure[b.index()]
-                            >= target.machine.banks()[b.index()].size as usize
-                        {
-                            blocked[b.index()] += 1;
-                        }
-                    }
-                }
-                let bank = BankId(
-                    (0..blocked.len())
-                        .max_by_key(|&b| (blocked[b], state.pressure[b]))
-                        .expect("machine has banks") as u32,
-                );
-                let victim = spill_victim(graph, target, &state.covered, bank, |_| false);
-                let Some(victim) = victim else {
-                    return Err(CoverError::RegisterPressure { bank });
-                };
-                let (slot, outcome) = graph
-                    .relieve_pressure(target, syms, victim, &state.covered)
-                    .map_err(CoverError::Internal)?;
-                state.covered.grow(graph.len());
-                rows.rebuild(graph, target);
-                no_eager.grow(graph.len());
-                for &nn in &outcome.new_nodes {
-                    no_eager.insert(nn.index());
-                }
-                spills.push(SpillRecord {
-                    slot,
-                    victim,
-                    spill: outcome.spill,
-                    nodes: outcome.new_nodes,
-                });
+                spill(graph, target, syms, &mut state, &mut rows, &mut spills, r)?;
             }
+            // Staging conflict: evict the live value whose next use is
+            // farthest (see `spill_victim`).
+            None => spill_stuck(
+                graph,
+                target,
+                syms,
+                &mut state,
+                &mut rows,
+                &mut spills,
+                spill_limit,
+            )?,
+        }
+        no_eager.grow(graph.len());
+        for nn in &spills.last().expect("a spill was just recorded").nodes {
+            no_eager.insert(nn.index());
         }
     }
     let schedule = Schedule { steps, spills };
     debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
     budget.record_schedule(schedule.len());
+    Ok(schedule)
+}
+
+/// Spill `victim`, a covered value, then grow the covering state and
+/// rebuild its masks over the nodes the spill added, and record it.
+fn spill(
+    graph: &mut CoverGraph,
+    target: &Target,
+    syms: &mut SymbolTable,
+    state: &mut State,
+    rows: &mut Rows,
+    spills: &mut Vec<SpillRecord>,
+    victim: CnId,
+) -> Result<(), CoverError> {
+    let (slot, outcome) = graph
+        .relieve_pressure(target, syms, victim, &state.covered)
+        .map_err(CoverError::Internal)?;
+    state.covered.grow(graph.len());
+    rows.rebuild(graph, target);
+    spills.push(SpillRecord {
+        slot,
+        victim,
+        spill: outcome.spill,
+        nodes: outcome.new_nodes,
+    });
+    Ok(())
+}
+
+/// The step both sequential engines take when nothing ready fits in the
+/// recomputed `state`: spill, from the bank that blocks the most ready
+/// nodes (the fullest bank when none is blocked, the last bank on
+/// ties), the value [`spill_victim`] picks. Fails with
+/// [`CoverError::SpillLimit`] once `limit` spills are recorded.
+fn spill_stuck(
+    graph: &mut CoverGraph,
+    target: &Target,
+    syms: &mut SymbolTable,
+    state: &mut State,
+    rows: &mut Rows,
+    spills: &mut Vec<SpillRecord>,
+    limit: usize,
+) -> Result<(), CoverError> {
+    if spills.len() >= limit {
+        return Err(CoverError::SpillLimit);
+    }
+    let banks = target.machine.banks();
+    let mut blocked = vec![0usize; banks.len()];
+    for r in state.ready_ids() {
+        if let Some(b) = graph.node(r).dest_bank(target) {
+            if state.pressure[b.index()] >= banks[b.index()].size as usize {
+                blocked[b.index()] += 1;
+            }
+        }
+    }
+    let bank = BankId(
+        (0..blocked.len())
+            .max_by_key(|&b| (blocked[b], state.pressure[b]))
+            .expect("machine has banks") as u32,
+    );
+    let victim = spill_victim(graph, target, &state.covered, bank, |_| false)
+        .ok_or(CoverError::RegisterPressure { bank })?;
+    spill(graph, target, syms, state, rows, spills, victim)
+}
+
+/// Critical-path list scheduling, the scheduler of the phase-ordered
+/// comparator ([`CodegenOptions::phase_ordered`]). Each step fills one
+/// instruction from the ready nodes, longest path from the top first
+/// (lowest id on ties), adding every node that keeps the group free of
+/// resource conflicts and every bank within its size. When nothing ready
+/// fits, it takes the stuck-bank spill step of
+/// [`cover_sequential_budgeted`], with a limit of four spills per node
+/// (at least 8 nodes) where that engine allows forty. Unbudgeted.
+///
+/// # Errors
+///
+/// [`CoverError::SpillLimit`] or [`CoverError::RegisterPressure`] when
+/// spilling does not get it unstuck; the comparator then covers a fresh
+/// graph with [`cover_sequential`].
+pub(crate) fn list_schedule(
+    graph: &mut CoverGraph,
+    target: &Target,
+    syms: &mut SymbolTable,
+) -> Result<Schedule, CoverError> {
+    let mut state = State::new(graph);
+    let mut rows = Rows::default();
+    rows.rebuild(graph, target);
+    let (mut ready, mut group): (Vec<CnId>, Vec<CnId>) = (Vec::new(), Vec::new());
+    let mut mask: Vec<u64> = Vec::new();
+    let mut pressure: Vec<usize> = Vec::new();
+    let mut steps: Vec<Vec<CnId>> = Vec::new();
+    let mut spills: Vec<SpillRecord> = Vec::new();
+    let spill_limit = 4 * graph.len().max(8);
+
+    loop {
+        let total_alive = graph.live_len();
+        if state.covered.count() >= total_alive {
+            break;
+        }
+        state.recompute(&rows);
+        if !state.has_ready() {
+            return Err(wedged(state.covered.count(), total_alive));
+        }
+        ready.clear();
+        ready.extend(state.ready_ids());
+        ready.sort_by_key(|&n| (std::cmp::Reverse(graph.level_top(n)), n));
+        for &cand in &ready {
+            if conflict(graph, target, group.iter().copied().chain([cand])).is_some() {
+                continue;
+            }
+            group.push(cand);
+            set_mask(&mut mask, rows.width(), &group);
+            if !state.pressure_after(target, &rows, &mask, &mut pressure) {
+                group.pop();
+            }
+        }
+        if group.is_empty() {
+            spill_stuck(
+                graph,
+                target,
+                syms,
+                &mut state,
+                &mut rows,
+                &mut spills,
+                spill_limit,
+            )?;
+            continue;
+        }
+        for &n in &group {
+            state.covered.insert(n.index());
+        }
+        steps.push(std::mem::take(&mut group));
+    }
+    let schedule = Schedule { steps, spills };
+    debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
     Ok(schedule)
 }
 
@@ -1906,7 +2004,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codegen::CodeGenerator;
+    use crate::codegen::{CodeGenerator, CoverMode};
     use aviv_ir::randdag::{random_function, RandDagConfig};
     use aviv_ir::Op;
     use aviv_isdl::archs;
@@ -1989,5 +2087,54 @@ mod tests {
         );
         assert!(search.memo_hits > 0, "the memo never answered a step");
         assert!(search.rollouts_cut > 0, "the cutoff never fired");
+    }
+
+    /// Every state, bank-pressure verdict and bank load of the list
+    /// scheduler equals the graph-walking reference's, on one seeded
+    /// random block per `archs` machine planned by the phase-ordered
+    /// comparator, with banks small enough that it spills and so
+    /// rebuilds its masks mid-block.
+    #[test]
+    fn list_schedules_match_the_reference() {
+        oracle::ARMED.set(true);
+        let machines = [
+            archs::example_arch(2),
+            archs::arch_two(2),
+            archs::dsp_arch(2),
+            archs::chained_arch(3),
+            archs::single_alu(2),
+            archs::wide_arch(2),
+            archs::quad_vliw(2),
+            archs::accumulator_dsp(),
+        ];
+        let cfg = RandDagConfig {
+            n_ops: 10,
+            ops: vec![Op::Add, Op::Sub, Op::Mul],
+            ..RandDagConfig::default()
+        };
+        let f = random_function(&cfg, 1, 1);
+        let mut spills = 0;
+        for machine in machines {
+            let options = CodegenOptions {
+                phase_ordered: true,
+                ..CodegenOptions::heuristics_on().with_jobs(1)
+            };
+            let generator = CodeGenerator::new(machine.clone()).options(options);
+            let (_, report) = generator
+                .compile_function(&f)
+                .unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+            let block = &report.blocks[0];
+            // The fallback would cover with the sequential engine instead.
+            assert_eq!(block.mode, CoverMode::Concurrent, "{}", machine.name);
+            spills += block.spills;
+        }
+        let tally = oracle::TALLY.get();
+        assert_eq!(
+            tally.reference_mismatches, 0,
+            "{} of {} states and verdicts differ from the reference",
+            tally.reference_mismatches, tally.reference_checks
+        );
+        assert!(tally.reference_checks > 0, "nothing was checked");
+        assert!(spills > 0, "no list schedule spilled");
     }
 }

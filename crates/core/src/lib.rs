@@ -14,6 +14,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod assign;
+mod baseline;
 pub mod bound;
 pub mod budget;
 pub mod cache;

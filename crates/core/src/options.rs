@@ -101,6 +101,16 @@ pub struct CodegenOptions {
     /// like budgets, cancellation decides only *whether* a plan is
     /// produced, never what a complete plan contains.
     pub cancel: Option<CancelToken>,
+    /// Plan every block with the sequential phase-ordered comparator of
+    /// the paper's §I-B instead of AVIV's concurrent search (`avivc
+    /// --baseline`): greedy least-loaded unit binding, then
+    /// critical-path list scheduling (falling back to sequential
+    /// covering on a fresh graph), then register allocation, with no
+    /// peephole pass. Its plans are emitted, cached, validated and
+    /// reported like AVIV's. Fuel, deadlines, cancellation of a block
+    /// in flight and plan-side fault injection do not apply to it. Off
+    /// in every preset.
+    pub phase_ordered: bool,
 }
 
 impl CodegenOptions {
@@ -139,6 +149,7 @@ impl CodegenOptions {
             deadline_ms: None,
             faults: None,
             cancel: None,
+            phase_ordered: false,
         }
     }
 
@@ -165,6 +176,7 @@ impl CodegenOptions {
             deadline_ms: None,
             faults: None,
             cancel: None,
+            phase_ordered: false,
         }
     }
 
@@ -190,6 +202,7 @@ impl CodegenOptions {
             deadline_ms: None,
             faults: None,
             cancel: None,
+            phase_ordered: false,
         }
     }
 }
@@ -267,7 +280,11 @@ impl CodegenOptions {
     ///   complete plan contains.
     ///
     /// Everything else — the §IV/§VI heuristic knobs and the invariant
-    /// verifier — is hashed.
+    /// verifier — is hashed, and [`phase_ordered`] only when set, so a
+    /// comparator plan never answers for an AVIV one while every AVIV
+    /// fingerprint (and the plans persisted under it) stays as it was.
+    ///
+    /// [`phase_ordered`]: CodegenOptions::phase_ordered
     pub fn planning_fingerprint(&self) -> u64 {
         let mut h = aviv_ir::StableHasher::new();
         h.write_bool(self.prune_assignments);
@@ -286,6 +303,9 @@ impl CodegenOptions {
         h.write_bool(self.peephole);
         h.write_bool(self.pressure_aware_assignment);
         h.write_bool(self.verify);
+        if self.phase_ordered {
+            h.write_bool(true);
+        }
         h.finish()
     }
 }
@@ -346,5 +366,35 @@ mod tests {
             CodegenOptions::heuristics_on().planning_fingerprint(),
             CodegenOptions::heuristics_off().planning_fingerprint()
         );
+    }
+
+    /// Every preset keeps the fingerprint it had before
+    /// [`CodegenOptions::phase_ordered`] existed, so persisted plans keep
+    /// hitting, and the comparator's fingerprint differs from every
+    /// preset's, so its plans never answer for AVIV's.
+    #[test]
+    fn phase_ordered_fingerprint_is_apart_and_presets_keep_theirs() {
+        // (preset, verify off, verify on)
+        let pinned: [(&str, u64, u64); 3] = [
+            ("on", 0xc9f0_a533_057c_ff64, 0xc9f0_a633_057d_0117),
+            ("thorough", 0x6617_d605_fd7e_75fd, 0x6617_d505_fd7e_744a),
+            ("off", 0x3285_e067_19c9_3ae7, 0x3285_df67_19c9_3934),
+        ];
+        let every: Vec<u64> = pinned.iter().flat_map(|&(_, a, b)| [a, b]).collect();
+        for (name, off, on) in pinned {
+            let preset = CodegenOptions::preset(name).unwrap();
+            for (verify, fp) in [(false, off), (true, on)] {
+                let options = preset.clone().with_verify(verify);
+                assert_eq!(options.planning_fingerprint(), fp, "{name} verify {verify}");
+                let phased = CodegenOptions {
+                    phase_ordered: true,
+                    ..options
+                };
+                assert!(
+                    !every.contains(&phased.planning_fingerprint()),
+                    "{name} verify {verify}"
+                );
+            }
+        }
     }
 }

@@ -528,7 +528,7 @@ fn get_plan(d: &mut Dec<'_>) -> Result<BlockPlan, WireError> {
         complete: true,
     };
 
-    Ok(BlockPlan::from_wire_parts(
+    Ok(BlockPlan::from_parts(
         graph,
         schedule,
         alloc,

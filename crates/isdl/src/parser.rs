@@ -430,6 +430,19 @@ fn parse_parts(src: &str) -> Result<(Machine, Vec<(Element, Pos)>), IsdlError> {
             other => return Err(p.err(format!("unknown declaration `{other}`"))),
         }
     }
+    // A description is one machine: anything after its closing brace
+    // would be dropped unread.
+    if p.tok != Tok::Eof {
+        let (line, col) = p.at;
+        return Err(IsdlError {
+            msg: format!(
+                "expected end of input after the machine's closing `}}`, found {:?}",
+                p.tok
+            ),
+            line,
+            col,
+        });
+    }
 
     let machine = Machine {
         name,
@@ -484,6 +497,32 @@ mod tests {
             memory DM;
             bus DB capacity 1 connects { RF1, RF2, RF3, DM };
         }";
+
+    /// Nothing may follow the machine: a stray declaration after the
+    /// closing brace is refused by the strict and the lint parse alike,
+    /// at the first token after the brace, instead of being ignored.
+    #[test]
+    fn input_after_the_machine_is_refused() {
+        for tail in [
+            " constraint at_most 0 { U3.mul, U2.mul };",
+            " machine Second { }",
+            " }",
+        ] {
+            let src = format!("{EXAMPLE}{tail}");
+            for result in [
+                parse_machine(&src).map(|_| ()),
+                parse_machine_unchecked(&src).map(|_| ()),
+            ] {
+                let e = result.expect_err(tail);
+                assert!(e.msg.starts_with("expected end of input"), "{tail}: {e}");
+                assert_eq!(e.line, 9, "{tail}: {e}");
+            }
+        }
+        // Trailing whitespace and comments are not input.
+        assert!(parse_machine(&format!("{EXAMPLE}\n  // done\n")).is_ok());
+        // Characters the lexer rejects fail at the lexer, as anywhere.
+        assert!(parse_machine_unchecked(&format!("{EXAMPLE} !!")).is_err());
+    }
 
     #[test]
     fn parses_the_example_architecture() {

@@ -1,7 +1,8 @@
 //! The fixtures under `tests/fixtures/` feed the verifier-crate snapshot
 //! tests. This file pins which of them the strict parser refuses: every
 //! fixture with an error-coded defect, at that defect's declaration,
-//! while the unchecked parse accepts them all so the linter can see them.
+//! while the unchecked parse accepts them so the linter can see them.
+//! A syntax error (`trailing_input.isdl`) fails both parses.
 
 use aviv_isdl::{parse_machine, parse_machine_unchecked};
 use std::fs;
@@ -28,6 +29,20 @@ fn fixtures_with_errors_are_refused_at_the_defect() {
         assert!(err.msg.starts_with(start), "{name}: {err}");
         assert_eq!((err.line, err.col), (line, col), "{name}: {err}");
         parse_machine_unchecked(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
+
+/// Input after the machine's closing brace is a syntax error for both
+/// parses, so the lint and the loader refuse it together.
+#[test]
+fn input_after_the_machine_is_refused_by_both_parses() {
+    let src = fixture("trailing_input.isdl");
+    for err in [
+        parse_machine(&src).map(|_| ()).unwrap_err(),
+        parse_machine_unchecked(&src).map(|_| ()).unwrap_err(),
+    ] {
+        assert!(err.msg.starts_with("expected end of input"), "{err}");
+        assert_eq!((err.line, err.col), (12, 1), "{err}");
     }
 }
 

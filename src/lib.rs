@@ -6,7 +6,6 @@
 //! inventory.
 
 pub use aviv;
-pub use aviv_baseline;
 pub use aviv_ir;
 pub use aviv_isdl;
 pub use aviv_splitdag;

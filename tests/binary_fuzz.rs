@@ -6,15 +6,14 @@
 //! count.
 //!
 //! The corpus is every bundled machine × program, compiled with the
-//! default preset, with the heuristics off and (single-block programs)
-//! by the baseline. Each binary is first checked to round-trip exactly,
+//! default preset, with the heuristics off and by the phase-ordered
+//! baseline. Each binary is first checked to round-trip exactly,
 //! then truncated at every length, bit-flipped, and given random and
 //! extreme values in every count and length field of its header. The
 //! generator is a seeded xorshift so failures replay exactly.
 
 use aviv::{CodeGenerator, CodegenOptions, VliwProgram};
-use aviv_baseline::BaselineGenerator;
-use aviv_ir::{parse_function, Function, MemLayout};
+use aviv_ir::parse_function;
 use aviv_isdl::{parse_machine, Target};
 use aviv_vm::{assemble, disassemble};
 
@@ -46,28 +45,6 @@ fn asset(name: &str) -> String {
         .unwrap_or_else(|e| panic!("cannot read bundled asset {name}: {e}"))
 }
 
-/// The baseline's program for a single-block function, built as
-/// `avivc --baseline` builds it; `None` for multi-block functions.
-fn baseline_program(target: &Target, f: &Function) -> Option<VliwProgram> {
-    if f.blocks.len() != 1 {
-        return None;
-    }
-    let mut syms = f.syms.clone();
-    let mut layout = MemLayout::for_function(f);
-    let r = BaselineGenerator::with_target(target.clone())
-        .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
-        .expect("baseline compiles the bundled single-block program");
-    Some(VliwProgram {
-        machine_name: target.machine.name.clone(),
-        instructions: r.instructions,
-        block_starts: vec![0],
-        var_addrs: syms
-            .iter()
-            .map(|(s, n)| (n.to_string(), layout.addr(s)))
-            .collect(),
-    })
-}
-
 /// Every bundled pair's programs with their targets, labelled.
 fn corpus() -> Vec<(String, Target, VliwProgram)> {
     let mut out = Vec::new();
@@ -75,9 +52,14 @@ fn corpus() -> Vec<(String, Target, VliwProgram)> {
         let machine = parse_machine(&asset(mn)).expect("bundled machine parses");
         for pn in ["dot4.av", "sum_loop.av"] {
             let f = parse_function(&asset(pn)).expect("bundled program parses");
+            let baseline = CodegenOptions {
+                phase_ordered: true,
+                ..CodegenOptions::heuristics_on()
+            };
             for (preset, options) in [
                 ("on", CodegenOptions::heuristics_on()),
                 ("off", CodegenOptions::heuristics_off()),
+                ("baseline", baseline),
             ] {
                 let gen = CodeGenerator::new(machine.clone()).options(options);
                 let (program, _) = gen
@@ -88,10 +70,6 @@ fn corpus() -> Vec<(String, Target, VliwProgram)> {
                     gen.target().clone(),
                     program,
                 ));
-            }
-            let gen = CodeGenerator::new(machine.clone());
-            if let Some(program) = baseline_program(gen.target(), &gen.planned_function(&f)) {
-                out.push((format!("{mn}×{pn} baseline"), gen.target().clone(), program));
             }
         }
     }
@@ -137,9 +115,8 @@ fn count_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
 #[test]
 fn bundled_pairs_round_trip_exactly() {
     let corpus = corpus();
-    // 3 machines × 2 programs × 2 presets, plus the single-block dot4 on
-    // each machine by the baseline.
-    assert_eq!(corpus.len(), 15);
+    // 3 machines × 2 programs × (2 presets and the baseline).
+    assert_eq!(corpus.len(), 18);
     for (context, target, program) in &corpus {
         let bytes = assemble(target, program).unwrap_or_else(|e| panic!("{context}: {e}"));
         let back = disassemble(target, &bytes).unwrap_or_else(|e| panic!("{context}: {e}"));

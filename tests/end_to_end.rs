@@ -124,37 +124,28 @@ fn spilled_code_is_still_faithful_at_two_registers() {
     }
 }
 
+/// The phase-ordered comparator's options: the default preset with
+/// `phase_ordered` set.
+fn phase_ordered() -> CodegenOptions {
+    CodegenOptions {
+        phase_ordered: true,
+        ..CodegenOptions::heuristics_on()
+    }
+}
+
 #[test]
 fn baseline_output_simulates_correctly() {
-    use aviv::{ControlOp, VliwProgram};
     let src = "func f(a, b, c) { x = (a + b) * c; y = x - a; }";
     let f = parse_function(src).unwrap();
-    let base = aviv_baseline::BaselineGenerator::new(archs::example_arch(4));
-    let mut syms = f.syms.clone();
-    let mut layout = MemLayout::for_function(&f);
-    let r = base
-        .compile_block(&f.blocks[0].dag, &mut syms, &mut layout)
-        .unwrap();
-    // Wrap the block in a program with an explicit return.
-    let mut instructions = r.instructions.clone();
-    let mut ret = aviv::VliwInstruction::nop(base.target().machine.units().len());
-    ret.control = Some(ControlOp::Return(None));
-    instructions.push(ret);
-    let program = VliwProgram {
-        machine_name: base.target().machine.name.clone(),
-        instructions,
-        block_starts: vec![0],
-        var_addrs: syms
-            .iter()
-            .map(|(s, n)| (n.to_string(), layout.addr(s)))
-            .collect(),
-    };
-    let mut sim = Simulator::new(base.target(), &program);
+    let gen = CodeGenerator::new(archs::example_arch(4)).options(phase_ordered());
+    let (program, report) = gen.compile_function(&f).unwrap();
+    let mut sim = Simulator::new(gen.target(), &program);
     sim.set_var("a", 3).set_var("b", 4).set_var("c", 5);
     let result = sim.run().unwrap();
     assert_eq!(sim.read_var("x"), Some(35));
     assert_eq!(sim.read_var("y"), Some(32));
-    assert!(result.cycles >= r.size);
+    assert!(result.cycles >= report.blocks[0].instructions);
+    check_function(&f, archs::example_arch(4), phase_ordered(), &[3, 4, 5], &[]).unwrap();
 }
 
 #[test]
@@ -298,16 +289,10 @@ fn isdl_constraint_with_unit_and_bus_members_holds_end_to_end() {
     assert!(tv.ok(), "{:?}", tv.diagnostics);
     check_function(&f, machine.clone(), options, &[1, 2, 3, 4, 5, 6, 7, 8], &[]).unwrap();
 
-    let base = aviv_baseline::BaselineGenerator::new(machine.clone());
-    let mut syms = f.syms.clone();
-    let mut layout = MemLayout::for_function(&f);
-    let mut base_spills = 0;
-    for block in &f.blocks {
-        let r = base
-            .compile_block(&block.dag, &mut syms, &mut layout)
-            .unwrap();
-        base_spills += r.spills;
-        within(&r.instructions, "baseline");
-    }
-    assert!(base_spills > 0);
+    let options = phase_ordered().with_verify(true);
+    let base = CodeGenerator::new(machine.clone()).options(options.clone());
+    let (program, report) = base.compile_function(&f).unwrap();
+    assert!(report.blocks.iter().any(|b| b.spills > 0), "{report:?}");
+    within(&program.instructions, "baseline");
+    check_function(&f, machine, options, &[1, 2, 3, 4, 5, 6, 7, 8], &[]).unwrap();
 }
