@@ -44,7 +44,7 @@
 //! and raises the peak memory of the largest enumerations with it.
 
 use crate::options::CodegenOptions;
-use aviv_ir::{BitSet, BlockDag, NodeId, Op};
+use aviv_ir::{BitSet, BlockDag, Consumers, NodeId, Op};
 use aviv_isdl::{BankId, Location, Target};
 use aviv_splitdag::{AltInfo, AltKind, Exec, SplitNodeDag};
 
@@ -291,7 +291,7 @@ pub fn explore_traced(
 ) -> ExploreResult {
     let n = dag.len();
     let desc_sets = dag.descendants();
-    let uses = dag.uses();
+    let uses = Consumers::new(dag);
 
     // Nodes with alternatives, in increasing level from the top.
     let levels_top = dag.levels_from_top();
@@ -384,7 +384,7 @@ fn incremental_cost(
     dag: &BlockDag,
     target: &Target,
     desc: &[BitSet],
-    uses: &[Vec<NodeId>],
+    uses: &Consumers,
     execs: &Execs,
     row: &[Slot],
     node: NodeId,
@@ -397,7 +397,7 @@ fn incremental_cost(
     // Transfers to already-assigned consumers (parents sit above, so they
     // are assigned before `node` in top-down order). Stores and dynamic
     // stores consume into memory / their chosen bank.
-    for &p in &uses[node.index()] {
+    for &p in uses.of(node) {
         let dest = match dag.node(p).op {
             Op::StoreVar => Location::Mem,
             _ => match row[p.index()].home {
@@ -464,7 +464,7 @@ fn incremental_cost(
 /// assignments are the ones "likely to require spills to memory".
 fn pressure_penalty(
     target: &Target,
-    uses: &[Vec<NodeId>],
+    uses: &Consumers,
     execs: &Execs,
     row: &[Slot],
     alt: &AltInfo,
@@ -477,7 +477,7 @@ fn pressure_penalty(
         if slot.home == NONE || execs.banks[usize::from(slot.home)] != bank {
             continue;
         }
-        let pending = uses[qi].iter().any(|c| {
+        let pending = uses.of(NodeId(qi as u32)).iter().any(|c| {
             let s = row[c.index()];
             s.choice == NONE && !s.covered
         });
@@ -530,7 +530,7 @@ mod tests {
     mod reference {
         use crate::assign::{describe_alt, Assignment, ExploreResult, ExploreTrace, TraceEntry};
         use crate::options::CodegenOptions;
-        use aviv_ir::{BitSet, BlockDag, NodeId, Op};
+        use aviv_ir::{BitSet, BlockDag, Consumers, NodeId, Op};
         use aviv_isdl::{Location, Target};
         use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 
@@ -553,7 +553,7 @@ mod tests {
         ) -> ExploreResult {
             let n = dag.len();
             let desc_sets = dag.descendants();
-            let uses = dag.uses();
+            let uses = Consumers::new(dag);
 
             // Nodes with alternatives, in increasing level from the top.
             let levels_top = dag.levels_from_top();
@@ -689,7 +689,7 @@ mod tests {
             dag: &BlockDag,
             target: &Target,
             desc: &[BitSet],
-            uses: &[Vec<NodeId>],
+            uses: &Consumers,
             br: &Branch,
             node: NodeId,
             alt: &aviv_splitdag::AltInfo,
@@ -701,7 +701,7 @@ mod tests {
             // Transfers to already-assigned consumers (parents sit above, so they
             // are assigned before `node` in top-down order). Stores and dynamic
             // stores consume into memory / their chosen bank.
-            for &p in &uses[node.index()] {
+            for &p in uses.of(node) {
                 let pn = dag.node(p);
                 let dest = match pn.op {
                     Op::StoreVar => Some(Location::Mem),
@@ -781,7 +781,7 @@ mod tests {
             alt: &aviv_splitdag::AltInfo,
         ) -> i64 {
             let bank = alt.home_bank(target);
-            let uses = dag.uses();
+            let uses = Consumers::new(dag);
             // Values already assigned to this bank whose consumers are not yet
             // all assigned — a static proxy for "simultaneously live here".
             let mut live_here = 0i64;
@@ -794,7 +794,8 @@ mod tests {
                 if q_bank != bank {
                     continue;
                 }
-                let pending = uses[qi]
+                let pending = uses
+                    .of(NodeId(qi as u32))
                     .iter()
                     .any(|c| br.choice[c.index()].is_none() && !br.covered[c.index()]);
                 if pending {

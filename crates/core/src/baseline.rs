@@ -118,7 +118,7 @@ impl CodeGenerator {
         }
 
         let stats = sndag.stats(dag);
-        let bounds = aviv_verify::analyze::block_bounds(dag, target);
+        let bounds = aviv_verify::analyze::block_bounds_from_matches(dag, target, sndag.matches());
         let report = BlockReport {
             orig_nodes: stats.orig_nodes,
             sndag_nodes: stats.sn_nodes,

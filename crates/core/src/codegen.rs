@@ -1030,8 +1030,10 @@ impl CodeGenerator {
         }
 
         // Static lower bounds for the optimality-gap columns — a pure
-        // function of (dag, target), so cached-plan replays agree.
-        let bounds = aviv_verify::analyze::block_bounds(dag, &self.target);
+        // function of (dag, target), so cached-plan replays agree. The
+        // Split-Node DAG's matches are the ones `block_bounds` would find.
+        let bounds =
+            aviv_verify::analyze::block_bounds_from_matches(dag, &self.target, sndag.matches());
 
         // The only table mutation covering performs is appending fresh
         // spill slots; record the names so the merge can replay them.

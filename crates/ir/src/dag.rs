@@ -67,6 +67,60 @@ pub struct BlockDag {
     vn: HashMap<VnKey, NodeId>,
 }
 
+/// The consumers of every node of a [`BlockDag`] in one flat list.
+/// [`Consumers::rebuild`] reuses the storage, so a scratch index grows
+/// only when a block is larger than any indexed before.
+#[derive(Debug, Clone, Default)]
+pub struct Consumers {
+    /// Node `n`'s consumers are `list[start[n]..start[n + 1]]`.
+    start: Vec<u32>,
+    list: Vec<NodeId>,
+}
+
+impl Consumers {
+    /// The consumer index of `dag`.
+    pub fn new(dag: &BlockDag) -> Self {
+        let mut c = Consumers::default();
+        c.rebuild(dag);
+        c
+    }
+
+    /// Make this the consumer index of `dag`, reusing its storage.
+    pub fn rebuild(&mut self, dag: &BlockDag) {
+        let n = dag.len();
+        let start = &mut self.start;
+        start.clear();
+        start.resize(n + 1, 0);
+        for (_, node) in dag.iter() {
+            for a in &node.args {
+                start[a.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        self.list.clear();
+        self.list.resize(start[n] as usize, NodeId(0));
+        // Place each consumer at its operand's cursor, `start[a]`, which
+        // then ends at `a + 1`'s start; shifting right restores the
+        // starts. Consumers are visited in id order.
+        for (id, node) in dag.iter() {
+            for a in &node.args {
+                self.list[start[a.index()] as usize] = id;
+                start[a.index()] += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
+    }
+
+    /// The nodes having `id` as an operand, in id order, once per edge
+    /// position.
+    pub fn of(&self, id: NodeId) -> &[NodeId] {
+        &self.list[self.start[id.index()] as usize..self.start[id.index() + 1] as usize]
+    }
+}
+
 /// Value-numbering key: operation, canonicalized operands, immediate,
 /// and symbol. Operands sit in a fixed array of [`MAX_ARITY`] slots,
 /// unused ones [`NO_NODE`]; the operation fixes how many are used, so the
@@ -272,18 +326,6 @@ impl BlockDag {
         true
     }
 
-    /// Consumers of each node: `uses[n]` lists the nodes having `n` as an
-    /// operand (each consumer listed once per distinct edge position).
-    pub fn uses(&self) -> Vec<Vec<NodeId>> {
-        let mut uses = vec![Vec::new(); self.nodes.len()];
-        for (id, n) in self.iter() {
-            for &a in &n.args {
-                uses[a.index()].push(id);
-            }
-        }
-        uses
-    }
-
     /// Nodes in a topological order with operands before consumers
     /// (ascending ids already satisfy this because operands must exist
     /// before insertion, but this is the explicit contract).
@@ -410,7 +452,7 @@ impl BlockDag {
     /// regenerate the paper's Fig. 2).
     pub fn render(&self, syms: &SymbolTable) -> String {
         let mut out = String::new();
-        let uses = self.uses();
+        let consumers = Consumers::new(self);
         for (id, n) in self.iter() {
             let desc = match n.op {
                 Op::Const => format!("const {}", n.imm.unwrap()),
@@ -429,7 +471,7 @@ impl BlockDag {
                 " [root:store]"
             } else if self.live_outs.iter().any(|&(_, r)| r == id) {
                 " [root:live-out]"
-            } else if uses[id.index()].is_empty() {
+            } else if consumers.of(id).is_empty() {
                 " [dead]"
             } else {
                 ""
@@ -462,6 +504,23 @@ mod tests {
         let diff = dag.add_op(Op::Sub, &[prod, sum]);
         dag.add_store_var(out, diff);
         (dag, syms)
+    }
+
+    #[test]
+    fn consumer_index_lists_every_edge_in_id_order() {
+        let (dag, _) = sample();
+        let mut index = Consumers::new(&BlockDag::new());
+        let random = crate::randdag::random_block(&crate::randdag::RandDagConfig::default(), 7);
+        for dag in [dag, random.blocks[0].dag.clone()] {
+            index.rebuild(&dag);
+            for (id, _) in dag.iter() {
+                let want: Vec<NodeId> = dag
+                    .iter()
+                    .flat_map(|(c, n)| n.args.iter().filter(move |&&a| a == id).map(move |_| c))
+                    .collect();
+                assert_eq!(index.of(id), want.as_slice(), "{id}");
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod stablehash;
 pub mod symbols;
 
 pub use bitset::{BitMatrix, BitSet};
-pub use dag::{BlockDag, DagNode, NodeId};
+pub use dag::{BlockDag, Consumers, DagNode, NodeId};
 pub use interp::{eval_block_isolated, run_function, InterpError, InterpResult, Interpreter};
 pub use op::Op;
 pub use parser::{parse_function, ParseError};

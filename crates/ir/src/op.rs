@@ -72,6 +72,15 @@ pub enum Op {
 }
 
 impl Op {
+    /// Number of operations: [`Op::index`] is below it.
+    pub const COUNT: usize = Op::CmpGe as usize + 1;
+
+    /// The operation's position in declaration order, for tables indexed
+    /// by operation.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Number of value operands the operation consumes.
     pub fn arity(self) -> usize {
         use Op::*;
@@ -267,6 +276,22 @@ mod tests {
             assert_eq!(Op::from_mnemonic(op.mnemonic()), Some(op), "{op}");
         }
         assert_eq!(Op::from_mnemonic("bogus"), None);
+    }
+
+    #[test]
+    fn indexes_are_dense() {
+        let mut seen = [false; Op::COUNT];
+        for &op in Op::all_computational().iter().chain(&[
+            Op::Const,
+            Op::Input,
+            Op::Load,
+            Op::Store,
+            Op::StoreVar,
+        ]) {
+            assert!(!seen[op.index()], "{op}");
+            seen[op.index()] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -77,57 +77,168 @@ pub fn eliminate_dead_code(f: &mut Function, observable: &[Sym]) -> usize {
 /// stores, its roots reach every node, and no two of its nodes share a
 /// value number (which a rebuild would merge). A `false` may still be a
 /// no-op; a `true` never hides a removal.
+///
+/// Liveness is solved in flat bit rows kept per thread (the ones the
+/// elimination reads), so once they have grown to the largest function
+/// seen, the answer allocates nothing.
 pub fn dead_code_free(f: &Function, observable: &[Sym]) -> bool {
-    let lv = store_liveness(f, observable);
-    f.blocks.iter().zip(&lv.live_out).all(|(block, live_out)| {
-        let dag = &block.dag;
-        dag.stores()
-            .iter()
-            .all(|&s| store_is_live(dag.node(s), live_out))
-            && dag.value_numbers_unique()
-            && reachable(dag, dag.roots()).count() == dag.len()
+    LIVE.with_borrow_mut(|lv| {
+        lv.solve(f, observable);
+        f.blocks.iter().enumerate().all(|(b, block)| {
+            let dag = &block.dag;
+            dag.stores().iter().all(|&s| lv.keeps(b, dag.node(s)))
+                && dag.value_numbers_unique()
+                && lv.all_reachable(dag)
+        })
     })
 }
 
-/// Global liveness with every variable of `observable` live at exit.
-fn store_liveness(f: &Function, observable: &[Sym]) -> crate::dataflow::Liveness {
-    let mut exit_live = BitSet::new(f.syms.len());
-    for s in observable {
-        exit_live.insert(s.index());
-    }
-    crate::dataflow::liveness(f, &exit_live)
+/// Store liveness in buffers reused by every dead-code pass on a
+/// thread: per block, `words` words each of the variables it reads,
+/// writes, and that are live at its entry and exit; the variables live
+/// after a `return`; and the reachability walk's marks and stack.
+#[derive(Debug, Default)]
+struct Liveness {
+    words: usize,
+    reads: Vec<u64>,
+    writes: Vec<u64>,
+    live_in: Vec<u64>,
+    live_out: Vec<u64>,
+    exit_live: Vec<u64>,
+    seen: Vec<bool>,
+    stack: Vec<NodeId>,
 }
 
-/// Whether dead-code elimination keeps the store `node`: every store but
-/// a `StoreVar` whose variable is dead after the block.
-fn store_is_live(node: &crate::dag::DagNode, live_out: &BitSet) -> bool {
-    node.op != Op::StoreVar || live_out.contains(node.sym.unwrap().index())
+thread_local! {
+    static LIVE: std::cell::RefCell<Liveness> = std::cell::RefCell::new(Liveness::default());
+}
+
+impl Liveness {
+    /// Solve global liveness of `f` with every variable of `observable`
+    /// live at exit: the least fixpoint the generic solver
+    /// ([`crate::dataflow::liveness`]) reaches.
+    fn solve(&mut self, f: &Function, observable: &[Sym]) {
+        let words = f.syms.len().div_ceil(64);
+        let n = f.blocks.len();
+        self.words = words;
+        for rows in [
+            &mut self.reads,
+            &mut self.writes,
+            &mut self.live_in,
+            &mut self.live_out,
+        ] {
+            rows.clear();
+            rows.resize(n * words, 0);
+        }
+        self.exit_live.clear();
+        self.exit_live.resize(words, 0);
+        for s in observable {
+            set(&mut self.exit_live, s.index());
+        }
+        for (b, block) in f.blocks.iter().enumerate() {
+            for (_, node) in block.dag.iter() {
+                match node.op {
+                    Op::Input => set(
+                        &mut self.reads[b * words..],
+                        node.sym.expect("input names a variable").index(),
+                    ),
+                    Op::StoreVar => set(
+                        &mut self.writes[b * words..],
+                        node.sym.expect("store names a variable").index(),
+                    ),
+                    _ => {}
+                }
+            }
+        }
+        // Backward may-liveness by rounds over the blocks in reverse until
+        // nothing changes: from empty sets, the least fixpoint of
+        // `out = ⋃ succ.in (∪ exit_live at a return)`,
+        // `in = reads ∪ (out − writes)`.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for b in (0..n).rev() {
+                let term = &f.blocks[b].term;
+                for k in b * words..(b + 1) * words {
+                    let mut out = 0;
+                    if matches!(term, Terminator::Return(_)) {
+                        out |= self.exit_live[k - b * words];
+                    }
+                    for s in term.successors() {
+                        out |= self.live_in[s.index() * words + k - b * words];
+                    }
+                    let live_in = self.reads[k] | (out & !self.writes[k]);
+                    if (out, live_in) != (self.live_out[k], self.live_in[k]) {
+                        (self.live_out[k], self.live_in[k]) = (out, live_in);
+                        changed = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether dead-code elimination keeps the store `node` of block `b`:
+    /// every store but a `StoreVar` whose variable is dead after the
+    /// block.
+    fn keeps(&self, b: usize, node: &crate::dag::DagNode) -> bool {
+        node.op != Op::StoreVar || {
+            let i = node.sym.expect("store names a variable").index();
+            self.live_out[b * self.words + i / 64] & (1 << (i % 64)) != 0
+        }
+    }
+
+    /// Whether the roots of `dag` reach every node, through operands and
+    /// memory serialization edges.
+    fn all_reachable(&mut self, dag: &BlockDag) -> bool {
+        self.seen.clear();
+        self.seen.resize(dag.len(), false);
+        self.stack.clear();
+        self.stack.extend_from_slice(dag.stores());
+        self.stack.extend(dag.live_outs().iter().map(|&(_, n)| n));
+        let mut reached = 0;
+        while let Some(n) = self.stack.pop() {
+            if std::mem::replace(&mut self.seen[n.index()], true) {
+                continue;
+            }
+            reached += 1;
+            self.stack.extend_from_slice(&dag.node(n).args);
+            for &(earlier, later) in dag.mem_deps() {
+                if later == n && !self.seen[earlier.index()] {
+                    self.stack.push(earlier);
+                }
+            }
+        }
+        reached == dag.len()
+    }
+}
+
+fn set(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
 }
 
 /// One liveness-then-rebuild round shared by [`prune_dead_stores`] and
 /// [`eliminate_dead_code`]. Returns `(stores_removed, nodes_removed)`.
 fn dead_code_round(f: &mut Function, observable: &[Sym]) -> (usize, usize) {
-    let lv = store_liveness(f, observable);
-
-    let mut stores_removed = 0usize;
-    let mut nodes_removed = 0usize;
-    for (i, block) in f.blocks.iter_mut().enumerate() {
-        let live_out = &lv.live_out[i];
-        let (new_dag, map) =
-            rebuild_filtered(&block.dag, false, |node| store_is_live(node, live_out));
-        if new_dag.len() == block.dag.len() {
-            continue;
+    LIVE.with_borrow_mut(|lv| {
+        lv.solve(f, observable);
+        let mut stores_removed = 0usize;
+        let mut nodes_removed = 0usize;
+        for (b, block) in f.blocks.iter_mut().enumerate() {
+            let (new_dag, map) = rebuild_filtered(&block.dag, false, |node| lv.keeps(b, node));
+            if new_dag.len() == block.dag.len() {
+                continue;
+            }
+            stores_removed += block
+                .dag
+                .stores()
+                .len()
+                .saturating_sub(new_dag.stores().len());
+            nodes_removed += block.dag.len() - new_dag.len();
+            remap_terminator(&mut block.term, &map);
+            block.dag = new_dag;
         }
-        stores_removed += block
-            .dag
-            .stores()
-            .len()
-            .saturating_sub(new_dag.stores().len());
-        nodes_removed += block.dag.len() - new_dag.len();
-        remap_terminator(&mut block.term, &map);
-        block.dag = new_dag;
-    }
-    (stores_removed, nodes_removed)
+        (stores_removed, nodes_removed)
+    })
 }
 
 /// Unroll the self-loop at `block` by `factor`, merging the copies into a
@@ -493,10 +604,36 @@ mod tests {
         assert_eq!(run_function(&f, &[4]).unwrap().return_value, Some(10));
     }
 
-    /// `dead_code_free` never hides a removal and recognises clean
-    /// functions: over random functions, with every variable or only the
-    /// inputs observable, it holds only where `eliminate_dead_code`
-    /// removes nothing, and both outcomes occur.
+    /// Global liveness from the generic solver with every variable of
+    /// `observable` live at exit, as the dead-code passes solved it
+    /// before they kept their own rows.
+    fn solver_liveness(f: &Function, observable: &[Sym]) -> crate::dataflow::Liveness {
+        let mut exit_live = BitSet::new(f.syms.len());
+        for s in observable {
+            exit_live.insert(s.index());
+        }
+        crate::dataflow::liveness(f, &exit_live)
+    }
+
+    /// The check `dead_code_free` replaced: liveness from the generic
+    /// solver, and a fresh bit set per reachability walk.
+    fn solver_dead_code_free(f: &Function, observable: &[Sym]) -> bool {
+        let lv = solver_liveness(f, observable);
+        f.blocks.iter().zip(&lv.live_out).all(|(block, live_out)| {
+            let dag = &block.dag;
+            dag.stores().iter().all(|&s| {
+                let node = dag.node(s);
+                node.op != Op::StoreVar || live_out.contains(node.sym.unwrap().index())
+            }) && dag.value_numbers_unique()
+                && reachable(dag, dag.roots()).count() == dag.len()
+        })
+    }
+
+    /// `dead_code_free` never hides a removal, recognises clean
+    /// functions, and answers as the solver-based check does from the
+    /// same live-out sets: over random functions, with every variable or
+    /// only the inputs observable, it holds only where
+    /// `eliminate_dead_code` removes nothing, and both outcomes occur.
     #[test]
     fn dead_code_free_never_hides_a_removal() {
         use crate::randdag::{random_function, RandDagConfig};
@@ -513,7 +650,19 @@ mod tests {
                 let all: Vec<Sym> = f.syms.iter().map(|(s, _)| s).collect();
                 for observable in [&all[..], &all[..cfg.n_inputs]] {
                     let removed = eliminate_dead_code(&mut f.clone(), observable);
-                    if dead_code_free(&f, observable) {
+                    let free = dead_code_free(&f, observable);
+                    assert_eq!(free, solver_dead_code_free(&f, observable), "seed {seed}");
+                    let solved = solver_liveness(&f, observable);
+                    LIVE.with_borrow(|rows| {
+                        for (b, want) in solved.live_out.iter().enumerate() {
+                            let got = &rows.live_out[b * rows.words..(b + 1) * rows.words];
+                            for i in 0..f.syms.len() {
+                                let live = got[i / 64] & (1 << (i % 64)) != 0;
+                                assert_eq!(live, want.contains(i), "seed {seed} bb{b}");
+                            }
+                        }
+                    });
+                    if free {
                         assert_eq!(removed, 0, "seed {seed}, {n_blocks} blocks");
                         clean += 1;
                     } else if removed > 0 {

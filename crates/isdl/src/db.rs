@@ -12,8 +12,8 @@
 //!   multiple-step data transfers as well".
 
 use crate::model::{BusId, Location, Machine, UnitId};
-use aviv_ir::Op;
-use std::collections::HashMap;
+use aviv_ir::{Op, StableHasher};
+use std::fmt;
 
 /// One hop of a transfer path: a move across one bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,45 +51,80 @@ impl TransferPath {
     }
 }
 
-/// Operation→units correlation database.
+/// Operation→units correlation database, indexed by operation.
 #[derive(Debug, Clone)]
 pub struct OpDb {
-    by_op: HashMap<Op, Vec<UnitId>>,
-    /// Complex instruction ids grouped by root op of their pattern.
-    complexes_by_root: HashMap<Op, Vec<usize>>,
+    /// The units able to execute each operation, grouped by operation:
+    /// `unit_ranges[op.index()]` slices it, in unit order.
+    units: Vec<UnitId>,
+    unit_ranges: [(u32, u32); Op::COUNT],
+    /// Complex instruction ids grouped by the root op of their pattern,
+    /// the same way.
+    complexes: Vec<usize>,
+    complex_ranges: [(u32, u32); Op::COUNT],
+}
+
+/// Group `items`, listed in order with their operation, by operation,
+/// keeping their order within each group: one allocation, sized exactly
+/// (none when there are no items).
+fn group_by_op<T: Copy>(
+    items: impl Iterator<Item = (Op, T)> + Clone,
+) -> (Vec<T>, [(u32, u32); Op::COUNT]) {
+    let mut ranges = [(0u32, 0u32); Op::COUNT];
+    for (op, _) in items.clone() {
+        ranges[op.index()].1 += 1;
+    }
+    let mut at = 0;
+    for range in &mut ranges {
+        let count = range.1;
+        *range = (at, at);
+        at += count;
+    }
+    let mut grouped = Vec::new();
+    if let Some((_, fill)) = items.clone().next() {
+        grouped = vec![fill; at as usize];
+        for (op, item) in items {
+            let range = &mut ranges[op.index()];
+            grouped[range.1 as usize] = item;
+            range.1 += 1;
+        }
+    }
+    (grouped, ranges)
 }
 
 impl OpDb {
     /// Build the database from a machine.
     pub fn new(m: &Machine) -> Self {
-        let mut by_op: HashMap<Op, Vec<UnitId>> = HashMap::new();
-        for (i, u) in m.units().iter().enumerate() {
-            for cap in &u.ops {
-                by_op.entry(cap.op).or_default().push(UnitId(i as u32));
-            }
-        }
-        let mut complexes_by_root: HashMap<Op, Vec<usize>> = HashMap::new();
-        for (i, cx) in m.complexes().iter().enumerate() {
-            if let crate::model::PatTree::Op(op, _) = &cx.pattern {
-                complexes_by_root.entry(*op).or_default().push(i);
-            }
-        }
+        let (units, unit_ranges) = group_by_op(
+            m.units()
+                .iter()
+                .enumerate()
+                .flat_map(|(i, u)| u.ops.iter().map(move |cap| (cap.op, UnitId(i as u32)))),
+        );
+        let (complexes, complex_ranges) = group_by_op(m.complexes().iter().enumerate().filter_map(
+            |(i, cx)| match &cx.pattern {
+                crate::model::PatTree::Op(op, _) => Some((*op, i)),
+                crate::model::PatTree::Arg(_) => None,
+            },
+        ));
         OpDb {
-            by_op,
-            complexes_by_root,
+            units,
+            unit_ranges,
+            complexes,
+            complex_ranges,
         }
     }
 
     /// Units able to execute `op`, in unit order (empty when none).
     pub fn units_for(&self, op: Op) -> &[UnitId] {
-        self.by_op.get(&op).map_or(&[], |v| v.as_slice())
+        let (start, end) = self.unit_ranges[op.index()];
+        &self.units[start as usize..end as usize]
     }
 
     /// Complex-instruction indices whose pattern root is `op`.
     pub fn complexes_rooted_at(&self, op: Op) -> &[usize] {
-        self.complexes_by_root
-            .get(&op)
-            .map_or(&[], |v| v.as_slice())
+        let (start, end) = self.complex_ranges[op.index()];
+        &self.complexes[start as usize..end as usize]
     }
 
     /// Whether the machine can implement `op` at all (directly; complex
@@ -107,15 +142,21 @@ impl OpDb {
 /// alternatives must be preserved.
 #[derive(Debug, Clone)]
 pub struct TransferDb {
-    /// The paths of each ordered pair, at `slot(from) * n + slot(to)`
-    /// for `n` locations: a plain index, since the cover-graph builder
-    /// and the assignment bound look paths up for every transfer.
-    paths: Vec<Vec<TransferPath>>,
+    /// Every stored path, grouped by ordered pair.
+    paths: Vec<TransferPath>,
+    /// The half-open range of `paths` of each ordered pair, at
+    /// `slot(from) * n + slot(to)` for `n` locations: a plain index, since
+    /// the cover-graph builder and the assignment bound look paths up for
+    /// every transfer.
+    pair_ranges: Vec<(u32, u32)>,
     /// Register banks; memory's slot follows theirs.
     n_banks: usize,
     /// Cap on stored equal-cost alternatives per pair.
     max_alternatives: usize,
 }
+
+/// No path: the root of the breadth-first search's path tree.
+const NO_PATH: u32 = u32::MAX;
 
 impl TransferDb {
     /// Build the database with the default alternative cap (4).
@@ -125,70 +166,110 @@ impl TransferDb {
 
     /// Build the database keeping up to `max_alternatives` shortest paths
     /// per location pair.
+    ///
+    /// One breadth-first search per source location extends every
+    /// shortest path found so far by one hop per round. Paths live in a
+    /// tree of `(parent, hop)` entries, so extending one copies nothing;
+    /// a path is spelled out only when it is stored.
     pub fn with_cap(m: &Machine, max_alternatives: usize) -> Self {
-        let locs = m.locations();
-        // Direct single-hop edges.
-        let mut edges: HashMap<Location, Vec<Hop>> = HashMap::new();
-        for (bi, bus) in m.buses().iter().enumerate() {
-            for &from in &bus.endpoints {
-                for &to in &bus.endpoints {
-                    if from != to {
-                        edges.entry(from).or_default().push(Hop {
-                            bus: BusId(bi as u32),
-                            from,
-                            to,
+        let n_banks = m.banks().len();
+        let n = n_banks + 1;
+        let at = |location| slot(n_banks, location).expect("buses join the machine's locations");
+        // Direct single-hop edges out of a slot, in bus order.
+        let edges_of = |s: usize| {
+            m.buses().iter().enumerate().flat_map(move |(bi, bus)| {
+                let from = bus.endpoints.iter().copied().filter(move |&e| at(e) == s);
+                let to = bus.endpoints.iter().copied();
+                from.flat_map(move |from| {
+                    to.clone().filter(move |&to| to != from).map(move |to| Hop {
+                        bus: BusId(bi as u32),
+                        from,
+                        to,
+                    })
+                })
+            })
+        };
+
+        // The search's reused state: the depth at which each slot was
+        // first reached, the path tree, the current and next frontier,
+        // and one source's stored paths with their destination slot.
+        let mut best_cost = vec![usize::MAX; n];
+        let mut tree: Vec<(u32, Hop)> = Vec::new();
+        let (mut frontier, mut next) = (Vec::new(), Vec::new());
+        let mut found: Vec<(usize, Vec<Hop>)> = Vec::new();
+        let mut stored = vec![0usize; n];
+        let mut paths = Vec::new();
+        let mut pair_ranges = Vec::with_capacity(n * n);
+        for from in 0..n {
+            best_cost.fill(usize::MAX);
+            best_cost[from] = 0;
+            stored.fill(0);
+            tree.clear();
+            frontier.clear();
+            found.clear();
+            // Seed with single hops.
+            for hop in edges_of(from) {
+                frontier.push(tree.len() as u32);
+                tree.push((NO_PATH, hop));
+            }
+            let mut depth = 1usize;
+            while !frontier.is_empty() && depth <= n {
+                next.clear();
+                for &p in &frontier {
+                    let dst = at(tree[p as usize].1.to);
+                    if best_cost[dst] == usize::MAX {
+                        best_cost[dst] = depth;
+                    }
+                    if best_cost[dst] != depth {
+                        continue;
+                    }
+                    if stored[dst] < max_alternatives {
+                        stored[dst] += 1;
+                        let mut hops = Vec::with_capacity(depth);
+                        let mut q = p;
+                        while q != NO_PATH {
+                            hops.push(tree[q as usize].1);
+                            q = tree[q as usize].0;
+                        }
+                        hops.reverse();
+                        found.push((dst, hops));
+                    }
+                    // Memory is a path endpoint, never an intermediate
+                    // hop: routing a value bank→memory→bank is a spill,
+                    // which the covering engine inserts explicitly, not a
+                    // transfer.
+                    if dst == n_banks {
+                        continue;
+                    }
+                    // Extend only shortest paths: into slots not reached
+                    // yet (a slot's depth is set while its round runs).
+                    for hop in edges_of(dst) {
+                        if best_cost[at(hop.to)] == usize::MAX {
+                            next.push(tree.len() as u32);
+                            tree.push((p, hop));
+                        }
+                    }
+                }
+                std::mem::swap(&mut frontier, &mut next);
+                depth += 1;
+            }
+            // Store this source's paths grouped by destination, each
+            // group in the order the search found it.
+            for to in 0..n {
+                let start = paths.len() as u32;
+                for (dst, hops) in &mut found {
+                    if *dst == to {
+                        paths.push(TransferPath {
+                            hops: std::mem::take(hops),
                         });
                     }
                 }
-            }
-        }
-        let n_banks = m.banks().len();
-        let mut paths = vec![Vec::new(); locs.len() * locs.len()];
-        // `locs` lists the locations in slot order.
-        for (from, &src) in locs.iter().enumerate() {
-            // Breadth-first exploration keeping all shortest paths.
-            let mut best_cost: HashMap<Location, usize> = HashMap::new();
-            best_cost.insert(src, 0);
-            let mut frontier: Vec<TransferPath> = Vec::new();
-            // Seed with single hops.
-            for hop in edges.get(&src).into_iter().flatten() {
-                frontier.push(TransferPath { hops: vec![*hop] });
-            }
-            let mut depth = 1usize;
-            while !frontier.is_empty() && depth <= locs.len() {
-                let mut next = Vec::new();
-                for p in frontier {
-                    let dst = p.to();
-                    let entry = best_cost.entry(dst).or_insert(depth);
-                    if *entry == depth {
-                        let to = slot(n_banks, dst).expect("paths end at the machine's locations");
-                        let list = &mut paths[from * locs.len() + to];
-                        if list.len() < max_alternatives {
-                            list.push(p.clone());
-                        }
-                        // Memory is a path endpoint, never an intermediate
-                        // hop: routing a value bank→memory→bank is a
-                        // spill, which the covering engine inserts
-                        // explicitly, not a transfer.
-                        if dst == Location::Mem {
-                            continue;
-                        }
-                        // Extend only shortest paths.
-                        for hop in edges.get(&dst).into_iter().flatten() {
-                            if !best_cost.contains_key(&hop.to) || best_cost[&hop.to] == depth + 1 {
-                                let mut q = p.clone();
-                                q.hops.push(*hop);
-                                next.push(q);
-                            }
-                        }
-                    }
-                }
-                frontier = next;
-                depth += 1;
+                pair_ranges.push((start, paths.len() as u32));
             }
         }
         TransferDb {
             paths,
+            pair_ranges,
             n_banks,
             max_alternatives,
         }
@@ -198,7 +279,8 @@ impl TransferDb {
     /// does not have.
     fn pair(&self, from: Location, to: Location) -> Option<&[TransferPath]> {
         let (from, to) = (slot(self.n_banks, from)?, slot(self.n_banks, to)?);
-        Some(&self.paths[from * (self.n_banks + 1) + to])
+        let (start, end) = self.pair_ranges[from * (self.n_banks + 1) + to];
+        Some(&self.paths[start as usize..end as usize])
     }
 
     /// All stored shortest paths from `from` to `to` (empty if
@@ -224,12 +306,7 @@ impl TransferDb {
     /// Hops of the longest stored path: the most transfer nodes one
     /// transfer can add.
     pub fn max_hops(&self) -> usize {
-        self.paths
-            .iter()
-            .flatten()
-            .map(TransferPath::cost)
-            .max()
-            .unwrap_or(0)
+        self.paths.iter().map(TransferPath::cost).max().unwrap_or(0)
     }
 
     /// The configured alternative cap.
@@ -260,6 +337,178 @@ mod tests {
         let u3 = b.unit("U3", &[Op::Mul], 4);
         b.bus("DB", &[u1, u2, u3], true, 1);
         b.build().unwrap()
+    }
+
+    /// The breadth-first search the slot-indexed one replaced: hash maps
+    /// of edges and costs, and a copied path per frontier entry.
+    fn reference_paths(m: &Machine, max_alternatives: usize) -> Vec<Vec<TransferPath>> {
+        use std::collections::HashMap;
+        let locs = m.locations();
+        let mut edges: HashMap<Location, Vec<Hop>> = HashMap::new();
+        for (bi, bus) in m.buses().iter().enumerate() {
+            for &from in &bus.endpoints {
+                for &to in &bus.endpoints {
+                    if from != to {
+                        edges.entry(from).or_default().push(Hop {
+                            bus: BusId(bi as u32),
+                            from,
+                            to,
+                        });
+                    }
+                }
+            }
+        }
+        let n_banks = m.banks().len();
+        let mut paths = vec![Vec::new(); locs.len() * locs.len()];
+        for (from, &src) in locs.iter().enumerate() {
+            let mut best_cost: HashMap<Location, usize> = HashMap::new();
+            best_cost.insert(src, 0);
+            let mut frontier: Vec<TransferPath> = Vec::new();
+            for hop in edges.get(&src).into_iter().flatten() {
+                frontier.push(TransferPath { hops: vec![*hop] });
+            }
+            let mut depth = 1usize;
+            while !frontier.is_empty() && depth <= locs.len() {
+                let mut next = Vec::new();
+                for p in frontier {
+                    let dst = p.to();
+                    let entry = best_cost.entry(dst).or_insert(depth);
+                    if *entry == depth {
+                        let to = slot(n_banks, dst).unwrap();
+                        let list = &mut paths[from * locs.len() + to];
+                        if list.len() < max_alternatives {
+                            list.push(p.clone());
+                        }
+                        if dst == Location::Mem {
+                            continue;
+                        }
+                        for hop in edges.get(&dst).into_iter().flatten() {
+                            if !best_cost.contains_key(&hop.to) || best_cost[&hop.to] == depth + 1 {
+                                let mut q = p.clone();
+                                q.hops.push(*hop);
+                                next.push(q);
+                            }
+                        }
+                    }
+                }
+                frontier = next;
+                depth += 1;
+            }
+        }
+        paths
+    }
+
+    /// Every machine of `archs`, at two and four registers, plus the
+    /// single-bus test machine.
+    fn machines() -> Vec<Machine> {
+        use crate::archs;
+        let mut machines = vec![single_bus_machine(), archs::accumulator_dsp()];
+        for regs in [2, 4] {
+            machines.extend([
+                archs::example_arch(regs),
+                archs::arch_two(regs),
+                archs::dsp_arch(regs),
+                archs::chained_arch(regs),
+                archs::single_alu(regs),
+                archs::wide_arch(regs),
+                archs::quad_vliw(regs),
+            ]);
+        }
+        machines
+    }
+
+    #[test]
+    fn slot_indexed_search_matches_the_reference() {
+        for m in machines() {
+            for cap in 1..=4 {
+                let db = TransferDb::with_cap(&m, cap);
+                let want = reference_paths(&m, cap);
+                let n = m.locations().len();
+                for (i, &from) in m.locations().iter().enumerate() {
+                    for (j, &to) in m.locations().iter().enumerate() {
+                        let got = if from == to {
+                            &[][..]
+                        } else {
+                            db.paths(from, to)
+                        };
+                        let want = if from == to {
+                            &[][..]
+                        } else {
+                            &want[i * n + j][..]
+                        };
+                        assert_eq!(got, want, "{} cap {cap}: {from} -> {to}", m.name);
+                    }
+                }
+                let longest = want.iter().flatten().map(TransferPath::cost).max();
+                assert_eq!(db.max_hops(), longest.unwrap_or(0), "{}", m.name);
+            }
+        }
+    }
+
+    #[test]
+    fn op_db_lists_what_a_scan_finds() {
+        for m in machines() {
+            let db = OpDb::new(&m);
+            for &op in Op::all_computational().iter().chain(&[
+                Op::Const,
+                Op::Input,
+                Op::Load,
+                Op::Store,
+                Op::StoreVar,
+            ]) {
+                let units: Vec<UnitId> = m
+                    .units()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, u)| {
+                        u.ops
+                            .iter()
+                            .filter(move |c| c.op == op)
+                            .map(move |_| UnitId(i as u32))
+                    })
+                    .collect();
+                assert_eq!(db.units_for(op), units.as_slice(), "{} {op}", m.name);
+                let complexes: Vec<usize> = m
+                    .complexes()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, cx)| matches!(&cx.pattern, crate::model::PatTree::Op(o, _) if *o == op))
+                    .map(|(i, _)| i)
+                    .collect();
+                assert_eq!(
+                    db.complexes_rooted_at(op),
+                    complexes.as_slice(),
+                    "{} {op}",
+                    m.name
+                );
+            }
+        }
+    }
+
+    /// The fingerprint is written into `--emit bin` headers and keys
+    /// persisted plans, so its values are pinned: hashing the printer's
+    /// stream must give what hashing its text gave.
+    #[test]
+    fn fingerprints_are_pinned() {
+        use crate::archs;
+        for (m, fingerprint) in [
+            (archs::example_arch(4), 0x129b_acd1_cd44_5031),
+            (archs::dsp_arch(4), 0x4d11_eca8_5fc0_0754),
+            (archs::quad_vliw(2), 0xe156_01b2_d9af_1732),
+            (archs::accumulator_dsp(), 0x292c_7c74_0bc9_ea05),
+        ] {
+            assert_eq!(Target::new(m).fingerprint(), fingerprint);
+        }
+        for m in machines() {
+            let text = crate::printer::to_isdl(&m);
+            let t = Target::new(m);
+            assert_eq!(
+                t.fingerprint(),
+                aviv_ir::stablehash::hash_str(&text),
+                "{}",
+                t.machine.name
+            );
+        }
     }
 
     #[test]
@@ -398,7 +647,7 @@ impl Target {
                         .unwrap_or(usize::MAX),
                 )
         });
-        let fingerprint = aviv_ir::stablehash::hash_str(&crate::printer::to_isdl(&machine));
+        let fingerprint = isdl_hash(&machine);
         Target {
             machine,
             ops,
@@ -426,4 +675,32 @@ impl Target {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
+
+/// [`aviv_ir::stablehash::hash_str`] of [`crate::to_isdl`]'s text,
+/// streamed: the printer runs once to count the bytes the hash is
+/// prefixed with and once into the hash, and the text is never held.
+fn isdl_hash(machine: &Machine) -> u64 {
+    /// Counts the bytes written.
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    /// Feeds the bytes written to a hasher.
+    struct Feed(StableHasher);
+    impl fmt::Write for Feed {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write_bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    let _ = crate::printer::write_isdl(machine, &mut len);
+    let mut feed = Feed(StableHasher::new());
+    feed.0.write_usize(len.0);
+    let _ = crate::printer::write_isdl(machine, &mut feed);
+    feed.0.finish()
 }

@@ -6,7 +6,7 @@
 //! the same format hand-written descriptions use.
 
 use crate::model::{Location, Machine, PatTree, SlotPattern};
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Render `machine` as parseable ISDL text.
 ///
@@ -20,89 +20,100 @@ use std::fmt::Write as _;
 /// ```
 pub fn to_isdl(machine: &Machine) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "machine {} {{", machine.name);
-    for unit in machine.units() {
-        let ops: Vec<&str> = unit.ops.iter().map(|c| c.op.mnemonic()).collect();
-        let bank = machine.bank(unit.bank);
-        let _ = writeln!(
-            out,
-            "    unit {} {{ ops {{ {} }} regfile {}[{}]; }}",
-            unit.name,
-            ops.join(", "),
-            bank.name,
-            bank.size
-        );
-    }
-    let _ = writeln!(out, "    memory DM;");
-    for bus in machine.buses() {
-        let eps: Vec<String> = bus
-            .endpoints
-            .iter()
-            .map(|e| match e {
-                Location::Bank(b) => machine.bank(*b).name.clone(),
-                Location::Mem => "DM".to_string(),
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "    bus {} capacity {} connects {{ {} }};",
-            bus.name,
-            bus.capacity,
-            eps.join(", ")
-        );
-    }
-    for con in machine.constraints() {
-        let members: Vec<String> = con
-            .members
-            .iter()
-            .map(|m| match *m {
-                SlotPattern::UnitOp { unit, op } => {
-                    let uname = &machine.unit(unit).name;
-                    match op {
-                        Some(op) => format!("{uname}.{}", op.mnemonic()),
-                        None => format!("{uname}.*"),
-                    }
-                }
-                SlotPattern::BusUse { bus } => format!("bus {}", machine.bus(bus).name),
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "    constraint at_most {} {{ {} }};",
-            con.at_most,
-            members.join(", ")
-        );
-    }
-    for cx in machine.complexes() {
-        let _ = writeln!(
-            out,
-            "    complex {} on {} {{ {} }};",
-            cx.name,
-            machine.unit(cx.unit).name,
-            render_pattern(&cx.pattern)
-        );
-    }
-    out.push_str("}\n");
+    let _ = write_isdl(machine, &mut out);
     out
 }
 
-fn render_pattern(p: &PatTree) -> String {
+/// Write [`to_isdl`]'s text to `out` piece by piece, building no string
+/// of its own: [`crate::Target`] hashes the text this way without
+/// holding it.
+///
+/// # Errors
+///
+/// Only those `out` returns.
+pub(crate) fn write_isdl(machine: &Machine, out: &mut impl fmt::Write) -> fmt::Result {
+    writeln!(out, "machine {} {{", machine.name)?;
+    for unit in machine.units() {
+        write!(out, "    unit {} {{ ops {{ ", unit.name)?;
+        for (k, cap) in unit.ops.iter().enumerate() {
+            let sep = if k == 0 { "" } else { ", " };
+            write!(out, "{sep}{}", cap.op.mnemonic())?;
+        }
+        let bank = machine.bank(unit.bank);
+        writeln!(out, " }} regfile {}[{}]; }}", bank.name, bank.size)?;
+    }
+    writeln!(out, "    memory DM;")?;
+    for bus in machine.buses() {
+        write!(
+            out,
+            "    bus {} capacity {} connects {{ ",
+            bus.name, bus.capacity
+        )?;
+        for (k, e) in bus.endpoints.iter().enumerate() {
+            let sep = if k == 0 { "" } else { ", " };
+            let name = match e {
+                Location::Bank(b) => machine.bank(*b).name.as_str(),
+                Location::Mem => "DM",
+            };
+            write!(out, "{sep}{name}")?;
+        }
+        writeln!(out, " }};")?;
+    }
+    for con in machine.constraints() {
+        write!(out, "    constraint at_most {} {{ ", con.at_most)?;
+        for (k, m) in con.members.iter().enumerate() {
+            let sep = if k == 0 { "" } else { ", " };
+            match *m {
+                SlotPattern::UnitOp { unit, op } => {
+                    let uname = &machine.unit(unit).name;
+                    match op {
+                        Some(op) => write!(out, "{sep}{uname}.{}", op.mnemonic())?,
+                        None => write!(out, "{sep}{uname}.*")?,
+                    }
+                }
+                SlotPattern::BusUse { bus } => {
+                    write!(out, "{sep}bus {}", machine.bus(bus).name)?;
+                }
+            }
+        }
+        writeln!(out, " }};")?;
+    }
+    for cx in machine.complexes() {
+        write!(
+            out,
+            "    complex {} on {} {{ ",
+            cx.name,
+            machine.unit(cx.unit).name
+        )?;
+        write_pattern(&cx.pattern, out)?;
+        writeln!(out, " }};")?;
+    }
+    out.write_str("}\n")
+}
+
+fn write_pattern(p: &PatTree, out: &mut impl fmt::Write) -> fmt::Result {
     match p {
-        PatTree::Arg(i) => arg_name(*i),
+        PatTree::Arg(i) => write_arg_name(*i, out),
         PatTree::Op(op, subs) => {
-            let inner: Vec<String> = subs.iter().map(render_pattern).collect();
-            format!("{}({})", op.mnemonic(), inner.join(", "))
+            write!(out, "{}(", op.mnemonic())?;
+            for (k, sub) in subs.iter().enumerate() {
+                if k > 0 {
+                    out.write_str(", ")?;
+                }
+                write_pattern(sub, out)?;
+            }
+            out.write_str(")")
         }
     }
 }
 
 /// Stable operand names `a, b, c, ... a1, b1, ...` for pattern printing.
-fn arg_name(i: usize) -> String {
+fn write_arg_name(i: usize, out: &mut impl fmt::Write) -> fmt::Result {
     let letter = (b'a' + (i % 26) as u8) as char;
     if i < 26 {
-        letter.to_string()
+        out.write_char(letter)
     } else {
-        format!("{letter}{}", i / 26)
+        write!(out, "{letter}{}", i / 26)
     }
 }
 
@@ -190,6 +201,12 @@ mod tests {
         assert!(machines_equal(&m, &back), "{text}");
         // Repeated pattern operands survive the trip.
         assert_eq!(back.complexes()[1].pattern.arg_count(), 1);
+    }
+
+    fn arg_name(i: usize) -> String {
+        let mut name = String::new();
+        write_arg_name(i, &mut name).unwrap();
+        name
     }
 
     #[test]

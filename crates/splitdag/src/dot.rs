@@ -53,7 +53,7 @@ pub fn sndag_to_dot(sndag: &SplitNodeDag, dag: &BlockDag, target: &Target) -> St
             SnKind::StoreNode { orig, .. } => (format!("store [{orig}]"), "house"),
         };
         let _ = writeln!(out, "  {id} [label=\"{label}\", shape={shape}];");
-        for port in &node.ports {
+        for port in sndag.ports(id) {
             for &child in port {
                 let _ = writeln!(out, "  {child} -> {id};");
             }

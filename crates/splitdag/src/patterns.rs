@@ -10,8 +10,9 @@
 //! (otherwise their value would still have to be computed separately and
 //! fusing would save nothing).
 
-use aviv_ir::{BlockDag, NodeId};
+use aviv_ir::{BlockDag, Consumers, NodeId};
 use aviv_isdl::{PatTree, Target};
+use std::cell::RefCell;
 
 /// One way a complex instruction can cover part of the DAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +30,28 @@ pub struct ComplexMatch {
     pub operands: Vec<NodeId>,
 }
 
+/// Buffers reused by every match on a thread, so that matching a block
+/// allocates only the matches it returns once the buffers have grown to
+/// the largest block and pattern seen.
+#[derive(Debug, Default)]
+struct MatchScratch {
+    /// The block's consumers: an interior node must have exactly one.
+    consumers: Consumers,
+    /// Per node, whether it is a block root (a store or a live-out).
+    is_root: Vec<bool>,
+    /// The node bound to each pattern operand so far.
+    operands: Vec<Option<NodeId>>,
+    /// The nodes the match covers so far.
+    covers: Vec<NodeId>,
+    /// The operands bound so far, in binding order: backtracking unbinds
+    /// the ones bound since its snapshot.
+    trail: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<MatchScratch> = RefCell::new(MatchScratch::default());
+}
+
 /// Find every complex-instruction match in `dag` for `target`.
 ///
 /// Matches are returned grouped by root in node order; the Split-Node DAG
@@ -39,109 +62,205 @@ pub struct ComplexMatch {
 /// target and shared read-only across blocks and worker threads, so each
 /// node only tries the patterns whose root operation matches its own.
 pub fn match_complexes(dag: &BlockDag, target: &Target) -> Vec<ComplexMatch> {
-    let machine = &target.machine;
-    let uses = dag.uses();
-    let root_ids: std::collections::HashSet<NodeId> = dag.roots().into_iter().collect();
     let mut out = Vec::new();
-    for (id, node) in dag.iter() {
-        if node.op.is_leaf() || node.op.is_store() {
-            continue;
-        }
-        for &ci in target.ops.complexes_rooted_at(node.op) {
-            let cx = &machine.complexes()[ci];
-            let mut operands: Vec<Option<NodeId>> = vec![None; cx.pattern.arg_count()];
-            let mut covers = Vec::new();
-            if try_match(
-                dag,
-                &uses,
-                &root_ids,
-                id,
-                &cx.pattern,
-                true,
-                &mut operands,
-                &mut covers,
-            ) {
-                let operands: Vec<NodeId> =
-                    operands.into_iter().map(|o| o.expect("bound")).collect();
-                out.push(ComplexMatch {
-                    complex: ci,
-                    root: id,
-                    covers,
-                    operands,
-                });
-            }
-        }
-    }
+    match_into(dag, target, &mut out);
     out
 }
 
-/// Attempt to match `pat` at `node`, backtracking on failure. Interior
-/// (non-root) op nodes must be single-use and not themselves DAG roots.
-/// Commutative operations are tried in both operand orders (the DAG
-/// canonicalizes commutative operand order, which need not agree with the
-/// pattern's).
-#[allow(clippy::too_many_arguments)]
-fn try_match(
-    dag: &BlockDag,
-    uses: &[Vec<NodeId>],
-    root_ids: &std::collections::HashSet<NodeId>,
-    node: NodeId,
-    pat: &PatTree,
-    is_root: bool,
-    operands: &mut Vec<Option<NodeId>>,
-    covers: &mut Vec<NodeId>,
-) -> bool {
-    match pat {
-        PatTree::Arg(i) => match operands[*i] {
-            None => {
-                operands[*i] = Some(node);
-                true
+/// Append every complex-instruction match in `dag` to `out`, in the
+/// order [`match_complexes`] returns them. The Split-Node DAG builder
+/// matches through here, so every matcher on a thread shares one
+/// scratch.
+pub(crate) fn match_into(dag: &BlockDag, target: &Target, out: &mut Vec<ComplexMatch>) {
+    SCRATCH.with_borrow_mut(|scratch| scratch.match_into(dag, target, out));
+}
+
+impl MatchScratch {
+    fn match_into(&mut self, dag: &BlockDag, target: &Target, out: &mut Vec<ComplexMatch>) {
+        let machine = &target.machine;
+        if machine.complexes().is_empty() {
+            return;
+        }
+        self.consumers.rebuild(dag);
+        self.is_root.clear();
+        self.is_root.resize(dag.len(), false);
+        for &s in dag.stores() {
+            self.is_root[s.index()] = true;
+        }
+        for &(_, n) in dag.live_outs() {
+            self.is_root[n.index()] = true;
+        }
+        for (id, node) in dag.iter() {
+            if node.op.is_leaf() || node.op.is_store() {
+                continue;
             }
-            Some(bound) => bound == node,
-        },
-        PatTree::Op(op, subs) => {
-            let n = dag.node(node);
-            if n.op != *op {
-                return false;
+            for &ci in target.ops.complexes_rooted_at(node.op) {
+                let cx = &machine.complexes()[ci];
+                self.operands.clear();
+                self.operands.resize(cx.pattern.arg_count(), None);
+                self.covers.clear();
+                self.trail.clear();
+                if self.try_match(dag, id, &cx.pattern, true) {
+                    out.push(ComplexMatch {
+                        complex: ci,
+                        root: id,
+                        covers: self.covers.clone(),
+                        operands: self.operands.iter().map(|o| o.expect("bound")).collect(),
+                    });
+                }
             }
-            if !is_root {
-                // A swallowed interior node must have exactly one consumer
-                // (the match parent) and must not be observable.
-                if uses[node.index()].len() != 1 || root_ids.contains(&node) {
+        }
+    }
+
+    /// Attempt to match `pat` at `node`, backtracking on failure.
+    /// Interior (non-root) op nodes must be single-use and not themselves
+    /// DAG roots. Commutative operations are tried in both operand orders
+    /// (the DAG canonicalizes commutative operand order, which need not
+    /// agree with the pattern's).
+    fn try_match(&mut self, dag: &BlockDag, node: NodeId, pat: &PatTree, is_root: bool) -> bool {
+        match pat {
+            PatTree::Arg(i) => match self.operands[*i] {
+                None => {
+                    self.operands[*i] = Some(node);
+                    self.trail.push(*i);
+                    true
+                }
+                Some(bound) => bound == node,
+            },
+            PatTree::Op(op, subs) => {
+                let n = dag.node(node);
+                if n.op != *op {
                     return false;
                 }
-            }
-            let mut orders: Vec<Vec<NodeId>> = vec![n.args.clone()];
-            if op.is_commutative() && n.args.len() >= 2 && n.args[0] != n.args[1] {
-                let mut swapped = n.args.clone();
-                swapped.swap(0, 1);
-                orders.push(swapped);
-            }
-            'order: for args in orders {
-                // Snapshot for backtracking.
-                let saved_operands = operands.clone();
-                let saved_covers = covers.len();
-                covers.push(node);
-                for (arg, sub) in args.iter().zip(subs) {
-                    if !try_match(dag, uses, root_ids, *arg, sub, false, operands, covers) {
-                        *operands = saved_operands;
-                        covers.truncate(saved_covers);
-                        continue 'order;
-                    }
+                // A swallowed interior node must have exactly one consumer
+                // (the match parent) and must not be observable.
+                if !is_root && (self.consumers.of(node).len() != 1 || self.is_root[node.index()]) {
+                    return false;
                 }
-                return true;
+                let args = &n.args;
+                let swappable = op.is_commutative() && args.len() >= 2 && args[0] != args[1];
+                'order: for swapped in [false, true] {
+                    if swapped && !swappable {
+                        break;
+                    }
+                    // Snapshot for backtracking.
+                    let (bound, covered) = (self.trail.len(), self.covers.len());
+                    self.covers.push(node);
+                    for (k, sub) in subs.iter().enumerate().take(args.len()) {
+                        let arg = if swapped && k < 2 {
+                            args[1 - k]
+                        } else {
+                            args[k]
+                        };
+                        if !self.try_match(dag, arg, sub, false) {
+                            for i in self.trail.drain(bound..) {
+                                self.operands[i] = None;
+                            }
+                            self.covers.truncate(covered);
+                            continue 'order;
+                        }
+                    }
+                    return true;
+                }
+                false
             }
-            false
         }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use aviv_ir::parse_function;
     use aviv_isdl::archs::dsp_arch;
     use aviv_isdl::MachineBuilder;
+
+    /// The matcher the scratch-based one replaced: a hash set of roots,
+    /// and fresh operand, cover and order vectors per attempt. The
+    /// Split-Node DAG oracle compares the two.
+    pub(crate) mod reference {
+        use crate::patterns::ComplexMatch;
+        use aviv_ir::{BlockDag, Consumers, NodeId};
+        use aviv_isdl::{PatTree, Target};
+        use std::collections::HashSet;
+
+        pub(crate) fn match_complexes(dag: &BlockDag, target: &Target) -> Vec<ComplexMatch> {
+            let machine = &target.machine;
+            let uses = Consumers::new(dag);
+            let root_ids: HashSet<NodeId> = dag.roots().into_iter().collect();
+            let mut out = Vec::new();
+            for (id, node) in dag.iter() {
+                if node.op.is_leaf() || node.op.is_store() {
+                    continue;
+                }
+                for &ci in target.ops.complexes_rooted_at(node.op) {
+                    let cx = &machine.complexes()[ci];
+                    let mut operands: Vec<Option<NodeId>> = vec![None; cx.pattern.arg_count()];
+                    let mut covers = Vec::new();
+                    let context = (dag, &uses, &root_ids);
+                    if try_match(context, id, &cx.pattern, true, &mut operands, &mut covers) {
+                        let operands = operands.into_iter().map(|o| o.expect("bound")).collect();
+                        out.push(ComplexMatch {
+                            complex: ci,
+                            root: id,
+                            covers,
+                            operands,
+                        });
+                    }
+                }
+            }
+            out
+        }
+
+        fn try_match(
+            context: (&BlockDag, &Consumers, &HashSet<NodeId>),
+            node: NodeId,
+            pat: &PatTree,
+            is_root: bool,
+            operands: &mut Vec<Option<NodeId>>,
+            covers: &mut Vec<NodeId>,
+        ) -> bool {
+            let (dag, uses, root_ids) = context;
+            match pat {
+                PatTree::Arg(i) => match operands[*i] {
+                    None => {
+                        operands[*i] = Some(node);
+                        true
+                    }
+                    Some(bound) => bound == node,
+                },
+                PatTree::Op(op, subs) => {
+                    let n = dag.node(node);
+                    if n.op != *op {
+                        return false;
+                    }
+                    if !is_root && (uses.of(node).len() != 1 || root_ids.contains(&node)) {
+                        return false;
+                    }
+                    let mut orders: Vec<Vec<NodeId>> = vec![n.args.clone()];
+                    if op.is_commutative() && n.args.len() >= 2 && n.args[0] != n.args[1] {
+                        let mut swapped = n.args.clone();
+                        swapped.swap(0, 1);
+                        orders.push(swapped);
+                    }
+                    'order: for args in orders {
+                        let saved_operands = operands.clone();
+                        let saved_covers = covers.len();
+                        covers.push(node);
+                        for (arg, sub) in args.iter().zip(subs) {
+                            if !try_match(context, *arg, sub, false, operands, covers) {
+                                *operands = saved_operands;
+                                covers.truncate(saved_covers);
+                                continue 'order;
+                            }
+                        }
+                        return true;
+                    }
+                    false
+                }
+            }
+        }
+    }
 
     #[test]
     fn mac_matches_mul_feeding_add() {

@@ -23,10 +23,10 @@
 //!   destination bank (a real alternative); its address — and a dynamic
 //!   store's address and value — must reside in that bank.
 
-use crate::patterns::{match_complexes, ComplexMatch};
+use crate::patterns::{match_into, ComplexMatch};
 use aviv_ir::{BlockDag, NodeId, Op};
-use aviv_isdl::{BankId, BusId, Location, Target, UnitId};
-use std::collections::HashMap;
+use aviv_isdl::{BankId, BusId, Hop, Location, Target, UnitId};
+use std::cell::RefCell;
 use std::error::Error;
 use std::fmt;
 
@@ -113,22 +113,23 @@ pub enum SnKind {
     },
 }
 
-/// One node of the Split-Node DAG with its downward edges.
-#[derive(Debug, Clone)]
+/// One node of the Split-Node DAG. Its downward edges are read through
+/// [`SplitNodeDag::ports`], grouped by input port:
+/// * `Split` — port 0 lists the alternatives;
+/// * `Alt`/`ComplexAlt` — port `k` lists the possible suppliers of
+///   operand `k` (producer alternatives, transfer-chain tails, leaves,
+///   immediates);
+/// * `MemAlt` — port 0 the suppliers of the address;
+/// * `Transfer` — port 0 the single supplier it forwards;
+/// * `StoreNode` — suppliers of the stored value (and for dynamic
+///   stores, port 0 the address, port 1 the value);
+/// * `Leaf`/`Imm` — no ports.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnNode {
     /// The node kind.
     pub kind: SnKind,
-    /// Downward edges, grouped by input port:
-    /// * `Split` — `ports[0]` lists the alternatives;
-    /// * `Alt`/`ComplexAlt` — `ports[k]` lists the possible suppliers of
-    ///   operand `k` (producer alternatives, transfer-chain tails, leaves,
-    ///   immediates);
-    /// * `MemAlt` — `ports[0]` suppliers of the address;
-    /// * `Transfer` — `ports[0]` the single supplier it forwards;
-    /// * `StoreNode` — suppliers of the stored value (and for dynamic
-    ///   stores, `ports[0]` the address, `ports[1]` the value);
-    /// * `Leaf`/`Imm` — no ports.
-    pub ports: Vec<Vec<SnId>>,
+    /// Half-open range of this node's ports in the DAG's port table.
+    ports: (u32, u32),
 }
 
 /// How an alternative executes: the resource it occupies.
@@ -168,7 +169,7 @@ pub enum AltKind {
 
 /// Compact description of one implementation alternative, used by the
 /// covering engine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AltInfo {
     /// The Split-Node-DAG node of this alternative.
     pub sn: SnId,
@@ -250,9 +251,18 @@ pub struct SplitDagStats {
 }
 
 /// The Split-Node DAG for one basic block on one target.
+///
+/// Every list lives in one flat arena with per-owner ranges instead of
+/// a heap vector per node: building a block's DAG allocates a fixed
+/// number of buffers (plus its complex matches), whatever its size.
 #[derive(Debug, Clone)]
 pub struct SplitNodeDag {
     nodes: Vec<SnNode>,
+    /// Half-open range into `suppliers` of every port, grouped by node
+    /// in node order: [`SnNode::ports`] slices this table.
+    ports: Vec<(u32, u32)>,
+    /// The downward edges of every port, port after port.
+    suppliers: Vec<SnId>,
     /// Split node of each original node (ops only).
     split_of: Vec<Option<SnId>>,
     /// Alternatives of all original nodes (ops and dynamic loads),
@@ -265,8 +275,11 @@ pub struct SplitNodeDag {
     alt_ranges: Vec<(u32, u32)>,
     /// Complex matches found on the block.
     matches: Vec<ComplexMatch>,
-    /// For each original node, the matches covering it as an interior.
-    covered_by: Vec<Vec<usize>>,
+    /// The matches covering each original node as an interior, flattened
+    /// like `alts`; both are empty when the block has no match.
+    covered_by: Vec<usize>,
+    /// Half-open `(start, end)` range into `covered_by` per node.
+    covered_by_ranges: Vec<(u32, u32)>,
     /// Store-node alternatives of all original store nodes, flattened
     /// like `alts`.
     store_alts: Vec<SnId>,
@@ -274,28 +287,31 @@ pub struct SplitNodeDag {
     store_alt_ranges: Vec<(u32, u32)>,
 }
 
-/// Flatten per-node lists into one arena plus per-node ranges.
-fn flatten_arena<T>(per_node: Vec<Vec<T>>) -> (Vec<T>, Vec<(u32, u32)>) {
-    let total = per_node.iter().map(Vec::len).sum();
-    let mut arena = Vec::with_capacity(total);
-    let mut ranges = Vec::with_capacity(per_node.len());
-    for items in per_node {
-        let start = arena.len() as u32;
-        arena.extend(items);
-        ranges.push((start, arena.len() as u32));
-    }
-    (arena, ranges)
+/// The `(start, end)` slice of `arena`.
+fn slice<T>(arena: &[T], (start, end): (u32, u32)) -> &[T] {
+    &arena[start as usize..end as usize]
 }
 
 impl SplitNodeDag {
     /// Build the Split-Node DAG of `dag` for `target`.
+    ///
+    /// The builder works in buffers kept per thread, so once they have
+    /// grown to the largest block built on the thread, a build allocates
+    /// only the DAG it returns.
     ///
     /// # Errors
     ///
     /// Returns [`SplitDagError::UnsupportedOp`] when some operation can be
     /// implemented neither directly nor through a complex instruction.
     pub fn build(dag: &BlockDag, target: &Target) -> Result<SplitNodeDag, SplitDagError> {
-        Builder::new(dag, target).run()
+        SCRATCH.with_borrow_mut(|scratch| {
+            Builder {
+                dag,
+                target,
+                s: scratch,
+            }
+            .run()
+        })
     }
 
     /// All nodes.
@@ -306,6 +322,15 @@ impl SplitNodeDag {
     /// Access one node.
     pub fn node(&self, id: SnId) -> &SnNode {
         &self.nodes[id.index()]
+    }
+
+    /// The input ports of node `id`, in port order, each listing its
+    /// possible suppliers (see [`SnNode`] for what each kind's ports
+    /// hold).
+    pub fn ports(&self, id: SnId) -> impl ExactSizeIterator<Item = &[SnId]> + '_ {
+        slice(&self.ports, self.nodes[id.index()].ports)
+            .iter()
+            .map(|&range| slice(&self.suppliers, range))
     }
 
     /// Number of Split-Node-DAG nodes.
@@ -321,8 +346,7 @@ impl SplitNodeDag {
     /// Implementation alternatives of an original node (empty for leaves
     /// and stores).
     pub fn alts(&self, orig: NodeId) -> &[AltInfo] {
-        let (start, end) = self.alt_ranges[orig.index()];
-        &self.alts[start as usize..end as usize]
+        slice(&self.alts, self.alt_ranges[orig.index()])
     }
 
     /// The split node of an original operation node.
@@ -337,7 +361,10 @@ impl SplitNodeDag {
 
     /// Matches covering `orig` as a swallowed interior node.
     pub fn covering_matches(&self, orig: NodeId) -> &[usize] {
-        &self.covered_by[orig.index()]
+        match self.covered_by_ranges.get(orig.index()) {
+            Some(&range) => slice(&self.covered_by, range),
+            None => &[],
+        }
     }
 
     /// Statistics for the paper's table columns.
@@ -414,9 +441,8 @@ impl SplitNodeDag {
                     target.machine.bus(*bus).name
                 ),
             };
-            let ports: Vec<String> = n
-                .ports
-                .iter()
+            let ports: Vec<String> = self
+                .ports(id)
                 .map(|p| {
                     let items: Vec<String> =
                         p.iter().map(std::string::ToString::to_string).collect();
@@ -430,8 +456,7 @@ impl SplitNodeDag {
 
     /// Store alternatives (one per usable memory bus) of a store node.
     pub fn store_alts(&self, orig: NodeId) -> &[SnId] {
-        let (start, end) = self.store_alt_ranges[orig.index()];
-        &self.store_alts[start as usize..end as usize]
+        slice(&self.store_alts, self.store_alt_ranges[orig.index()])
     }
 }
 
@@ -442,174 +467,264 @@ fn loc_name(target: &Target, loc: Location) -> String {
     }
 }
 
+/// No node: the end of a transfer-sharing list.
+const NO_SN: u32 = u32::MAX;
+
+/// Buffers reused by every Split-Node DAG built on a thread: the DAG
+/// under construction (copied out at exactly its size) and the
+/// builder's own bookkeeping.
+#[derive(Debug, Default)]
+struct Scratch {
+    matches: Vec<ComplexMatch>,
+    nodes: Vec<SnNode>,
+    ports: Vec<(u32, u32)>,
+    suppliers: Vec<SnId>,
+    alts: Vec<AltInfo>,
+    /// Buses that touch memory, with the banks they serve.
+    mem_ports: Vec<(BusId, BankId)>,
+    /// The ports of the node being built, which transfer nodes pushed
+    /// while they are gathered would otherwise interleave with:
+    /// `pending` holds their suppliers and `pending_ends` each port's
+    /// end in it.
+    pending: Vec<SnId>,
+    pending_ends: Vec<u32>,
+    /// Supplier list per original value node, `where_from[orig]` slicing
+    /// `sources`: (sn node, where the value is). `None` location means
+    /// instruction immediate. A node's suppliers are all created while
+    /// the node is built, so each list is contiguous.
+    sources: Vec<(SnId, Option<Location>)>,
+    where_from: Vec<(u32, u32)>,
+    /// Transfer-node sharing, parallel to `nodes`: the last transfer
+    /// created out of each node, and for a transfer the one created out
+    /// of the same supplier before it. A supplier's transfers differ in
+    /// `(bus, to)`, and its location fixes their `from`.
+    xfer_head: Vec<u32>,
+    xfer_next: Vec<u32>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
 struct Builder<'a> {
     dag: &'a BlockDag,
     target: &'a Target,
-    nodes: Vec<SnNode>,
-    split_of: Vec<Option<SnId>>,
-    alts: Vec<Vec<AltInfo>>,
-    store_alts: Vec<Vec<SnId>>,
-    /// Supplier list per original value node: (sn node, where the value
-    /// is). `None` location means instruction immediate.
-    suppliers: Vec<Vec<(SnId, Option<Location>)>>,
-    /// Transfer-node sharing: (supplier, bus, to) → node.
-    xfer_cache: HashMap<(SnId, BusId, Location), SnId>,
-    matches: Vec<ComplexMatch>,
-    covered_by: Vec<Vec<usize>>,
+    s: &'a mut Scratch,
 }
 
-impl<'a> Builder<'a> {
-    fn new(dag: &'a BlockDag, target: &'a Target) -> Self {
-        let matches = match_complexes(dag, target);
-        let mut covered_by = vec![Vec::new(); dag.len()];
-        for (mi, m) in matches.iter().enumerate() {
-            for &c in &m.covers {
-                if c != m.root {
-                    covered_by[c.index()].push(mi);
-                }
-            }
+impl Builder<'_> {
+    /// Push a node whose ports are the pending ones.
+    fn push(&mut self, kind: SnKind) -> SnId {
+        let s = &mut *self.s;
+        let id = SnId(s.nodes.len() as u32);
+        let first = s.ports.len() as u32;
+        let mut start = 0;
+        for &end in &s.pending_ends {
+            let at = s.suppliers.len() as u32;
+            s.suppliers
+                .extend_from_slice(&s.pending[start as usize..end as usize]);
+            s.ports.push((at, s.suppliers.len() as u32));
+            start = end;
         }
-        Builder {
-            dag,
-            target,
-            nodes: Vec::new(),
-            split_of: vec![None; dag.len()],
-            alts: vec![Vec::new(); dag.len()],
-            store_alts: vec![Vec::new(); dag.len()],
-            suppliers: vec![Vec::new(); dag.len()],
-            xfer_cache: HashMap::new(),
-            matches,
-            covered_by,
-        }
-    }
-
-    fn push(&mut self, kind: SnKind, ports: Vec<Vec<SnId>>) -> SnId {
-        let id = SnId(self.nodes.len() as u32);
-        self.nodes.push(SnNode { kind, ports });
+        s.pending.clear();
+        s.pending_ends.clear();
+        s.nodes.push(SnNode {
+            kind,
+            ports: (first, s.ports.len() as u32),
+        });
+        s.xfer_head.push(NO_SN);
+        s.xfer_next.push(NO_SN);
         id
     }
 
-    /// Suppliers of `orig`'s value into `dest`: direct when already there
-    /// (or an immediate), otherwise through shared transfer chains along
-    /// every stored shortest path.
-    fn port_into(&mut self, orig: NodeId, dest: Location) -> Vec<SnId> {
-        let suppliers = self.suppliers[orig.index()].clone();
-        let mut port = Vec::new();
-        for (sup, loc) in suppliers {
+    /// The transfer over `hop` out of `from`, shared by every port that
+    /// routes `from`'s value along it.
+    fn transfer(&mut self, from: SnId, hop: Hop) -> SnId {
+        let s = &*self.s;
+        let mut t = s.xfer_head[from.index()];
+        while t != NO_SN {
+            if let SnKind::Transfer { bus, to, .. } = s.nodes[t as usize].kind {
+                if (bus, to) == (hop.bus, hop.to) {
+                    return SnId(t);
+                }
+            }
+            t = s.xfer_next[t as usize];
+        }
+        // A new transfer goes straight into the tables with its single
+        // port, forwarding `from`; the pending ports stay pending.
+        let s = &mut *self.s;
+        let id = SnId(s.nodes.len() as u32);
+        let at = s.suppliers.len() as u32;
+        s.suppliers.push(from);
+        let first = s.ports.len() as u32;
+        s.ports.push((at, at + 1));
+        s.nodes.push(SnNode {
+            kind: SnKind::Transfer {
+                bus: hop.bus,
+                from: hop.from,
+                to: hop.to,
+            },
+            ports: (first, first + 1),
+        });
+        s.xfer_head.push(NO_SN);
+        s.xfer_next.push(s.xfer_head[from.index()]);
+        s.xfer_head[from.index()] = id.0;
+        id
+    }
+
+    /// Append to the pending ports one port holding the suppliers of
+    /// `orig`'s value into `dest`: direct when already there (or an
+    /// immediate), otherwise through shared transfer chains along every
+    /// stored shortest path.
+    fn port_into(&mut self, orig: NodeId, dest: Location) {
+        let (start, end) = self.s.where_from[orig.index()];
+        for k in start..end {
+            let (sup, loc) = self.s.sources[k as usize];
             match loc {
-                None => port.push(sup), // immediate: free anywhere
-                Some(l) if l == dest => port.push(sup),
+                None => self.s.pending.push(sup), // immediate: free anywhere
+                Some(l) if l == dest => self.s.pending.push(sup),
                 Some(l) => {
-                    let paths: Vec<_> = self.target.xfers.paths(l, dest).to_vec();
-                    for path in paths {
+                    for path in self.target.xfers.paths(l, dest) {
                         let mut cur = sup;
-                        for hop in &path.hops {
-                            let key = (cur, hop.bus, hop.to);
-                            cur = match self.xfer_cache.get(&key) {
-                                Some(&t) => t,
-                                None => {
-                                    let t = self.push(
-                                        SnKind::Transfer {
-                                            bus: hop.bus,
-                                            from: hop.from,
-                                            to: hop.to,
-                                        },
-                                        vec![vec![cur]],
-                                    );
-                                    self.xfer_cache.insert(key, t);
-                                    t
-                                }
-                            };
+                        for &hop in &path.hops {
+                            cur = self.transfer(cur, hop);
                         }
-                        port.push(cur);
+                        self.s.pending.push(cur);
                     }
                 }
             }
         }
-        port
+        let end = self.s.pending.len() as u32;
+        self.s.pending_ends.push(end);
+    }
+
+    /// Record `sn` as a supplier of `orig`'s value at `loc`.
+    fn supply(&mut self, orig: NodeId, sn: SnId, loc: Option<Location>) {
+        let s = &mut *self.s;
+        let range = &mut s.where_from[orig.index()];
+        if range.0 == range.1 {
+            let at = s.sources.len() as u32;
+            *range = (at, at);
+        }
+        s.sources.push((sn, loc));
+        range.1 += 1;
     }
 
     fn run(mut self) -> Result<SplitNodeDag, SplitDagError> {
-        let machine = &self.target.machine;
-        // Buses that touch memory, with the banks they serve.
-        let mem_ports: Vec<(BusId, BankId)> = machine
-            .buses()
-            .iter()
-            .enumerate()
-            .flat_map(|(bi, bus)| {
-                if !bus.endpoints.contains(&Location::Mem) {
-                    return Vec::new();
-                }
-                bus.endpoints
-                    .iter()
-                    .filter_map(|&e| match e {
+        let (dag, target) = (self.dag, self.target);
+        let machine = &target.machine;
+        let n = dag.len();
+        let s = &mut *self.s;
+        s.matches.clear();
+        match_into(dag, target, &mut s.matches);
+        s.nodes.clear();
+        s.ports.clear();
+        s.suppliers.clear();
+        s.alts.clear();
+        s.pending.clear();
+        s.pending_ends.clear();
+        s.sources.clear();
+        s.where_from.clear();
+        s.where_from.resize(n, (0, 0));
+        s.xfer_head.clear();
+        s.xfer_next.clear();
+        s.mem_ports.clear();
+        for (bi, bus) in machine.buses().iter().enumerate() {
+            if bus.endpoints.contains(&Location::Mem) {
+                s.mem_ports
+                    .extend(bus.endpoints.iter().filter_map(|&e| match e {
                         Location::Bank(b) => Some((BusId(bi as u32), b)),
                         Location::Mem => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+                    }));
+            }
+        }
+        let mut covered_by_ranges = Vec::new();
+        let mut covered_by = Vec::new();
+        if !s.matches.is_empty() {
+            // Counting sort of the interiors by node, in match order.
+            covered_by_ranges.resize(n, (0, 0));
+            for m in &s.matches {
+                for &c in m.covers.iter().filter(|&&c| c != m.root) {
+                    covered_by_ranges[c.index()].1 += 1;
+                }
+            }
+            let mut at = 0;
+            for range in &mut covered_by_ranges {
+                let count = range.1;
+                *range = (at, at);
+                at += count;
+            }
+            covered_by.resize(at as usize, 0);
+            for (mi, m) in s.matches.iter().enumerate() {
+                for &c in m.covers.iter().filter(|&&c| c != m.root) {
+                    let range = &mut covered_by_ranges[c.index()];
+                    covered_by[range.1 as usize] = mi;
+                    range.1 += 1;
+                }
+            }
+        }
 
-        for (id, node) in self.dag.iter() {
+        let mut split_of = vec![None; n];
+        let mut alt_ranges = Vec::with_capacity(n);
+        let mut store_alts = Vec::new();
+        let mut store_alt_ranges = Vec::with_capacity(n);
+        // The first match not rooted before the current node.
+        let mut next_match = 0;
+        for (id, node) in dag.iter() {
+            let alts_start = self.s.alts.len() as u32;
+            let stores_start = store_alts.len() as u32;
             match node.op {
                 Op::Const => {
-                    let sn = self.push(SnKind::Imm { orig: id }, vec![]);
-                    self.suppliers[id.index()].push((sn, None));
+                    let sn = self.push(SnKind::Imm { orig: id });
+                    self.supply(id, sn, None);
                 }
                 Op::Input => {
-                    let sn = self.push(SnKind::Leaf { orig: id }, vec![]);
-                    self.suppliers[id.index()].push((sn, Some(Location::Mem)));
+                    let sn = self.push(SnKind::Leaf { orig: id });
+                    self.supply(id, sn, Some(Location::Mem));
                 }
                 Op::Load => {
                     // Dynamic load: one alternative per (bus, bank) memory
                     // port; the address must be in the destination bank.
-                    if mem_ports.is_empty() {
+                    if self.s.mem_ports.is_empty() {
                         return Err(SplitDagError::NoMemoryPath { node: id });
                     }
-                    let mut alt_sns = Vec::new();
-                    for &(bus, bank) in &mem_ports {
-                        let addr_port = self.port_into(node.args[0], Location::Bank(bank));
-                        let sn = self.push(
-                            SnKind::MemAlt {
-                                orig: id,
-                                bus,
-                                bank,
-                            },
-                            vec![addr_port],
-                        );
-                        alt_sns.push(sn);
-                        self.alts[id.index()].push(AltInfo {
+                    for k in 0..self.s.mem_ports.len() {
+                        let (bus, bank) = self.s.mem_ports[k];
+                        self.port_into(node.args[0], Location::Bank(bank));
+                        let sn = self.push(SnKind::MemAlt {
+                            orig: id,
+                            bus,
+                            bank,
+                        });
+                        self.s.alts.push(AltInfo {
                             sn,
                             exec: Exec::MemPort { bus, bank },
                             kind: AltKind::DynLoad,
                         });
-                        self.suppliers[id.index()].push((sn, Some(Location::Bank(bank))));
+                        self.supply(id, sn, Some(Location::Bank(bank)));
                     }
-                    let split = self.push(SnKind::Split { orig: id }, vec![alt_sns]);
-                    self.split_of[id.index()] = Some(split);
+                    split_of[id.index()] = Some(self.split(id, alts_start));
                 }
                 Op::Store => {
                     // Dynamic store: address and value must both sit in
                     // the bank whose memory port performs the store.
-                    if mem_ports.is_empty() {
+                    if self.s.mem_ports.is_empty() {
                         return Err(SplitDagError::NoMemoryPath { node: id });
                     }
-                    for &(bus, bank) in &mem_ports {
-                        let addr_port = self.port_into(node.args[0], Location::Bank(bank));
-                        let val_port = self.port_into(node.args[1], Location::Bank(bank));
-                        let sn = self.push(
-                            SnKind::StoreNode {
-                                orig: id,
-                                bus,
-                                bank,
-                            },
-                            vec![addr_port, val_port],
-                        );
-                        self.store_alts[id.index()].push(sn);
+                    for k in 0..self.s.mem_ports.len() {
+                        let (bus, bank) = self.s.mem_ports[k];
+                        self.port_into(node.args[0], Location::Bank(bank));
+                        self.port_into(node.args[1], Location::Bank(bank));
+                        let sn = self.push(SnKind::StoreNode {
+                            orig: id,
+                            bus,
+                            bank,
+                        });
+                        store_alts.push(sn);
                         // A dynamic store chooses its memory port: that is
                         // a real assignment decision, so it participates
                         // in the alternatives table.
-                        self.alts[id.index()].push(AltInfo {
+                        self.s.alts.push(AltInfo {
                             sn,
                             exec: Exec::MemPort { bus, bank },
                             kind: AltKind::DynStore,
@@ -622,104 +737,110 @@ impl<'a> Builder<'a> {
                     // node per memory bus suffices (value port already
                     // fans over producer alternatives). We anchor it on
                     // the value's possible final hop into memory.
-                    let val_port = self.port_into(node.args[0], Location::Mem);
+                    self.port_into(node.args[0], Location::Mem);
                     // Use the first memory bus for bookkeeping; the actual
                     // bus is determined by the chosen transfer path.
-                    let (bus, bank) = mem_ports.first().copied().unwrap_or((BusId(0), BankId(0)));
-                    let sn = self.push(
-                        SnKind::StoreNode {
-                            orig: id,
-                            bus,
-                            bank,
-                        },
-                        vec![val_port],
-                    );
-                    self.store_alts[id.index()].push(sn);
+                    let (bus, bank) = self
+                        .s
+                        .mem_ports
+                        .first()
+                        .copied()
+                        .unwrap_or((BusId(0), BankId(0)));
+                    let sn = self.push(SnKind::StoreNode {
+                        orig: id,
+                        bus,
+                        bank,
+                    });
+                    store_alts.push(sn);
                 }
                 op => {
                     // Regular operation: one alternative per capable unit
                     // plus complex alternatives rooted here.
-                    let units = self.target.ops.units_for(op).to_vec();
-                    let mut alt_sns = Vec::new();
-                    for unit in units {
+                    for &unit in target.ops.units_for(op) {
                         let bank = machine.bank_of(unit);
-                        let ports: Vec<Vec<SnId>> = node
-                            .args
-                            .iter()
-                            .map(|&a| self.port_into(a, Location::Bank(bank)))
-                            .collect();
-                        let sn = self.push(SnKind::Alt { orig: id, unit, op }, ports);
-                        alt_sns.push(sn);
-                        self.alts[id.index()].push(AltInfo {
+                        for &a in &node.args {
+                            self.port_into(a, Location::Bank(bank));
+                        }
+                        let sn = self.push(SnKind::Alt { orig: id, unit, op });
+                        self.s.alts.push(AltInfo {
                             sn,
                             exec: Exec::Unit(unit),
                             kind: AltKind::Simple(op),
                         });
-                        self.suppliers[id.index()].push((sn, Some(Location::Bank(bank))));
+                        self.supply(id, sn, Some(Location::Bank(bank)));
                     }
-                    // Complex alternatives rooted at this node.
-                    let rooted: Vec<usize> = self
-                        .matches
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| m.root == id)
-                        .map(|(i, _)| i)
-                        .collect();
-                    for mi in rooted {
-                        let m = self.matches[mi].clone();
-                        let cx = &machine.complexes()[m.complex];
-                        let unit = cx.unit;
+                    // Complex alternatives rooted at this node. Matches come
+                    // grouped by root in node order; any rooted at a dynamic
+                    // load is skipped, as loads take no complex alternative.
+                    while self.s.matches.get(next_match).is_some_and(|m| m.root < id) {
+                        next_match += 1;
+                    }
+                    while let Some(m) = self.s.matches.get(next_match).filter(|m| m.root == id) {
+                        let (complex, unit) = (m.complex, machine.complexes()[m.complex].unit);
+                        let kind = AltKind::Complex {
+                            index: complex,
+                            covers: m.covers.clone(),
+                            operands: m.operands.clone(),
+                        };
                         let bank = machine.bank_of(unit);
-                        let ports: Vec<Vec<SnId>> = m
-                            .operands
-                            .iter()
-                            .map(|&a| self.port_into(a, Location::Bank(bank)))
-                            .collect();
-                        let sn = self.push(
-                            SnKind::ComplexAlt {
-                                orig: id,
-                                complex: m.complex,
-                                unit,
-                            },
-                            ports,
-                        );
-                        alt_sns.push(sn);
-                        self.alts[id.index()].push(AltInfo {
+                        for k in 0..self.s.matches[next_match].operands.len() {
+                            let a = self.s.matches[next_match].operands[k];
+                            self.port_into(a, Location::Bank(bank));
+                        }
+                        let sn = self.push(SnKind::ComplexAlt {
+                            orig: id,
+                            complex,
+                            unit,
+                        });
+                        self.s.alts.push(AltInfo {
                             sn,
                             exec: Exec::Unit(unit),
-                            kind: AltKind::Complex {
-                                index: m.complex,
-                                covers: m.covers.clone(),
-                                operands: m.operands.clone(),
-                            },
+                            kind,
                         });
-                        self.suppliers[id.index()].push((sn, Some(Location::Bank(bank))));
+                        self.supply(id, sn, Some(Location::Bank(bank)));
+                        next_match += 1;
                     }
-                    if self.alts[id.index()].is_empty() {
+                    if self.s.alts.len() as u32 == alts_start {
                         // No direct implementation. Acceptable only when
                         // some complex covers this node as an interior.
-                        if self.covered_by[id.index()].is_empty() {
+                        if covered_by_ranges
+                            .get(id.index())
+                            .is_none_or(|&(start, end)| start == end)
+                        {
                             return Err(SplitDagError::UnsupportedOp { op, node: id });
                         }
                     } else {
-                        let split = self.push(SnKind::Split { orig: id }, vec![alt_sns]);
-                        self.split_of[id.index()] = Some(split);
+                        split_of[id.index()] = Some(self.split(id, alts_start));
                     }
                 }
             }
+            alt_ranges.push((alts_start, self.s.alts.len() as u32));
+            store_alt_ranges.push((stores_start, store_alts.len() as u32));
         }
-        let (alts, alt_ranges) = flatten_arena(self.alts);
-        let (store_alts, store_alt_ranges) = flatten_arena(self.store_alts);
+        let s = &mut *self.s;
         Ok(SplitNodeDag {
-            nodes: self.nodes,
-            split_of: self.split_of,
-            alts,
+            nodes: s.nodes.drain(..).collect(),
+            ports: s.ports.drain(..).collect(),
+            suppliers: s.suppliers.drain(..).collect(),
+            split_of,
+            alts: s.alts.drain(..).collect(),
             alt_ranges,
-            matches: self.matches,
-            covered_by: self.covered_by,
+            matches: s.matches.drain(..).collect(),
+            covered_by,
+            covered_by_ranges,
             store_alts,
             store_alt_ranges,
         })
+    }
+
+    /// Push the split node of `orig` over its alternatives from
+    /// `alts_start` on.
+    fn split(&mut self, orig: NodeId, alts_start: u32) -> SnId {
+        let s = &mut *self.s;
+        s.pending
+            .extend(s.alts[alts_start as usize..].iter().map(|a| a.sn));
+        s.pending_ends.push(s.pending.len() as u32);
+        self.push(SnKind::Split { orig })
     }
 }
 
@@ -734,6 +855,405 @@ mod tests {
         let target = Target::new(machine);
         let sn = SplitNodeDag::build(&f.blocks[0].dag, &target).unwrap();
         (f, target, sn)
+    }
+
+    /// The builder the flat one replaced, kept as the oracle's
+    /// reference: a port vector per node, a supplier vector per original
+    /// node, a hash map sharing transfers, and each path list copied
+    /// before it is walked.
+    mod reference {
+        use crate::patterns::tests::reference::match_complexes;
+        use crate::patterns::ComplexMatch;
+        use crate::sndag::{AltInfo, AltKind, Exec, SnId, SnKind, SplitDagError};
+        use aviv_ir::{BlockDag, NodeId, Op};
+        use aviv_isdl::{BankId, BusId, Location, Target};
+        use std::collections::HashMap;
+
+        /// A Split-Node DAG in the per-node layout.
+        pub(super) struct Reference {
+            pub(super) nodes: Vec<(SnKind, Vec<Vec<SnId>>)>,
+            pub(super) split_of: Vec<Option<SnId>>,
+            pub(super) alts: Vec<Vec<AltInfo>>,
+            pub(super) matches: Vec<ComplexMatch>,
+            pub(super) covered_by: Vec<Vec<usize>>,
+            pub(super) store_alts: Vec<Vec<SnId>>,
+        }
+
+        struct Builder<'a> {
+            dag: &'a BlockDag,
+            target: &'a Target,
+            out: Reference,
+            suppliers: Vec<Vec<(SnId, Option<Location>)>>,
+            xfer_cache: HashMap<(SnId, BusId, Location), SnId>,
+        }
+
+        pub(super) fn build(dag: &BlockDag, target: &Target) -> Result<Reference, SplitDagError> {
+            let matches = match_complexes(dag, target);
+            let mut covered_by = vec![Vec::new(); dag.len()];
+            for (mi, m) in matches.iter().enumerate() {
+                for &c in &m.covers {
+                    if c != m.root {
+                        covered_by[c.index()].push(mi);
+                    }
+                }
+            }
+            Builder {
+                dag,
+                target,
+                out: Reference {
+                    nodes: Vec::new(),
+                    split_of: vec![None; dag.len()],
+                    alts: vec![Vec::new(); dag.len()],
+                    matches,
+                    covered_by,
+                    store_alts: vec![Vec::new(); dag.len()],
+                },
+                suppliers: vec![Vec::new(); dag.len()],
+                xfer_cache: HashMap::new(),
+            }
+            .run()
+        }
+
+        impl Builder<'_> {
+            fn push(&mut self, kind: SnKind, ports: Vec<Vec<SnId>>) -> SnId {
+                let id = SnId(self.out.nodes.len() as u32);
+                self.out.nodes.push((kind, ports));
+                id
+            }
+
+            fn port_into(&mut self, orig: NodeId, dest: Location) -> Vec<SnId> {
+                let suppliers = self.suppliers[orig.index()].clone();
+                let mut port = Vec::new();
+                for (sup, loc) in suppliers {
+                    match loc {
+                        None => port.push(sup),
+                        Some(l) if l == dest => port.push(sup),
+                        Some(l) => {
+                            let paths: Vec<_> = self.target.xfers.paths(l, dest).to_vec();
+                            for path in paths {
+                                let mut cur = sup;
+                                for hop in &path.hops {
+                                    let key = (cur, hop.bus, hop.to);
+                                    cur = match self.xfer_cache.get(&key) {
+                                        Some(&t) => t,
+                                        None => {
+                                            let t = self.push(
+                                                SnKind::Transfer {
+                                                    bus: hop.bus,
+                                                    from: hop.from,
+                                                    to: hop.to,
+                                                },
+                                                vec![vec![cur]],
+                                            );
+                                            self.xfer_cache.insert(key, t);
+                                            t
+                                        }
+                                    };
+                                }
+                                port.push(cur);
+                            }
+                        }
+                    }
+                }
+                port
+            }
+
+            fn run(mut self) -> Result<Reference, SplitDagError> {
+                let machine = &self.target.machine;
+                let mem_ports: Vec<(BusId, BankId)> = machine
+                    .buses()
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(bi, bus)| {
+                        if !bus.endpoints.contains(&Location::Mem) {
+                            return Vec::new();
+                        }
+                        bus.endpoints
+                            .iter()
+                            .filter_map(|&e| match e {
+                                Location::Bank(b) => Some((BusId(bi as u32), b)),
+                                Location::Mem => None,
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .collect();
+
+                for (id, node) in self.dag.iter() {
+                    let i = id.index();
+                    match node.op {
+                        Op::Const => {
+                            let sn = self.push(SnKind::Imm { orig: id }, vec![]);
+                            self.suppliers[i].push((sn, None));
+                        }
+                        Op::Input => {
+                            let sn = self.push(SnKind::Leaf { orig: id }, vec![]);
+                            self.suppliers[i].push((sn, Some(Location::Mem)));
+                        }
+                        Op::Load => {
+                            if mem_ports.is_empty() {
+                                return Err(SplitDagError::NoMemoryPath { node: id });
+                            }
+                            let mut alt_sns = Vec::new();
+                            for &(bus, bank) in &mem_ports {
+                                let addr = self.port_into(node.args[0], Location::Bank(bank));
+                                let kind = SnKind::MemAlt {
+                                    orig: id,
+                                    bus,
+                                    bank,
+                                };
+                                let sn = self.push(kind, vec![addr]);
+                                alt_sns.push(sn);
+                                self.out.alts[i].push(AltInfo {
+                                    sn,
+                                    exec: Exec::MemPort { bus, bank },
+                                    kind: AltKind::DynLoad,
+                                });
+                                self.suppliers[i].push((sn, Some(Location::Bank(bank))));
+                            }
+                            let split = self.push(SnKind::Split { orig: id }, vec![alt_sns]);
+                            self.out.split_of[i] = Some(split);
+                        }
+                        Op::Store => {
+                            if mem_ports.is_empty() {
+                                return Err(SplitDagError::NoMemoryPath { node: id });
+                            }
+                            for &(bus, bank) in &mem_ports {
+                                let addr = self.port_into(node.args[0], Location::Bank(bank));
+                                let val = self.port_into(node.args[1], Location::Bank(bank));
+                                let kind = SnKind::StoreNode {
+                                    orig: id,
+                                    bus,
+                                    bank,
+                                };
+                                let sn = self.push(kind, vec![addr, val]);
+                                self.out.store_alts[i].push(sn);
+                                self.out.alts[i].push(AltInfo {
+                                    sn,
+                                    exec: Exec::MemPort { bus, bank },
+                                    kind: AltKind::DynStore,
+                                });
+                            }
+                        }
+                        Op::StoreVar => {
+                            let val = self.port_into(node.args[0], Location::Mem);
+                            let (bus, bank) =
+                                mem_ports.first().copied().unwrap_or((BusId(0), BankId(0)));
+                            let kind = SnKind::StoreNode {
+                                orig: id,
+                                bus,
+                                bank,
+                            };
+                            let sn = self.push(kind, vec![val]);
+                            self.out.store_alts[i].push(sn);
+                        }
+                        op => {
+                            let units = self.target.ops.units_for(op).to_vec();
+                            let mut alt_sns = Vec::new();
+                            for unit in units {
+                                let bank = machine.bank_of(unit);
+                                let ports: Vec<Vec<SnId>> = node
+                                    .args
+                                    .iter()
+                                    .map(|&a| self.port_into(a, Location::Bank(bank)))
+                                    .collect();
+                                let sn = self.push(SnKind::Alt { orig: id, unit, op }, ports);
+                                alt_sns.push(sn);
+                                self.out.alts[i].push(AltInfo {
+                                    sn,
+                                    exec: Exec::Unit(unit),
+                                    kind: AltKind::Simple(op),
+                                });
+                                self.suppliers[i].push((sn, Some(Location::Bank(bank))));
+                            }
+                            let rooted: Vec<usize> = self
+                                .out
+                                .matches
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, m)| m.root == id)
+                                .map(|(mi, _)| mi)
+                                .collect();
+                            for mi in rooted {
+                                let m = self.out.matches[mi].clone();
+                                let unit = machine.complexes()[m.complex].unit;
+                                let bank = machine.bank_of(unit);
+                                let ports: Vec<Vec<SnId>> = m
+                                    .operands
+                                    .iter()
+                                    .map(|&a| self.port_into(a, Location::Bank(bank)))
+                                    .collect();
+                                let kind = SnKind::ComplexAlt {
+                                    orig: id,
+                                    complex: m.complex,
+                                    unit,
+                                };
+                                let sn = self.push(kind, ports);
+                                alt_sns.push(sn);
+                                self.out.alts[i].push(AltInfo {
+                                    sn,
+                                    exec: Exec::Unit(unit),
+                                    kind: AltKind::Complex {
+                                        index: m.complex,
+                                        covers: m.covers.clone(),
+                                        operands: m.operands.clone(),
+                                    },
+                                });
+                                self.suppliers[i].push((sn, Some(Location::Bank(bank))));
+                            }
+                            if self.out.alts[i].is_empty() {
+                                if self.out.covered_by[i].is_empty() {
+                                    return Err(SplitDagError::UnsupportedOp { op, node: id });
+                                }
+                            } else {
+                                let split = self.push(SnKind::Split { orig: id }, vec![alt_sns]);
+                                self.out.split_of[i] = Some(split);
+                            }
+                        }
+                    }
+                }
+                Ok(self.out)
+            }
+        }
+    }
+
+    /// Check that the flat build of `dag` equals the reference build:
+    /// the same outcome, nodes in the same order with the same ports,
+    /// and the same split nodes, alternatives, matches, interiors and
+    /// store alternatives. Returns the nodes compared.
+    fn check_against_reference(dag: &BlockDag, target: &Target, what: &str) -> usize {
+        let (flat, reference) = match (
+            SplitNodeDag::build(dag, target),
+            reference::build(dag, target),
+        ) {
+            (Ok(flat), Ok(reference)) => (flat, reference),
+            (Err(flat), Err(reference)) => {
+                assert_eq!(flat, reference, "{what}");
+                return 0;
+            }
+            (flat, reference) => panic!(
+                "{what}: flat {:?}, reference {:?}",
+                flat.err(),
+                reference.err()
+            ),
+        };
+        assert_eq!(flat.len(), reference.nodes.len(), "{what}");
+        for (i, (kind, ports)) in reference.nodes.iter().enumerate() {
+            let id = SnId(i as u32);
+            assert_eq!(&flat.node(id).kind, kind, "{what} {id}");
+            let got: Vec<&[SnId]> = flat.ports(id).collect();
+            assert_eq!(got, *ports, "{what} {id}");
+        }
+        assert_eq!(flat.matches(), reference.matches.as_slice(), "{what}");
+        for (id, _) in dag.iter() {
+            let i = id.index();
+            assert_eq!(flat.split_of(id), reference.split_of[i], "{what} {id}");
+            assert_eq!(flat.alts(id), reference.alts[i].as_slice(), "{what} {id}");
+            assert_eq!(
+                flat.covering_matches(id),
+                reference.covered_by[i].as_slice(),
+                "{what} {id}"
+            );
+            assert_eq!(
+                flat.store_alts(id),
+                reference.store_alts[i].as_slice(),
+                "{what} {id}"
+            );
+        }
+        // `stats` reads the nodes and the alternative ranges alone.
+        let stats = flat.stats(dag);
+        assert_eq!(stats.sn_nodes, reference.nodes.len(), "{what}");
+        let space = reference
+            .alts
+            .iter()
+            .filter(|a| !a.is_empty())
+            .fold(1u128, |p, a| p.saturating_mul(a.len() as u128));
+        assert_eq!(stats.assignment_space, space, "{what}");
+        reference.nodes.len()
+    }
+
+    /// Every `archs` machine that takes a register count, at two to four
+    /// registers per bank, plus the accumulator DSP: `chained_arch` has
+    /// multi-hop paths, `quad_vliw` two paths between any two places, and
+    /// `dsp_arch` the `mac` complex.
+    fn machines() -> impl Iterator<Item = aviv_isdl::Machine> {
+        let makers = [
+            archs::example_arch as fn(u32) -> _,
+            archs::arch_two,
+            archs::dsp_arch,
+            archs::chained_arch,
+            archs::single_alu,
+            archs::wide_arch,
+            archs::quad_vliw,
+        ];
+        (2..=4)
+            .flat_map(move |regs| makers.map(|make| make(regs)))
+            .chain([archs::accumulator_dsp()])
+    }
+
+    /// The six DSP kernels of the bench crate, read from its source: that
+    /// crate depends on this one, so it cannot be a dependency here.
+    fn kernels() -> Vec<aviv_ir::Function> {
+        let source = include_str!("../../bench/src/kernels.rs");
+        let kernels: Vec<_> = source
+            .split("source: \"")
+            .skip(1)
+            .map(|rest| {
+                let text = &rest[..rest.find('"').expect("a kernel's source ends")];
+                parse_function(text).expect("kernels parse")
+            })
+            .collect();
+        assert_eq!(kernels.len(), 6, "the bench crate's kernels");
+        kernels
+    }
+
+    /// The flat builder against the per-node reference on seeded random
+    /// blocks (with constants, and with the multiply-adds the `mac`
+    /// complex matches), two blocks with dynamic memory and write-backs,
+    /// the six DSP kernels, and blocks no machine can implement.
+    #[test]
+    fn flat_builds_match_the_reference() {
+        let mut functions: Vec<aviv_ir::Function> = [3, 6, 10, 16]
+            .into_iter()
+            .flat_map(|n_ops| {
+                let cfg = aviv_ir::randdag::RandDagConfig {
+                    n_ops,
+                    const_prob: 0.2,
+                    ..Default::default()
+                };
+                (0..4).map(move |seed| aviv_ir::randdag::random_block(&cfg, seed))
+            })
+            .collect();
+        for src in [
+            "func f(a, b) { a = a + b; b = a * 3; c = a - b; return c; }",
+            "func f(p, q, x) { mem[p] = x * x; y = mem[q] + x; mem[q + 1] = 7; x = y; return y; }",
+            "func f(a, b, c, d) { x = a * b + c; y = c + a * d; z = x * y + x; return z; }",
+            "func f(a, b) { x = a / b; y = min(a, b); return x + y; }",
+        ] {
+            functions.push(parse_function(src).expect("oracle block parses"));
+        }
+        functions.extend(kernels());
+        let (mut built, mut failed, mut nodes, mut matched) = (0, 0, 0, 0);
+        for machine in machines() {
+            let target = Target::new(machine);
+            for (fi, f) in functions.iter().enumerate() {
+                for (bi, block) in f.blocks.iter().enumerate() {
+                    let what = format!("{} function {fi} bb{bi}", target.machine.name);
+                    let n = check_against_reference(&block.dag, &target, &what);
+                    if n == 0 {
+                        failed += 1;
+                    } else {
+                        built += 1;
+                        nodes += n;
+                    }
+                    matched += crate::match_complexes(&block.dag, &target).len();
+                }
+            }
+        }
+        eprintln!("{built} blocks built ({nodes} nodes, {matched} matches), {failed} refused");
+        assert!(
+            built > 300 && failed > 100 && matched > 40,
+            "{built} {failed} {matched}"
+        );
     }
 
     /// The paper's §IV-A worked example: the Fig. 2 block has a SUB fed by

@@ -27,11 +27,12 @@
 //! passes `check_machine` an M-error verdict and a compile failure
 //! coincide.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 
 use crate::diag::{json_escape, render_report, Code, Diagnostic, Format, Severity};
 use crate::lint::lint_machine;
-use aviv_ir::{BlockDag, Function, NodeId, Op, Sym};
+use aviv_ir::{BlockDag, Consumers, Function, NodeId, Op, Sym};
 use aviv_isdl::{Location, Machine, Target};
 use aviv_splitdag::{match_complexes, ComplexMatch};
 
@@ -217,7 +218,7 @@ pub fn analyze_program(f: &Function, target: &Target) -> ProgramAnalysis {
         let dag = &block.dag;
         let matches = match_complexes(dag, target);
         check_block(dag, target, &matches, &name, f, &mut diagnostics);
-        let (min_instructions, min_pressure) = bounds_with_matches(dag, target, &matches);
+        let (min_instructions, min_pressure) = block_bounds_from_matches(dag, target, &matches);
         blocks.push(BlockAnalysis {
             name,
             nodes: dag.len(),
@@ -261,10 +262,17 @@ pub fn analyze_program(f: &Function, target: &Target) -> ProgramAnalysis {
 /// they may be recomputed for cached plans without changing output.
 pub fn block_bounds(dag: &BlockDag, target: &Target) -> (usize, usize) {
     let matches = match_complexes(dag, target);
-    bounds_with_matches(dag, target, &matches)
+    block_bounds_from_matches(dag, target, &matches)
 }
 
-fn bounds_with_matches(
+/// [`block_bounds`] of a block whose complex-instruction matches are
+/// already known: `matches` must be what [`match_complexes`] finds on
+/// `dag`, such as the matches of the block's Split-Node DAG, which the
+/// compile driver passes instead of matching the block a second time.
+///
+/// The bounds are computed in buffers kept per thread, so once they
+/// have grown to the largest block seen, this allocates nothing.
+pub fn block_bounds_from_matches(
     dag: &BlockDag,
     target: &Target,
     matches: &[ComplexMatch],
@@ -272,138 +280,232 @@ fn bounds_with_matches(
     if dag.is_empty() {
         return (0, 0);
     }
-    let m = &target.machine;
-    let n_units = m.units().len().max(1);
-    let bus_slots: usize = m
-        .buses()
-        .iter()
-        .map(|b| b.capacity as usize)
-        .sum::<usize>()
-        .max(1);
+    BOUNDS.with_borrow_mut(|scratch| scratch.bounds(dag, target, matches))
+}
 
-    let mut interior = vec![false; dag.len()];
-    let mut rooted: Vec<Vec<usize>> = vec![Vec::new(); dag.len()];
-    for (mi, mm) in matches.iter().enumerate() {
-        rooted[mm.root.index()].push(mi);
-        for &c in &mm.covers {
-            if c != mm.root {
-                interior[c.index()] = true;
+/// Buffers reused by every [`block_bounds_from_matches`] on a thread.
+#[derive(Debug, Default)]
+struct BoundsScratch {
+    consumers: Consumers,
+    /// Per node, whether some match swallows it as an interior.
+    interior: Vec<bool>,
+    /// The matches rooted at node `n` are `rooted[rooted_start[n]..
+    /// rooted_start[n + 1]]`, in match order.
+    rooted_start: Vec<u32>,
+    rooted: Vec<u32>,
+    /// Per unit, the ops only it can implement.
+    sole: Vec<usize>,
+    /// Per node, the critical-path length up to it.
+    height: Vec<usize>,
+    /// The units of the node at hand, one bit per unit.
+    units: Vec<u64>,
+    /// Per node, `bank_words` words: one bit per bank its value can be
+    /// produced into (and read from, since every unit reads and writes
+    /// its own register file). Filled for non-interior computational
+    /// nodes only.
+    banks: Vec<u64>,
+}
+
+thread_local! {
+    static BOUNDS: RefCell<BoundsScratch> = RefCell::new(BoundsScratch::default());
+}
+
+impl BoundsScratch {
+    fn bounds(
+        &mut self,
+        dag: &BlockDag,
+        target: &Target,
+        matches: &[ComplexMatch],
+    ) -> (usize, usize) {
+        let m = &target.machine;
+        let n = dag.len();
+        let n_units = m.units().len().max(1);
+        let bus_slots: usize = m
+            .buses()
+            .iter()
+            .map(|b| b.capacity as usize)
+            .sum::<usize>()
+            .max(1);
+        let unit_words = m.units().len().div_ceil(64);
+        let bank_words = m.banks().len().div_ceil(64);
+
+        self.consumers.rebuild(dag);
+        self.interior.clear();
+        self.interior.resize(n, false);
+        self.rooted_start.clear();
+        self.rooted_start.resize(n + 1, 0);
+        for mm in matches {
+            self.rooted_start[mm.root.index() + 1] += 1;
+            for &c in &mm.covers {
+                if c != mm.root {
+                    self.interior[c.index()] = true;
+                }
             }
         }
-    }
-    let uses = dag.uses();
+        for i in 0..n {
+            self.rooted_start[i + 1] += self.rooted_start[i];
+        }
+        self.rooted.clear();
+        self.rooted.resize(matches.len(), 0);
+        for (mi, mm) in matches.iter().enumerate() {
+            let at = &mut self.rooted_start[mm.root.index()];
+            self.rooted[*at as usize] = mi as u32;
+            *at += 1;
+        }
+        self.rooted_start.copy_within(0..n, 1);
+        self.rooted_start[0] = 0;
+        self.sole.clear();
+        self.sole.resize(m.units().len(), 0);
+        self.height.clear();
+        self.height.resize(n, 0);
+        self.banks.clear();
+        self.banks.resize(n * bank_words, 0);
 
-    let mut unit_ops = 0usize; // non-interior computational ops
-    let mut sole = vec![0usize; m.units().len()];
-    let mut transfers = 0usize; // mandatory bus slots
-    let mut pressure = 0usize;
-    let mut height = vec![0usize; dag.len()];
-    let mut critical_path = 0usize;
+        let mut unit_ops = 0usize; // non-interior computational ops
+        let mut transfers = 0usize; // mandatory bus slots
+        let mut pressure = 0usize;
+        let mut critical_path = 0usize;
 
-    for (id, node) in dag.iter() {
-        let idx = id.index();
-        let weight = match node.op {
-            Op::Const => 0,
-            Op::Input => {
-                // An input leaf forces a memory→bank load only when some
-                // consumer reads it from a register; a `StoreVar` of an
-                // input is a direct memory→memory move. The load itself
-                // is charged here; its serialisation before the consumer
-                // is deliberately not (weight 0 keeps the bound
-                // admissible for direct moves).
-                if uses[idx].iter().any(|&u| dag.node(u).op != Op::StoreVar) {
-                    transfers += 1;
-                }
-                0
-            }
-            Op::Load => {
-                transfers += 1;
-                pressure = pressure.max(distinct_reg_args(dag, id));
-                1
-            }
-            Op::Store => {
-                transfers += 1;
-                pressure = pressure.max(distinct_reg_args(dag, id));
-                1
-            }
-            Op::StoreVar => {
-                // `x = x` stores the unchanged value back to its own
-                // slot; nothing forces an instruction for it.
-                let arg = node.args[0];
-                let identity = dag.node(arg).op == Op::Input && dag.node(arg).sym == node.sym;
-                if identity {
-                    0
-                } else {
-                    transfers += 1;
-                    // The stored value occupies one register unless it
-                    // comes straight from memory or an immediate.
-                    if !matches!(dag.node(arg).op, Op::Const | Op::Input) {
-                        pressure = pressure.max(1);
+        for (id, node) in dag.iter() {
+            let idx = id.index();
+            let weight = match node.op {
+                Op::Const => 0,
+                Op::Input => {
+                    // An input leaf forces a memory→bank load only when some
+                    // consumer reads it from a register; a `StoreVar` of an
+                    // input is a direct memory→memory move. The load itself
+                    // is charged here; its serialisation before the consumer
+                    // is deliberately not (weight 0 keeps the bound
+                    // admissible for direct moves).
+                    if self
+                        .consumers
+                        .of(id)
+                        .iter()
+                        .any(|&u| dag.node(u).op != Op::StoreVar)
+                    {
+                        transfers += 1;
                     }
+                    0
+                }
+                Op::Load | Op::Store => {
+                    transfers += 1;
+                    pressure = pressure.max(distinct_reg_values(dag, &node.args));
                     1
                 }
-            }
-            _ if interior[idx] => 0,
-            op => {
-                unit_ops += 1;
-                let caps = capable_units(target, op, &rooted[idx], matches);
-                if caps.len() == 1 {
-                    if let Some(&u) = caps.iter().next() {
-                        sole[u as usize] += 1;
+                Op::StoreVar => {
+                    // `x = x` stores the unchanged value back to its own
+                    // slot; nothing forces an instruction for it.
+                    let arg = node.args[0];
+                    let identity = dag.node(arg).op == Op::Input && dag.node(arg).sym == node.sym;
+                    if identity {
+                        0
+                    } else {
+                        transfers += 1;
+                        // The stored value occupies one register unless it
+                        // comes straight from memory or an immediate.
+                        if !matches!(dag.node(arg).op, Op::Const | Op::Input) {
+                            pressure = pressure.max(1);
+                        }
+                        1
                     }
                 }
-                // Distinct register operands, minimised over complex
-                // alternatives (a pattern can absorb repeated or
-                // interior operands).
-                let mut contribution = distinct_reg_args(dag, id);
-                for &mi in &rooted[idx] {
-                    contribution = contribution.min(distinct_reg_operands(dag, &matches[mi]));
+                _ if self.interior[idx] => 0,
+                op => {
+                    unit_ops += 1;
+                    // Units that can produce `op` as a root: direct
+                    // implementors plus the units of complex alternatives
+                    // rooted at this node.
+                    let rooted = &self.rooted
+                        [self.rooted_start[idx] as usize..self.rooted_start[idx + 1] as usize];
+                    self.units.clear();
+                    self.units.resize(unit_words, 0);
+                    let capable = target.ops.units_for(op).iter().copied().chain(
+                        rooted
+                            .iter()
+                            .map(|&mi| m.complexes()[matches[mi as usize].complex].unit),
+                    );
+                    let banks = &mut self.banks[idx * bank_words..(idx + 1) * bank_words];
+                    for u in capable {
+                        set_bit(&mut self.units, u.index());
+                        set_bit(banks, m.bank_of(u).index());
+                    }
+                    let count: u32 = self.units.iter().map(|w| w.count_ones()).sum();
+                    if count == 1 {
+                        if let Some(u) = first_bit(&self.units) {
+                            self.sole[u] += 1;
+                        }
+                    }
+                    // Distinct register operands, minimised over complex
+                    // alternatives (a pattern can absorb repeated or
+                    // interior operands).
+                    let mut contribution = distinct_reg_values(dag, &node.args);
+                    for &mi in rooted {
+                        contribution = contribution
+                            .min(distinct_reg_values(dag, &matches[mi as usize].operands));
+                    }
+                    pressure = pressure.max(contribution);
+                    1
                 }
-                pressure = pressure.max(contribution);
-                1
-            }
-        };
-        let base = node
-            .args
-            .iter()
-            .map(|&a| height[a.index()])
-            .max()
-            .unwrap_or(0);
-        height[idx] = base + weight;
-        critical_path = critical_path.max(height[idx]);
-    }
+            };
+            let base = node
+                .args
+                .iter()
+                .map(|&a| self.height[a.index()])
+                .max()
+                .unwrap_or(0);
+            self.height[idx] = base + weight;
+            critical_path = critical_path.max(self.height[idx]);
+        }
 
-    // Mandatory cross-bank moves: a computational producer none of
-    // whose writable banks is readable by some consumer needs at least
-    // one bus transfer, whichever alternatives covering picks. Counted
-    // once per producer — a single move can serve several consumers.
-    for (id, node) in dag.iter() {
-        let idx = id.index();
-        if interior[idx] || !is_computational(node.op) {
-            continue;
-        }
-        let writes = capable_banks(target, node.op, &rooted[idx], matches);
-        if writes.is_empty() {
-            continue; // uncoverable: M001 territory, bounds are moot
-        }
-        let forced = uses[idx].iter().any(|&u| {
-            let un = dag.node(u);
-            if interior[u.index()] || !is_computational(un.op) {
-                return false;
+        // Mandatory cross-bank moves: a computational producer none of
+        // whose writable banks is readable by some consumer needs at least
+        // one bus transfer, whichever alternatives covering picks. Counted
+        // once per producer — a single move can serve several consumers.
+        // Only non-interior computational nodes have banks, so the rest
+        // neither force nor take a move.
+        let banks_of = |i: usize| &self.banks[i * bank_words..(i + 1) * bank_words];
+        for (id, _) in dag.iter() {
+            let writes = banks_of(id.index());
+            if writes.iter().all(|&w| w == 0) {
+                continue; // none, or uncoverable: M001 territory, bounds are moot
             }
-            let reads = capable_banks(target, un.op, &rooted[u.index()], matches);
-            !reads.is_empty() && writes.is_disjoint(&reads)
-        });
-        if forced {
-            transfers += 1;
+            let forced = self.consumers.of(id).iter().any(|&u| {
+                let reads = banks_of(u.index());
+                reads.iter().any(|&r| r != 0) && writes.iter().zip(reads).all(|(w, r)| w & r == 0)
+            });
+            if forced {
+                transfers += 1;
+            }
         }
-    }
 
-    let width = unit_ops.div_ceil(n_units);
-    let sole_bound = sole.iter().copied().max().unwrap_or(0);
-    let bus_bound = transfers.div_ceil(bus_slots);
-    let min_instructions = critical_path.max(width).max(sole_bound).max(bus_bound);
-    (min_instructions, pressure)
+        let width = unit_ops.div_ceil(n_units);
+        let sole_bound = self.sole.iter().copied().max().unwrap_or(0);
+        let bus_bound = transfers.div_ceil(bus_slots);
+        let min_instructions = critical_path.max(width).max(sole_bound).max(bus_bound);
+        (min_instructions, pressure)
+    }
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+/// The lowest set bit of `words`.
+fn first_bit(words: &[u64]) -> Option<usize> {
+    words
+        .iter()
+        .position(|&w| w != 0)
+        .map(|k| k * 64 + words[k].trailing_zeros() as usize)
+}
+
+/// Number of distinct non-constant values among `values`: the registers
+/// a node's arguments, or a complex alternative's operands, occupy.
+fn distinct_reg_values(dag: &BlockDag, values: &[NodeId]) -> usize {
+    values
+        .iter()
+        .enumerate()
+        .filter(|&(k, v)| dag.node(*v).op != Op::Const && !values[..k].contains(v))
+        .count()
 }
 
 /// Units that can produce `op` as a root: direct implementors plus the
@@ -433,36 +535,6 @@ fn capable_banks(
         .iter()
         .map(|&u| target.machine.bank_of(aviv_isdl::UnitId(u)).0)
         .collect()
-}
-
-fn is_computational(op: Op) -> bool {
-    !matches!(
-        op,
-        Op::Const | Op::Input | Op::Load | Op::Store | Op::StoreVar
-    )
-}
-
-/// Number of distinct non-constant argument values of a node.
-fn distinct_reg_args(dag: &BlockDag, id: NodeId) -> usize {
-    let mut seen = BTreeSet::new();
-    for &a in &dag.node(id).args {
-        if dag.node(a).op != Op::Const {
-            seen.insert(a.index());
-        }
-    }
-    seen.len()
-}
-
-/// Number of distinct non-constant operand values a complex alternative
-/// consumes from registers.
-fn distinct_reg_operands(dag: &BlockDag, mm: &ComplexMatch) -> usize {
-    let mut seen = BTreeSet::new();
-    for &o in &mm.operands {
-        if dag.node(o).op != Op::Const {
-            seen.insert(o.index());
-        }
-    }
-    seen.len()
 }
 
 /// Coverability + routing scan for one block; mirrors the split-node
@@ -830,6 +902,199 @@ mod tests {
 
     fn parse(src: &str) -> Function {
         parse_function(src).expect("test program parses")
+    }
+
+    fn is_computational(op: Op) -> bool {
+        !matches!(
+            op,
+            Op::Const | Op::Input | Op::Load | Op::Store | Op::StoreVar
+        )
+    }
+
+    /// The bounds the bitmask ones replaced: the block matched again, a
+    /// match list per node, and a `BTreeSet` per unit, bank and operand
+    /// set.
+    fn reference_bounds(dag: &BlockDag, target: &Target) -> (usize, usize) {
+        let matches = match_complexes(dag, target);
+        if dag.is_empty() {
+            return (0, 0);
+        }
+        let m = &target.machine;
+        let n_units = m.units().len().max(1);
+        let bus_slots: usize = m
+            .buses()
+            .iter()
+            .map(|b| b.capacity as usize)
+            .sum::<usize>()
+            .max(1);
+        let distinct = |values: &[NodeId]| -> usize {
+            let set: BTreeSet<usize> = values
+                .iter()
+                .filter(|&&v| dag.node(v).op != Op::Const)
+                .map(|v| v.index())
+                .collect();
+            set.len()
+        };
+        let mut interior = vec![false; dag.len()];
+        let mut rooted: Vec<Vec<usize>> = vec![Vec::new(); dag.len()];
+        for (mi, mm) in matches.iter().enumerate() {
+            rooted[mm.root.index()].push(mi);
+            for &c in &mm.covers {
+                if c != mm.root {
+                    interior[c.index()] = true;
+                }
+            }
+        }
+        let uses = Consumers::new(dag);
+        let (mut unit_ops, mut transfers, mut pressure, mut critical_path) = (0usize, 0, 0, 0);
+        let mut sole = vec![0usize; m.units().len()];
+        let mut height = vec![0usize; dag.len()];
+        for (id, node) in dag.iter() {
+            let idx = id.index();
+            let weight = match node.op {
+                Op::Const => 0,
+                Op::Input => {
+                    if uses.of(id).iter().any(|&u| dag.node(u).op != Op::StoreVar) {
+                        transfers += 1;
+                    }
+                    0
+                }
+                Op::Load | Op::Store => {
+                    transfers += 1;
+                    pressure = pressure.max(distinct(&node.args));
+                    1
+                }
+                Op::StoreVar => {
+                    let arg = node.args[0];
+                    if dag.node(arg).op == Op::Input && dag.node(arg).sym == node.sym {
+                        0
+                    } else {
+                        transfers += 1;
+                        if !matches!(dag.node(arg).op, Op::Const | Op::Input) {
+                            pressure = pressure.max(1);
+                        }
+                        1
+                    }
+                }
+                _ if interior[idx] => 0,
+                op => {
+                    unit_ops += 1;
+                    let caps = capable_units(target, op, &rooted[idx], &matches);
+                    if caps.len() == 1 {
+                        sole[*caps.iter().next().unwrap() as usize] += 1;
+                    }
+                    let mut contribution = distinct(&node.args);
+                    for &mi in &rooted[idx] {
+                        contribution = contribution.min(distinct(&matches[mi].operands));
+                    }
+                    pressure = pressure.max(contribution);
+                    1
+                }
+            };
+            let base = node.args.iter().map(|&a| height[a.index()]).max();
+            height[idx] = base.unwrap_or(0) + weight;
+            critical_path = critical_path.max(height[idx]);
+        }
+        for (id, node) in dag.iter() {
+            let idx = id.index();
+            if interior[idx] || !is_computational(node.op) {
+                continue;
+            }
+            let writes = capable_banks(target, node.op, &rooted[idx], &matches);
+            if writes.is_empty() {
+                continue;
+            }
+            let forced = uses.of(id).iter().any(|&u| {
+                let un = dag.node(u);
+                if interior[u.index()] || !is_computational(un.op) {
+                    return false;
+                }
+                let reads = capable_banks(target, un.op, &rooted[u.index()], &matches);
+                !reads.is_empty() && writes.is_disjoint(&reads)
+            });
+            transfers += usize::from(forced);
+        }
+        let width = unit_ops.div_ceil(n_units);
+        let sole_bound = sole.iter().copied().max().unwrap_or(0);
+        let bus_bound = transfers.div_ceil(bus_slots);
+        (
+            critical_path.max(width).max(sole_bound).max(bus_bound),
+            pressure,
+        )
+    }
+
+    /// The six DSP kernels of the bench crate, read from its source: that
+    /// crate depends on this one, so it cannot be a dependency here.
+    fn kernels() -> Vec<Function> {
+        let source = include_str!("../../bench/src/kernels.rs");
+        let kernels: Vec<_> = source
+            .split("source: \"")
+            .skip(1)
+            .map(|rest| parse(&rest[..rest.find('"').expect("a kernel's source ends")]))
+            .collect();
+        assert_eq!(kernels.len(), 6, "the bench crate's kernels");
+        kernels
+    }
+
+    /// The bounds the compile driver takes from a block's Split-Node DAG
+    /// matches equal `block_bounds` and the per-node-set reference, on
+    /// seeded random blocks (with constants, dynamic memory and the
+    /// multiply-adds the `mac` complex matches) and the DSP kernels, on
+    /// every `archs` machine at two to four registers per bank. They
+    /// fill `--report`'s `bound` and pressure columns.
+    #[test]
+    fn bounds_from_the_split_node_dag_match_the_reference() {
+        let makers = [
+            archs::example_arch as fn(u32) -> _,
+            archs::arch_two,
+            archs::dsp_arch,
+            archs::chained_arch,
+            archs::single_alu,
+            archs::wide_arch,
+            archs::quad_vliw,
+        ];
+        let machines = (2..=4)
+            .flat_map(|regs| makers.map(|make| make(regs)))
+            .chain([archs::accumulator_dsp()]);
+        let mut functions: Vec<Function> = [3, 6, 10, 16]
+            .into_iter()
+            .flat_map(|n_ops| {
+                let cfg = aviv_ir::randdag::RandDagConfig {
+                    n_ops,
+                    const_prob: 0.2,
+                    ops: vec![Op::Add, Op::Sub, Op::Mul, Op::Add, Op::Mul],
+                    ..Default::default()
+                };
+                (0..4).map(move |seed| aviv_ir::randdag::random_block(&cfg, seed))
+            })
+            .collect();
+        functions.push(parse(
+            "func f(p, q, x) { mem[p] = x * x; y = mem[q] + x; mem[q + 1] = 7; x = y; return y; }",
+        ));
+        functions.push(parse("func f(a, b) { a = a; b = a + 2; return b; }"));
+        functions.extend(kernels());
+        let (mut compared, mut matched) = (0, 0);
+        for machine in machines {
+            let target = Target::new(machine);
+            for (fi, f) in functions.iter().enumerate() {
+                for (bi, block) in f.blocks.iter().enumerate() {
+                    let dag = &block.dag;
+                    let Ok(sndag) = aviv_splitdag::SplitNodeDag::build(dag, &target) else {
+                        continue;
+                    };
+                    let what = format!("{} function {fi} bb{bi}", target.machine.name);
+                    let driver = block_bounds_from_matches(dag, &target, sndag.matches());
+                    assert_eq!(driver, block_bounds(dag, &target), "{what}");
+                    assert_eq!(driver, reference_bounds(dag, &target), "{what}");
+                    compared += 1;
+                    matched += usize::from(!sndag.matches().is_empty());
+                }
+            }
+        }
+        assert!(
+            compared > 400 && matched > 20,
+            "{compared} compared, {matched} with matches"
+        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub mod lint;
 pub mod tv;
 
 pub use analyze::{
-    analyze_machine, analyze_program, block_bounds, render_analysis, MachineAnalysis,
-    ProgramAnalysis,
+    analyze_machine, analyze_program, block_bounds, block_bounds_from_matches, render_analysis,
+    MachineAnalysis, ProgramAnalysis,
 };
 pub use check::check_program;
 pub use diag::{render_report, Code, Diagnostic, Format, Severity};

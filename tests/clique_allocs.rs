@@ -19,51 +19,14 @@
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
 
+mod common;
+
 use aviv::cliques::CliquePool;
 use aviv::{explore, Budget, CodegenOptions, CoverGraph};
 use aviv_bench::kernels::DOT4;
 use aviv_ir::parse_function;
 use aviv_isdl::{archs, Target};
 use aviv_splitdag::SplitNodeDag;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator plus a count of allocation calls.
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the `GlobalAlloc` contract holds exactly as it does for `System`; the
-// counter is a lock-free atomic and never allocates.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Ceiling for the first pass, which grows the buffers (18 now).
 const CEILING_FIRST: u64 = 40;
@@ -87,7 +50,7 @@ fn clique_pools_regenerate_without_allocating() {
     let mut counts = [(0u64, 0usize); 2];
     for (calls, cliques) in &mut counts {
         let budget = Budget::unlimited();
-        let before = CALLS.load(Ordering::Relaxed);
+        let before = common::allocations();
         for graph in &graphs {
             pool.generate(
                 graph,
@@ -99,7 +62,7 @@ fn clique_pools_regenerate_without_allocating() {
             .expect("Example keeps single nodes legal");
             *cliques += pool.len();
         }
-        *calls = CALLS.load(Ordering::Relaxed) - before;
+        *calls = common::allocations() - before;
     }
     let [(first, cliques), (second, again)] = counts;
     eprintln!("432 pools, {cliques} cliques: {first} allocations, then {second} warm");

@@ -11,9 +11,11 @@
 //! generation work in one scratch workspace per thread, so a warm
 //! covering call allocates only the schedule it returns. An assignment
 //! the bound prunes gets no cover graph, the others are rebuilt in
-//! place in one reused graph, and only those copy the symbol table: the
-//! compile makes 2,759 allocations (2,778 while every assignment's
-//! graph was built before its bound was taken), where it made 5,397
+//! place in one reused graph, and only those copy the symbol table; the
+//! Split-Node DAG, the block bounds, the target and the dead-code check
+//! work in flat storage too. The compile makes 2,222 allocations (2,759
+//! with the per-node front end, 2,778 while every assignment's graph
+//! was built before its bound was taken), where it made 5,397
 //! when every covering call built its own scratch and generated its
 //! clique pools into fresh `BitSet`s, 60,293 when every assignment
 //! built a fresh graph and cloned the table, and 8,326,978 when every
@@ -23,53 +25,16 @@
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
 
+mod common;
+
 use aviv::{CodeGenerator, CodegenOptions};
 use aviv_bench::kernels::DOT4;
 use aviv_ir::parse_function;
 use aviv_isdl::{archs, parse_machine, to_isdl};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator plus a count of allocation calls.
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the `GlobalAlloc` contract holds exactly as it does for `System`; the
-// counter is a lock-free atomic and never allocates.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// A small margin over the allocations of one `sweep-exhaustive`
 /// compile (2,759 now).
-const CEILING: u64 = 2_950;
+const CEILING: u64 = 2_400;
 
 #[test]
 fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
@@ -78,7 +43,7 @@ fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
         .with_jobs(1)
         .with_verify(false);
 
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = common::allocations();
     let machine = parse_machine(&machine_src).expect("Example machine parses");
     let function = parse_function(DOT4.source).expect("dot4 parses");
     let generator = CodeGenerator::new(machine).options(options);
@@ -86,7 +51,7 @@ fn exhaustive_dot4_compile_stays_under_the_allocation_ceiling() {
         .compile_function(&function)
         .expect("dot4 compiles on Example");
     let asm = program.render(generator.target());
-    let allocs = CALLS.load(Ordering::Relaxed) - before;
+    let allocs = common::allocations() - before;
 
     let expansions: u64 = report.blocks.iter().map(|b| b.node_expansions).sum();
     assert_eq!(expansions, 2_680, "the search itself changed");

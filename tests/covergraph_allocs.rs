@@ -22,50 +22,13 @@
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
 
+mod common;
+
 use aviv::{explore, CodegenOptions, CoverGraph};
 use aviv_bench::kernels::DOT4;
 use aviv_ir::parse_function;
 use aviv_isdl::{archs, Target};
 use aviv_splitdag::SplitNodeDag;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator plus a count of allocation calls.
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the `GlobalAlloc` contract holds exactly as it does for `System`; the
-// counter is a lock-free atomic and never allocates.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Ceiling for the 432 fresh graphs (5,624 now).
 const CEILING_FRESH: u64 = 5_800;
@@ -86,13 +49,13 @@ fn cover_graph_builds_stay_under_the_allocation_ceiling() {
         "the enumeration itself changed"
     );
 
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = common::allocations();
     let mut nodes = 0;
     for assignment in &result.assignments {
         let graph = CoverGraph::try_build(dag, &sndag, &target, assignment).expect("builds");
         nodes += graph.len();
     }
-    let fresh = CALLS.load(Ordering::Relaxed) - before;
+    let fresh = common::allocations() - before;
     eprintln!("{nodes} nodes in 432 fresh graphs: {fresh} allocations");
     assert_eq!(nodes, 8_640, "the graphs themselves changed");
     assert!(
@@ -100,14 +63,14 @@ fn cover_graph_builds_stay_under_the_allocation_ceiling() {
         "fresh graphs: {fresh} allocations, ceiling {CEILING_FRESH}"
     );
 
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = common::allocations();
     let mut graph = CoverGraph::default();
     for assignment in &result.assignments {
         graph
             .try_rebuild(dag, &sndag, &target, assignment)
             .expect("builds");
     }
-    let in_place = CALLS.load(Ordering::Relaxed) - before;
+    let in_place = common::allocations() - before;
     eprintln!("432 graphs rebuilt in place: {in_place} allocations");
     assert!(
         in_place <= CEILING_IN_PLACE,

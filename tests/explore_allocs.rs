@@ -8,7 +8,8 @@
 //! two flat row buffers reused across levels, so the work per branch
 //! allocates nothing: what remains is the per-call set-up, the buffers'
 //! growth and the selected assignments (two vectors each). The calls
-//! make 958 and 133 allocations; when every branch was a struct of three
+//! make 944 and 116 allocations (958 and 133 while the block's consumers
+//! were a vector per node); when every branch was a struct of three
 //! vectors, cloned for each kept alternative, swallowed node and beam
 //! survivor, they made 4,727 and 13,459. The ceilings leave a small
 //! margin over the current counts.
@@ -16,50 +17,13 @@
 //! This file holds exactly one test: the counter is process-wide, and a
 //! second test running on another thread would allocate into it.
 
+mod common;
+
 use aviv::{explore, CodegenOptions};
 use aviv_bench::kernels::{Kernel, BUTTERFLY, DOT4};
 use aviv_ir::parse_function;
 use aviv_isdl::{archs, Machine, Target};
 use aviv_splitdag::SplitNodeDag;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The system allocator plus a count of allocation calls.
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, so
-// the `GlobalAlloc` contract holds exactly as it does for `System`; the
-// counter is a lock-free atomic and never allocates.
-#[allow(unsafe_code)]
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// Explores `kernel` on `machine` under `options` and returns the
 /// assignments enumerated and the allocation calls the exploration made.
@@ -68,9 +32,9 @@ fn explore_counted(kernel: &Kernel, machine: Machine, options: &CodegenOptions) 
     let dag = &function.blocks[0].dag;
     let target = Target::new(machine);
     let sndag = SplitNodeDag::build(dag, &target).expect("the kernel maps onto the machine");
-    let before = CALLS.load(Ordering::Relaxed);
+    let before = common::allocations();
     let result = explore(dag, &sndag, &target, options);
-    let allocs = CALLS.load(Ordering::Relaxed) - before;
+    let allocs = common::allocations() - before;
     assert!(!result.truncated);
     eprintln!(
         "{}: {} enumerated, {} selected, {allocs} allocations",
@@ -81,10 +45,10 @@ fn explore_counted(kernel: &Kernel, machine: Machine, options: &CodegenOptions) 
     (result.enumerated, allocs)
 }
 
-/// Ceiling for `dot4` on Example with the heuristics off (958 now).
+/// Ceiling for `dot4` on Example with the heuristics off (944 now).
 const CEILING_DOT4: u64 = 1_000;
 
-/// Ceiling for `butterfly` on Wide with the heuristics on (133 now).
+/// Ceiling for `butterfly` on Wide with the heuristics on (116 now).
 const CEILING_BUTTERFLY: u64 = 150;
 
 #[test]
