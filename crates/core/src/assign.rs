@@ -191,23 +191,20 @@ impl Generation {
         &mut self.slots[at..]
     }
 
-    /// Appends `row` with `node` assigned to its alternative `ai` (`alt`,
-    /// executing on resource `home`) at accumulated cost `cost`. Refuses,
-    /// returning false, a complex that would swallow a node `row` has
-    /// already assigned or covered.
+    /// Appends `row` with `node` assigned to its alternative `ai`
+    /// (covering `covers`, empty but for a complex, and executing on
+    /// resource `home`) at accumulated cost `cost`. Refuses, returning
+    /// false, a complex that would swallow a node `row` has already
+    /// assigned or covered.
     fn extend(
         &mut self,
         row: &[Slot],
         cost: i64,
         node: NodeId,
         ai: usize,
-        alt: &AltInfo,
+        covers: &[NodeId],
         home: u16,
     ) -> bool {
-        let covers: &[NodeId] = match &alt.kind {
-            AltKind::Complex { covers, .. } => covers,
-            _ => &[],
-        };
         let swallowed = || covers.iter().filter(|&&c| c != node);
         if swallowed().any(|c| {
             let s = row[c.index()];
@@ -327,8 +324,9 @@ pub fn explore_traced(
             // Incremental cost of each alternative in this branch.
             costs.clear();
             for alt in alts {
-                let mut cost =
-                    incremental_cost(dag, target, &desc_sets, &uses, &execs, row, node, alt);
+                let mut cost = incremental_cost(
+                    dag, sndag, target, &desc_sets, &uses, &execs, row, node, alt,
+                );
                 if options.pressure_aware_assignment {
                     cost += pressure_penalty(target, &uses, &execs, row, alt);
                 }
@@ -349,8 +347,14 @@ pub fn explore_traced(
                 if pruned {
                     continue;
                 }
-                if next.extend(row, base + costs[ai], node, ai, alt, codes[ai])
-                    && next.len() + 1 >= options.max_assignments
+                if next.extend(
+                    row,
+                    base + costs[ai],
+                    node,
+                    ai,
+                    sndag.covers(alt),
+                    codes[ai],
+                ) && next.len() + 1 >= options.max_assignments
                 {
                     truncated = true;
                     break;
@@ -382,6 +386,7 @@ pub fn explore_traced(
 #[allow(clippy::too_many_arguments)]
 fn incremental_cost(
     dag: &BlockDag,
+    sndag: &SplitNodeDag,
     target: &Target,
     desc: &[BitSet],
     uses: &Consumers,
@@ -417,10 +422,7 @@ fn incremental_cost(
     // alternative, so charging them here would bias the comparison
     // against the complex at this node.
     let args = &dag.node(node).args;
-    let operands: &[NodeId] = match &alt.kind {
-        AltKind::Complex { operands, .. } => operands,
-        _ => args,
-    };
+    let operands = sndag.complex_operands(alt).unwrap_or(args);
     for &o in operands.iter().filter(|o| args.contains(o)) {
         if dag.node(o).op == Op::Input {
             if let Some(hops) = target.xfers.cost(Location::Mem, my_loc) {
@@ -453,8 +455,8 @@ fn incremental_cost(
 
     // Complex instructions save one instruction slot per extra node they
     // swallow.
-    if let AltKind::Complex { covers, .. } = &alt.kind {
-        cost -= covers.len() as i64 - 1;
+    if let [_, swallowed @ ..] = sndag.covers(alt) {
+        cost -= swallowed.len() as i64;
     }
     cost
 }
@@ -532,7 +534,7 @@ mod tests {
         use crate::options::CodegenOptions;
         use aviv_ir::{BitSet, BlockDag, Consumers, NodeId, Op};
         use aviv_isdl::{Location, Target};
-        use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
+        use aviv_splitdag::{Exec, SplitNodeDag};
 
         #[derive(Clone)]
         struct Branch {
@@ -585,7 +587,7 @@ mod tests {
                     let mut costs: Vec<i64> = Vec::with_capacity(alts.len());
                     for alt in alts {
                         let mut cost =
-                            incremental_cost(dag, target, &desc_sets, &uses, br, node, alt);
+                            incremental_cost(dag, sndag, target, &desc_sets, &uses, br, node, alt);
                         if options.pressure_aware_assignment {
                             cost += pressure_penalty(dag, target, br, node, alt);
                         }
@@ -611,7 +613,7 @@ mod tests {
                         nb.choice[node.index()] = Some(ai);
                         nb.home[node.index()] = Some(alt.exec);
                         nb.cost += costs[ai];
-                        if let AltKind::Complex { covers, .. } = &alt.kind {
+                        if let covers @ [_, ..] = sndag.covers(alt) {
                             let mut overlap = false;
                             for &c in covers {
                                 if c != node
@@ -685,8 +687,10 @@ mod tests {
 
         /// The §IV-A incremental cost of assigning `node` to `alt` given the
         /// partial assignment in `br`.
+        #[allow(clippy::too_many_arguments)]
         fn incremental_cost(
             dag: &BlockDag,
+            sndag: &SplitNodeDag,
             target: &Target,
             desc: &[BitSet],
             uses: &Consumers,
@@ -723,8 +727,8 @@ mod tests {
             // operand loads would be deferred to those nodes under the simple
             // alternative, so charging them here would bias the comparison
             // against the complex at this node.
-            let operand_list: Vec<NodeId> = match &alt.kind {
-                AltKind::Complex { operands, .. } => {
+            let operand_list: Vec<NodeId> = match sndag.complex_operands(alt) {
+                Some(operands) => {
                     let root_args = &dag.node(node).args;
                     operands
                         .iter()
@@ -764,8 +768,8 @@ mod tests {
 
             // Complex instructions save one instruction slot per extra node they
             // swallow.
-            if let AltKind::Complex { covers, .. } = &alt.kind {
-                cost -= covers.len() as i64 - 1;
+            if let [_, swallowed @ ..] = sndag.covers(alt) {
+                cost -= swallowed.len() as i64;
             }
             cost
         }
@@ -989,7 +993,7 @@ mod tests {
         let home = Execs::default().code(mac.exec, &target);
         let empty = vec![Slot::EMPTY; dag.len()];
         let mut next = Generation::new(dag.len());
-        assert!(next.extend(&empty, 0, add, ai, mac, home));
+        assert!(next.extend(&empty, 0, add, ai, sn.covers(mac), home));
         let swallowed = next.row(0)[mul.index()];
         assert!(swallowed.covered && swallowed.choice == NONE && swallowed.home == home);
         let covered = Slot {
@@ -1004,7 +1008,10 @@ mod tests {
         for taken in [covered, assigned] {
             let mut row = empty.clone();
             row[mul.index()] = taken;
-            assert!(!next.extend(&row, 0, add, ai, mac, home), "{taken:?}");
+            assert!(
+                !next.extend(&row, 0, add, ai, sn.covers(mac), home),
+                "{taken:?}"
+            );
         }
         assert_eq!(next.len(), 1);
     }

@@ -6,7 +6,7 @@
 //! when it is *strictly* shorter than the best one so far, so an
 //! assignment whose bound already reaches that length cannot win. Such
 //! an assignment is skipped before any fuel is charged (the incumbent
-//! travels in the [`Budget`](crate::Budget); see [`crate::budget`]), and
+//! travels in the [`Budget`]; see [`crate::budget`]), and
 //! no emitted byte can change.
 //!
 //! The bound is taken in two stages. [`assignment_lower_bound`] reads
@@ -89,11 +89,72 @@
 //! oracle below it equals the graph bound on every assignment of every
 //! such machine, and it prunes all 410 assignments the graph bound
 //! prunes in the Example machine's exhaustive `dot4` search.
+//!
+//! # The exact twin bound
+//!
+//! Where a target has interchangeable units ([`Target::unit_class`]),
+//! renaming them within their class, each bank following its unit, maps
+//! assignments onto assignments, and the cover graphs of two such
+//! *twins* are often relabellings of each other. `twin_length` takes a
+//! graph's canonical form: every node's kind, operands, ordering deps
+//! and liveness, and the live-outs, with each interchangeable unit
+//! renamed, by first appearance in node-id order, to the next unused
+//! member of its class, and each bank owned by such a unit named after
+//! the unit's new name. Two graphs with one form are relabellings of
+//! each other.
+//!
+//! Covering does not read unit or bank labels until its first spill
+//! decision: clique conflicts compare resources for equality, twins
+//! share their buses, bank sizes and operations, no constraint or
+//! complex names them, and every tie breaks on node ids or pool order.
+//! Only the spill step picks a bank by its label (the last of the most
+//! blocked ones). So when the concurrent engine covers a graph without a
+//! spill, every relabelling of that graph would cover without a spill at
+//! exactly the same length. `record_twin` records that form and length
+//! in the rung's budget, and the covering entry points skip a later
+//! graph whose form is recorded ([`crate::CoverError::Bounded`], carrying the
+//! recorded length): that length is at least the incumbent, and only a
+//! strictly shorter schedule replaces it. A graph whose first cover
+//! spilled records nothing, and its twins are covered as before: after a
+//! spill, twins can diverge (on `wide_arch(2)`, one of sad4's orbits has
+//! a member that covers in 20 steps with three spills and a twin on
+//! which the concurrent engine gives up and the sequential retry
+//! covers).
+//!
+//! # The rollout bound
+//!
+//! The lookahead's rollouts (`cover.rs`) run greedy steps over one
+//! clique pool, and the graph does not change within a pool: a rollout
+//! never spills, it stops at a wedge. So every alive node left uncovered
+//! at a rollout's state is covered by one of its later steps, moves
+//! included, and `RolloutRows` bounds those steps by the largest of
+//! four terms over the uncovered set:
+//!
+//! - **Clique.** ⌈uncovered ÷ the pool's largest clique⌉: a step covers
+//!   a shrunk clique or a single node.
+//! - **Unit.** Per unit, its uncovered nodes: a legal clique holds at
+//!   most one node per unit.
+//! - **Bus.** Per bus, ⌈uncovered transfers ÷ capacity⌉, moves included:
+//!   a legal clique holds at most a bus's capacity of its transfers.
+//! - **Chain.** One more than the largest top level (the longest chain
+//!   of successors below a node) of an uncovered node: a step covers only
+//!   ready nodes, so the nodes of one chain take one step each, and a
+//!   covered set holds every predecessor of its nodes, so the whole chain
+//!   below an uncovered node is uncovered.
+//!
+//! A wedged rollout's estimate adds a penalty of 1000 plus the nodes left
+//! at the wedge; every term is at most the nodes left, and the steps
+//! before the wedge cover at most one node per unit, a bus's capacity
+//! and one node of a chain each, so each term stays below such an
+//! estimate too. The rollout cutoff compares the steps taken plus this
+//! bound with the incumbent estimate, so a cut rollout could not have
+//! beaten it.
 
 use crate::assign::Assignment;
-use crate::covergraph::{CnId, CnKind, CoverGraph, Resource};
-use aviv_ir::{BlockDag, NodeId, Op, Sym};
-use aviv_isdl::{BankId, BusId, Location, Target, TransferPath};
+use crate::budget::Budget;
+use crate::covergraph::{CnId, CnKind, CoverGraph, Operand, Resource};
+use aviv_ir::{BitMatrix, BlockDag, NodeId, Op, Sym};
+use aviv_isdl::{BankId, BusId, Location, Target, TransferPath, UnitId};
 use aviv_splitdag::{AltKind, Exec, SplitNodeDag};
 use std::cell::RefCell;
 
@@ -123,6 +184,12 @@ struct Scratch {
     /// Transfers the builder routes over one of several paths: the mask
     /// of the buses they could use, and their count.
     pooled: Vec<(u64, usize)>,
+    /// A graph's canonical form (the exact twin bound).
+    form: Vec<u64>,
+    /// Per unit, its canonical name once named, or [`NONE`]; then per
+    /// class, the last name handed out in it; then per bank, a unit
+    /// owning it.
+    names: Vec<u32>,
 }
 
 /// No bank, or no producer, yet.
@@ -178,7 +245,90 @@ pub(crate) fn assignment_lower_bound(
     })
 }
 
+/// The length at which a relabelled twin of the fresh `graph` covered
+/// without a spill under `budget`, if one did (the module doc, "The
+/// exact twin bound"). `None`, without any work, on a target without
+/// interchangeable units.
+pub(crate) fn twin_length(graph: &CoverGraph, target: &Target, budget: &Budget) -> Option<usize> {
+    if !target.has_interchangeable_units() {
+        return None;
+    }
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        s.canonical_form(graph, target);
+        budget.orbit_length(&s.form)
+    })
+}
+
+/// Record in `budget` that `graph`, unchanged since it was built,
+/// covered without a spill in `len` instructions, so that its twins are
+/// skipped. Does nothing on a target without interchangeable units.
+pub(crate) fn record_twin(graph: &CoverGraph, target: &Target, budget: &Budget, len: usize) {
+    if !target.has_interchangeable_units() {
+        return;
+    }
+    SCRATCH.with(|s| {
+        let s = &mut *s.borrow_mut();
+        s.canonical_form(graph, target);
+        budget.record_orbit(&s.form, len);
+    });
+}
+
 impl Scratch {
+    /// Write `graph`'s canonical form into `form` (the module doc).
+    fn canonical_form(&mut self, graph: &CoverGraph, target: &Target) {
+        let machine = &target.machine;
+        let (n_units, n_banks) = (machine.units().len(), machine.banks().len());
+        self.names.clear();
+        self.names.resize(2 * n_units + n_banks, NONE);
+        for (u, unit) in machine.units().iter().enumerate() {
+            self.names[2 * n_units + unit.bank.index()] = u as u32;
+        }
+        let mut canon = Canon {
+            target,
+            n_units,
+            names: &mut self.names,
+        };
+        let form = &mut self.form;
+        form.clear();
+        let operand = |form: &mut Vec<u64>, op: &Operand| match *op {
+            Operand::Cn(c) => form.push(u64::from(c.0) << 1),
+            Operand::Imm(v) => form.extend([1, v as u64]),
+        };
+        for i in 0..graph.len() {
+            let id = CnId(i as u32);
+            let node = graph.node(id);
+            let (tag, a, b, c) = match node.kind {
+                CnKind::Op { orig, unit, op } => (0, orig.0, canon.unit(unit), op.index() as u32),
+                CnKind::Complex { orig, index, unit } => {
+                    (1, orig.0, canon.unit(unit), index as u32)
+                }
+                CnKind::Move { bus, from, to } => (2, bus.0, canon.bank(from), canon.bank(to)),
+                CnKind::LoadVar { sym, bus, to } => (3, sym.index() as u32, bus.0, canon.bank(to)),
+                CnKind::StoreVar { sym, bus, from } => {
+                    let from = from.map_or(NONE, |b| canon.bank(b));
+                    (4, sym.index() as u32, bus.0, from)
+                }
+                CnKind::LoadDyn { orig, bus, bank } => (5, orig.0, bus.0, canon.bank(bank)),
+                CnKind::StoreDyn { orig, bus, bank } => (6, orig.0, bus.0, canon.bank(bank)),
+            };
+            let header = tag
+                | u64::from(graph.is_dead(id)) << 3
+                | (node.args.len() as u64) << 8
+                | (node.deps.len() as u64) << 32;
+            form.extend([header, u64::from(a) | u64::from(b) << 32, u64::from(c)]);
+            for arg in &node.args {
+                operand(form, arg);
+            }
+            form.extend(node.deps.iter().map(|d| u64::from(d.0)));
+        }
+        form.push(graph.live_out().len() as u64);
+        for (orig, op) in graph.live_out() {
+            form.push(u64::from(orig.0));
+            operand(form, op);
+        }
+    }
+
     fn bound(&mut self, graph: &CoverGraph, target: &Target) -> usize {
         let machine = &target.machine;
         let n_units = machine.units().len();
@@ -237,6 +387,143 @@ impl Scratch {
             chain = chain.max(d);
         }
         chain as usize
+    }
+}
+
+/// The renaming of the canonical form: units by first appearance within
+/// their class, banks after their units.
+struct Canon<'a> {
+    target: &'a Target,
+    n_units: usize,
+    /// [`Scratch::names`].
+    names: &'a mut [u32],
+}
+
+impl Canon<'_> {
+    /// `unit`'s canonical name: on its first appearance, the next member
+    /// of its class, in unit order, that no unit is named after yet.
+    fn unit(&mut self, unit: UnitId) -> u32 {
+        let u = unit.index();
+        if self.names[u] == NONE {
+            let class = self.target.unit_class(unit).index();
+            let last = &mut self.names[self.n_units + class];
+            let from = if *last == NONE {
+                class
+            } else {
+                *last as usize + 1
+            };
+            // A class has as many members as units that can appear in it.
+            let name = (from..self.n_units)
+                .find(|&v| self.target.unit_class(UnitId(v as u32)).index() == class)
+                .unwrap_or(u) as u32;
+            *last = name;
+            self.names[u] = name;
+        }
+        self.names[u]
+    }
+
+    /// `bank`'s canonical name: the bank of its owner's canonical name.
+    /// A bank shared by several units belongs to none that is
+    /// interchangeable, so every owner keeps its own name there.
+    fn bank(&mut self, bank: BankId) -> u32 {
+        let owner = self.names[2 * self.n_units + bank.index()];
+        if owner == NONE {
+            return bank.0;
+        }
+        let name = self.unit(UnitId(owner));
+        self.target.machine.units()[name as usize].bank.0
+    }
+}
+
+/// Where the rollout bound's rows (the module doc, "The rollout bound")
+/// sit in a caller's bit matrix over node ids: from row `first` on, per
+/// unit, then per bus, the alive nodes occupying it; then, for each top
+/// level `k` from 1 up, the alive nodes at level `k` or higher.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RolloutRows {
+    first: usize,
+    units: usize,
+    buses: usize,
+    levels: usize,
+}
+
+impl RolloutRows {
+    /// The rows of `graph`, from row `first` on.
+    pub(crate) fn new(graph: &CoverGraph, target: &Target, first: usize) -> RolloutRows {
+        let machine = &target.machine;
+        let top = graph
+            .alive()
+            .map(|id| graph.level_top(id))
+            .max()
+            .unwrap_or(0);
+        RolloutRows {
+            first,
+            units: machine.units().len(),
+            buses: machine.buses().len(),
+            levels: top as usize,
+        }
+    }
+
+    /// The number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.units + self.buses + self.levels
+    }
+
+    /// Set the rows in `matrix`, where they are clear.
+    pub(crate) fn fill(&self, matrix: &mut BitMatrix, graph: &CoverGraph) {
+        let levels = self.first + self.units + self.buses;
+        for id in graph.alive() {
+            let row = match graph.node(id).resource() {
+                Resource::Unit(u) => u.index(),
+                Resource::Bus(b) => self.units + b.index(),
+            };
+            matrix.set(self.first + row, id.index());
+            for k in 0..graph.level_top(id) as usize {
+                matrix.set(levels + k, id.index());
+            }
+        }
+    }
+
+    /// A lower bound on the greedy steps a rollout over `matrix`'s graph
+    /// takes from the covered set `covered` (its words), where
+    /// `uncovered` alive nodes are left and no step covers more than
+    /// `max_per_step`, the size of the pool's largest clique.
+    pub(crate) fn steps_left(
+        &self,
+        matrix: &BitMatrix,
+        target: &Target,
+        covered: &[u64],
+        uncovered: usize,
+        max_per_step: usize,
+    ) -> usize {
+        if uncovered == 0 {
+            return 0;
+        }
+        let words = |row: usize| matrix.row_words(self.first + row).iter().zip(covered);
+        let left = |row: usize| {
+            let left = words(row).map(|(&r, &c)| (r & !c).count_ones() as usize);
+            left.sum::<usize>()
+        };
+        let unit = (0..self.units).map(left).max().unwrap_or(0);
+        let buses = target.machine.buses().iter().enumerate();
+        let bus = buses
+            .map(|(b, spec)| left(self.units + b).div_ceil(spec.capacity as usize))
+            .max()
+            .unwrap_or(0);
+        // The rows of levels 1, 2, ... shrink, so the levels with a node
+        // left are a prefix of them: search for its end.
+        let first = self.units + self.buses;
+        let (mut lo, mut hi) = (0, self.levels);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if words(first + mid).any(|(&r, &c)| r & !c != 0) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let clique = uncovered.div_ceil(max_per_step.max(1));
+        clique.max(unit).max(bus).max(1 + lo)
     }
 }
 
@@ -360,9 +647,9 @@ impl Walk<'_> {
                     let bank = machine.bank_of(unit);
                     let (operands, covers): (&[NodeId], &[NodeId]) = match &alt.kind {
                         AltKind::Simple(_) => (node.args.as_slice(), std::slice::from_ref(&orig)),
-                        AltKind::Complex {
-                            covers, operands, ..
-                        } => (operands, covers),
+                        AltKind::Complex { .. } => {
+                            (sndag.complex_operands(alt)?, sndag.covers(alt))
+                        }
                         AltKind::DynLoad | AltKind::DynStore => return None,
                     };
                     let mut d = 0;
@@ -644,6 +931,8 @@ mod tests {
         tight: usize,
         /// Assignments the shared budget pruned.
         pruned: usize,
+        /// ... of which as relabelled twins.
+        twins: usize,
     }
 
     /// One block's explored assignments on one target.
@@ -697,7 +986,9 @@ mod tests {
         /// count on every unit and bus (spills lower no resource term);
         /// every assignment the shared budget prunes, covered in full
         /// under an unlimited budget, is at least as long as the
-        /// incumbent it was pruned against.
+        /// incumbent it was pruned against; and one pruned as a
+        /// relabelled twin covers, on the concurrent engine and without a
+        /// spill, at exactly the length recorded for its twin.
         fn check(&self, what: &str, tally: &mut Tally) {
             let assignments =
                 explore(self.dag, &self.sndag, self.target, &self.options).assignments;
@@ -733,7 +1024,17 @@ mod tests {
                         bound: b,
                         incumbent,
                     }) => {
-                        assert_eq!(b, bound, "{what} #{k}");
+                        // A graph bound below the incumbent leaves only
+                        // the twin bound, which is the twin's length.
+                        if b != bound {
+                            let spills = full.as_ref().map(|(_, s)| s.spills.len());
+                            assert!(
+                                !self.sequential && spills == Ok(0) && full_len == Some(b),
+                                "{what} #{k}: pruned as a twin of length {b}, but it \
+                                 covers in {full_len:?} instructions ({spills:?} spills)"
+                            );
+                            tally.twins += 1;
+                        }
                         assert!(
                             full_len.is_none_or(|len| len >= incumbent),
                             "{what} #{k}: pruned at bound {bound} against {incumbent}, \
@@ -810,6 +1111,7 @@ mod tests {
         eprintln!("{tally:?}");
         assert!(tally.spilled > 0, "nothing spilled: {tally:?}");
         assert!(tally.pruned > 0, "nothing was pruned: {tally:?}");
+        assert!(tally.twins > 0, "no twin was pruned: {tally:?}");
         assert!(tally.tight > 0, "the bound was never tight: {tally:?}");
     }
 
@@ -905,6 +1207,183 @@ mod tests {
         assert!(
             equal * 2 > checked,
             "bounds equal on only {equal} of {checked}"
+        );
+    }
+
+    /// Two interchangeable units beside a distinct one, `regs`
+    /// registers per bank.
+    fn twin_pair(regs: u32) -> aviv_isdl::Machine {
+        let mut b = aviv_isdl::MachineBuilder::new("TwinPair");
+        let both = [Op::Add, Op::Sub, Op::Mul];
+        let u1 = b.unit("U1", &both, regs);
+        let u2 = b.unit("U2", &[Op::Add, Op::Mul], regs);
+        let u3 = b.unit("U3", &both, regs);
+        b.bus("DB", &[u1, u2, u3], true, 1);
+        b.build().expect("the twin pair is valid")
+    }
+
+    /// An assignment's canonical form under relabelling of
+    /// interchangeable units, as the graph's (units by first appearance
+    /// in node order, banks after their units): assignments with one
+    /// form make one orbit.
+    fn orbit_key(
+        dag: &BlockDag,
+        sndag: &SplitNodeDag,
+        target: &Target,
+        a: &Assignment,
+    ) -> Vec<u64> {
+        let machine = &target.machine;
+        let n_units = machine.units().len();
+        let mut names = vec![NONE; 2 * n_units + machine.banks().len()];
+        for (u, unit) in machine.units().iter().enumerate() {
+            names[2 * n_units + unit.bank.index()] = u as u32;
+        }
+        let mut canon = Canon {
+            target,
+            n_units,
+            names: &mut names,
+        };
+        let mut key = Vec::new();
+        for (orig, _) in dag.iter() {
+            let Some(alt) = a.choice[orig.index()].map(|c| &sndag.alts(orig)[c]) else {
+                key.push(u64::MAX);
+                continue;
+            };
+            let kind = match &alt.kind {
+                AltKind::Simple(op) => op.index() as u64,
+                AltKind::Complex { index, .. } => 1 << 20 | *index as u64,
+                AltKind::DynLoad => 1 << 21,
+                AltKind::DynStore => 1 << 22,
+            };
+            let exec = match alt.exec {
+                Exec::Unit(u) => u64::from(canon.unit(u)),
+                Exec::MemPort { bus, bank } => {
+                    1 << 40 | u64::from(bus.0) << 20 | u64::from(canon.bank(bank))
+                }
+            };
+            key.extend([kind, exec]);
+        }
+        key
+    }
+
+    /// The symmetry oracle. Every explored assignment is covered on a
+    /// fresh unlimited budget by the concurrent engine, on Wide at two to
+    /// four registers and on [`twin_pair`], for the DSP kernels and
+    /// seeded random blocks, heuristics on and off. Within an orbit of
+    /// relabelled assignments, and among graphs of one canonical form,
+    /// every member covers like the first one whenever the first covered
+    /// without a spill: spill-free, at the same length. That is what lets
+    /// the exact twin bound skip them. Prints how many orbits and forms
+    /// were checked, and how many whose first member spilled had members
+    /// of another length.
+    #[test]
+    fn relabelled_twins_cover_alike() {
+        let mut functions: Vec<(String, aviv_ir::Function)> = kernels()
+            .into_iter()
+            .map(|(name, f)| (name.to_string(), f))
+            .collect();
+        for n_ops in [6, 10] {
+            let cfg = RandDagConfig {
+                n_ops,
+                ops: vec![Op::Add, Op::Sub, Op::Mul],
+                ..RandDagConfig::default()
+            };
+            for seed in 0..2 {
+                functions.push((format!("rand{n_ops}/{seed}"), random_block(&cfg, seed)));
+            }
+        }
+        // (orbits, forms) checked with a spill-free first member, their
+        // other members, and orbits whose first member spilled with a
+        // member of another length.
+        let (mut orbits, mut forms, mut members, mut diverged) = (0, 0, 0, 0);
+        for regs in 2..=4 {
+            for machine in [archs::wide_arch(regs), twin_pair(regs)] {
+                let target = Target::new(machine);
+                assert!(target.has_interchangeable_units());
+                for (name, f) in &functions {
+                    for block in &f.blocks {
+                        let dag = &block.dag;
+                        let Ok(sndag) = SplitNodeDag::build(dag, &target) else {
+                            continue;
+                        };
+                        for options in [
+                            CodegenOptions::heuristics_on(),
+                            CodegenOptions {
+                                max_assignments: 1_000,
+                                ..CodegenOptions::heuristics_off()
+                            },
+                        ] {
+                            let what = format!(
+                                "{name} on {} regs {regs} off {}",
+                                target.machine.name, !options.prune_assignments
+                            );
+                            // Per orbit key and per graph form, the first
+                            // member's length and spill count.
+                            type Seen = Vec<(Vec<u64>, Option<(usize, usize)>)>;
+                            let (mut by_orbit, mut by_form): (Seen, Seen) = Default::default();
+                            let explored = explore(dag, &sndag, &target, &options).assignments;
+                            for (k, assignment) in explored.iter().enumerate() {
+                                let mut graph =
+                                    CoverGraph::try_build(dag, &sndag, &target, assignment)
+                                        .expect("explored assignments build");
+                                let form = SCRATCH.with(|s| {
+                                    let s = &mut *s.borrow_mut();
+                                    s.canonical_form(&graph, &target);
+                                    s.form.clone()
+                                });
+                                let mut syms = f.syms.clone();
+                                let outcome = cover_budgeted(
+                                    &mut graph,
+                                    &target,
+                                    &mut syms,
+                                    &options,
+                                    &Budget::unlimited(),
+                                )
+                                .ok()
+                                .map(|s| (s.len(), s.spills.len()));
+                                let orbit = orbit_key(dag, &sndag, &target, assignment);
+                                for (seen, key, checked) in [
+                                    (&mut by_orbit, orbit, &mut orbits),
+                                    (&mut by_form, form, &mut forms),
+                                ] {
+                                    match seen.iter().find(|(k, _)| *k == key) {
+                                        None => {
+                                            *checked +=
+                                                usize::from(matches!(outcome, Some((_, 0))));
+                                            seen.push((key, outcome));
+                                        }
+                                        Some((_, first @ Some((len, 0)))) => {
+                                            assert_eq!(
+                                                outcome, *first,
+                                                "{what} #{k}: a twin of a spill-free {len}-step cover"
+                                            );
+                                            members += 1;
+                                        }
+                                        Some((_, first)) => {
+                                            let len =
+                                                |o: &Option<(usize, usize)>| o.map(|(l, _)| l);
+                                            diverged += usize::from(len(first) != len(&outcome));
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "{orbits} orbits and {forms} graph forms with a spill-free first member, \
+             {members} other members alike; {diverged} members of spilled orbits diverged"
+        );
+        assert!(
+            orbits > 100 && forms > 100,
+            "{orbits} orbits, {forms} forms"
+        );
+        assert!(members > 1_000, "{members} members checked");
+        assert!(
+            diverged > 0,
+            "no spilled orbit diverged: the spill-free rule went untested"
         );
     }
 

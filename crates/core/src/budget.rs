@@ -34,8 +34,18 @@
 //! than in a parameter so that any caller that covers a block's
 //! assignments in turn under one budget prunes exactly as the driver
 //! does.
+//!
+//! Beside the incumbent, a budget keeps the rung's *orbit table*: the
+//! canonical forms, under relabelling of interchangeable units, of the
+//! cover graphs the concurrent engine covered without a spill, each
+//! with its schedule's length ([`crate::bound`], "The exact twin
+//! bound"). A later graph with a recorded form is a relabelled twin that
+//! would cover at exactly that length, so it is skipped like an
+//! assignment whose bound reaches the incumbent. The table has the
+//! incumbent's scope, and on a target without interchangeable units it
+//! stays empty.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -157,6 +167,42 @@ pub struct Budget {
     /// Length of the shortest schedule completed under this budget;
     /// `None` until the first one.
     incumbent: Cell<Option<usize>>,
+    /// The orbit table (see the module doc).
+    orbits: RefCell<Orbits>,
+}
+
+/// Canonical cover-graph forms with their schedule lengths, stored flat:
+/// entry `i`'s form is `words[spans[i].start..spans[i].end]`.
+#[derive(Debug, Clone, Default)]
+struct Orbits {
+    words: Vec<u64>,
+    spans: Vec<OrbitSpan>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct OrbitSpan {
+    /// A hash of the form, compared before its words.
+    hash: u64,
+    start: usize,
+    end: usize,
+    /// The schedule length covering reached.
+    len: usize,
+}
+
+impl Orbits {
+    fn find(&self, form: &[u64], hash: u64) -> Option<usize> {
+        self.spans
+            .iter()
+            .find(|s| s.hash == hash && self.words[s.start..s.end] == *form)
+            .map(|s| s.len)
+    }
+}
+
+/// FNV-1a over the words of a canonical form.
+fn form_hash(form: &[u64]) -> u64 {
+    form.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 impl Budget {
@@ -175,6 +221,7 @@ impl Budget {
             spent: Cell::new(0),
             cancel: None,
             incumbent: Cell::new(None),
+            orbits: RefCell::new(Orbits::default()),
         }
     }
 
@@ -282,6 +329,31 @@ impl Budget {
     pub(crate) fn record_schedule(&self, len: usize) {
         let best = self.incumbent.get().map_or(len, |i| i.min(len));
         self.incumbent.set(Some(best));
+    }
+
+    /// The schedule length recorded for the canonical cover-graph
+    /// `form`, if any (see the module doc).
+    pub(crate) fn orbit_length(&self, form: &[u64]) -> Option<usize> {
+        self.orbits.borrow().find(form, form_hash(form))
+    }
+
+    /// Record that a graph of canonical `form` covered, spill-free, in
+    /// `len` instructions; a form already recorded keeps its length.
+    pub(crate) fn record_orbit(&self, form: &[u64], len: usize) {
+        let hash = form_hash(form);
+        let mut orbits = self.orbits.borrow_mut();
+        if orbits.find(form, hash).is_some() {
+            return;
+        }
+        let start = orbits.words.len();
+        orbits.words.extend_from_slice(form);
+        let end = orbits.words.len();
+        orbits.spans.push(OrbitSpan {
+            hash,
+            start,
+            end,
+            len,
+        });
     }
 }
 
@@ -398,6 +470,23 @@ mod tests {
         b.record_schedule(11);
         assert_eq!(b.incumbent(), Some(11));
         assert_eq!(b.spent(), 0, "recording charges nothing");
+    }
+
+    #[test]
+    fn orbit_table_keeps_the_first_length_per_form() {
+        let b = Budget::unlimited();
+        assert_eq!(b.orbit_length(&[1, 2]), None);
+        b.record_orbit(&[1, 2], 9);
+        b.record_orbit(&[1, 2], 7);
+        b.record_orbit(&[1, 2, 3], 8);
+        assert_eq!(b.orbit_length(&[1, 2]), Some(9));
+        assert_eq!(b.orbit_length(&[1, 2, 3]), Some(8));
+        assert_eq!(b.orbit_length(&[2, 1]), None);
+        assert_eq!(
+            b.clone().orbit_length(&[1, 2, 3]),
+            Some(8),
+            "clones keep the table"
+        );
     }
 
     #[test]

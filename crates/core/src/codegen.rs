@@ -273,7 +273,8 @@ pub struct BlockReport {
     /// The winning rung's search counters, summed over every assignment
     /// it covered: rollouts run, rollout steps charged, memo hits,
     /// rollouts settled by the incumbent bound, and the units clique
-    /// generation charged; plus the assignments it pruned by bound.
+    /// generation charged; plus the assignments it pruned by bound,
+    /// relabelled twins of a spill-free cover included.
     pub search: SearchStats,
     /// Peak simultaneous register occupancy of any one bank over the
     /// final schedule (see [`crate::cover::peak_pressure`]).

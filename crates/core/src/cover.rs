@@ -78,8 +78,11 @@
 //! Incumbent cutoff: the selection loop asks only whether a tied
 //! candidate's estimate strictly beats the best one so far, so every
 //! rollout after the first is capped at that incumbent and abandoned as
-//! soon as a lower bound shows it cannot beat it. Each estimate is then
-//! `min(uncut, incumbent)`, where `uncut` is what a fresh rollout with
+//! soon as a lower bound shows it cannot beat it: `bound.rs`'s rollout
+//! bound over the uncovered set, the largest of the clique-size, unit,
+//! bus and chain terms, read from per-unit, per-bus and per-level masks
+//! (`RolloutRows`) that `Rows` builds beside its own. Each estimate is
+//! then `min(uncut, incumbent)`, where `uncut` is what a fresh rollout with
 //! no cutoff and an empty memo gives; the test-only oracle checks this
 //! for every estimate taken. That equality is why the cap cannot change
 //! a decision. A cut rollout follows a prefix of the path the uncut one
@@ -88,7 +91,7 @@
 //! that: a cut rollout would leave nothing behind and pay again for the
 //! same steps later.
 
-use crate::bound::schedule_lower_bound;
+use crate::bound::{record_twin, schedule_lower_bound, twin_length, RolloutRows};
 use crate::budget::{Budget, Exhaustion};
 use crate::cliques::{conflict, CliquePool};
 use crate::covergraph::{CnId, CoverGraph, Operand};
@@ -165,10 +168,13 @@ pub enum CoverError {
     Budget(Exhaustion),
     /// Branch and bound across assignments: the assignment was skipped
     /// before any work because its admissible lower bound already
-    /// reaches the budget's incumbent (see [`crate::budget`]), so no
-    /// schedule of it could be strictly shorter.
+    /// reaches the budget's incumbent (see [`crate::budget`]), or because
+    /// a relabelled twin of its graph already covered, without a spill,
+    /// at a length no shorter than the incumbent; either way no schedule
+    /// of it could be strictly shorter.
     Bounded {
-        /// [`schedule_lower_bound`] of the fresh graph.
+        /// [`schedule_lower_bound`] of the fresh graph, or, for a twin,
+        /// the exact length its recorded twin covered at.
         bound: usize,
         /// The shortest schedule completed under the budget.
         incumbent: usize,
@@ -222,8 +228,11 @@ struct Rows {
     /// In order: alive nodes; pinned values; nodes that define into
     /// any bank; per bank, the nodes defining into it; then per node
     /// its predecessors (operands and ordering deps) followed by its
-    /// operand consumers. One column per node slot, dead ones included.
+    /// operand consumers; then the rollout bound's rows. One column per
+    /// node slot, dead ones included.
     matrix: BitMatrix,
+    /// Where the rollout bound's rows are.
+    bound: RolloutRows,
 }
 
 impl Rows {
@@ -233,10 +242,18 @@ impl Rows {
     /// Masks before the per-bank rows.
     const FIXED: usize = 3;
 
-    fn rebuild(&mut self, graph: &CoverGraph, target: &Target) {
+    /// Rebuild every row for `graph`; the rollout bound's rows only
+    /// `with_bound` (the sequential engines take no lookahead).
+    fn rebuild(&mut self, graph: &CoverGraph, target: &Target, with_bound: bool) {
         let len = graph.len();
         self.banks = target.machine.banks().len();
-        self.matrix.reset(Rows::FIXED + self.banks + 2 * len, len);
+        let nodes_end = Rows::FIXED + self.banks + 2 * len;
+        self.bound = if with_bound {
+            RolloutRows::new(graph, target, nodes_end)
+        } else {
+            RolloutRows::default()
+        };
+        self.matrix.reset(nodes_end + self.bound.len(), len);
         for &(_, operand) in graph.live_out() {
             if let Operand::Cn(c) = operand {
                 self.matrix.set(Rows::PINNED, c.index());
@@ -255,6 +272,9 @@ impl Rows {
             for &u in graph.uses(id) {
                 self.matrix.set(preds + 1, u.index());
             }
+        }
+        if with_bound {
+            self.bound.fill(&mut self.matrix, graph);
         }
         #[cfg(test)]
         oracle::snapshot(graph, target);
@@ -299,7 +319,7 @@ impl Rows {
     /// per node in id order.
     fn node_rows(&self) -> &[u64] {
         let first = self.node_row(CnId(0));
-        self.matrix.rows_words(first..self.matrix.rows())
+        self.matrix.rows_words(first..first + 2 * self.len())
     }
 
     fn preds(&self, id: CnId) -> &[u64] {
@@ -483,8 +503,7 @@ struct Pool {
     /// the whole pool are one pass per word.
     cliques: Vec<u64>,
     /// The size of the largest clique (at least 1): no greedy step
-    /// covers more nodes, which is what the rollout cutoff's lower bound
-    /// divides by.
+    /// covers more nodes.
     max_per_step: usize,
 }
 
@@ -500,7 +519,7 @@ impl Pool {
         budget: &Budget,
         stats: &mut SearchStats,
     ) -> Result<(), CoverError> {
-        self.rows.rebuild(graph, target);
+        self.rows.rebuild(graph, target, true);
         #[cfg(test)]
         let reference_budget = budget.clone();
         let spent = budget.spent();
@@ -694,7 +713,8 @@ pub struct SearchStats {
     /// each spill).
     pub clique_steps: u64,
     /// Assignments skipped before covering because their lower bound
-    /// already reached the incumbent ([`CoverError::Bounded`]).
+    /// already reached the incumbent, or because a relabelled twin of
+    /// their graph had covered without a spill ([`CoverError::Bounded`]).
     pub assignments_pruned: u64,
 }
 
@@ -752,9 +772,12 @@ pub fn cover(
 /// The budget also carries the incumbent (see [`crate::budget`]): a
 /// completed schedule records its length there, and a call whose fresh
 /// `graph` has a [`schedule_lower_bound`] at least that long returns
-/// [`CoverError::Bounded`] before charging anything. Cover a block's
-/// assignments in turn under one budget to prune as the driver does;
-/// use a fresh budget per block and rung.
+/// [`CoverError::Bounded`] before charging anything. A schedule
+/// completed without a spill also records the graph's canonical form,
+/// and a later call on a relabelled twin of that graph returns
+/// [`CoverError::Bounded`] too (`bound.rs`, "The exact twin bound").
+/// Cover a block's assignments in turn under one budget to prune as the
+/// driver does; use a fresh budget per block and rung.
 ///
 /// # Errors
 ///
@@ -1166,13 +1189,20 @@ fn cover_in(
     let schedule = Schedule { steps, spills };
     debug_assert_eq!(verify_schedule(graph, target, &schedule), []);
     budget.record_schedule(schedule.len());
+    if schedule.spills.is_empty() {
+        // The graph is still the one covering started from.
+        record_twin(graph, target, budget, schedule.len());
+    }
     Ok(schedule)
 }
 
 /// Branch and bound across assignments: [`CoverError::Bounded`] when
 /// `budget` holds an incumbent no longer than the fresh `graph`'s
-/// [`schedule_lower_bound`]. The bound is taken only once there is an
-/// incumbent, so the first cover of a rung costs nothing extra.
+/// [`schedule_lower_bound`], or when a relabelled twin of `graph`
+/// covered without a spill under `budget` (the exact twin bound of
+/// `bound.rs`; its length is then at least the incumbent). Nothing is
+/// taken before there is an incumbent, so the first cover of a rung
+/// costs nothing extra.
 pub(crate) fn prune(
     graph: &CoverGraph,
     target: &Target,
@@ -1184,6 +1214,13 @@ pub(crate) fn prune(
     let bound = schedule_lower_bound(graph, target);
     if bound >= incumbent {
         return Err(CoverError::Bounded { bound, incumbent });
+    }
+    if let Some(len) = twin_length(graph, target, budget) {
+        debug_assert!(len >= incumbent, "a twin shorter than the incumbent");
+        return Err(CoverError::Bounded {
+            bound: len,
+            incumbent,
+        });
     }
     Ok(())
 }
@@ -1260,10 +1297,10 @@ pub fn spill_victim(
 /// When `cutoff` is set (the incumbent tie-break estimate), the
 /// estimate is capped at it: the result is `min(uncut, cutoff)`. The
 /// rollout aborts — returning the incumbent value — as soon as `steps`
-/// plus a lower bound on the remaining steps reaches it: every later
-/// iteration adds one step and covers at most the largest clique in
-/// `pool`, so the eventual estimate could not have been strictly smaller
-/// (the wedge penalty only inflates it further). An estimate that
+/// plus the rollout bound on the remaining steps ([`RolloutRows`];
+/// `bound.rs`, "The rollout bound") reaches it, so the eventual estimate
+/// could not have been strictly smaller (the wedge penalty only inflates
+/// it further). An estimate that
 /// reaches the cutoff without that abort — a wedged future, or one whose
 /// rest the memo supplied — is capped too. The caller only asks whether
 /// a candidate strictly beats the incumbent, so the cap never changes
@@ -1311,7 +1348,10 @@ fn lookahead_estimate(
             break e.value;
         }
         if let Some(best) = cutoff {
-            let lb = (total - e.count as usize).div_ceil(pool.max_per_step);
+            let (covered, left) = (memo.key(at), total - e.count as usize);
+            let lb = rows
+                .bound
+                .steps_left(&rows.matrix, target, covered, left, pool.max_per_step);
             if steps + lb >= best {
                 stats.rollouts_cut += 1;
                 return best;
@@ -1489,7 +1529,7 @@ pub fn cover_sequential_budgeted(
     prune(graph, target, budget)?;
     let mut state = State::new(graph);
     let mut rows = Rows::default();
-    rows.rebuild(graph, target);
+    rows.rebuild(graph, target, false);
     let mut mask: Vec<u64> = Vec::new();
     let mut pressure: Vec<usize> = Vec::new();
     let mut steps: Vec<Vec<CnId>> = Vec::new();
@@ -1580,7 +1620,7 @@ fn spill(
         .relieve_pressure(target, syms, victim, &state.covered)
         .map_err(CoverError::Internal)?;
     state.covered.grow(graph.len());
-    rows.rebuild(graph, target);
+    rows.rebuild(graph, target, false);
     spills.push(SpillRecord {
         slot,
         victim,
@@ -1647,7 +1687,7 @@ pub(crate) fn list_schedule(
 ) -> Result<Schedule, CoverError> {
     let mut state = State::new(graph);
     let mut rows = Rows::default();
-    rows.rebuild(graph, target);
+    rows.rebuild(graph, target, false);
     let (mut ready, mut group): (Vec<CnId>, Vec<CnId>) = (Vec::new(), Vec::new());
     let mut mask: Vec<u64> = Vec::new();
     let mut pressure: Vec<usize> = Vec::new();

@@ -1616,11 +1616,9 @@ impl<'a> GraphBuilder<'a> {
                             );
                             self.graph.value_of_orig[orig.index()] = Some(cn);
                         }
-                        AltKind::Complex {
-                            index,
-                            covers,
-                            operands,
-                        } => {
+                        AltKind::Complex { index, .. } => {
+                            let sndag = self.sndag;
+                            let operands = sndag.complex_operands(alt).unwrap_or_default();
                             let args = operands.iter().map(|&a| self.resolve(a, bank)).collect();
                             let cn = self.push(
                                 CnKind::Complex {
@@ -1630,7 +1628,7 @@ impl<'a> GraphBuilder<'a> {
                                 },
                                 args,
                             );
-                            for &c in covers {
+                            for &c in sndag.covers(alt) {
                                 self.graph.value_of_orig[c.index()] = Some(cn);
                             }
                         }
@@ -2360,16 +2358,11 @@ pub(crate) mod tests {
                                     );
                                     self.value_of_orig[orig.index()] = Some(cn);
                                 }
-                                AltKind::Complex {
-                                    index,
-                                    covers,
-                                    operands,
-                                } => {
-                                    let args: Vec<Operand> = operands
-                                        .clone()
-                                        .into_iter()
-                                        .map(|a| self.resolve(a, bank))
-                                        .collect();
+                                AltKind::Complex { index, .. } => {
+                                    let operands =
+                                        self.sndag.complex_operands(alt).unwrap_or_default();
+                                    let args: Vec<Operand> =
+                                        operands.iter().map(|&a| self.resolve(a, bank)).collect();
                                     let cn = self.push(
                                         CnKind::Complex {
                                             orig,
@@ -2378,7 +2371,7 @@ pub(crate) mod tests {
                                         },
                                         args,
                                     );
-                                    for &c in covers {
+                                    for &c in self.sndag.covers(alt) {
                                         self.value_of_orig[c.index()] = Some(cn);
                                     }
                                 }

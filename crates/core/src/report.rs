@@ -42,7 +42,11 @@ impl BlockResult {
 
 /// Render a step-by-step explanation of a compiled block: its sizes and
 /// [`BlockReport`] counts, each spill, and the schedule one instruction
-/// per line.
+/// per line. Its "P pruned by bound" count is
+/// [`crate::SearchStats::assignments_pruned`]: the assignments skipped
+/// because their lower bound reached the best length so far, relabelled
+/// twins of a spill-free cover included (`bound.rs`, "The exact twin
+/// bound").
 pub fn explain_block(
     graph: &CoverGraph,
     schedule: &Schedule,

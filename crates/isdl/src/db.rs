@@ -11,7 +11,7 @@
 //!   the target machine description ... subsequently expanded to include
 //!   multiple-step data transfers as well".
 
-use crate::model::{BusId, Location, Machine, UnitId};
+use crate::model::{BusId, Location, Machine, SlotPattern, UnitId};
 use aviv_ir::{Op, StableHasher};
 use std::fmt;
 
@@ -328,7 +328,7 @@ fn slot(n_banks: usize, location: Location) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{MachineBuilder, SlotPattern};
+    use crate::model::{MachineBuilder, PatTree, SlotPattern};
 
     fn single_bus_machine() -> Machine {
         let mut b = MachineBuilder::new("m");
@@ -511,6 +511,63 @@ mod tests {
         }
     }
 
+    /// Only Wide's three identical units are interchangeable among the
+    /// `archs` machines; a constraint, a complex instruction, another
+    /// bus or a different bank size tells two otherwise equal units
+    /// apart.
+    #[test]
+    fn interchangeable_units_form_classes() {
+        let classes = |m: Machine| {
+            let t = Target::new(m);
+            let n = t.machine.units().len() as u32;
+            let c: Vec<u32> = (0..n).map(|u| t.unit_class(UnitId(u)).0).collect();
+            assert_eq!(
+                t.has_interchangeable_units(),
+                c.iter().enumerate().any(|(u, &r)| r != u as u32)
+            );
+            c
+        };
+        for m in machines() {
+            let name = m.name.clone();
+            let got = classes(m);
+            if name == "Wide" {
+                assert_eq!(got, [0, 0, 0]);
+            } else {
+                let alone = got.iter().enumerate().all(|(u, &r)| r == u as u32);
+                assert!(alone, "{name}: {got:?}");
+            }
+        }
+        // Two interchangeable units beside a distinct one.
+        let pair = |tweak: fn(&mut MachineBuilder, [UnitId; 3])| {
+            let mut b = MachineBuilder::new("pair");
+            let u1 = b.unit("U1", &[Op::Add, Op::Mul], 2);
+            let u2 = b.unit("U2", &[Op::Add, Op::Sub], 2);
+            let u3 = b.unit("U3", &[Op::Add, Op::Mul], 2);
+            b.bus("DB", &[u1, u2, u3], true, 1);
+            tweak(&mut b, [u1, u2, u3]);
+            classes(b.build().unwrap())
+        };
+        assert_eq!(pair(|_, _| {}), [0, 1, 0]);
+        let named = pair(|b, [u1, ..]| {
+            b.constraint(1, vec![SlotPattern::UnitOp { unit: u1, op: None }]);
+        });
+        assert_eq!(named, [0, 1, 2]);
+        let complex = pair(|b, [.., u3]| {
+            let square = PatTree::Op(Op::Mul, vec![PatTree::Arg(0), PatTree::Arg(0)]);
+            b.complex("sq", u3, square);
+        });
+        assert_eq!(complex, [0, 1, 2]);
+        let local = pair(|b, [u1, u2, _]| {
+            b.bus("LOCAL", &[u1, u2], false, 1);
+        });
+        assert_eq!(local, [0, 1, 2]);
+        let mut b = MachineBuilder::new("sizes");
+        let u1 = b.unit("U1", &[Op::Add], 2);
+        let u2 = b.unit("U2", &[Op::Add], 3);
+        b.bus("DB", &[u1, u2], true, 1);
+        assert_eq!(classes(b.build().unwrap()), [0, 1]);
+    }
+
     #[test]
     fn op_db_lists_capable_units() {
         let m = single_bus_machine();
@@ -624,6 +681,9 @@ pub struct Target {
     pub round_trip_bank: Option<crate::model::BankId>,
     /// [`Target::fingerprint`], computed once by [`Target::new`].
     fingerprint: u64,
+    /// Per unit, the lowest-numbered unit interchangeable with it (see
+    /// [`Target::unit_class`]); empty when no two units are.
+    classes: Vec<UnitId>,
 }
 
 impl Target {
@@ -648,6 +708,7 @@ impl Target {
                 )
         });
         let fingerprint = isdl_hash(&machine);
+        let classes = unit_classes(&machine);
         Target {
             machine,
             ops,
@@ -655,7 +716,23 @@ impl Target {
             load_bank,
             round_trip_bank,
             fingerprint,
+            classes,
         }
+    }
+
+    /// The lowest-numbered unit interchangeable with `unit` (`unit`
+    /// itself when no lower one is). Two units are interchangeable when
+    /// they have the same operations and costs and the same bank size,
+    /// each owns its bank, their banks sit on the same buses, and no
+    /// constraint or complex instruction names either unit: renaming
+    /// one to the other, with its bank, maps the machine onto itself.
+    pub fn unit_class(&self, unit: UnitId) -> UnitId {
+        self.classes.get(unit.index()).copied().unwrap_or(unit)
+    }
+
+    /// Whether some two units are interchangeable ([`Target::unit_class`]).
+    pub fn has_interchangeable_units(&self) -> bool {
+        !self.classes.is_empty()
     }
 
     /// Stable content fingerprint of the machine description.
@@ -675,6 +752,41 @@ impl Target {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
+
+/// [`Target::unit_class`] of every unit, or nothing (and no allocation)
+/// when every class has one member.
+fn unit_classes(m: &Machine) -> Vec<UnitId> {
+    let units = m.units();
+    // A unit that owns its bank and that no constraint or complex
+    // instruction names.
+    let free = |u: usize| {
+        let id = UnitId(u as u32);
+        let names =
+            |pat: &SlotPattern| matches!(*pat, SlotPattern::UnitOp { unit, .. } if unit == id);
+        units.iter().filter(|v| v.bank == units[u].bank).count() == 1
+            && !m.constraints().iter().any(|c| c.members.iter().any(names))
+            && !m.complexes().iter().any(|cx| cx.unit == id)
+    };
+    let same = |a: usize, b: usize| {
+        let (a, b) = (&units[a], &units[b]);
+        let on = |bank, bus: &crate::model::Bus| bus.endpoints.contains(&Location::Bank(bank));
+        a.ops == b.ops
+            && m.bank(a.bank).size == m.bank(b.bank).size
+            && m.buses()
+                .iter()
+                .all(|bus| on(a.bank, bus) == on(b.bank, bus))
+    };
+    let twin = |u: usize| (0..u).find(|&r| free(r) && same(r, u));
+    if !(0..units.len()).any(|u| free(u) && twin(u).is_some()) {
+        return Vec::new();
+    }
+    (0..units.len())
+        .map(|u| {
+            let class = if free(u) { twin(u).unwrap_or(u) } else { u };
+            UnitId(class as u32)
+        })
+        .collect()
 }
 
 /// [`aviv_ir::stablehash::hash_str`] of [`crate::to_isdl`]'s text,

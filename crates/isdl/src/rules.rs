@@ -370,7 +370,9 @@ fn buses(machine: &Machine, out: &mut Vec<Finding>) {
 /// W002: an instruction executing on a unit can need up to its operand
 /// count of simultaneously-live registers in the unit's bank (every
 /// operand may be a distinct register value). A bank smaller than that
-/// makes such instances unschedulable at any pressure.
+/// makes such instances unschedulable at any pressure. (For a complex
+/// instruction the pattern matcher drops those instances, so the
+/// machine still compiles what its other alternatives implement.)
 fn bank_capacity(machine: &Machine, out: &mut Vec<Finding>) {
     for (ui, u) in machine.units().iter().enumerate() {
         let bank = machine.bank(u.bank);

@@ -8,9 +8,12 @@
 //! A match binds a [`ComplexInstr`] pattern rooted at some DAG node; the
 //! interior nodes it swallows must be used *only* inside the match
 //! (otherwise their value would still have to be computed separately and
-//! fusing would save nothing).
+//! fusing would save nothing). A match whose distinct non-constant
+//! operands outnumber the registers of its unit's bank is dropped: the
+//! instruction reads them all from that bank at once, so no schedule
+//! could issue it.
 
-use aviv_ir::{BlockDag, Consumers, NodeId};
+use aviv_ir::{BlockDag, Consumers, NodeId, Op};
 use aviv_isdl::{PatTree, Target};
 use std::cell::RefCell;
 
@@ -100,7 +103,7 @@ impl MatchScratch {
                 self.operands.resize(cx.pattern.arg_count(), None);
                 self.covers.clear();
                 self.trail.clear();
-                if self.try_match(dag, id, &cx.pattern, true) {
+                if self.try_match(dag, id, &cx.pattern, true) && self.fits_bank(dag, target, ci) {
                     out.push(ComplexMatch {
                         complex: ci,
                         root: id,
@@ -110,6 +113,21 @@ impl MatchScratch {
                 }
             }
         }
+    }
+
+    /// Whether the bound operands' distinct non-constant nodes, each a
+    /// register operand of complex `ci`, fit in its unit's bank.
+    fn fits_bank(&self, dag: &BlockDag, target: &Target, ci: usize) -> bool {
+        let machine = &target.machine;
+        let bank = machine.bank(machine.bank_of(machine.complexes()[ci].unit));
+        let operands = &self.operands;
+        let registers = (0..operands.len())
+            .filter(|&k| {
+                let o = operands[k].expect("bound");
+                dag.node(o).op != Op::Const && !operands[..k].contains(&Some(o))
+            })
+            .count();
+        registers <= bank.size as usize
     }
 
     /// Attempt to match `pat` at `node`, backtracking on failure.
@@ -199,7 +217,17 @@ pub(crate) mod tests {
                     let mut covers = Vec::new();
                     let context = (dag, &uses, &root_ids);
                     if try_match(context, id, &cx.pattern, true, &mut operands, &mut covers) {
-                        let operands = operands.into_iter().map(|o| o.expect("bound")).collect();
+                        let operands: Vec<NodeId> =
+                            operands.into_iter().map(|o| o.expect("bound")).collect();
+                        let registers: HashSet<NodeId> = operands
+                            .iter()
+                            .copied()
+                            .filter(|&o| dag.node(o).op != aviv_ir::Op::Const)
+                            .collect();
+                        let bank = machine.bank(machine.bank_of(cx.unit));
+                        if registers.len() > bank.size as usize {
+                            continue;
+                        }
                         out.push(ComplexMatch {
                             complex: ci,
                             root: id,
@@ -328,6 +356,24 @@ pub(crate) mod tests {
         let matches = match_complexes(&f.blocks[0].dag, &t);
         // x's add has a mul child (a*b): match. y's add has mul (d*e): match.
         assert_eq!(matches.len(), 2);
+    }
+
+    /// `mac` reads three registers: a two-register bank cannot feed it,
+    /// unless operands repeat or are constants.
+    #[test]
+    fn matches_too_wide_for_the_bank_are_dropped() {
+        let count = |src: &str, regs| {
+            let f = parse_function(src).unwrap();
+            match_complexes(&f.blocks[0].dag, &Target::new(dsp_arch(regs))).len()
+        };
+        assert_eq!(count("func f(a, b, c) { y = a * b + c; }", 3), 1);
+        assert_eq!(count("func f(a, b, c) { y = a * b + c; }", 2), 0);
+        assert_eq!(count("func f(a, c) { y = a * a + c; }", 2), 1, "a repeats");
+        assert_eq!(
+            count("func f(a, b) { y = a * b + 3; }", 2),
+            1,
+            "3 is an immediate"
+        );
     }
 
     #[test]

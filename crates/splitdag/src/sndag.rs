@@ -155,10 +155,10 @@ pub enum AltKind {
     Complex {
         /// Index into the machine's complex list.
         index: usize,
-        /// Original nodes covered (root first).
-        covers: Vec<NodeId>,
-        /// Original nodes feeding the pattern operands.
-        operands: Vec<NodeId>,
+        /// Index of its match in [`SplitNodeDag::matches`], which holds
+        /// the nodes it covers and its operands
+        /// ([`SplitNodeDag::covers`], [`SplitNodeDag::complex_operands`]).
+        matched: usize,
     },
     /// A dynamic memory load (operand = address).
     DynLoad,
@@ -357,6 +357,24 @@ impl SplitNodeDag {
     /// All complex matches found on the block.
     pub fn matches(&self) -> &[ComplexMatch] {
         &self.matches
+    }
+
+    /// The original nodes `alt` covers, root first, for a complex
+    /// alternative of this DAG; empty for any other alternative.
+    pub fn covers(&self, alt: &AltInfo) -> &[NodeId] {
+        match alt.kind {
+            AltKind::Complex { matched, .. } => &self.matches[matched].covers,
+            _ => &[],
+        }
+    }
+
+    /// The original nodes feeding the pattern operands of `alt`, a
+    /// complex alternative of this DAG; `None` for any other alternative.
+    pub fn complex_operands(&self, alt: &AltInfo) -> Option<&[NodeId]> {
+        match alt.kind {
+            AltKind::Complex { matched, .. } => Some(&self.matches[matched].operands),
+            _ => None,
+        }
     }
 
     /// Matches covering `orig` as a swallowed interior node.
@@ -779,8 +797,7 @@ impl Builder<'_> {
                         let (complex, unit) = (m.complex, machine.complexes()[m.complex].unit);
                         let kind = AltKind::Complex {
                             index: complex,
-                            covers: m.covers.clone(),
-                            operands: m.operands.clone(),
+                            matched: next_match,
                         };
                         let bank = machine.bank_of(unit);
                         for k in 0..self.s.matches[next_match].operands.len() {
@@ -1094,8 +1111,7 @@ mod tests {
                                     exec: Exec::Unit(unit),
                                     kind: AltKind::Complex {
                                         index: m.complex,
-                                        covers: m.covers.clone(),
-                                        operands: m.operands.clone(),
+                                        matched: mi,
                                     },
                                 });
                                 self.suppliers[i].push((sn, Some(Location::Bank(bank))));
